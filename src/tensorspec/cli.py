@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any
 
@@ -82,22 +81,11 @@ def _vec_str(v) -> str:
     return "(" + ", ".join(_fmt(x) for x in v) + ")"
 
 
-def _threads_default() -> int:
-    env = os.environ.get("TENSORSPEC_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None, help="solver tolerance")
     p.add_argument("--max-iters", type=int, default=None, help="iteration cap")
     p.add_argument("--seed", type=int, default=0, help="base seed (runs are deterministic)")
     p.add_argument("--starts", type=int, default=None, help="multi-start count")
-    p.add_argument("--threads", type=int, default=None, help="worker threads for multi-starts")
     p.add_argument("--output", default=None, help="write output here instead of stdout")
     p.add_argument("--format", choices=["json", "table"], default="json")
 
@@ -111,7 +99,6 @@ def _solver_opts(args, **extra) -> dict[str, Any]:
     if args.starts is not None:
         opts["starts"] = args.starts
     opts["seed"] = args.seed
-    opts["threads"] = args.threads if args.threads is not None else _threads_default()
     return opts
 
 

@@ -10,6 +10,10 @@ All operations are pure functions over immutable tensors.  Conventions:
 
 Sums are accumulated pairwise by numpy, which keeps the library's 1e-12
 property tolerances honest at desk scale.
+
+The private helpers at the end are the kernels the iterative solvers share:
+the mode unfolding, the contraction evaluated at many vectors at once, and one
+multi-start power iteration that runs every start as a column of one matrix.
 """
 
 from __future__ import annotations
@@ -156,3 +160,82 @@ def _contract_all_but_array(arr: np.ndarray, o: int, xs: list[np.ndarray]) -> np
     for m, x in sorted(zip(modes, xs), key=lambda p: -p[0]):
         out = np.tensordot(out, x, axes=(m - 1, 0))
     return out
+
+
+# -- kernels shared by the iterative solvers ------------------------------------
+
+
+def _mode_unfolding(arr: np.ndarray, o: int) -> np.ndarray:
+    """Mode-o matricization on raw arrays: rows = mode o, columns colex over the rest."""
+    return np.moveaxis(arr, o - 1, 0).reshape(arr.shape[o - 1], -1, order="F")
+
+
+def _contract_all_but_batch(arr: np.ndarray, keep, xs) -> np.ndarray:
+    """Contract column ``s`` of ``xs`` onto every mode outside ``keep``, for every ``s``.
+
+    ``keep`` is one 1-based mode or a tuple of distinct modes; they lead the
+    result in the order given.  ``xs`` is either one ``(M, S)`` matrix whose
+    columns go on every contracted mode (eigenvectors) or a sequence of one
+    ``(M_m, S)`` matrix per contracted mode, in increasing mode order.  The
+    result has shape ``(M_k for k in keep) + (S,)``; with nothing left to
+    contract the last axis has length 1 and broadcasts.
+
+    One matmul contracts the last mode for all columns at once, then one
+    batched reduction per remaining mode; a single many-operand einsum is
+    far slower at these sizes.
+    """
+    keep = (keep,) if isinstance(keep, int) else tuple(keep)
+    rest = [m for m in range(1, arr.ndim + 1) if m not in keep]
+    mats = [xs] * len(rest) if isinstance(xs, np.ndarray) else list(xs)
+    lead = arr.transpose([k - 1 for k in keep] + [m - 1 for m in rest])
+    if not rest:
+        return lead[..., None]
+    s = mats[-1].shape[1]
+    out = lead.reshape(-1, arr.shape[rest[-1] - 1]) @ mats[-1]
+    for m, x in zip(rest[-2::-1], mats[-2::-1]):
+        d = arr.shape[m - 1]
+        out = np.einsum("rjs,js->rs", out.reshape(out.shape[0] // d, d, s), x)
+    return out.reshape(lead.shape[: len(keep)] + (s,))
+
+
+def _column_norms(y: np.ndarray, p: int = 2) -> np.ndarray:
+    if p == 2:
+        return np.sqrt((y * y).sum(axis=0))
+    return (np.abs(y) ** p).sum(axis=0) ** (1.0 / p)
+
+
+def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_iters: int):
+    """Multi-start power iteration with every start as one column.
+
+    Column ``s`` of each matrix in ``blocks`` is start ``s``.  A sweep
+    replaces block ``k = 0, 1, ...`` in turn by ``update(k, current, cols)``
+    scaled to unit p-norm, where ``current`` holds the blocks restricted to
+    the running columns and ``cols`` their indices.  A column stops, frozen,
+    when an update of it has zero norm (that block keeps its value; status
+    -1), when no block moved by more than ``tol`` in 2-norm up to sign
+    during a sweep (status 1), or after ``max_iters`` sweeps (status 0).
+    Returns the final blocks and the per-column status.
+    """
+    blocks = [np.array(b, dtype=float) for b in blocks]
+    status = np.zeros(blocks[0].shape[1], dtype=int)
+    cols = np.arange(status.size)
+    for _ in range(max_iters):
+        if not cols.size:
+            break
+        current = [b[:, cols] for b in blocks]
+        alive = np.ones(cols.size, dtype=bool)
+        delta = np.zeros(cols.size)
+        for k, x in enumerate(current):
+            y = update(k, current, cols)
+            nrm = _column_norms(y, p)
+            alive &= nrm != 0.0
+            y = np.where(alive, y / np.where(alive, nrm, 1.0), x)
+            delta = np.maximum(delta, np.minimum(_column_norms(y - x), _column_norms(y + x)))
+            current[k] = y
+        for b, c in zip(blocks, current):
+            b[:, cols] = c
+        done = alive & (delta <= tol)
+        status[cols[~alive]] = -1
+        status[cols[done]] = 1
+        cols = cols[alive & ~done]
+    return blocks, status

@@ -7,26 +7,21 @@ is guaranteed (and asserted) is that the ALS objective never increases across
 sweeps and that on orthogonally decomposable input the power-iteration /
 deflation loop recovers the components.
 
-Multi-start solvers derive per-start seeds as ``seed + start_index`` and merge
-results by ``(error, start_index)``, so outputs do not depend on execution
-order; the ``threads`` argument only parallelizes the starts.
+Multi-start solvers derive per-start seeds from ``seed`` and the start index
+and merge results by ``(error, start_index)``, so outputs do not depend on the
+order in which starts run.  The odeco power iterations run all starts of a
+deflation round at once, one start per column.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .contract import _contract_all_but_array, multi_mode_product
+from .contract import _contract_all_but_batch, _mode_unfolding, _power_sweeps, multi_mode_product
 from .tensor import DenseTensor, _as_array, frobenius_norm, outer
-
-
-def _mode_unfolding(arr: np.ndarray, o: int) -> np.ndarray:
-    """Mode-o matricization on raw arrays: rows = mode o, columns colex over the rest."""
-    return np.moveaxis(arr, o - 1, 0).reshape(arr.shape[o - 1], -1, order="F")
 
 __all__ = [
     "CpDecomposition",
@@ -271,13 +266,6 @@ def _als_single(arr, rank, init_factors, max_iters, tol, norm_t, unfoldings):
     return factors, errors, converged
 
 
-def _run_starts(tasks, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda f: f(), tasks))
-    return [f() for f in tasks]
-
-
 def cp_als(
     t: DenseTensor,
     rank: int,
@@ -286,7 +274,6 @@ def cp_als(
     tol: float = 1e-12,
     seed: int = 0,
     starts: int = 8,
-    threads: int = 1,
 ) -> CpAlsResult:
     """Fit a rank-``rank`` CP decomposition by alternating least squares.
 
@@ -308,18 +295,15 @@ def cp_als(
         tk = hosvd(t, [rank] * order)
         hosvd_init = [f.copy() for f in tk.factors]
 
-    def make_task(k):
-        def task():
-            if k == 0 and hosvd_init is not None:
-                init = hosvd_init
-            else:
-                r = np.random.default_rng(seed + k)
-                init = [r.uniform(-1.0, 1.0, size=(d, rank)) for d in arr.shape]
-            return _als_single(arr, rank, init, max_iters, tol, norm_t, unfoldings)
+    def run(k):
+        if k == 0 and hosvd_init is not None:
+            init = hosvd_init
+        else:
+            r = np.random.default_rng(seed + k)
+            init = [r.uniform(-1.0, 1.0, size=(d, rank)) for d in arr.shape]
+        return _als_single(arr, rank, init, max_iters, tol, norm_t, unfoldings)
 
-        return task
-
-    results = _run_starts([make_task(k) for k in range(starts)], threads)
+    results = [run(k) for k in range(starts)]
     best = min(range(starts), key=lambda k: (results[k][1][-1], k))
     factors, errors, converged = results[best]
     cp = cp_normalize(CpDecomposition(np.ones(rank), factors))
@@ -349,52 +333,36 @@ class OdecoResult:
         return self.status == "ok"
 
 
-def _power_iterate_symmetric(arr, x0, max_iters, tol):
-    """Symmetric tensor power iteration; returns (value, vector, converged)."""
+def _odeco_round(arr, symmetric, seeds, max_iters, tol):
+    """One deflation round: the power iteration of every start at once.
+
+    Start ``k`` draws its initial vectors from ``default_rng(seeds[k])``.
+    Returns one ``(|value|, value, vectors, converged)`` record per start.
+    Symmetric input runs the symmetric map ``x <- F_1(x, .., x)``, anything
+    else the alternating per-mode update (HOPM); a start whose update hits
+    zero reports value 0, not converged.
+    """
     order = arr.ndim
-    x = x0 / np.linalg.norm(x0)
-    for _ in range(max_iters):
-        y = _contract_all_but_array(arr, 1, [x] * (order - 1))
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return 0.0, x, False
-        y /= nrm
-        if min(np.linalg.norm(y - x), np.linalg.norm(y + x)) <= tol:
-            x = y
-            break
-        x = y
+    gens = [np.random.default_rng(sd) for sd in seeds]
+    if symmetric:
+        blocks = [np.column_stack([r.normal(size=arr.shape[0]) for r in gens])]
+
+        def update(k, cur, cols):
+            return _contract_all_but_batch(arr, 1, cur[0])
+
     else:
-        lam = float(_contract_all_but_array(arr, 1, [x] * (order - 1)) @ x)
-        return lam, x, False
-    lam = float(_contract_all_but_array(arr, 1, [x] * (order - 1)) @ x)
-    return lam, x, True
+        draws = [[r.normal(size=d) for d in arr.shape] for r in gens]
+        blocks = [np.column_stack([d[o] for d in draws]) for o in range(order)]
 
+        def update(k, cur, cols):
+            return _contract_all_but_batch(arr, k + 1, cur[:k] + cur[k + 1:])
 
-def _hopm_iterate(arr, xs0, max_iters, tol):
-    """Alternating per-mode power iteration; returns (sigma, vectors, converged)."""
-    order = arr.ndim
-    xs = [x / np.linalg.norm(x) for x in xs0]
-    for _ in range(max_iters):
-        delta = 0.0
-        for o in range(1, order + 1):
-            y = _contract_all_but_array(arr, o, [xs[j] for j in range(order) if j != o - 1])
-            nrm = np.linalg.norm(y)
-            if nrm == 0.0:
-                return 0.0, xs, False
-            y /= nrm
-            delta = max(delta, min(np.linalg.norm(y - xs[o - 1]), np.linalg.norm(y + xs[o - 1])))
-            xs[o - 1] = y
-        if delta <= tol:
-            sigma = _full_contract(arr, xs)
-            return sigma, xs, True
-    return _full_contract(arr, xs), xs, False
-
-
-def _full_contract(arr, xs) -> float:
-    out = arr
-    for x in reversed(xs):
-        out = np.tensordot(out, x, axes=(out.ndim - 1, 0))
-    return float(out)
+    blocks = [b / np.linalg.norm(b, axis=0) for b in blocks]
+    blocks, status = _power_sweeps(update, blocks, 2, tol, max_iters)
+    xs = blocks * order if symmetric else blocks
+    value = np.sum(_contract_all_but_batch(arr, 1, xs[1:]) * xs[0], axis=0)
+    value[status < 0] = 0.0
+    return [(abs(value[k]), value[k], [x[:, k] for x in xs], status[k] == 1) for k in range(len(seeds))]
 
 
 def odeco_decompose(
@@ -407,7 +375,6 @@ def odeco_decompose(
     orth_tol: float = 1e-6,
     seed: int = 0,
     starts: int = 8,
-    threads: int = 1,
 ) -> OdecoResult:
     """Recover an orthogonal CP decomposition by power iteration with deflation.
 
@@ -432,17 +399,8 @@ def odeco_decompose(
     status = "ok"
     component = 0
     while component < rank and np.linalg.norm(arr) > tol * max(norm0, 1e-300):
-        def one_start(k, deflated=arr.copy(), comp=component):
-            r = np.random.default_rng(seed + 101 * comp + k)
-            if symmetric:
-                x0 = r.normal(size=deflated.shape[0])
-                lam, x, conv = _power_iterate_symmetric(deflated, x0, max_iters, tol)
-                return abs(lam), lam, [x] * order, conv
-            xs0 = [r.normal(size=d) for d in deflated.shape]
-            sig, xs, conv = _hopm_iterate(deflated, xs0, max_iters, tol)
-            return abs(sig), sig, xs, conv
-
-        found = _run_starts([lambda k=k: one_start(k) for k in range(starts)], threads)
+        seeds = [seed + 101 * component + k for k in range(starts)]
+        found = _odeco_round(arr, symmetric, seeds, max_iters, tol)
         found.sort(key=lambda rec: -rec[0])
         mag, value, xs, conv = found[0]
         if not conv or mag == 0.0:

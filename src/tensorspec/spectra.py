@@ -31,8 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .contract import _contract_all_but_array
-from .decomp import _mode_unfolding, _run_starts
+from .contract import _contract_all_but_array, _contract_all_but_batch, _mode_unfolding, _power_sweeps
 from .tensor import DenseTensor, _as_array, is_symmetric, outer
 
 __all__ = [
@@ -270,51 +269,94 @@ def _dedup_pairs(pairs: list[EigenPair], dedup_tol: float) -> list[EigenPair]:
 # -- iterative path for larger modes --------------------------------------------
 
 
-def _newton_polish(arr, mode, variant, x0, lam0, iters=50, tol=1e-13):
-    """Damped Newton on [F(x) - lam * rhs(x); ||x||^2 - 1] with FD Jacobian."""
-    order = arr.ndim
-    power = 1 if variant == "z" else order - 1
-    m = arr.shape[0]
+def _fit_scale(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per column, the least-squares c in ``f = c * w``; 0 where ``w`` is zero."""
+    denom = np.sum(w * w, axis=0)
+    nonzero = denom > 0
+    return np.where(nonzero, np.sum(f * w, axis=0) / np.where(nonzero, denom, 1.0), 0.0)
 
-    def G(v):
-        x, lam = v[:m], v[m]
-        f = _contract_all_but_array(arr, mode, [x] * (order - 1))
-        return np.concatenate([f - lam * x ** power, [x @ x - 1.0]])
 
-    v = np.concatenate([x0, [lam0]])
-    gv = G(v)
-    scale = 1.0 + float(np.max(np.abs(arr)))
+def _damped_newton(residual, jacobian, v, scale, iters=50, tol=1e-13):
+    """Damped Gauss-Newton on every column of ``v`` at once.
+
+    ``residual`` maps an ``(n, C)`` block of points to their ``(r, C)``
+    residuals and ``jacobian`` to their exact ``(C, r, n)`` Jacobians.  Per
+    column: stop once ``max|residual| <= tol * scale``; otherwise take the
+    minimum-norm least-squares step and halve it, at most 20 times, until the
+    residual's 2-norm drops; a column whose residual never drops stops there.
+    """
+    v = np.array(v, dtype=float)
+    g = residual(v)
+    cols = np.arange(v.shape[1])
     for _ in range(iters):
-        if np.max(np.abs(gv)) <= tol * scale:
+        cols = cols[np.max(np.abs(g[:, cols]), axis=0) > tol * scale]
+        if not cols.size:
             break
-        jac = np.empty((m + 1, m + 1))
-        h = 1e-7
-        for j in range(m + 1):
-            dv = np.zeros(m + 1)
-            dv[j] = h
-            jac[:, j] = (G(v + dv) - G(v - dv)) / (2.0 * h)
+        jac = jacobian(v[:, cols])
+        # lstsq rejects non-finite systems; such a column stops where it is
+        finite = np.all(np.isfinite(jac), axis=(1, 2)) & np.all(np.isfinite(g[:, cols]), axis=0)
+        cols, jac = cols[finite], jac[finite]
+        if not cols.size:
+            break
         try:
-            step = np.linalg.lstsq(jac, -gv, rcond=None)[0]
+            u, sv, vt = np.linalg.svd(jac, full_matrices=False)
         except np.linalg.LinAlgError:
             break
+        # singular values below lstsq's default cutoff are dropped, as lstsq does
+        kept = sv > np.finfo(float).eps * max(jac.shape[1:]) * sv[:, :1]
+        coef = np.einsum("crk,rc->ck", u, g[:, cols])
+        coef = np.where(kept, coef / np.where(kept, sv, 1.0), 0.0)
+        step = -np.einsum("ckn,ck->nc", vt, coef)
+        base = np.linalg.norm(g[:, cols], axis=0)
+        pending = np.ones(cols.size, dtype=bool)
         t = 1.0
-        improved = False
         for _ in range(20):
-            cand = v + t * step
-            gc = G(cand)
-            if np.linalg.norm(gc) < np.linalg.norm(gv):
-                v, gv = cand, gc
-                improved = True
+            idx = np.flatnonzero(pending)
+            cand = v[:, cols[idx]] + t * step[:, idx]
+            gc = residual(cand)
+            better = np.linalg.norm(gc, axis=0) < base[idx]
+            v[:, cols[idx[better]]] = cand[:, better]
+            g[:, cols[idx[better]]] = gc[:, better]
+            pending[idx[better]] = False
+            if not pending.any():
                 break
             t /= 2.0
-        if not improved:
-            break
-    return v[:m], float(v[m])
+        cols = cols[~pending]
+    return v
 
 
-def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts, dedup_tol, threads):
+def _eig_system(arr, mode, power):
+    """Residual and exact Jacobian of the eigen system at the columns ``[x; lambda]``.
+
+    The system is ``F_mode(x, .., x) - lambda * x^power = 0`` with
+    ``x . x = 1``.  ``dF_mode/dx`` sums, over the other modes ``j``, the
+    tensor contracted with ``x`` on every mode except ``mode`` and ``j``.
+    """
+    m = arr.shape[0]
+
+    def residual(v):
+        x, lam = v[:m], v[m]
+        return np.vstack([_contract_all_but_batch(arr, mode, x) - lam * x**power, np.sum(x * x, axis=0) - 1.0])
+
+    def jacobian(v):
+        x, lam = v[:m], v[m]
+        jac = np.zeros((x.shape[1], m + 1, m + 1))
+        for j in range(1, arr.ndim + 1):
+            if j != mode:
+                jac[:, :m, :m] += np.moveaxis(_contract_all_but_batch(arr, (mode, j), x), -1, 0)
+        diag = np.arange(m)
+        jac[:, diag, diag] -= (power * lam * x ** (power - 1)).T
+        jac[:, :m, m] = -(x**power).T
+        jac[:, m, :m] = 2.0 * x.T
+        return jac
+
+    return residual, jacobian
+
+
+def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts, dedup_tol):
     order = arr.ndim
     m = arr.shape[0]
+    power = 1 if variant == "z" else order - 1
     symmetric = is_symmetric(DenseTensor(arr), tol=1e-12)
     shift = 1.0 + float(np.sum(np.abs(arr)))
     nonneg = bool(np.all(arr >= 0.0))
@@ -327,71 +369,55 @@ def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts, dedup_tol, 
         v = g.normal(size=m)
         seeds.append(v / np.linalg.norm(v))
     seeds = seeds[:starts]
+    x = np.column_stack(seeds) if seeds else np.zeros((m, 0))
 
-    def run(x0: np.ndarray) -> list[EigenPair]:
-        found = []
-        if variant == "z":
-            maps: list[Callable[[np.ndarray], np.ndarray]] = [
-                lambda x: _contract_all_but_array(arr, mode, [x] * (order - 1))
-            ]
-            if symmetric:
-                # shifted maps converge monotonically to local maxima/minima
-                maps = [
-                    lambda x: _contract_all_but_array(arr, mode, [x] * (order - 1)) + shift * x,
-                    lambda x: shift * x - _contract_all_but_array(arr, mode, [x] * (order - 1)),
-                ]
-            for step_map in maps:
-                x = x0.copy()
-                for _ in range(max_iters):
-                    y = step_map(x)
-                    nrm = np.linalg.norm(y)
-                    if nrm == 0.0:
-                        break
-                    y /= nrm
-                    if min(np.linalg.norm(y - x), np.linalg.norm(y + x)) <= 1e-14:
-                        x = y
-                        break
-                    x = y
-                lam = float(_contract_all_but_array(arr, mode, [x] * (order - 1)) @ x)
-                x, lam = _newton_polish(arr, mode, "z", x, lam)
-                res = _eig_defect(arr, "z", mode, lam, x)
-                found.append(EigenPair("z", mode, lam, x, res, converged=res <= tol))
-        else:
-            x = np.abs(x0) if nonneg else x0.copy()
-            if nonneg:
-                # entrywise-root iteration is valid on the nonnegative path
-                for _ in range(max_iters):
-                    f = _contract_all_but_array(arr, mode, [x] * (order - 1))
-                    if np.any(f < 0.0):
-                        break
-                    y = f ** (1.0 / (order - 1)) if order > 2 else f
-                    nrm = np.linalg.norm(y)
-                    if nrm == 0.0:
-                        break
-                    y /= nrm
-                    if np.linalg.norm(y - x) <= 1e-14:
-                        x = y
-                        break
-                    x = y
-            f = _contract_all_but_array(arr, mode, [x] * (order - 1))
-            w = x ** (order - 1)
-            denom = float(w @ w)
-            lam = float(f @ w) / denom if denom > 0 else 0.0
-            x, lam = _newton_polish(arr, mode, "h", x, lam)
-            nrm = np.linalg.norm(x)
-            if nrm > 0:
-                # the h equation is homogeneous; renormalize the record
-                x = x / nrm
-                f = _contract_all_but_array(arr, mode, [x] * (order - 1))
-                w = x ** (order - 1)
-                lam = float(f @ w) / float(w @ w)
-            res = _eig_defect(arr, "h", mode, lam, x)
-            found.append(EigenPair("h", mode, lam, x, res, converged=res <= tol))
-        return found
+    def F(x):
+        return _contract_all_but_batch(arr, mode, x)
 
-    batches = _run_starts([lambda s=s: run(s) for s in seeds], threads)
-    pairs = [p for batch in batches for p in batch]
-    good = _dedup_pairs([p for p in pairs if p.converged], dedup_tol)
+    update = None
+    if variant == "z" and symmetric:
+        # each start runs both shifted maps (Kolda & Mayo 2011), which converge
+        # monotonically to local maxima and minima: column 2s adds F, 2s+1 subtracts it
+        x = np.repeat(x, 2, axis=1)
+        sign = np.tile([1.0, -1.0], x.shape[1] // 2)
+
+        def update(k, cur, cols):
+            return sign[cols] * F(cur[0]) + shift * cur[0]
+
+    elif variant == "z":
+
+        def update(k, cur, cols):
+            return F(cur[0])
+
+    elif nonneg:
+        # entrywise-root iteration is valid on the nonnegative path; a negative
+        # entry of F stops the start, signalled as a zero update
+        x = np.abs(x)
+
+        def update(k, cur, cols):
+            f = F(cur[0])
+            y = np.maximum(f, 0.0) ** (1.0 / (order - 1)) if order > 2 else f
+            return np.where(np.any(f < 0.0, axis=0), 0.0, y)
+
+    if update is not None:
+        (x,), _ = _power_sweeps(update, [x], 2, 1e-14, max_iters)
+
+    scale = 1.0 + float(np.max(np.abs(arr)))
+    v = _damped_newton(*_eig_system(arr, mode, power), np.vstack([x, _fit_scale(F(x), x**power)]), scale)
+    x, lam = v[:m], v[m]
+    if variant == "h":
+        # the h equation is homogeneous; renormalize the records
+        nrm = np.linalg.norm(x, axis=0)
+        x = np.where(nrm > 0, x / np.where(nrm > 0, nrm, 1.0), x)
+        lam = np.where(nrm > 0, _fit_scale(F(x), x**power), lam)
+    res = np.max(np.abs(F(x) - lam * x**power), axis=0)
+    pairs = [
+        EigenPair(variant, mode, lam[c], x[:, c], res[c], converged=bool(res[c] <= tol))
+        for c in range(x.shape[1])
+    ]
+    good = [p for p in pairs if p.converged]
+    # the t = -1 orbit of a solution (eig_orbit) is a solution with the same residual
+    good = _dedup_pairs(good + [eig_orbit(p, -1.0, order) for p in good], dedup_tol)
     if good:
         return good
     if pairs:
@@ -413,17 +439,20 @@ def find_eigenpairs(
     max_iters: int = 500,
     seed: int = 0,
     starts: int = 32,
-    threads: int = 1,
 ) -> list[EigenPair]:
     """Mode-``mode`` eigenpairs of a cubical tensor, deduplicated and sorted.
 
     For modes of size 2 the unit circle is sampled on ``grid`` points, sign
     changes of the collinearity defect are bracketed and Newton-refined; this
     finds every isolated solution deterministically (``seed`` is unused).
-    For larger modes a multi-start power iteration with Newton polish is used
-    (shifted iteration on symmetric input for the z variant, entrywise-root
-    iteration on nonnegative input for the h variant); completeness is not
-    claimed there.  Pairs are sorted by decreasing |value|, then vector.
+    For larger modes all ``starts`` run at once, one per column, through a
+    power iteration: on symmetric input each z start runs both shifted maps,
+    other z input the unshifted map, and h starts on nonnegative input the
+    entrywise-root map (other h starts skip it).  Every end point is then
+    polished by damped Newton with the exact Jacobian, and the sign partner
+    (`eig_orbit` with ``t = -1``) of every converged record is added before
+    deduplication.  Completeness is not claimed there.  Pairs are sorted by
+    decreasing |value|, then vector.
 
     Every returned pair satisfies ``eig_residual <= tol`` except when nothing
     converged at all, in which case the single best non-converged record is
@@ -438,7 +467,7 @@ def find_eigenpairs(
         raise ValueError(f"variant must be 'z' or 'h', got {variant!r}")
     if m == 2:
         return _circle_solve(arr, mode, variant, grid, newton_iters, newton_tol, tol, dedup_tol)
-    return _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts, dedup_tol, threads)
+    return _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts, dedup_tol)
 
 
 def find_eigenpairs_contract_trailing(t: DenseTensor, variant: str, **opts) -> list[EigenPair]:
@@ -487,54 +516,42 @@ def _signed_root(v: np.ndarray, k: int) -> np.ndarray:
     return np.sign(v) * np.abs(v) ** (1.0 / k)
 
 
-def _gauss_newton_tuple(arr, xs0, sigma0, p, iters=50, tol=1e-13):
-    """Least-squares Newton on the coupled singular system plus norm constraints."""
+def _tuple_system(arr, p):
+    """Residual and exact Jacobian of the singular system at the columns ``[x_1; ..; x_O; sigma]``.
+
+    The rows are ``F_o - sigma * x_o^power`` for every mode ``o``, then
+    ``sum |x_o|^p - 1`` for every mode.  The block ``dF_o/dx_j`` is the
+    tensor contracted with the vectors on every mode except ``o`` and ``j``.
+    """
     order = arr.ndim
-    dims = arr.shape
     power = 1 if p == 2 else order - 1
-    sizes = np.cumsum([0] + list(dims))
+    offsets = np.cumsum([0] + list(arr.shape))
+    n = int(offsets[-1])
 
-    def unpack(v):
-        return [v[sizes[o]:sizes[o + 1]] for o in range(order)], v[-1]
+    def residual(v):
+        xs, sig = np.split(v[:n], offsets[1:-1]), v[n]
+        eqs = [_contract_all_but_batch(arr, o + 1, xs[:o] + xs[o + 1:]) - sig * xs[o] ** power for o in range(order)]
+        norms = np.array([np.sum(np.abs(x) ** p, axis=0) - 1.0 for x in xs])
+        return np.vstack(eqs + [norms])
 
-    def G(v):
-        xs, sig = unpack(v)
-        parts = []
-        for o in range(1, order + 1):
-            others = [xs[j] for j in range(order) if j != o - 1]
-            f = _contract_all_but_array(arr, o, others)
-            parts.append(f - sig * xs[o - 1] ** power)
-        norms = [np.sum(np.abs(x) ** p) - 1.0 for x in xs]
-        return np.concatenate(parts + [norms])
+    def jacobian(v):
+        xs, sig = np.split(v[:n], offsets[1:-1]), v[n]
+        jac = np.zeros((v.shape[1], n + order, n + 1))
+        for o in range(order):
+            rows = slice(offsets[o], offsets[o + 1])
+            for j in range(o + 1, order):
+                cols = slice(offsets[j], offsets[j + 1])
+                rest = [xs[k] for k in range(order) if k not in (o, j)]
+                block = np.moveaxis(_contract_all_but_batch(arr, (o + 1, j + 1), rest), -1, 0)
+                jac[:, rows, cols] = block
+                jac[:, cols, rows] = np.swapaxes(block, 1, 2)
+            diag = np.arange(offsets[o], offsets[o + 1])
+            jac[:, diag, diag] = -(power * sig * xs[o] ** (power - 1)).T
+            jac[:, rows, n] = -(xs[o] ** power).T
+            jac[:, n + o, rows] = (p * np.sign(xs[o]) * np.abs(xs[o]) ** (p - 1)).T
+        return jac
 
-    v = np.concatenate([np.concatenate(xs0), [sigma0]])
-    gv = G(v)
-    scale = 1.0 + float(np.max(np.abs(arr)))
-    n = v.size
-    for _ in range(iters):
-        if np.max(np.abs(gv)) <= tol * scale:
-            break
-        jac = np.empty((gv.size, n))
-        h = 1e-7
-        for j in range(n):
-            dv = np.zeros(n)
-            dv[j] = h
-            jac[:, j] = (G(v + dv) - G(v - dv)) / (2.0 * h)
-        step = np.linalg.lstsq(jac, -gv, rcond=None)[0]
-        t = 1.0
-        improved = False
-        for _ in range(20):
-            cand = v + t * step
-            gc = G(cand)
-            if np.linalg.norm(gc) < np.linalg.norm(gv):
-                v, gv = cand, gc
-                improved = True
-                break
-            t /= 2.0
-        if not improved:
-            break
-    xs, sig = unpack(v)
-    return [x.copy() for x in xs], float(sig)
+    return residual, jacobian
 
 
 def _canonical_tuple_signs(xs: list[np.ndarray], sigma: float, p: int, order: int):
@@ -568,19 +585,21 @@ def find_singular_tuples(
     seed: int = 0,
     starts: int = 32,
     dedup_tol: float = 1e-8,
-    threads: int = 1,
 ) -> list[SingularTuple]:
     """Singular value tuples by multi-start alternating power iteration.
 
     ``p`` must be 2 or the tensor order.  Starts combine per-mode leading
     singular vectors of the matricizations, coordinate vectors, and seeded
-    random draws; each start runs the cyclic update ``x_o <- normalize_p(F_o)``
-    (with entrywise signed roots feeding the lO variant) and is tightened by a
-    least-squares Newton pass on the coupled system.  A start whose iterate
-    collapses to zero restarts with the next derived seed, counted against a
-    bounded budget.  The result is deduplicated under the sign gauge and
-    sorted by decreasing |sigma|; completeness is not claimed (the problem is
-    NP-hard in general).
+    random draws; all of them run at once through the cyclic update
+    ``x_o <- normalize_p(F_o)`` (with entrywise signed roots feeding the lO
+    variant) until no factor moves by more than 1e-13 over a sweep, and are
+    then tightened by a least-squares Newton pass on the coupled system.  A
+    start whose iterate collapses to zero restarts from the derived seed
+    ``seed + starts + k`` (k = 1, 2, ...), at most ``starts`` times in all.
+    A record is flagged converged when its residual is at most ``tol`` and
+    every factor's p-norm is within ``tol`` of 1.  The result is
+    deduplicated under the sign gauge and sorted by decreasing |sigma|;
+    completeness is not claimed (the problem is NP-hard in general).
     """
     arr = _as_array(t)
     order = arr.ndim
@@ -588,6 +607,8 @@ def find_singular_tuples(
         raise ValueError(f"p must be 2 or the tensor order {order}, got {p}")
     dims = arr.shape
     power = 1 if p == 2 else order - 1
+    offsets = np.cumsum([0] + list(dims))
+    n = int(offsets[-1])
 
     svd_starts = []
     factors = [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0] for o in range(1, order + 1)]
@@ -603,47 +624,43 @@ def find_singular_tuples(
         seeds.append([g.normal(size=d) for d in dims])
     seeds = seeds[:starts]
 
-    zero_restarts = 0
-    max_restarts = starts
+    def update(k, cur, cols):
+        f = _contract_all_but_batch(arr, k + 1, cur[:k] + cur[k + 1:])
+        return f if p == 2 else _signed_root(f, order - 1)
 
-    def iterate(xs):
-        xs = [x / np.linalg.norm(x) for x in xs]
-        for _ in range(max_iters):
-            delta = 0.0
-            for o in range(1, order + 1):
-                others = [xs[j] for j in range(order) if j != o - 1]
-                f = _contract_all_but_array(arr, o, others)
-                y = f if p == 2 else _signed_root(f, order - 1)
-                y = _lp_normalize(y, p)
-                delta = max(delta, min(np.linalg.norm(y - xs[o - 1]), np.linalg.norm(y + xs[o - 1])))
-                xs[o - 1] = y
-            if delta <= 1e-13:
-                break
-        return xs
+    residual, jacobian = _tuple_system(arr, p)
+    scale = 1.0 + float(np.max(np.abs(arr)))
 
-    def run(xs0) -> SingularTuple | None:
-        try:
-            xs = iterate(xs0)
-        except ZeroDivisionError:
-            return None
-        others = [xs[j] for j in range(1, order)]
-        f = _contract_all_but_array(arr, 1, others)
-        w = xs[0] ** power
-        denom = float(w @ w)
-        sigma0 = float(f @ w) / denom if denom > 0 else 0.0
-        xs, sigma = _gauss_newton_tuple(arr, xs, sigma0, p)
-        xs, sigma = _canonical_tuple_signs(xs, sigma, p, order)
-        tup = SingularTuple(p, sigma, tuple(xs), 0.0)
-        res = singular_residual(DenseTensor(arr), tup)
-        return SingularTuple(p, sigma, tuple(xs), res, converged=res <= tol)
+    def run(group) -> list[SingularTuple | None]:
+        blocks = [np.column_stack([s[o] for s in group]) for o in range(order)]
+        blocks = [b / np.linalg.norm(b, axis=0) for b in blocks]
+        blocks, status = _power_sweeps(update, blocks, p, 1e-13, max_iters)
+        live = np.flatnonzero(status >= 0)
+        xs = [b[:, live] for b in blocks]
+        sigma0 = _fit_scale(_contract_all_but_batch(arr, 1, xs[1:]), xs[0] ** power)
+        v = _damped_newton(residual, jacobian, np.vstack(xs + [sigma0]), scale)
+        res = np.max(np.abs(residual(v)[:n]), axis=0)
+        xs, sigma = np.split(v[:n], offsets[1:-1]), v[n]
+        unit = np.all([np.abs(np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p) - 1.0) <= tol for x in xs], axis=0)
+        out: list[SingularTuple | None] = [None] * len(group)
+        for c, s in enumerate(live):
+            vecs, sig = _canonical_tuple_signs([x[:, c] for x in xs], sigma[c], p, order)
+            out[s] = SingularTuple(p, sig, tuple(vecs), res[c], converged=bool(res[c] <= tol and unit[c]))
+        return out
 
-    results: list[SingularTuple | None] = _run_starts([lambda s=s: run(s) for s in seeds], threads)
-    while None in results and zero_restarts < max_restarts:
-        # a zero iterate killed this start; replace it with a fresh seed
-        idx = results.index(None)
-        zero_restarts += 1
-        fresh = np.random.default_rng(seed + starts + zero_restarts)
-        results[idx] = run([fresh.normal(size=d) for d in dims])
+    results = run(seeds) if seeds else []
+    restarts = 0
+    while None in results and restarts < starts:
+        # a zero iterate killed these starts; fill their slots, in order, from
+        # fresh derived seeds run in order until the slots or the budget run out
+        dead = [i for i, r in enumerate(results) if r is None]
+        fresh = [
+            [np.random.default_rng(seed + starts + restarts + k).normal(size=d) for d in dims]
+            for k in range(1, min(len(dead), starts - restarts) + 1)
+        ]
+        restarts += len(fresh)
+        for i, r in zip(dead, [r for r in run(fresh) if r is not None]):
+            results[i] = r
     tuples = [r for r in results if r is not None]
     good = _dedup_tuples([r for r in tuples if r.converged], dedup_tol)
     if good:

@@ -178,6 +178,13 @@ class TestExitCodes:
             main(["cp", golden_path])  # --rank is required
         assert exc.value.code == 4
 
+    def test_removed_threads_flag_is_a_usage_error(self, capsys, golden_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["eig", golden_path, "--threads", "2"])
+        assert exc.value.code == 4
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --threads" in err and "Traceback" not in err
+
     def test_bad_mode_is_4(self, capsys, golden_path):
         assert main(["eig", "--mode", "7", golden_path]) == 4
 
@@ -186,9 +193,3 @@ class TestExitCodes:
         code = main(["info", golden_path, "--output", str(out_path)])
         assert code == 0
         assert json.loads(out_path.read_text())["order"] == 3
-
-    def test_threads_env_fallback(self, capsys, monkeypatch, golden_path):
-        monkeypatch.setenv("TENSORSPEC_THREADS", "2")
-        code, out = run(capsys, ["eig", "--variant", "z", "--mode", "1", golden_path])
-        assert code == 0
-        monkeypatch.delenv("TENSORSPEC_THREADS")

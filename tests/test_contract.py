@@ -275,3 +275,60 @@ class TestKroneckerChainProperty:
         lhs = vectorize(multi_mode_product(x, [a, b]), "colex")
         rhs = kronecker(b, a).to_array() @ vectorize(x, "colex")
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+class TestContractAllButBatch:
+    """The batched kernel against `_contract_all_but_array`, one column at a time."""
+
+    SHAPES = [(4, 5), (3, 3), (3, 4, 5), (4, 4, 4), (2, 3, 4, 5), (3, 3, 3, 3), (3, 2, 4, 2, 3)]
+
+    def test_matches_loop_columnwise(self):
+        from tensorspec.contract import _contract_all_but_array, _contract_all_but_batch
+
+        g = rng(31)
+        for shape in self.SHAPES:
+            arr = g.normal(size=shape)
+            tol = 1e-12 * np.max(np.abs(arr))
+            for o in range(1, len(shape) + 1):
+                xs = [g.normal(size=(shape[m - 1], 6)) for m in range(1, len(shape) + 1) if m != o]
+                got = _contract_all_but_batch(arr, o, xs)
+                assert got.shape == (shape[o - 1], 6)
+                for s in range(6):
+                    want = _contract_all_but_array(arr, o, [x[:, s] for x in xs])
+                    assert np.max(np.abs(got[:, s] - want)) <= tol
+
+    def test_shared_matrix_is_every_mode(self):
+        from tensorspec.contract import _contract_all_but_batch
+
+        g = rng(32)
+        for shape in [(3, 3, 3), (4, 4, 4, 4), (2, 2, 2, 2, 2)]:
+            arr = g.normal(size=shape)
+            x = g.normal(size=(shape[0], 5))
+            for o in range(1, len(shape) + 1):
+                shared = _contract_all_but_batch(arr, o, x)
+                listed = _contract_all_but_batch(arr, o, [x] * (len(shape) - 1))
+                assert np.array_equal(shared, listed)
+
+    def test_two_kept_modes(self):
+        from tensorspec.contract import _contract_all_but_array, _contract_all_but_batch
+
+        g = rng(33)
+        arr = g.normal(size=(2, 3, 4, 5))
+        for keep in [(1, 3), (4, 2), (3, 4)]:
+            rest = [m for m in range(1, 5) if m not in keep]
+            xs = [g.normal(size=(arr.shape[m - 1], 3)) for m in rest]
+            got = _contract_all_but_batch(arr, keep, xs)
+            assert got.shape == (arr.shape[keep[0] - 1], arr.shape[keep[1] - 1], 3)
+            for s in range(3):
+                # keeping modes (o, j) is the loop kernel at mode o, column by column of mode j
+                for i in range(arr.shape[keep[1] - 1]):
+                    sliced = np.take(arr, i, axis=keep[1] - 1)
+                    o = keep[0] - (keep[0] > keep[1])
+                    want = _contract_all_but_array(sliced, o, [x[:, s] for x in xs])
+                    assert np.max(np.abs(got[:, i, s] - want)) <= 1e-12 * np.max(np.abs(arr))
+
+    def test_no_columns(self):
+        from tensorspec.contract import _contract_all_but_batch
+
+        arr = rng(34).normal(size=(3, 3, 3))
+        assert _contract_all_but_batch(arr, 2, np.zeros((3, 0))).shape == (3, 0)

@@ -233,12 +233,6 @@ class TestCpAls:
         for f1, f2 in zip(r1.cp.factors, r2.cp.factors):
             assert np.array_equal(f1, f2)
 
-    def test_threads_match_serial(self):
-        t = DenseTensor(rng(23).normal(size=(3, 3, 2)))
-        r1 = cp_als(t, 2, seed=3, starts=4, threads=1, max_iters=40)
-        r2 = cp_als(t, 2, seed=3, starts=4, threads=4, max_iters=40)
-        assert r1.errors == r2.errors and r1.start == r2.start
-
     def test_normalized_output(self):
         t = DenseTensor(rng(24).normal(size=(2, 2, 2)))
         res = cp_als(t, 2, seed=1, max_iters=30)

@@ -514,3 +514,220 @@ class TestModeSymmetryInvariant:
             # renormalize and confirm the record still solves the equation
             back = eig_orbit(moved, 1.0 / np.linalg.norm(moved.vector), 3, tensor=t)
             assert eig_residual(t, back) <= 1e-10
+
+
+# -- batched solvers against the per-start loop -----------------------------------
+
+
+def reference_eig_iterative(arr, mode, variant, starts=32, seed=0, max_iters=500, tol=1e-10, dedup_tol=1e-8):
+    """The per-start solve, one start at a time with a finite-difference Newton.
+
+    Kept as the reference for the batched solver: same starts, maps, stopping
+    rules and line search, without the sign partners the batched solver adds.
+    """
+    from tensorspec.contract import _contract_all_but_array, _mode_unfolding
+    from tensorspec.spectra import _dedup_pairs
+    from tensorspec.tensor import is_symmetric
+
+    order, m = arr.ndim, arr.shape[0]
+    power = 1 if variant == "z" else order - 1
+
+    def F(x):
+        return _contract_all_but_array(arr, mode, [x] * (order - 1))
+
+    def polish(x0, lam0):
+        def G(v):
+            return np.concatenate([F(v[:m]) - v[m] * v[:m] ** power, [v[:m] @ v[:m] - 1.0]])
+
+        v = np.concatenate([x0, [lam0]])
+        gv = G(v)
+        for _ in range(50):
+            if np.max(np.abs(gv)) <= 1e-13 * (1.0 + np.max(np.abs(arr))):
+                break
+            jac = np.empty((m + 1, m + 1))
+            for j in range(m + 1):
+                dv = np.zeros(m + 1)
+                dv[j] = 1e-7
+                jac[:, j] = (G(v + dv) - G(v - dv)) / 2e-7
+            step = np.linalg.lstsq(jac, -gv, rcond=None)[0]
+            for k in range(20):
+                cand = v + 0.5**k * step
+                if np.linalg.norm(G(cand)) < np.linalg.norm(gv):
+                    v, gv = cand, G(cand)
+                    break
+            else:
+                break
+        return v[:m], v[m]
+
+    def sweep(x, step_map, root):
+        for _ in range(max_iters):
+            y = step_map(x)
+            if root and np.any(y < 0.0):
+                break
+            y = y ** (1.0 / (order - 1)) if root else y
+            nrm = np.linalg.norm(y)
+            if nrm == 0.0:
+                break
+            y = y / nrm
+            if min(np.linalg.norm(y - x), np.linalg.norm(y + x)) <= 1e-14:
+                return y
+            x = y
+        return x
+
+    seeds = [np.eye(m)[:, r] for r in range(m)]
+    u = np.linalg.svd(_mode_unfolding(arr, mode), full_matrices=False)[0]
+    seeds += [u[:, r] for r in range(u.shape[1])]
+    g = np.random.default_rng(seed)
+    while len(seeds) < starts:
+        v = g.normal(size=m)
+        seeds.append(v / np.linalg.norm(v))
+    shift = 1.0 + np.sum(np.abs(arr))
+    pairs = []
+    for x0 in seeds[:starts]:
+        if variant == "z":
+            assert is_symmetric(DenseTensor(arr), tol=1e-12)
+            ends = [sweep(x0, lambda x: F(x) + shift * x, False), sweep(x0, lambda x: shift * x - F(x), False)]
+            polished = [polish(x, F(x) @ x) for x in ends]
+        else:
+            assert np.all(arr >= 0)
+            x = sweep(np.abs(x0), F, True)
+            w = x ** power
+            x, _ = polish(x, F(x) @ w / (w @ w))
+            x = x / np.linalg.norm(x)
+            w = x ** power
+            polished = [(x, F(x) @ w / (w @ w))]
+        for x, lam in polished:
+            res = float(np.max(np.abs(F(x) - lam * x ** power)))
+            pairs.append(EigenPair(variant, mode, lam, x, res, converged=res <= tol))
+    return _dedup_pairs([p for p in pairs if p.converged], dedup_tol)
+
+
+def same_records(a, b, tol=1e-8):
+    return all(
+        any(abs(p.value - q.value) <= tol * max(1.0, abs(q.value)) and np.max(np.abs(p.vector - q.vector)) <= tol for q in b)
+        for p in a
+    )
+
+
+class TestBatchedSolvers:
+    def test_matches_per_start_reference(self):
+        cases = [(random_symmetric(3, seed=300), "z"), (random_symmetric(4, seed=301, order=4), "z")]
+        cases.append((DenseTensor(np.abs(rng(302).normal(size=(3, 3, 3)))), "h"))
+        cases.append((DenseTensor(rng(303).uniform(0.0, 1.0, size=(4, 4, 4))), "h"))
+        for t, variant in cases:
+            arr = t.to_array()
+            ref = reference_eig_iterative(arr, 1, variant, starts=16)
+            want = ref + [eig_orbit(p, -1.0, arr.ndim) for p in ref]
+            got = find_eigenpairs(t, 1, variant, starts=16)
+            assert ref and all(p.converged for p in got)
+            assert same_records(want, got) and same_records(got, want)
+
+    def test_eig_jacobian_matches_central_differences(self):
+        from tensorspec.spectra import _eig_system
+
+        g = rng(310)
+        for shape, mode, power in [((3, 3, 3), 2, 1), ((3, 3, 3), 1, 2), ((4, 4, 4, 4), 3, 1), ((3, 3, 3, 3), 4, 3)]:
+            residual, jacobian = _eig_system(g.normal(size=shape), mode, power)
+            v = g.normal(size=(shape[0] + 1, 3))
+            assert_jacobian(residual, jacobian, v)
+
+    def test_tuple_jacobian_matches_central_differences(self):
+        from tensorspec.spectra import _tuple_system
+
+        g = rng(311)
+        for shape, p in [((2, 3, 4), 2), ((3, 3, 3), 3), ((2, 3, 2, 3), 2), ((3, 2, 3, 2), 4), ((4, 5), 2)]:
+            residual, jacobian = _tuple_system(g.normal(size=shape), p)
+            v = g.normal(size=(sum(shape) + 1, 3))
+            assert_jacobian(residual, jacobian, v)
+
+    def test_column_does_not_depend_on_its_batch(self):
+        from tensorspec.contract import _contract_all_but_batch, _power_sweeps
+        from tensorspec.spectra import _damped_newton, _eig_system
+
+        arr = random_symmetric(4, seed=320, order=4).to_array()
+        x0 = rng(321).normal(size=(4, 24))
+        x0 /= np.linalg.norm(x0, axis=0)
+        sign = np.tile([1.0, -1.0], 12)
+
+        def solve(cols):
+            # the shifted symmetric maps, as find_eigenpairs runs them
+            def update(k, cur, c):
+                return sign[cols][c] * _contract_all_but_batch(arr, 1, cur[0]) + 10.0 * cur[0]
+
+            (x,), status = _power_sweeps(update, [x0[:, cols]], 2, 1e-14, 500)
+            lam = np.sum(_contract_all_but_batch(arr, 1, x) * x, axis=0)
+            v = _damped_newton(*_eig_system(arr, 1, 1), np.vstack([x, lam]), 1.0 + np.max(np.abs(arr)))
+            return v, status
+
+        everything, status = solve(np.arange(24))
+        for cols in ([5], [0, 7, 19], list(range(1, 24, 2))):
+            part, part_status = solve(np.array(cols))
+            assert np.array_equal(part_status, status[cols])
+            assert np.max(np.abs(part - everything[:, cols])) <= 1e-12
+
+    def test_identical_calls_identical_arrays(self):
+        t = random_symmetric(3, seed=330)
+        gen = DenseTensor(rng(331).normal(size=(3, 4, 5)))
+        calls = [
+            lambda: find_eigenpairs(t, 1, "z"),
+            lambda: find_eigenpairs(DenseTensor(np.abs(t.to_array())), 1, "h"),
+            lambda: find_eigenpairs(DenseTensor(rng(332).normal(size=(4, 4, 4))), 2, "z"),
+            lambda: find_singular_tuples(gen, 2),
+            lambda: find_singular_tuples(t, 3),
+        ]
+
+        def flat(records):
+            return np.array([
+                np.concatenate([[getattr(r, "value", getattr(r, "sigma", 0.0)), r.residual]]
+                               + list(getattr(r, "vectors", [getattr(r, "vector", None)])))
+                for r in records
+            ])
+
+        for call in calls:
+            assert np.array_equal(flat(call()), flat(call()))
+
+
+def assert_jacobian(residual, jacobian, v, h=1e-6):
+    jac = jacobian(v)
+    for c in range(v.shape[1]):
+        fd = np.empty_like(jac[c])
+        for j in range(v.shape[0]):
+            dv = np.zeros_like(v[:, c:c + 1])
+            dv[j] = h
+            fd[:, j] = (residual(v[:, c:c + 1] + dv) - residual(v[:, c:c + 1] - dv))[:, 0] / (2 * h)
+        assert np.max(np.abs(jac[c] - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac[c])))
+
+
+class TestSignPartners:
+    def test_planted_odeco_reports_both_signs(self):
+        # fixed input on which the per-start solver reported (-1.278, v) but not (1.278, -v)
+        g = rng(54)
+        w = np.arange(1.0, 5.0) + g.uniform(0.1, 0.9, size=4)
+        w *= g.choice([-1.0, 1.0], size=4)
+        q = np.linalg.qr(g.normal(size=(4, 4)))[0]
+        t = DenseTensor(np.einsum("r,ar,br,cr->abc", w, q, q, q))
+        pairs = find_eigenpairs(t, 1, "z")
+        for i in range(4):
+            for s in (1.0, -1.0):
+                assert contains_pair(pairs, s * w[i], s * q[:, i], tol=1e-6 * abs(w[i]))
+
+    def test_every_iterative_record_has_its_partner(self):
+        for t, variant in [(DenseTensor(rng(340).normal(size=(3, 3, 3))), "z"),
+                           (DenseTensor(rng(341).normal(size=(4, 4, 4, 4))), "z"),
+                           (DenseTensor(rng(342).normal(size=(3, 3, 3))), "h")]:
+            pairs = find_eigenpairs(t, 1, variant)
+            for p in pairs:
+                partner = eig_orbit(p, -1.0, t.order)
+                assert contains_pair(pairs, partner.value, partner.vector)
+
+
+class TestZeroFactorTuples:
+    def test_zero_factor_is_not_converged(self):
+        # fixed symmetric input on which three lO records with a zero factor
+        # (sigma ~ 6e-17) used to be flagged converged
+        tuples = find_singular_tuples(random_symmetric(3, seed=22), 3)
+        assert tuples
+        for tup in tuples:
+            assert tup.converged
+            for v in tup.vectors:
+                assert abs(np.sum(np.abs(v) ** 3) ** (1 / 3) - 1.0) <= 1e-10
