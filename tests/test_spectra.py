@@ -678,8 +678,8 @@ class TestBatchedSolvers:
 
         def flat(records):
             return np.array([
-                np.concatenate([[getattr(r, "value", getattr(r, "sigma", 0.0)), r.residual]]
-                               + list(getattr(r, "vectors", [getattr(r, "vector", None)])))
+                np.concatenate([[r.value, r.residual], r.vector]) if isinstance(r, EigenPair)
+                else np.concatenate([[r.sigma, r.residual], *r.vectors])
                 for r in records
             ])
 
