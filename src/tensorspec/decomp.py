@@ -3,9 +3,10 @@
 `cp_als` and `odeco_decompose` are heuristic fits: exact CP decomposition is
 NP-hard in general, best rank-r approximations for r >= 2 need not even
 exist, and no global-optimality claim is made anywhere in this module.  What
-is guaranteed (and asserted) is that the ALS objective never increases across
-sweeps and that on orthogonally decomposable input the power-iteration /
-deflation loop recovers the components.
+is guaranteed is that the ALS objective never increases across sweeps (a
+start stops before a sweep that would raise it) and that on orthogonally
+decomposable input the power-iteration / deflation loop recovers the
+components.
 
 Multi-start solvers derive per-start seeds from ``seed`` and the start index
 and merge results by ``(error, start_index)``, so outputs do not depend on the
@@ -241,6 +242,7 @@ def _als_single(arr, rank, init_factors, max_iters, tol, norm_t, unfoldings):
     errors = []
     converged = False
     for _ in range(max_iters):
+        previous = list(factors)
         for o in range(order):
             others = [factors[j] for j in range(order - 1, -1, -1) if j != o]
             # colex unfolding pairs with the reversed-order Khatri-Rao chain
@@ -253,9 +255,11 @@ def _als_single(arr, rank, init_factors, max_iters, tol, norm_t, unfoldings):
             grams[o] = factors[o].T @ factors[o]
         fit = cp_eval(CpDecomposition(np.ones(rank), factors))
         err = frobenius_norm(fit - DenseTensor(arr)) / norm_t if norm_t > 0 else 0.0
-        if errors:
-            # each exact least-squares sweep cannot increase the objective
-            assert err <= errors[-1] + 1e-14, "ALS error increased across a sweep"
+        if errors and err > errors[-1]:
+            # an exact least-squares sweep cannot increase the objective, so a
+            # rise is rounding at the fit's floor: keep the previous sweep
+            factors, converged = previous, True
+            break
         errors.append(err)
         if len(errors) >= 2 and errors[-2] - errors[-1] < tol:
             converged = True
@@ -281,8 +285,10 @@ def cp_als(
     vectors when the rank allows, the rest from uniform(-1, 1) entries with
     per-start seeds ``seed + k``) and keeps the best final error; ties break
     on the start index.  ``tol`` is the per-sweep improvement below which a
-    start stops.  The relative error is non-increasing across sweeps and the
-    returned trace belongs to the winning start.
+    start stops; a start also stops, keeping its previous sweep, when a sweep
+    would raise the error (rounding at an exact fit).  The relative error is
+    non-increasing across sweeps and the returned trace belongs to the
+    winning start.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")

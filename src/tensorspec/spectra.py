@@ -13,9 +13,12 @@ except ``o``):
 * lO singular tuple: same with ``sigma * x_o^(O-1)`` and unit lO norms.
 
 Solvers are heuristic for modes of size >= 3 (the general problems are
-NP-hard); for 2-dimensional modes the solution set of the defining equations
-restricted to the unit circle is found exhaustively by dense sampling plus
-Newton refinement, which reproduces every isolated solution.
+NP-hard).  On 2-dimensional modes the eigen equation holds at a unit
+``x = (x_0, x_1)`` exactly where the binary form
+``f_0(x) x_1^p - f_1(x) x_0^p`` vanishes (``p`` = 1 for z, ``O - 1`` for h;
+degree ``O`` or ``2(O - 1)``).  Its coefficients are built from the tensor
+entries and its real root lines found with `np.roots`, so every isolated
+solution is reported.
 
 Both sign choices of an eigenvector solve the equations and are reported as
 distinct records, matching the convention of listing plus/minus pairs
@@ -24,10 +27,9 @@ explicitly.
 
 from __future__ import annotations
 
-import string
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -158,112 +160,89 @@ def singular_residual(t: DenseTensor, tup: SingularTuple) -> float:
     return worst
 
 
-# -- exhaustive path for 2-dimensional modes -----------------------------------
+def _dedup(records: list, dedup_tol: float) -> list:
+    """Drop records within ``dedup_tol`` of a lower-residual one; sort by decreasing |scalar|, then entries.
+
+    Eigenpairs compare value and vector, singular tuples sigma and every vector.
+    """
+    kept = []
+    for r in sorted(records, key=lambda q: q.residual):
+        s, v = (r.value, r.vector) if isinstance(r, EigenPair) else (r.sigma, np.concatenate(r.vectors))
+        if not any(
+            abs(s - ks) <= dedup_tol * max(1.0, abs(ks)) and np.max(np.abs(v - kv)) <= dedup_tol
+            for _, ks, kv in kept
+        ):
+            kept.append((r, s, v))
+    kept.sort(key=lambda k: (-abs(k[1]), tuple(k[2])))
+    return [k[0] for k in kept]
 
 
-def _batch_map(arr: np.ndarray, mode: int, xs_batch: np.ndarray) -> np.ndarray:
-    """Evaluate F_mode at many vectors at once; xs_batch is (M, N)."""
+# -- exact path for 2-dimensional modes -----------------------------------------
+
+
+def _binary_form(arr: np.ndarray, mode: int, power: int) -> np.ndarray:
+    """Coefficients of ``g(x) = f_0(x) x_1^power - f_1(x) x_0^power`` on a size-2 mode.
+
+    ``f = F_mode(x, .., x)``; ``g[k]`` multiplies ``x_0^(D-k) x_1^k``.  A unit
+    ``x`` solves the eigen equation exactly where ``g`` vanishes.  Entry
+    ``(i, rest)`` of the tensor adds to the coefficient of ``f_i`` counted by
+    the number of 1-indices in ``rest``.
+    """
     order = arr.ndim
-    letters = string.ascii_lowercase[:order]
-    subs = [letters]
-    operands = [arr]
-    for m in range(1, order + 1):
-        if m != mode:
-            subs.append(letters[m - 1] + "z")
-            operands.append(xs_batch)
-    return np.einsum(",".join(subs) + "->" + letters[mode - 1] + "z", *operands)
+    cols = np.moveaxis(arr, mode - 1, 0).reshape(2, -1)
+    ones = np.array([bin(c).count("1") for c in range(cols.shape[1])])
+    f = np.stack([np.bincount(ones, weights=row, minlength=order) for row in cols])
+    g = np.zeros(order + power)
+    g[power:] += f[0]
+    g[:order] -= f[1]
+    return g
 
 
-def _circle_solve(arr, mode, variant, grid, newton_iters, newton_tol, tol, dedup_tol):
-    """All isolated unit-circle solutions for a size-2 mode, by bracketing."""
+def _root_lines(g: np.ndarray) -> np.ndarray:
+    """One unit column per real root line of the binary form ``g``.
+
+    Roots come from both charts, ``t = x_1/x_0`` and ``s = x_0/x_1``, each
+    keeping those of modulus <= 1 so the line ``x_0 = 0`` is covered.  A
+    double root comes out of `np.roots` as a pair about sqrt(eps) apart, so
+    every cluster of roots within 1e-5 is replaced by its mean.
+    """
+    cols = []
+    for coeffs, line in ((g[::-1], lambda r: (1.0, r)), (g, lambda r: (r, 1.0))):
+        roots = np.roots(coeffs)
+        near = np.abs(roots[:, None] - roots[None, :]) <= 1e-5
+        for _ in range(roots.size):
+            near = near @ near
+        # one mean per cluster, taken at its first member
+        lead = near[~np.tril(near, -1).any(axis=1)]
+        for r in lead @ roots / lead.sum(axis=1):
+            if abs(r.imag) <= 1e-9 and abs(r) <= 1.0 + 1e-9:
+                cols.append(line(r.real))
+    x = np.array(cols, dtype=float).reshape(-1, 2).T
+    return x / np.linalg.norm(x, axis=0)
+
+
+def _size2_solve(arr, mode, variant, tol, dedup_tol):
+    """Every isolated solution on a size-2 mode, from the real roots of the binary form.
+
+    Solves ``T / max|T|`` and maps the values back, so the records do not
+    depend on the tensor's scale and the gate is ``tol * max|T|``.
+    """
     order = arr.ndim
     power = 1 if variant == "z" else order - 1
-    scale = 1.0 + float(np.max(np.abs(arr)))
-
-    def defect(theta: float) -> float:
-        x = np.array([np.cos(theta), np.sin(theta)])
-        f = _contract_all_but_array(arr, mode, [x] * (order - 1))
-        return float(f[0] * x[1] ** power - f[1] * x[0] ** power)
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    xs = np.vstack([np.cos(thetas), np.sin(thetas)])
-    fs = _batch_map(arr, mode, xs)
-    gs = fs[0] * xs[1] ** power - fs[1] * xs[0] ** power
-
-    near_zero = np.abs(gs) <= 1e-12 * scale
-    if np.count_nonzero(near_zero) > grid // 4:
+    top = float(np.max(np.abs(arr)))
+    unit = arr / top if top > 0 else arr
+    g = _binary_form(unit, mode, power)
+    # a coefficient sums 2^(O-1) entries of magnitude <= 1; below 2^O eps it is rounding
+    g[np.abs(g) <= arr.size * np.finfo(float).eps] = 0.0
+    if not g.any():
         warnings.warn(
-            "defining equation vanishes on a large fraction of the circle; "
-            "the solution family is not isolated and is returned sampled",
+            "defining equation vanishes on the whole circle; the solution family "
+            "is not isolated and no records are returned",
             stacklevel=3,
         )
-
-    step = 2.0 * np.pi / grid
-    abs_gs = np.abs(gs)
-    candidates = []
-    for i in range(grid):
-        j = (i + 1) % grid
-        if near_zero[i]:
-            candidates.append(thetas[i])
-        elif gs[i] * gs[j] < 0.0:
-            candidates.append(_refine_root(defect, thetas[i], thetas[i] + step, gs[i], gs[j], newton_iters, newton_tol * scale))
-        elif abs_gs[i] <= 1e-7 * scale and abs_gs[i] <= abs_gs[i - 1] and abs_gs[i] <= abs_gs[j]:
-            # possible tangential (double) root: Newton from the local minimum;
-            # the residual gate below discards false candidates
-            candidates.append(
-                _refine_root(defect, thetas[i] - step, thetas[i] + step, gs[i - 1], gs[j], newton_iters, newton_tol * scale)
-            )
-
-    pairs = []
-    for theta in candidates:
-        x = np.array([np.cos(theta), np.sin(theta)])
-        f = _contract_all_but_array(arr, mode, [x] * (order - 1))
-        w = x ** power
-        denom = float(w @ w)
-        value = float(f @ w) / denom if denom > 0 else 0.0
-        residual = float(np.max(np.abs(f - value * w)))
-        pairs.append(EigenPair(variant, mode, value, x, residual, converged=residual <= tol))
-    return _dedup_pairs([p for p in pairs if p.converged], dedup_tol)
-
-
-def _refine_root(g: Callable[[float], float], a, b, ga, gb, max_iters, tol) -> float:
-    """Newton with central differences, falling back to bisection inside [a, b]."""
-    theta = 0.5 * (a + b)
-    for _ in range(max_iters):
-        val = g(theta)
-        if abs(val) <= tol:
-            return theta
-        h = 1e-7
-        slope = (g(theta + h) - g(theta - h)) / (2.0 * h)
-        if slope != 0.0:
-            nxt = theta - val / slope
-        else:
-            nxt = np.nan
-        if not (a <= nxt <= b):
-            # bisection step keeps the bracket
-            if ga * val < 0.0:
-                b, gb = theta, val
-            else:
-                a, ga = theta, val
-            nxt = 0.5 * (a + b)
-        if abs(nxt - theta) <= 1e-16:
-            return nxt
-        theta = nxt
-    return theta
-
-
-def _dedup_pairs(pairs: list[EigenPair], dedup_tol: float) -> list[EigenPair]:
-    kept: list[EigenPair] = []
-    for p in sorted(pairs, key=lambda q: q.residual):
-        dup = any(
-            abs(p.value - k.value) <= dedup_tol * max(1.0, abs(k.value))
-            and np.max(np.abs(p.vector - k.vector)) <= dedup_tol
-            for k in kept
-        )
-        if not dup:
-            kept.append(p)
-    kept.sort(key=lambda p: (-abs(p.value), tuple(p.vector)))
-    return kept
+        return []
+    _, good = _polish(unit, mode, variant, _root_lines(g), tol, dedup_tol)
+    return [replace(p, value=p.value * top, residual=p.residual * top) for p in good]
 
 
 # -- iterative path for larger modes --------------------------------------------
@@ -356,7 +335,6 @@ def _eig_system(arr, mode, power):
 def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts, dedup_tol):
     order = arr.ndim
     m = arr.shape[0]
-    power = 1 if variant == "z" else order - 1
     symmetric = is_symmetric(DenseTensor(arr), tol=1e-12)
     shift = 1.0 + float(np.sum(np.abs(arr)))
     nonneg = bool(np.all(arr >= 0.0))
@@ -402,6 +380,27 @@ def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts, dedup_tol):
     if update is not None:
         (x,), _ = _power_sweeps(update, [x], 2, 1e-14, max_iters)
 
+    pairs, good = _polish(arr, mode, variant, x, tol, dedup_tol)
+    if good:
+        return good
+    if pairs:
+        return [min(pairs, key=lambda p: p.residual)]
+    return []
+
+
+def _polish(arr, mode, variant, x, tol, dedup_tol):
+    """Damped-Newton polish of the start columns ``x`` into eigenpair records.
+
+    Returns every polished record and, separately, the records with residual
+    at most ``tol`` plus their sign partners (`eig_orbit` with ``t = -1``),
+    deduplicated.
+    """
+    order, m = arr.ndim, arr.shape[0]
+    power = 1 if variant == "z" else order - 1
+
+    def F(x):
+        return _contract_all_but_batch(arr, mode, x)
+
     scale = 1.0 + float(np.max(np.abs(arr)))
     v = _damped_newton(*_eig_system(arr, mode, power), np.vstack([x, _fit_scale(F(x), x**power)]), scale)
     x, lam = v[:m], v[m]
@@ -416,14 +415,8 @@ def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts, dedup_tol):
         for c in range(x.shape[1])
     ]
     good = [p for p in pairs if p.converged]
-    # the t = -1 orbit of a solution (eig_orbit) is a solution with the same residual
-    good = _dedup_pairs(good + [eig_orbit(p, -1.0, order) for p in good], dedup_tol)
-    if good:
-        return good
-    if pairs:
-        best = min(pairs, key=lambda p: p.residual)
-        return [best]
-    return []
+    # the t = -1 orbit of a solution is a solution with the same residual
+    return pairs, _dedup(good + [eig_orbit(p, -1.0, order) for p in good], dedup_tol)
 
 
 def find_eigenpairs(
@@ -432,9 +425,6 @@ def find_eigenpairs(
     variant: str,
     *,
     tol: float = 1e-10,
-    grid: int = 2048,
-    newton_iters: int = 50,
-    newton_tol: float = 1e-13,
     dedup_tol: float = 1e-8,
     max_iters: int = 500,
     seed: int = 0,
@@ -442,21 +432,28 @@ def find_eigenpairs(
 ) -> list[EigenPair]:
     """Mode-``mode`` eigenpairs of a cubical tensor, deduplicated and sorted.
 
-    For modes of size 2 the unit circle is sampled on ``grid`` points, sign
-    changes of the collinearity defect are bracketed and Newton-refined; this
-    finds every isolated solution deterministically (``seed`` is unused).
+    For modes of size 2 the starts are one unit vector per real root line of
+    the binary form (module docstring), taken in both charts ``x_1/x_0`` and
+    ``x_0/x_1`` with clusters of roots within 1e-5 merged into their mean, so
+    every isolated solution is found deterministically (``seed``,
+    ``starts`` and ``max_iters`` are unused).  The tensor is solved as
+    ``T / max|T|``: records are gated at ``eig_residual <= tol * max|T|``
+    and do not depend on the tensor's scale.  When the form vanishes
+    identically (every unit vector is a solution, as for the zero tensor) a
+    warning says the family is not isolated and ``[]`` is returned.
     For larger modes all ``starts`` run at once, one per column, through a
     power iteration: on symmetric input each z start runs both shifted maps,
     other z input the unshifted map, and h starts on nonnegative input the
-    entrywise-root map (other h starts skip it).  Every end point is then
-    polished by damped Newton with the exact Jacobian, and the sign partner
-    (`eig_orbit` with ``t = -1``) of every converged record is added before
-    deduplication.  Completeness is not claimed there.  Pairs are sorted by
-    decreasing |value|, then vector.
+    entrywise-root map (other h starts skip it).  Completeness is not
+    claimed there.  Both paths then polish every start by damped Newton with
+    the exact Jacobian and add the sign partner (`eig_orbit` with
+    ``t = -1``) of every converged record before deduplication.  Pairs are
+    sorted by decreasing |value|, then vector.
 
-    Every returned pair satisfies ``eig_residual <= tol`` except when nothing
-    converged at all, in which case the single best non-converged record is
-    returned flagged (``converged=False``).
+    On larger modes every returned pair satisfies ``eig_residual <= tol``
+    except when nothing converged at all, in which case the single best
+    non-converged record is returned flagged (``converged=False``).  On
+    size-2 modes ``[]`` is returned when no root line is real.
     """
     arr = _as_array(t)
     m = _check_cubical(arr)
@@ -466,7 +463,7 @@ def find_eigenpairs(
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be 'z' or 'h', got {variant!r}")
     if m == 2:
-        return _circle_solve(arr, mode, variant, grid, newton_iters, newton_tol, tol, dedup_tol)
+        return _size2_solve(arr, mode, variant, tol, dedup_tol)
     return _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts, dedup_tol)
 
 
@@ -603,6 +600,8 @@ def find_singular_tuples(
     """
     arr = _as_array(t)
     order = arr.ndim
+    if order < 2:
+        raise ValueError(f"singular tuples need a tensor of order >= 2, got order {order}")
     if p not in (2, order):
         raise ValueError(f"p must be 2 or the tensor order {order}, got {p}")
     dims = arr.shape
@@ -662,31 +661,12 @@ def find_singular_tuples(
         for i, r in zip(dead, [r for r in run(fresh) if r is not None]):
             results[i] = r
     tuples = [r for r in results if r is not None]
-    good = _dedup_tuples([r for r in tuples if r.converged], dedup_tol)
+    good = _dedup([r for r in tuples if r.converged], dedup_tol)
     if good:
         return good
     if tuples:
         return [min(tuples, key=lambda r: r.residual)]
     return []
-
-
-def _dedup_tuples(tuples: list[SingularTuple], dedup_tol: float) -> list[SingularTuple]:
-    kept: list[SingularTuple] = []
-    for t in sorted(tuples, key=lambda r: r.residual):
-        dup = False
-        for k in kept:
-            if abs(t.sigma - k.sigma) > dedup_tol * max(1.0, abs(k.sigma)):
-                continue
-            if all(
-                np.max(np.abs(a - b)) <= dedup_tol
-                for a, b in zip(t.vectors, k.vectors)
-            ):
-                dup = True
-                break
-        if not dup:
-            kept.append(t)
-    kept.sort(key=lambda r: (-abs(r.sigma), tuple(np.concatenate(r.vectors))))
-    return kept
 
 
 def singular_orbit(

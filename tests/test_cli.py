@@ -73,6 +73,16 @@ class TestEig:
         lams = {round(p["lambda"], 6) for p in json.loads(out)["pairs"]}
         assert lams == {6.0, 0.0}
 
+    def test_zero_tensor_is_empty(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        save_tensor(DenseTensor.zeros([2, 2, 2]), path)
+        with pytest.warns(UserWarning, match="not isolated"):
+            code = main(["eig", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["pairs"] == []
+        assert "Traceback" not in captured.err
+
     def test_deterministic_bytes(self, capsys, golden_path):
         _, out1 = run(capsys, ["eig", "--variant", "z", "--mode", "1", "--seed", "0", golden_path])
         _, out2 = run(capsys, ["eig", "--variant", "z", "--mode", "1", "--seed", "0", golden_path])
@@ -95,6 +105,13 @@ class TestSvd:
         code, out = run(capsys, ["svd", "--p", "O", golden_path])
         assert code == 0
         assert all(t["residual"] <= 1e-10 for t in json.loads(out)["tuples"])
+
+    def test_order1_is_4(self, capsys, tmp_path):
+        path = tmp_path / "vector.json"
+        save_tensor(DenseTensor([1.0, 2.0, 3.0]), path)
+        assert main(["svd", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "order >= 2" in err and "Traceback" not in err
 
 
 class TestDecompCommands:

@@ -224,6 +224,14 @@ class TestCpAls:
         diffs = np.diff(res.errors)
         assert np.all(diffs <= 1e-14)
 
+    def test_rising_sweep_stops_the_start(self):
+        # one start's error went from 5.3e-14 to 1.3e-13, which used to raise AssertionError
+        arr = rng(1).normal(size=(2, 2, 2))
+        res = cp_als(DenseTensor(arr), 4)
+        assert np.all(np.diff(res.errors) <= 0.0)
+        fit = cp_eval(res.cp).to_array()
+        assert np.linalg.norm(fit - arr) / np.linalg.norm(arr) == pytest.approx(res.error, abs=1e-9)
+
     def test_deterministic(self):
         t = DenseTensor(rng(22).normal(size=(3, 2, 3)))
         r1 = cp_als(t, 2, seed=5)

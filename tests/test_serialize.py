@@ -1,10 +1,12 @@
 """JSON round-trips and file-format rejection rules."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tensorspec import golden
 from tensorspec.decomp import CpDecomposition, TuckerDecomposition, cp_eval, tucker_eval
 from tensorspec.serialize import (
     cp_from_dict,
@@ -94,3 +96,12 @@ class TestResultFormats:
         back = singular_tuple_from_dict(json.loads(json.dumps(singular_tuple_to_dict(s))))
         assert back.p == 2 and back.sigma == 2.0
         assert all(np.array_equal(a, b) for a, b in zip(back.vectors, s.vectors))
+
+
+class TestFixtures:
+    def test_checked_in_fixtures_match_golden(self, tmp_path):
+        checked_in = Path(__file__).resolve().parent.parent / "fixtures"
+        written = golden.write_fixtures(str(tmp_path))
+        assert sorted(Path(p).name for p in written) == sorted(p.name for p in checked_in.glob("*.json"))
+        for p in written:
+            assert Path(p).read_bytes() == (checked_in / Path(p).name).read_bytes()

@@ -6,9 +6,12 @@ oracles that never call the solver path they check.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorspec.decomp import cp_eval, CpDecomposition
 from tensorspec.spectra import (
@@ -193,6 +196,67 @@ class TestFindEigenpairsGolden:
             find_eigenpairs(golden_222(), 1, "q")
 
 
+def same_scaled_records(base, scaled, s, top, tol=1e-9):
+    """Both ways, every record of ``base`` times ``s`` has a record of ``scaled`` within ``tol``."""
+
+    def near(p, q):
+        return abs(q.value - s * p.value) <= tol * s * top and np.max(np.abs(q.vector - p.vector)) <= tol
+
+    return all(any(near(p, q) for q in scaled) for p in base) and all(any(near(p, q) for p in base) for q in scaled)
+
+
+# entries of magnitude 0 or in [1e-3, 10]: scaling them by 1e-8 stays clear of subnormals
+ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+class TestSize2BinaryForm:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), order=st.integers(2, 5), variant=st.sampled_from("zh"))
+    def test_record_bound_and_scale_equivariance(self, data, order, variant):
+        arr = np.array(data.draw(st.lists(ENTRY, min_size=2**order, max_size=2**order))).reshape((2,) * order)
+        mode = data.draw(st.integers(1, order))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            base = find_eigenpairs(DenseTensor(arr), mode, variant)
+            # 2 signs per real root line; the binary form has degree O (z) or 2(O-1) (h)
+            assert len(base) <= (2 * order if variant == "z" else 4 * (order - 1))
+            for s in (1e-8, 1e8):
+                scaled = find_eigenpairs(DenseTensor(arr * s), mode, variant)
+                assert len(scaled) == len(base)
+                assert same_scaled_records(base, scaled, s, np.max(np.abs(arr)))
+
+    def test_close_root_lines(self):
+        # two of the four root lines are 0.07 degrees apart
+        t = DenseTensor(rng(270).normal(size=(2, 2, 2)))
+        pairs = find_eigenpairs(t, 1, "h")
+        assert len(pairs) == 8
+        assert all(eig_residual(t, p) <= 1e-10 for p in pairs)
+
+    def test_scaled_copies_keep_their_records(self):
+        for seed in range(4):
+            arr = rng(seed).normal(size=(2, 2, 2))
+            base = find_eigenpairs(DenseTensor(arr), 1, "z")
+            for s in (1e-10, 1e6):
+                scaled = find_eigenpairs(DenseTensor(arr * s), 1, "z")
+                assert len(scaled) == len(base)
+                assert same_scaled_records(base, scaled, s, np.max(np.abs(arr)))
+
+    def test_zero_tensor_is_not_isolated(self):
+        for variant in ("z", "h"):
+            with pytest.warns(UserWarning, match="not isolated"):
+                assert find_eigenpairs(DenseTensor.zeros([2, 2, 2]), 1, variant) == []
+
+    def test_identity_matrix_is_not_isolated(self):
+        # every unit vector is an eigenvector
+        with pytest.warns(UserWarning, match="not isolated"):
+            assert find_eigenpairs(DenseTensor(3.0 * np.eye(2)), 1, "z") == []
+
+    def test_removed_keywords(self):
+        for kw in ("grid", "newton_iters", "newton_tol"):
+            with pytest.raises(TypeError):
+                find_eigenpairs(golden_222(), 1, "z", **{kw: 64})
+
+
 class TestFindEigenpairsIterative:
     def test_symmetric_3x3x3_matches_odeco_truth(self):
         g = rng(42)
@@ -367,6 +431,11 @@ class TestFindSingularTuples:
         with pytest.raises(ValueError):
             find_singular_tuples(golden_222(), 4)
 
+    def test_order1_rejected(self):
+        for p in (1, 2):
+            with pytest.raises(ValueError, match="order >= 2"):
+                find_singular_tuples(DenseTensor([1.0, 2.0, 3.0]), p)
+
 
 class TestSingularOrbit:
     def test_flip_one_negates_sigma(self):
@@ -526,7 +595,7 @@ def reference_eig_iterative(arr, mode, variant, starts=32, seed=0, max_iters=500
     rules and line search, without the sign partners the batched solver adds.
     """
     from tensorspec.contract import _contract_all_but_array, _mode_unfolding
-    from tensorspec.spectra import _dedup_pairs
+    from tensorspec.spectra import _dedup
     from tensorspec.tensor import is_symmetric
 
     order, m = arr.ndim, arr.shape[0]
@@ -599,7 +668,7 @@ def reference_eig_iterative(arr, mode, variant, starts=32, seed=0, max_iters=500
         for x, lam in polished:
             res = float(np.max(np.abs(F(x) - lam * x ** power)))
             pairs.append(EigenPair(variant, mode, lam, x, res, converged=res <= tol))
-    return _dedup_pairs([p for p in pairs if p.converged], dedup_tol)
+    return _dedup([p for p in pairs if p.converged], dedup_tol)
 
 
 def same_records(a, b, tol=1e-8):
