@@ -17,8 +17,9 @@ NP-hard).  On 2-dimensional modes the eigen equation holds at a unit
 ``x = (x_0, x_1)`` exactly where the binary form
 ``f_0(x) x_1^p - f_1(x) x_0^p`` vanishes (``p`` = 1 for z, ``O - 1`` for h;
 degree ``O`` or ``2(O - 1)``).  Its coefficients are built from the tensor
-entries and its real root lines found with `np.roots`, so every isolated
-solution is reported.
+entries and its real root lines found with `np.roots`, a multiple root line
+once, so every isolated solution is reported unless two lie closer than the
+rounding spread of a double root.
 
 Both sign choices of an eigenvector solve the equations and are reported as
 distinct records, matching the convention of listing plus/minus pairs
@@ -27,6 +28,7 @@ explicitly.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -160,14 +162,14 @@ def singular_residual(t: DenseTensor, tup: SingularTuple) -> float:
     return worst
 
 
-def _dedup(records: list, dedup_tol: float) -> list:
+def _dedup(records: list, key, dedup_tol: float) -> list:
     """Drop records within ``dedup_tol`` of a lower-residual one; sort by decreasing |scalar|, then entries.
 
-    Eigenpairs compare value and vector, singular tuples sigma and every vector.
+    ``key`` maps a record to the (scalar, vector) pair that is compared.
     """
     kept = []
     for r in sorted(records, key=lambda q: q.residual):
-        s, v = (r.value, r.vector) if isinstance(r, EigenPair) else (r.sigma, np.concatenate(r.vectors))
+        s, v = key(r)
         if not any(
             abs(s - ks) <= dedup_tol * max(1.0, abs(ks)) and np.max(np.abs(v - kv)) <= dedup_tol
             for _, ks, kv in kept
@@ -198,23 +200,73 @@ def _binary_form(arr: np.ndarray, mode: int, power: int) -> np.ndarray:
     return g
 
 
-def _root_lines(g: np.ndarray) -> np.ndarray:
+def _taylor(p: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``p^(j)(at) / j!`` for j = 0 .. deg p along a new last axis; ``p`` in `np.polyval` order."""
+    d = np.arange(p.size)
+    binomials = np.array([[math.comb(i, j) for i in d] for j in d], dtype=float)
+    return np.einsum("ji,...ji->...j", binomials * p[::-1], at[..., None, None] ** np.maximum(d - d[:, None], 0))
+
+
+def _split_roots(p: np.ndarray, groups: np.ndarray, noise: float) -> np.ndarray:
+    """``fits[..., k - 1]``: the first k roots of ``groups[...]`` are one k-fold root of ``p`` split by rounding.
+
+    Let ``a_j = p^(j)(mu) / j!`` be the Taylor coefficients of ``p`` at the
+    mean ``mu`` of k roots, ``n_j`` the most they move when every coefficient
+    of ``p`` moves by ``noise``, and ``r`` the spread of the roots about
+    ``mu``.  Moving ``a_0`` by ``n_0`` splits a k-fold root into k roots with
+    ``|a_k| r^k`` about ``n_0``, so a split root has ``|a_k| r^k <= n_0``.
+    And k roots within ``r`` of ``mu`` make ``|a_j|`` at most about
+    ``C(k, j) |a_k| r^(k - j) <= 2^k |a_k| r^(k - j)`` for j < k (Vieta);
+    that must hold too, up to ``n_j`` and a slack of 2^k, so that spread roots
+    whose mean merely has a small ``a_k`` are not taken for one multiple root.
+    """
+    size = groups.shape[-1]
+    k = np.arange(1, size + 1)
+    j = np.arange(p.size)
+    mu = np.cumsum(groups, axis=-1) / k
+    r = np.max(np.abs(groups[..., None, :] - mu[..., None]) * np.tri(size), axis=-1, initial=0.0)
+    a = np.abs(_taylor(p, mu))
+    n = noise * _taylor(np.ones(p.size), np.abs(mu))
+    a_k = a[..., k - 1, k]
+    split = a_k * r**k <= n[..., 0]
+    k, a_k, r = k[:, None], a_k[..., None], r[..., None]
+    vieta = n + 4.0**k * a_k * r ** np.maximum(k - j, 0)
+    return split & np.all((a <= vieta) | (j >= k), axis=-1)
+
+
+def _root_clusters(p: np.ndarray, roots: np.ndarray, noise: float) -> list:
+    """The roots of the polynomial ``p``, a multiple root once, as the mean of its cluster.
+
+    A root and its k - 1 nearest roots are one k-fold root when
+    `_split_roots` allows it and none of them is taken yet.  Larger clusters
+    are taken first, so a simple root next to a wide multiple one, which may
+    pass with part of it, stays alone.  The roots left over stand alone.
+    """
+    near = np.argsort(np.abs(roots[:, None] - roots[None, :]), axis=1, kind="stable")
+    fits = _split_roots(p, roots[near], noise)
+    means, taken = [], np.zeros(roots.size, dtype=bool)
+    for k in range(roots.size, 1, -1):
+        for i in np.flatnonzero(fits[:, k - 1]):
+            if not taken[near[i, :k]].any():
+                taken[near[i, :k]] = True
+                means.append(roots[near[i, :k]].mean())
+    return means + list(roots[~taken])
+
+
+def _root_lines(g: np.ndarray, noise: float) -> np.ndarray:
     """One unit column per real root line of the binary form ``g``.
 
     Roots come from both charts, ``t = x_1/x_0`` and ``s = x_0/x_1``, each
     keeping those of modulus <= 1 so the line ``x_0 = 0`` is covered.  A
-    double root comes out of `np.roots` as a pair about sqrt(eps) apart, so
-    every cluster of roots within 1e-5 is replaced by its mean.
+    k-fold root comes out of `np.roots` as k roots about eps^(1/k) apart;
+    `_root_clusters` merges them, taking ``noise`` as the rounding level of
+    the coefficients.
     """
     cols = []
     for coeffs, line in ((g[::-1], lambda r: (1.0, r)), (g, lambda r: (r, 1.0))):
         roots = np.roots(coeffs)
-        near = np.abs(roots[:, None] - roots[None, :]) <= 1e-5
-        for _ in range(roots.size):
-            near = near @ near
-        # one mean per cluster, taken at its first member
-        lead = near[~np.tril(near, -1).any(axis=1)]
-        for r in lead @ roots / lead.sum(axis=1):
+        # a cluster with its mean in the unit disc lies well inside modulus 2
+        for r in _root_clusters(coeffs, roots[np.abs(roots) <= 2.0], noise):
             if abs(r.imag) <= 1e-9 and abs(r) <= 1.0 + 1e-9:
                 cols.append(line(r.real))
     x = np.array(cols, dtype=float).reshape(-1, 2).T
@@ -233,7 +285,8 @@ def _size2_solve(arr, mode, variant, tol, dedup_tol):
     unit = arr / top if top > 0 else arr
     g = _binary_form(unit, mode, power)
     # a coefficient sums 2^(O-1) entries of magnitude <= 1; below 2^O eps it is rounding
-    g[np.abs(g) <= arr.size * np.finfo(float).eps] = 0.0
+    noise = arr.size * np.finfo(float).eps
+    g[np.abs(g) <= noise] = 0.0
     if not g.any():
         warnings.warn(
             "defining equation vanishes on the whole circle; the solution family "
@@ -241,7 +294,8 @@ def _size2_solve(arr, mode, variant, tol, dedup_tol):
             stacklevel=3,
         )
         return []
-    _, good = _polish(unit, mode, variant, _root_lines(g), tol, dedup_tol)
+    # np.roots adds rounding of its own to that of the coefficients
+    _, good = _polish(unit, mode, variant, _root_lines(g, 4.0 * noise), tol, dedup_tol)
     return [replace(p, value=p.value * top, residual=p.residual * top) for p in good]
 
 
@@ -416,7 +470,7 @@ def _polish(arr, mode, variant, x, tol, dedup_tol):
     ]
     good = [p for p in pairs if p.converged]
     # the t = -1 orbit of a solution is a solution with the same residual
-    return pairs, _dedup(good + [eig_orbit(p, -1.0, order) for p in good], dedup_tol)
+    return pairs, _dedup(good + [eig_orbit(p, -1.0, order) for p in good], lambda p: (p.value, p.vector), dedup_tol)
 
 
 def find_eigenpairs(
@@ -434,9 +488,12 @@ def find_eigenpairs(
 
     For modes of size 2 the starts are one unit vector per real root line of
     the binary form (module docstring), taken in both charts ``x_1/x_0`` and
-    ``x_0/x_1`` with clusters of roots within 1e-5 merged into their mean, so
-    every isolated solution is found deterministically (``seed``,
-    ``starts`` and ``max_iters`` are unused).  The tensor is solved as
+    ``x_0/x_1``.  The k roots into which rounding splits a k-fold root are
+    merged into their mean, so a multiple root line gives one start.  Every
+    isolated solution is found deterministically (``seed``, ``starts`` and
+    ``max_iters`` are unused), except that two distinct root lines closer
+    than the rounding spread of a double root (a few 1e-7 rad for a 2x2x2
+    tensor) give one start and may be reported as one line.  The tensor is solved as
     ``T / max|T|``: records are gated at ``eig_residual <= tol * max|T|``
     and do not depend on the tensor's scale.  When the form vanishes
     identically (every unit vector is a solution, as for the zero tensor) a
@@ -661,7 +718,7 @@ def find_singular_tuples(
         for i, r in zip(dead, [r for r in run(fresh) if r is not None]):
             results[i] = r
     tuples = [r for r in results if r is not None]
-    good = _dedup([r for r in tuples if r.converged], dedup_tol)
+    good = _dedup([r for r in tuples if r.converged], lambda r: (r.sigma, np.concatenate(r.vectors)), dedup_tol)
     if good:
         return good
     if tuples:

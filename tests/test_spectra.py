@@ -232,6 +232,36 @@ class TestSize2BinaryForm:
         assert len(pairs) == 8
         assert all(eig_residual(t, p) <= 1e-10 for p in pairs)
 
+    def test_multiple_root_lines_reported_once(self):
+        # all-ones 2^4, h mode 1: g = (x0 + x1)^3 (x1^3 - x0^3), lines (1, -1) (triple) and (1, 1)
+        assert len(find_eigenpairs(DenseTensor(np.ones((2,) * 4)), 1, "h")) == 4
+        # all-ones 2^5, z mode 1: g = (x0 + x1)^4 (x1 - x0)
+        assert len(find_eigenpairs(DenseTensor(np.ones((2,) * 5)), 1, "z")) == 4
+        # h mode 3: g = x0 (x0 - x1)^3, lines (0, 1) and (1, 1) (triple)
+        t = DenseTensor(np.array([2.0, -1.0, 1.0, 2.0, -2.0, 1.0, 0.0, -1.0]).reshape(2, 2, 2))
+        pairs = find_eigenpairs(t, 3, "h")
+        assert len(pairs) == 4
+        assert all(eig_residual(t, p) <= 1e-10 for p in pairs)
+
+    def test_rank_one_symmetric(self):
+        # a^(x)O: z lines a and a-perp ((O-1)-fold); h lines a-perp and the real roots of x1^(O-1) = (a1/a0) x0^(O-1)
+        for seed in range(10):
+            a = rng(seed).normal(size=2)
+            for order in (3, 4, 5):
+                t = outer(*[a] * order)
+                real = 1 if order % 2 == 0 else (2 if a[1] / a[0] > 0 else 0)
+                for mode in range(1, order + 1):
+                    assert len(find_eigenpairs(t, mode, "z")) == 4
+                    assert len(find_eigenpairs(t, mode, "h")) == 2 * (1 + real)
+
+    def test_close_simple_lines_stay_apart(self):
+        # f_1 = 0, f_0 = (x1 - c x0)(x1 - (c + d) x0): lines x1 = 0 (double), x1 = c x0, x1 = (c + d) x0
+        c = 0.5
+        for d in (1e-3, 1e-6):
+            arr = np.zeros((2, 2, 2))
+            arr[0] = [[c * (c + d), -(2 * c + d) / 2], [-(2 * c + d) / 2, 1.0]]
+            assert len(find_eigenpairs(DenseTensor(arr), 1, "h")) == 6
+
     def test_scaled_copies_keep_their_records(self):
         for seed in range(4):
             arr = rng(seed).normal(size=(2, 2, 2))
@@ -668,7 +698,7 @@ def reference_eig_iterative(arr, mode, variant, starts=32, seed=0, max_iters=500
         for x, lam in polished:
             res = float(np.max(np.abs(F(x) - lam * x ** power)))
             pairs.append(EigenPair(variant, mode, lam, x, res, converged=res <= tol))
-    return _dedup([p for p in pairs if p.converged], dedup_tol)
+    return _dedup([p for p in pairs if p.converged], lambda p: (p.value, p.vector), dedup_tol)
 
 
 def same_records(a, b, tol=1e-8):
