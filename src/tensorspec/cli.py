@@ -294,7 +294,11 @@ def _cmd_odeco(args) -> int:
     opts = _solver_opts(args, symmetric=symmetric)
     if args.rank is not None:
         opts["rank"] = args.rank
-    res = odeco_decompose(t, **opts)
+    try:
+        res = odeco_decompose(t, **opts)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     obj = serialize.cp_to_dict(res.cp)
     obj["reconstruction_error"] = res.reconstruction_error
     obj["orthogonality_defect"] = res.orthogonality_defect

@@ -10,8 +10,11 @@ components.
 
 Multi-start solvers derive per-start seeds from ``seed`` and the start index
 and merge results by ``(error, start_index)``, so outputs do not depend on the
-order in which starts run.  The odeco power iterations run all starts of a
-deflation round at once, one start per column.
+order in which starts run.  ALS runs all its starts at once, one start per
+slice of stacked ``(S, M_o, R)`` factor arrays, and takes each sweep's error
+as the exact residual of the last mode's unfolding against the Khatri-Rao
+product that mode's update already built.  The odeco power iterations run
+all starts of a deflation round at once, one start per column.
 """
 
 from __future__ import annotations
@@ -120,12 +123,29 @@ class TuckerDecomposition:
         return tuple(f.shape[0] for f in self.factors)
 
 
+def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Columnwise Kronecker product; the last matrix's row index varies fastest.
+
+    Each matrix is ``(M_j, R)`` or, for a stack of starts, ``(S, M_j, R)``;
+    the product is ``(prod M_j, R)`` or ``(S, prod M_j, R)``.
+    """
+    out = mats[0]
+    for m in mats[1:]:
+        out = out[..., :, None, :] * m[..., None, :, :]
+        out = out.reshape(out.shape[:-3] + (-1, out.shape[-1]))
+    return out
+
+
 def cp_eval(cp: CpDecomposition) -> DenseTensor:
-    """Assemble the dense tensor a CP decomposition represents."""
-    acc = np.zeros(cp.dims)
-    for r in range(cp.rank):
-        acc += cp.weights[r] * outer(*[f[:, r] for f in cp.factors]).to_array()
-    return DenseTensor(acc)
+    """Assemble the dense tensor a CP decomposition represents.
+
+    One matmul: ``(A_1 * w) @ kr.T`` with ``kr`` the Khatri-Rao product of
+    ``A_O, ..., A_2``, whose rows run colex over modes 2..O.
+    """
+    rest = cp.factors[:0:-1]
+    kr = _khatri_rao(rest) if rest else np.ones((1, cp.rank))
+    flat = (cp.factors[0] * cp.weights) @ kr.T
+    return DenseTensor(flat.reshape(cp.dims, order="F"))
 
 
 def cp_normalize(cp: CpDecomposition) -> CpDecomposition:
@@ -218,56 +238,80 @@ class CpAlsResult:
         return self.errors[-1]
 
 
-def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Columnwise Kronecker product."""
-    out = mats[0]
-    for m in mats[1:]:
-        out = (out[:, None, :] * m[None, :, :]).reshape(-1, out.shape[1])
-    return out
-
-
 def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``x @ gram = rhs`` rowwise; ridge 1e-12 only when singular."""
+    """Solve ``x @ gram[s] = rhs[s]`` rowwise for every start ``s``.
+
+    ``gram`` is ``(S, R, R)`` and ``rhs`` is ``(S, M, R)``.  One stacked solve
+    serves the batch; when some start's Gram is singular, the starts are
+    solved one by one and only the singular ones get a 1e-12 ridge.
+    """
     try:
-        return np.linalg.solve(gram.T, rhs.T).T
+        return np.linalg.solve(gram.mT, rhs.mT).mT
     except np.linalg.LinAlgError:
-        ridge = 1e-12 * np.eye(gram.shape[0])
-        return np.linalg.solve((gram + ridge).T, rhs.T).T
+        out = np.empty_like(rhs)
+        for s in range(gram.shape[0]):
+            try:
+                out[s] = np.linalg.solve(gram[s].T, rhs[s].T).T
+            except np.linalg.LinAlgError:
+                ridge = 1e-12 * np.eye(gram.shape[1])
+                out[s] = np.linalg.solve((gram[s] + ridge).T, rhs[s].T).T
+        return out
 
 
-def _als_single(arr, rank, init_factors, max_iters, tol, norm_t, unfoldings):
-    factors = [f.copy() for f in init_factors]
+def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol: float):
+    """Run ALS from every start at once; start ``s`` is slice ``s`` of each stack.
+
+    ``factors[o]`` stacks the starts' mode-o factors, shape ``(S, M_o, R)``.
+    A sweep updates modes 1..O in turn for the running starts.  Its error is
+    the exact relative residual ``||X_(O) - A_O kr^T||_F / ||T||_F`` of the
+    last mode's unfolding against the Khatri-Rao product its update just
+    built.  A start stops, frozen, when a sweep would raise its error (it
+    keeps the previous sweep), when the error gains less than ``tol`` or
+    reaches 1e-15 (converged), or after ``max_iters`` sweeps (not converged).
+    Returns the final stacks, each start's error trace and convergence flags.
+    """
     order = arr.ndim
-    grams = [f.T @ f for f in factors]
-    errors = []
-    converged = False
+    starts = factors[0].shape[0]
+    norm_t = float(np.linalg.norm(arr))
+    unfoldings = [_mode_unfolding(arr, o) for o in range(1, order + 1)]
+    factors = [np.array(f, dtype=float) for f in factors]
+    grams = [f.mT @ f for f in factors]
+    traces: list[list[float]] = [[] for _ in range(starts)]
+    last = np.full(starts, np.inf)
+    converged = np.zeros(starts, dtype=bool)
+    cols = np.arange(starts)
     for _ in range(max_iters):
-        previous = list(factors)
+        if not cols.size:
+            break
+        cur = [f[cols] for f in factors]
+        cur_grams = [g[cols] for g in grams]
         for o in range(order):
-            others = [factors[j] for j in range(order - 1, -1, -1) if j != o]
             # colex unfolding pairs with the reversed-order Khatri-Rao chain
-            kr = _khatri_rao(others)
-            gram = np.ones((rank, rank))
+            kr = _khatri_rao([cur[j] for j in range(order - 1, -1, -1) if j != o])
+            gram = np.ones_like(cur_grams[0])
             for j in range(order):
                 if j != o:
-                    gram *= grams[j]
-            factors[o] = _solve_normal(gram, unfoldings[o] @ kr)
-            grams[o] = factors[o].T @ factors[o]
-        fit = cp_eval(CpDecomposition(np.ones(rank), factors))
-        err = frobenius_norm(fit - DenseTensor(arr)) / norm_t if norm_t > 0 else 0.0
-        if errors and err > errors[-1]:
-            # an exact least-squares sweep cannot increase the objective, so a
-            # rise is rounding at the fit's floor: keep the previous sweep
-            factors, converged = previous, True
-            break
-        errors.append(err)
-        if len(errors) >= 2 and errors[-2] - errors[-1] < tol:
-            converged = True
-            break
-        if err <= 1e-15:
-            converged = True
-            break
-    return factors, errors, converged
+                    gram = gram * cur_grams[j]
+            cur[o] = _solve_normal(gram, unfoldings[o] @ kr)
+            cur_grams[o] = cur[o].mT @ cur[o]
+        resid = unfoldings[-1] - cur[-1] @ kr.mT
+        err = np.sqrt(np.einsum("sij,sij->s", resid, resid))
+        err = err / norm_t if norm_t > 0 else np.zeros_like(err)
+        prev = last[cols]
+        # an exact least-squares sweep cannot increase the objective, so a
+        # rise is rounding at the fit's floor: the start keeps its previous sweep
+        keep = ~(err > prev)
+        kept = cols[keep]
+        for f, g, c, cg in zip(factors, grams, cur, cur_grams):
+            f[kept] = c[keep]
+            g[kept] = cg[keep]
+        last[kept] = err[keep]
+        for k, e in zip(kept.tolist(), err[keep].tolist()):
+            traces[k].append(e)
+        done = ~keep | (prev - err < tol) | (err <= 1e-15)
+        converged[cols[done]] = True
+        cols = cols[~done]
+    return factors, traces, converged
 
 
 def cp_als(
@@ -281,39 +325,40 @@ def cp_als(
 ) -> CpAlsResult:
     """Fit a rank-``rank`` CP decomposition by alternating least squares.
 
-    Runs ``starts`` independent fits (start 0 seeds from the leading HOSVD
-    vectors when the rank allows, the rest from uniform(-1, 1) entries with
-    per-start seeds ``seed + k``) and keeps the best final error; ties break
-    on the start index.  ``tol`` is the per-sweep improvement below which a
-    start stops; a start also stops, keeping its previous sweep, when a sweep
-    would raise the error (rounding at an exact fit).  The relative error is
-    non-increasing across sweeps and the returned trace belongs to the
-    winning start.
+    Runs ``starts`` fits (start 0 seeds from the leading HOSVD vectors when
+    the rank allows, the rest from uniform(-1, 1) entries with per-start
+    seeds ``seed + k``) and keeps the best final error; ties break on the
+    start index.  All starts run at once as slices of stacked factor
+    matrices, and a stopped start stays frozen while the others go on.
+    ``tol`` is the per-sweep improvement below which a start stops; a start
+    also stops, keeping its previous sweep, when a sweep would raise the
+    error (rounding at an exact fit).  The per-sweep error is the exact
+    relative residual, computed from the last mode's unfolding and the
+    Khatri-Rao product its update already built.  It is non-increasing
+    across sweeps and the returned trace belongs to the winning start.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
+    if starts < 1:
+        raise ValueError("starts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     arr = _as_array(t)
     order = arr.ndim
-    norm_t = float(np.linalg.norm(arr))
-    unfoldings = [_mode_unfolding(arr, o) for o in range(1, order + 1)]
-    hosvd_init = None
-    if rank <= min(arr.shape):
-        tk = hosvd(t, [rank] * order)
-        hosvd_init = [f.copy() for f in tk.factors]
-
-    def run(k):
-        if k == 0 and hosvd_init is not None:
-            init = hosvd_init
+    if order < 2:
+        raise ValueError("cp_als needs a tensor of order >= 2")
+    inits = []
+    for k in range(starts):
+        if k == 0 and rank <= min(arr.shape):
+            inits.append(hosvd(t, [rank] * order).factors)
         else:
             r = np.random.default_rng(seed + k)
-            init = [r.uniform(-1.0, 1.0, size=(d, rank)) for d in arr.shape]
-        return _als_single(arr, rank, init, max_iters, tol, norm_t, unfoldings)
-
-    results = [run(k) for k in range(starts)]
-    best = min(range(starts), key=lambda k: (results[k][1][-1], k))
-    factors, errors, converged = results[best]
-    cp = cp_normalize(CpDecomposition(np.ones(rank), factors))
-    return CpAlsResult(cp=cp, errors=errors, start=best, converged=converged)
+            inits.append([r.uniform(-1.0, 1.0, size=(d, rank)) for d in arr.shape])
+    factors = [np.stack([init[o] for init in inits]) for o in range(order)]
+    factors, traces, converged = _als_sweeps(arr, factors, max_iters, tol)
+    best = min(range(starts), key=lambda k: (traces[k][-1], k))
+    cp = cp_normalize(CpDecomposition(np.ones(rank), [f[best] for f in factors]))
+    return CpAlsResult(cp=cp, errors=traces[best], start=best, converged=bool(converged[best]))
 
 
 # -- odeco recovery -------------------------------------------------------------
@@ -392,6 +437,8 @@ def odeco_decompose(
     orthogonally decomposable the factor Gram check fails and the result
     carries the "not_orthogonal" status.
     """
+    if starts < 1:
+        raise ValueError("starts must be >= 1")
     arr = _as_array(t).copy()
     if symmetric and len(set(arr.shape)) != 1:
         raise ValueError("symmetric recovery needs a cubical tensor")

@@ -4,8 +4,10 @@ The tensor file format is a bit-exact contract:
 
     {"shape": [M1, ..., MO], "layout": "colex", "data": [ ... floats ... ]}
 
-with exactly ``M1 * ... * MO`` finite numbers in colex (column-major) order.
-The reader rejects wrong-length data, unknown layouts, and non-finite values.
+with integer dims ``M_i >= 1`` and exactly ``M1 * ... * MO`` finite numbers in
+colex (column-major) order.  The reader rejects wrong-length, nested,
+string, all-boolean and non-finite data, non-integer or non-positive dims,
+and unknown layouts.
 
 CP and Tucker decompositions serialize as
 
@@ -62,13 +64,17 @@ def tensor_from_dict(obj: dict[str, Any]) -> DenseTensor:
     layout = obj["layout"]
     if layout != "colex":
         raise ValueError(f"unknown layout {layout!r} (only 'colex' is defined)")
-    dims = [int(d) for d in obj["shape"]]
-    data = obj["data"]
-    if len(data) != math.prod(dims):
+    dims = obj["shape"]
+    if not isinstance(dims, list) or not all(type(d) is int and d >= 1 for d in dims):
+        raise ValueError(f"shape must be a list of integers >= 1, got {dims!r}")
+    buf = np.asarray(obj["data"])
+    if buf.ndim != 1 or buf.dtype.kind not in "iuf":
+        raise ValueError("data must be a flat list of numbers")
+    if buf.size != math.prod(dims):
         raise ValueError(
-            f"data has {len(data)} entries, shape {dims} needs {math.prod(dims)}"
+            f"data has {buf.size} entries, shape {dims} needs {math.prod(dims)}"
         )
-    buf = np.asarray(data, dtype=float)
+    buf = buf.astype(float, copy=False)
     if not np.all(np.isfinite(buf)):
         raise ValueError("tensor data must be finite")
     return DenseTensor(buf, dims=dims)

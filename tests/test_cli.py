@@ -202,6 +202,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "unrecognized arguments: --threads" in err and "Traceback" not in err
 
+    def test_bad_counts_are_4(self, capsys, golden_path):
+        for argv in (
+            ["cp", golden_path, "--rank", "1", "--max-iters", "0"],
+            ["cp", golden_path, "--rank", "1", "--starts", "0"],
+            ["odeco", golden_path, "--starts", "0"],
+        ):
+            assert main(argv) == 4
+            err = capsys.readouterr().err
+            assert "must be >= 1" in err and "Traceback" not in err
+
+    def test_malformed_tensor_is_2(self, capsys, tmp_path):
+        for i, text in enumerate([
+            '{"shape": [1.5], "layout": "colex", "data": [1.0]}',
+            '{"shape": [2], "layout": "colex", "data": [[1.0], [2.0]]}',
+            '{"shape": [2], "layout": "colex", "data": ["1", "2"]}',
+            '{"shape": [2], "layout": "colex", "data": [true, false]}',
+        ]):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(text)
+            with pytest.raises(SystemExit) as exc:
+                main(["info", str(path)])
+            assert exc.value.code == 2
+
     def test_bad_mode_is_4(self, capsys, golden_path):
         assert main(["eig", "--mode", "7", golden_path]) == 4
 

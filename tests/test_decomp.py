@@ -1,11 +1,14 @@
 """CP/Tucker formats, HOSVD, ALS fitting, and odeco recovery."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from tensorspec.contract import contract_all_but
+from tensorspec.contract import _mode_unfolding, contract_all_but
 from tensorspec.decomp import (
     CpDecomposition,
+    _als_sweeps,
     TuckerDecomposition,
     cp_als,
     cp_eval,
@@ -250,6 +253,16 @@ class TestCpAls:
         with pytest.raises(ValueError):
             cp_als(DenseTensor(np.ones((2, 2))), 0)
 
+    def test_bad_counts(self):
+        t = DenseTensor(np.ones((2, 2, 2)))
+        for kw in ({"starts": 0}, {"starts": -1}, {"max_iters": 0}, {"max_iters": -3}):
+            with pytest.raises(ValueError):
+                cp_als(t, 1, **kw)
+
+    def test_order1_is_rejected(self):
+        with pytest.raises(ValueError, match="order >= 2"):
+            cp_als(DenseTensor([1.0, 2.0]), 1)
+
 
 class TestOdeco:
     def test_axis_aligned(self):
@@ -336,3 +349,145 @@ class TestOdeco:
     def test_symmetric_requires_cubical(self):
         with pytest.raises(ValueError):
             odeco_decompose(DenseTensor(np.ones((2, 3))), symmetric=True)
+
+    def test_bad_starts(self):
+        for starts in (0, -2):
+            with pytest.raises(ValueError):
+                odeco_decompose(DenseTensor(np.ones((2, 2, 2))), starts=starts)
+
+
+def reference_cp_eval(cp):
+    """The per-rank outer-product sum cp_eval computed before it became one matmul."""
+    acc = np.zeros(cp.dims)
+    for r in range(cp.rank):
+        acc += cp.weights[r] * outer(*[f[:, r] for f in cp.factors]).to_array()
+    return acc
+
+
+def reference_als_single(arr, init, max_iters, tol):
+    """One ALS start swept on its own, its error from the assembled fit.
+
+    This is the per-start loop cp_als ran before its starts were batched,
+    with the Khatri-Rao product built column by column from np.kron.
+    """
+    factors = [np.array(f, dtype=float) for f in init]
+    order, rank = arr.ndim, factors[0].shape[1]
+    norm_t = np.linalg.norm(arr)
+    unfoldings = [_mode_unfolding(arr, o) for o in range(1, order + 1)]
+    errors, converged = [], False
+    for _ in range(max_iters):
+        previous = list(factors)
+        for o in range(order):
+            others = [factors[j] for j in range(order - 1, -1, -1) if j != o]
+            kr = np.column_stack([
+                functools.reduce(np.kron, [f[:, r] for f in others]) for r in range(rank)
+            ])
+            gram = np.ones((rank, rank))
+            for j in range(order):
+                if j != o:
+                    gram *= factors[j].T @ factors[j]
+            rhs = unfoldings[o] @ kr
+            try:
+                factors[o] = np.linalg.solve(gram.T, rhs.T).T
+            except np.linalg.LinAlgError:
+                factors[o] = np.linalg.solve((gram + 1e-12 * np.eye(rank)).T, rhs.T).T
+        fit = reference_cp_eval(CpDecomposition(np.ones(rank), factors))
+        err = np.linalg.norm(fit - arr) / norm_t if norm_t > 0 else 0.0
+        if errors and err > errors[-1]:
+            factors, converged = previous, True
+            break
+        errors.append(err)
+        if len(errors) >= 2 and errors[-2] - errors[-1] < tol:
+            converged = True
+            break
+        if err <= 1e-15:
+            converged = True
+            break
+    return factors, errors, converged
+
+
+def als_inits(arr, rank, seed, starts):
+    """The documented cp_als starts: HOSVD vectors for start 0 when the rank allows, else uniform(-1, 1)."""
+    inits = []
+    for k in range(starts):
+        if k == 0 and rank <= min(arr.shape):
+            inits.append(list(hosvd(DenseTensor(arr), [rank] * arr.ndim).factors))
+        else:
+            g = np.random.default_rng(seed + k)
+            inits.append([g.uniform(-1.0, 1.0, size=(d, rank)) for d in arr.shape])
+    return inits
+
+
+def stacked(inits):
+    return [np.stack([init[o] for init in inits]) for o in range(len(inits[0]))]
+
+
+def assert_same_trace(got, want):
+    assert len(got) == len(want)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+ALS_CASES = [((3, 3, 3), 2), ((3, 2, 3), 2), ((6, 6, 6), 3), ((4, 4, 4, 4), 2)]
+
+
+class TestCpEval:
+    def test_matches_rank_loop(self):
+        for order in range(1, 6):
+            for r in (1, 3):
+                cp = random_cp(r, tuple(2 + (o % 3) for o in range(order)), seed=40 + order + r)
+                want = reference_cp_eval(cp)
+                got = cp_eval(cp).to_array()
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+class TestBatchedAls:
+    def test_traces_match_per_start_reference(self):
+        for dims, rank in ALS_CASES:
+            for seed in range(3):
+                arr = rng(60 + seed).normal(size=dims)
+                inits = als_inits(arr, rank, seed, 8)
+                _, traces, converged = _als_sweeps(arr, stacked(inits), 60, 1e-12)
+                refs = [reference_als_single(arr, init, 60, 1e-12) for init in inits]
+                for k, (_, ref_errors, ref_conv) in enumerate(refs):
+                    assert_same_trace(traces[k], ref_errors)
+                    assert converged[k] == ref_conv
+                res = cp_als(DenseTensor(arr), rank, seed=seed, max_iters=60)
+                ref_best = min(range(8), key=lambda k: (refs[k][1][-1], k))
+                if res.start != ref_best:
+                    # only a tie at the rounding floor may pick another start
+                    assert max(res.error, refs[ref_best][1][-1]) <= 1e-14
+                assert_same_trace(res.errors, refs[res.start][1])
+
+    def test_trace_does_not_depend_on_batch(self):
+        arr = rng(70).normal(size=(6, 6, 6))
+        inits = als_inits(arr, 3, 0, 6)
+        _, traces, _ = _als_sweeps(arr, stacked(inits), 60, 0.0)
+        _, rev, _ = _als_sweeps(arr, stacked(inits[::-1]), 60, 0.0)
+        for k in range(6):
+            assert_same_trace(rev[5 - k], traces[k])
+            _, solo, _ = _als_sweeps(arr, stacked([inits[k]]), 60, 0.0)
+            assert_same_trace(solo[0], traces[k])
+        _, pair, _ = _als_sweeps(arr, stacked([inits[4], inits[1]]), 60, 0.0)
+        assert_same_trace(pair[0], traces[4])
+        assert_same_trace(pair[1], traces[1])
+
+    def test_singular_start_in_mixed_batch(self):
+        # a zero factor column keeps that start's normal-equation Gram exactly
+        # singular every sweep, so the whole batch falls back to per-start solves
+        arr = rng(1).normal(size=(2, 2, 2))
+        inits = als_inits(arr, 4, 0, 4)
+        singular = [f.copy() for f in inits[1]]
+        for f in singular:
+            f[:, 1] = 0.0
+        inits.insert(2, singular)
+        factors, traces, converged = _als_sweeps(arr, stacked(inits), 500, 1e-12)
+        assert len(traces[2]) > 1
+        for k, init in enumerate(inits):
+            solo_factors, solo, solo_conv = _als_sweeps(arr, stacked([init]), 500, 1e-12)
+            assert_same_trace(solo[0], traces[k])
+            assert solo_conv[0] == converged[k]
+            for a, b in zip(solo_factors, factors):
+                assert np.max(np.abs(a[0] - b[k])) <= 1e-12
+        _, ref_errors, _ = reference_als_single(arr, singular, 500, 1e-12)
+        assert_same_trace(traces[2], ref_errors)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorspec import golden
 from tensorspec.decomp import CpDecomposition, TuckerDecomposition, cp_eval, tucker_eval
@@ -24,6 +26,20 @@ from tensorspec.serialize import (
 )
 from tensorspec.spectra import EigenPair, SingularTuple
 from tensorspec.tensor import DenseTensor
+
+
+# JSON values a malformed tensor file may hold where a dim or an entry belongs
+MALFORMED_ENTRY = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-3, max_value=4),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
 
 
 def rng(seed=0):
@@ -57,6 +73,44 @@ class TestTensorFormat:
             tensor_from_dict({"shape": [2], "layout": "colex", "data": [1.0, float("nan")]})
         with pytest.raises(ValueError):
             tensor_from_dict({"shape": [2], "layout": "colex", "data": [1.0, float("inf")]})
+
+    def test_rejects_bad_shape_entries(self):
+        for shape in ([1.5], [True, 1], [2.0], [0], [-1, 2], "22", 2, [None], [[2]]):
+            with pytest.raises(ValueError):
+                tensor_from_dict({"shape": shape, "layout": "colex", "data": [1.0, 2.0]})
+
+    def test_rejects_non_numeric_data(self):
+        for data in ([[1.0], [2.0]], [[1.0, 2.0]], ["1", "2"], [True, False], [1.0, None],
+                     [1.0, "x"], [[1.0], [2.0, 3.0]], "12", {"a": 1.0}, 3.0):
+            with pytest.raises(ValueError):
+                tensor_from_dict({"shape": [2], "layout": "colex", "data": data})
+
+    def test_integer_data_loads_as_floats(self):
+        t = tensor_from_dict({"shape": [2, 1], "layout": "colex", "data": [1, -2]})
+        assert t.dims == (2, 1)
+        assert np.array_equal(t.to_buffer(), [1.0, -2.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.lists(MALFORMED_ENTRY, max_size=3),
+            st.lists(st.integers(min_value=-1, max_value=3), max_size=3),
+            MALFORMED_ENTRY,
+        ),
+        data=st.one_of(
+            st.lists(MALFORMED_ENTRY, max_size=6),
+            st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6),
+            MALFORMED_ENTRY,
+        ),
+    )
+    def test_malformed_objects_are_rejected_or_exact(self, shape, data):
+        try:
+            t = tensor_from_dict({"shape": shape, "layout": "colex", "data": data})
+        except ValueError:
+            return
+        assert all(type(d) is int for d in shape) and list(t.dims) == shape
+        assert all(isinstance(x, (int, float)) for x in data) and not all(isinstance(x, bool) for x in data)
+        assert np.array_equal(t.to_buffer(), np.asarray(data, dtype=float))
 
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError):
