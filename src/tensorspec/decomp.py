@@ -246,7 +246,7 @@ def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     solved one by one and only the singular ones get a 1e-12 ridge.
     """
     try:
-        return np.linalg.solve(gram.mT, rhs.mT).mT
+        return np.swapaxes(np.linalg.solve(np.swapaxes(gram, 1, 2), np.swapaxes(rhs, 1, 2)), 1, 2)
     except np.linalg.LinAlgError:
         out = np.empty_like(rhs)
         for s in range(gram.shape[0]):
@@ -269,13 +269,17 @@ def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol:
     keeps the previous sweep), when the error gains less than ``tol`` or
     reaches 1e-15 (converged), or after ``max_iters`` sweeps (not converged).
     Returns the final stacks, each start's error trace and convergence flags.
+
+    Memory: the stacked Khatri-Rao product holds ``S * R * |T| / M_o``
+    entries, S times what one start needs; the residual is taken one start
+    at a time, so it adds one copy of the tensor.
     """
     order = arr.ndim
     starts = factors[0].shape[0]
     norm_t = float(np.linalg.norm(arr))
     unfoldings = [_mode_unfolding(arr, o) for o in range(1, order + 1)]
     factors = [np.array(f, dtype=float) for f in factors]
-    grams = [f.mT @ f for f in factors]
+    grams = [np.swapaxes(f, 1, 2) @ f for f in factors]
     traces: list[list[float]] = [[] for _ in range(starts)]
     last = np.full(starts, np.inf)
     converged = np.zeros(starts, dtype=bool)
@@ -293,9 +297,13 @@ def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol:
                 if j != o:
                     gram = gram * cur_grams[j]
             cur[o] = _solve_normal(gram, unfoldings[o] @ kr)
-            cur_grams[o] = cur[o].mT @ cur[o]
-        resid = unfoldings[-1] - cur[-1] @ kr.mT
-        err = np.sqrt(np.einsum("sij,sij->s", resid, resid))
+            cur_grams[o] = np.swapaxes(cur[o], 1, 2) @ cur[o]
+        # one start at a time, so the residual holds one copy of the tensor
+        err = np.empty(cols.size)
+        for i in range(cols.size):
+            resid = cur[-1][i] @ kr[i].T
+            resid -= unfoldings[-1]
+            err[i] = np.linalg.norm(resid)
         err = err / norm_t if norm_t > 0 else np.zeros_like(err)
         prev = last[cols]
         # an exact least-squares sweep cannot increase the objective, so a

@@ -67,7 +67,14 @@ def tensor_from_dict(obj: dict[str, Any]) -> DenseTensor:
     dims = obj["shape"]
     if not isinstance(dims, list) or not all(type(d) is int and d >= 1 for d in dims):
         raise ValueError(f"shape must be a list of integers >= 1, got {dims!r}")
-    buf = np.asarray(obj["data"])
+    data = obj["data"]
+    buf = np.asarray(data)
+    if buf.dtype.kind == "O" and buf.ndim == 1 and all(isinstance(x, (int, float)) for x in data):
+        # integers beyond 64 bits (JSON allows them) leave numpy an object array
+        try:
+            buf = np.asarray(data, dtype=float)
+        except OverflowError:
+            raise ValueError("tensor data must be finite") from None
     if buf.ndim != 1 or buf.dtype.kind not in "iuf":
         raise ValueError("data must be a flat list of numbers")
     if buf.size != math.prod(dims):

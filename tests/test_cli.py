@@ -225,6 +225,12 @@ class TestExitCodes:
                 main(["info", str(path)])
             assert exc.value.code == 2
 
+    def test_integer_beyond_64_bits_loads(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"shape": [2], "layout": "colex", "data": [1.0, 100000000000000000000]}')
+        code, out = run(capsys, ["info", str(path)])
+        assert code == 0 and json.loads(out)["frobenius_norm"] == 1e20
+
     def test_bad_mode_is_4(self, capsys, golden_path):
         assert main(["eig", "--mode", "7", golden_path]) == 4
 

@@ -90,6 +90,15 @@ class TestTensorFormat:
         assert t.dims == (2, 1)
         assert np.array_equal(t.to_buffer(), [1.0, -2.0])
 
+    def test_integers_beyond_64_bits_load_as_floats(self):
+        # JSON.stringify(1e20) writes 100000000000000000000, past int64 and uint64
+        t = tensor_from_dict({"shape": [3], "layout": "colex", "data": [1.0, 10**20, -(10**20)]})
+        assert np.array_equal(t.to_buffer(), [1.0, 1e20, -1e20])
+        with pytest.raises(ValueError):
+            tensor_from_dict({"shape": [2], "layout": "colex", "data": [1.0, 10**400]})
+        with pytest.raises(ValueError):
+            tensor_from_dict({"shape": [2], "layout": "colex", "data": ["1", 10**20]})
+
     @settings(max_examples=300, deadline=None)
     @given(
         shape=st.one_of(
@@ -100,6 +109,7 @@ class TestTensorFormat:
         data=st.one_of(
             st.lists(MALFORMED_ENTRY, max_size=6),
             st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6),
+            st.lists(st.one_of(st.integers(), st.floats(), st.integers(min_value=2**63)), max_size=6),
             MALFORMED_ENTRY,
         ),
     )
@@ -110,7 +120,7 @@ class TestTensorFormat:
             return
         assert all(type(d) is int for d in shape) and list(t.dims) == shape
         assert all(isinstance(x, (int, float)) for x in data) and not all(isinstance(x, bool) for x in data)
-        assert np.array_equal(t.to_buffer(), np.asarray(data, dtype=float))
+        assert np.array_equal(t.to_buffer(), [float(x) for x in data])
 
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError):
