@@ -179,11 +179,7 @@ def _cmd_contract(args) -> int:
     a = _load(args.input)
     b = _load(args.other)
     mode = args.mode if args.mode is not None else a.order
-    try:
-        out = contract(a, mode, b, 1)
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    out = contract(a, mode, b, 1)
     if isinstance(out, DenseTensor):
         obj = serialize.tensor_to_dict(out)
         lines = [f"shape: {list(out.dims)}", f"data: {[_fmt(x) for x in out.to_buffer()]}"]
@@ -196,11 +192,7 @@ def _cmd_contract(args) -> int:
 
 def _cmd_eig(args) -> int:
     t = _load(args.input)
-    try:
-        pairs = find_eigenpairs(t, args.mode, args.variant, **_solver_opts(args))
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    pairs = find_eigenpairs(t, args.mode, args.variant, **_solver_opts(args))
     obj = {"pairs": [serialize.eigenpair_to_dict(p) for p in pairs]}
     lines = [f"{'variant':<8}{'mode':<6}{'lambda':<22}{'vector':<40}residual"]
     for p in pairs:
@@ -214,11 +206,7 @@ def _cmd_eig(args) -> int:
 def _cmd_svd(args) -> int:
     t = _load(args.input)
     p_val = 2 if args.p == "2" else t.order
-    try:
-        tuples = find_singular_tuples(t, p_val, **_solver_opts(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    tuples = find_singular_tuples(t, p_val, **_solver_opts(args))
     obj = {"tuples": [serialize.singular_tuple_to_dict(s) for s in tuples]}
     lines = [f"{'p':<4}{'sigma':<22}{'residual':<14}vectors"]
     for s in tuples:
@@ -230,11 +218,7 @@ def _cmd_svd(args) -> int:
 
 def _cmd_cp(args) -> int:
     t = _load(args.input)
-    try:
-        res = cp_als(t, args.rank, **_solver_opts(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    res = cp_als(t, args.rank, **_solver_opts(args))
     obj = serialize.cp_to_dict(res.cp)
     obj["relative_error"] = res.error
     obj["sweeps"] = len(res.errors)
@@ -270,13 +254,8 @@ def _cmd_hosvd(args) -> int:
         try:
             ranks = [int(r) for r in args.ranks.split(",")]
         except ValueError:
-            print(f"error: --ranks must be comma-separated integers, got {args.ranks!r}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        tk = hosvd(t, ranks)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            raise ValueError(f"--ranks must be comma-separated integers, got {args.ranks!r}") from None
+    tk = hosvd(t, ranks)
     err = frobenius_norm(tucker_eval(tk) - t)
     obj = serialize.tucker_to_dict(tk)
     obj["reconstruction_error"] = err
@@ -294,11 +273,7 @@ def _cmd_odeco(args) -> int:
     opts = _solver_opts(args, symmetric=symmetric)
     if args.rank is not None:
         opts["rank"] = args.rank
-    try:
-        res = odeco_decompose(t, **opts)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    res = odeco_decompose(t, **opts)
     obj = serialize.cp_to_dict(res.cp)
     obj["reconstruction_error"] = res.reconstruction_error
     obj["orthogonality_defect"] = res.orthogonality_defect
@@ -337,7 +312,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, IndexError) as exc:
+        # the library rejects bad flag values (counts, modes, ranks) this way
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

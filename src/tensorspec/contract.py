@@ -11,9 +11,11 @@ All operations are pure functions over immutable tensors.  Conventions:
 Sums are accumulated pairwise by numpy, which keeps the library's 1e-12
 property tolerances honest at desk scale.
 
-The private helpers at the end are the kernels the iterative solvers share:
-the mode unfolding, the contraction evaluated at many vectors at once, and one
-multi-start power iteration that runs every start as a column of one matrix.
+The private helpers at the end are the kernels the solvers share: the mode
+unfolding, the contraction evaluated at many vectors at once (the one kernel
+for ``F_o``, which `contract_all_but` also evaluates, with a single column),
+and one multi-start power iteration that runs every start as a column of one
+matrix.
 """
 
 from __future__ import annotations
@@ -136,14 +138,11 @@ def contract_all_but(t: DenseTensor, o: int, xs: Sequence) -> DenseTensor:
 
     ``xs`` lists the O-1 vectors in increasing mode order (skipping ``o``);
     the result is the length-``M_o`` vector of full contractions against each
-    mode-``o`` slice.  Multilinear in the ``xs``.
+    mode-``o`` slice.  Multilinear in the ``xs``.  Evaluated by
+    `_contract_all_but_batch` with one column per vector.
     """
     arr = _as_array(t)
-    return DenseTensor(_contract_all_but_array(arr, o, [_as_vector(x) for x in xs]))
-
-
-def _contract_all_but_array(arr: np.ndarray, o: int, xs: list[np.ndarray]) -> np.ndarray:
-    """Fast path on raw arrays; used by the spectral solvers."""
+    xs = [_as_vector(x) for x in xs]
     order = arr.ndim
     if not 1 <= o <= order:
         raise IndexError(f"mode {o} out of range [1, {order}]")
@@ -155,14 +154,10 @@ def _contract_all_but_array(arr: np.ndarray, o: int, xs: list[np.ndarray]) -> np
             raise ValueError(
                 f"vector of length {x.shape[0]} does not match mode-{m} size {arr.shape[m - 1]}"
             )
-    out = arr
-    # contract from the highest mode down; axis numbers below stay valid
-    for m, x in sorted(zip(modes, xs), key=lambda p: -p[0]):
-        out = np.tensordot(out, x, axes=(m - 1, 0))
-    return out
+    return DenseTensor(_contract_all_but_batch(arr, o, [x[:, None] for x in xs])[:, 0])
 
 
-# -- kernels shared by the iterative solvers ------------------------------------
+# -- kernels shared by the solvers ----------------------------------------------
 
 
 def _mode_unfolding(arr: np.ndarray, o: int) -> np.ndarray:

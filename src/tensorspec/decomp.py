@@ -10,11 +10,14 @@ components.
 
 Multi-start solvers derive per-start seeds from ``seed`` and the start index
 and merge results by ``(error, start_index)``, so outputs do not depend on the
-order in which starts run.  ALS runs all its starts at once, one start per
-slice of stacked ``(S, M_o, R)`` factor arrays, and takes each sweep's error
-as the exact residual of the last mode's unfolding against the Khatri-Rao
-product that mode's update already built.  The odeco power iterations run
-all starts of a deflation round at once, one start per column.
+order in which starts run; unlike the spectral solvers, whose random starts
+come from one generator, they keep a generator per start for that reason.
+Counts (``rank``, ``starts``, ``max_iters``) below 1 raise `ValueError`.  ALS
+runs all its starts at once, one start per slice of stacked ``(S, M_o, R)``
+factor arrays, and takes each sweep's error as the exact residual of the last
+mode's unfolding against the Khatri-Rao product that mode's update already
+built.  The odeco power iterations run all starts of a deflation round at
+once, one start per column.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ __all__ = [
     "cp_als",
     "odeco_decompose",
 ]
+
+# odeco accepts factor Grams within this of the identity (entrywise) and,
+# without a rank cap, a relative reconstruction error up to this
+_ORTH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -431,7 +438,6 @@ def odeco_decompose(
     rank: int | None = None,
     max_iters: int = 500,
     tol: float = 1e-10,
-    orth_tol: float = 1e-6,
     seed: int = 0,
     starts: int = 8,
 ) -> OdecoResult:
@@ -442,11 +448,17 @@ def odeco_decompose(
     the largest-magnitude component found, subtracts it, and repeats until the
     remainder drops below ``tol`` times the input norm or ``rank`` components
     are extracted (default: the smallest mode size).  On input that is not
-    orthogonally decomposable the factor Gram check fails and the result
-    carries the "not_orthogonal" status.
+    orthogonally decomposable the factor Gram check (entries within
+    ``_ORTH_TOL`` of the identity) or, without a ``rank`` cap, the
+    reconstruction check fails and the result carries the "not_orthogonal"
+    status.
     """
+    if rank is not None and rank < 1:
+        raise ValueError("rank must be >= 1")
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     arr = _as_array(t).copy()
     if symmetric and len(set(arr.shape)) != 1:
         raise ValueError("symmetric recovery needs a cubical tensor")
@@ -484,8 +496,8 @@ def odeco_decompose(
     for f in factors:
         gram = f.T @ f
         defect = max(defect, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
-    if status == "ok" and defect > orth_tol:
+    if status == "ok" and defect > _ORTH_TOL:
         status = "not_orthogonal"
-    if status == "ok" and not rank_capped and recon_err > max(orth_tol, tol):
+    if status == "ok" and not rank_capped and recon_err > max(_ORTH_TOL, tol):
         status = "not_orthogonal"
     return OdecoResult(cp, recon_err, defect, status)

@@ -24,6 +24,15 @@ rounding spread of a double root.
 Both sign choices of an eigenvector solve the equations and are reported as
 distinct records, matching the convention of listing plus/minus pairs
 explicitly.
+
+The iterative solvers share one design: `_starts` builds every start (the
+only other draws are the tuple solver's restarts), `contract._power_sweeps`
+runs them as the columns of one matrix, `_damped_newton` polishes them, and
+`_dedup` merges records closer than ``_DEDUP_TOL`` (1e-8).  Each system, the
+eigen one (`_eig_system`) and the singular one (`_tuple_system`), has one
+residual, which the Newton polish, the convergence gate and the public
+`eig_residual` and `singular_residual` all read; ``F_o`` is always the
+batched kernel `contract._contract_all_but_batch`.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contract import _contract_all_but_array, _contract_all_but_batch, _mode_unfolding, _power_sweeps
+from .contract import _contract_all_but_batch, _mode_unfolding, _power_sweeps
 from .tensor import DenseTensor, _as_array, is_symmetric, outer
 
 __all__ = [
@@ -56,6 +65,8 @@ __all__ = [
 ]
 
 _VARIANTS = ("z", "h")
+# records closer than this in the scalar (relative) and every vector entry are one
+_DEDUP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -125,13 +136,6 @@ def _check_cubical(arr: np.ndarray) -> int:
     return arr.shape[0]
 
 
-def _eig_defect(arr: np.ndarray, variant: str, mode: int, value: float, x: np.ndarray) -> float:
-    order = arr.ndim
-    f = _contract_all_but_array(arr, mode, [x] * (order - 1))
-    rhs = x if variant == "z" else x ** (order - 1)
-    return float(np.max(np.abs(f - value * rhs)))
-
-
 def eig_residual(t: DenseTensor, pair: EigenPair) -> float:
     """Infinity-norm defect of the defining equation; zero iff exact."""
     arr = _as_array(t)
@@ -140,7 +144,8 @@ def eig_residual(t: DenseTensor, pair: EigenPair) -> float:
         raise IndexError(f"mode {pair.mode} out of range [1, {arr.ndim}]")
     if pair.vector.shape != (m,):
         raise ValueError(f"vector length {pair.vector.size} does not match mode size {m}")
-    return _eig_defect(arr, pair.variant, pair.mode, pair.value, pair.vector)
+    residual, _ = _eig_system(arr, pair.mode, 1 if pair.variant == "z" else arr.ndim - 1)
+    return float(np.max(np.abs(residual(np.append(pair.vector, pair.value)[:, None])[:m])))
 
 
 def singular_residual(t: DenseTensor, tup: SingularTuple) -> float:
@@ -152,18 +157,13 @@ def singular_residual(t: DenseTensor, tup: SingularTuple) -> float:
     for o, v in enumerate(tup.vectors, start=1):
         if v.shape != (arr.shape[o - 1],):
             raise ValueError(f"vector {o} length {v.size} does not match mode size {arr.shape[o - 1]}")
-    power = 1 if tup.p == 2 else order - 1
-    worst = 0.0
-    for o in range(1, order + 1):
-        others = [tup.vectors[j] for j in range(order) if j != o - 1]
-        f = _contract_all_but_array(arr, o, others)
-        rhs = tup.vectors[o - 1] ** power
-        worst = max(worst, float(np.max(np.abs(f - tup.sigma * rhs))))
-    return worst
+    residual, _ = _tuple_system(arr, tup.p)
+    v = np.append(np.concatenate(tup.vectors), tup.sigma)[:, None]
+    return float(np.max(np.abs(residual(v)[: sum(arr.shape)])))
 
 
-def _dedup(records: list, key, dedup_tol: float) -> list:
-    """Drop records within ``dedup_tol`` of a lower-residual one; sort by decreasing |scalar|, then entries.
+def _dedup(records: list, key) -> list:
+    """Drop records within ``_DEDUP_TOL`` of a lower-residual one; sort by decreasing |scalar|, then entries.
 
     ``key`` maps a record to the (scalar, vector) pair that is compared.
     """
@@ -171,12 +171,44 @@ def _dedup(records: list, key, dedup_tol: float) -> list:
     for r in sorted(records, key=lambda q: q.residual):
         s, v = key(r)
         if not any(
-            abs(s - ks) <= dedup_tol * max(1.0, abs(ks)) and np.max(np.abs(v - kv)) <= dedup_tol
+            abs(s - ks) <= _DEDUP_TOL * max(1.0, abs(ks)) and np.max(np.abs(v - kv)) <= _DEDUP_TOL
             for _, ks, kv in kept
         ):
             kept.append((r, s, v))
     kept.sort(key=lambda k: (-abs(k[1]), tuple(k[2])))
     return [k[0] for k in kept]
+
+
+def _converged_or_best(records: list, key) -> list:
+    """The converged records through `_dedup`; if none converged, the lowest-residual record alone."""
+    good = [r for r in records if r.converged]
+    if good or not records:
+        return _dedup(good, key)
+    return [min(records, key=lambda r: r.residual)]
+
+
+def _eig_key(p: EigenPair):
+    return p.value, p.vector
+
+
+def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:
+    """One ``(M_o, count)`` block of unit start columns for each mode ``o`` in ``modes``.
+
+    With ``R`` the smallest listed mode size, columns ``0 .. R-1`` are the
+    leading left singular vectors of each mode's unfolding, columns
+    ``R .. 2R-1`` the first ``R`` coordinate vectors, and every later column
+    takes one ``default_rng(seed).normal`` draw per mode, mode by mode.  The
+    blocks keep their first ``count`` columns.
+    """
+    dims = [arr.shape[o - 1] for o in modes]
+    r = min(dims)
+    lead = [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0][:, :r] for o in modes]
+    g = np.random.default_rng(seed)
+    draws = [[g.normal(size=d) for d in dims] for _ in range(count - 2 * r)]
+    return [
+        np.column_stack([u, np.eye(d, r)] + [w[k] / np.linalg.norm(w[k]) for w in draws])[:, :count]
+        for k, (u, d) in enumerate(zip(lead, dims))
+    ]
 
 
 # -- exact path for 2-dimensional modes -----------------------------------------
@@ -273,7 +305,7 @@ def _root_lines(g: np.ndarray, noise: float) -> np.ndarray:
     return x / np.linalg.norm(x, axis=0)
 
 
-def _size2_solve(arr, mode, variant, tol, dedup_tol):
+def _size2_solve(arr, mode, variant, tol):
     """Every isolated solution on a size-2 mode, from the real roots of the binary form.
 
     Solves ``T / max|T|`` and maps the values back, so the records do not
@@ -295,7 +327,8 @@ def _size2_solve(arr, mode, variant, tol, dedup_tol):
         )
         return []
     # np.roots adds rounding of its own to that of the coefficients
-    _, good = _polish(unit, mode, variant, _root_lines(g, 4.0 * noise), tol, dedup_tol)
+    pairs = _polish(unit, mode, variant, _root_lines(g, 4.0 * noise), tol)
+    good = _dedup([p for p in pairs if p.converged], _eig_key)
     return [replace(p, value=p.value * top, residual=p.residual * top) for p in good]
 
 
@@ -386,22 +419,12 @@ def _eig_system(arr, mode, power):
     return residual, jacobian
 
 
-def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts, dedup_tol):
+def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts):
     order = arr.ndim
-    m = arr.shape[0]
     symmetric = is_symmetric(DenseTensor(arr), tol=1e-12)
     shift = 1.0 + float(np.sum(np.abs(arr)))
     nonneg = bool(np.all(arr >= 0.0))
-
-    seeds: list[np.ndarray] = [np.eye(m)[:, r] for r in range(m)]
-    u, _, _ = np.linalg.svd(_mode_unfolding(arr, mode), full_matrices=False)
-    seeds.extend(u[:, r] for r in range(u.shape[1]))
-    g = np.random.default_rng(seed)
-    while len(seeds) < starts:
-        v = g.normal(size=m)
-        seeds.append(v / np.linalg.norm(v))
-    seeds = seeds[:starts]
-    x = np.column_stack(seeds) if seeds else np.zeros((m, 0))
+    [x] = _starts(arr, [mode], starts, seed)
 
     def F(x):
         return _contract_all_but_batch(arr, mode, x)
@@ -434,20 +457,15 @@ def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts, dedup_tol):
     if update is not None:
         (x,), _ = _power_sweeps(update, [x], 2, 1e-14, max_iters)
 
-    pairs, good = _polish(arr, mode, variant, x, tol, dedup_tol)
-    if good:
-        return good
-    if pairs:
-        return [min(pairs, key=lambda p: p.residual)]
-    return []
+    return _converged_or_best(_polish(arr, mode, variant, x, tol), _eig_key)
 
 
-def _polish(arr, mode, variant, x, tol, dedup_tol):
+def _polish(arr, mode, variant, x, tol):
     """Damped-Newton polish of the start columns ``x`` into eigenpair records.
 
-    Returns every polished record and, separately, the records with residual
-    at most ``tol`` plus their sign partners (`eig_orbit` with ``t = -1``),
-    deduplicated.
+    Returns one record per column, flagged converged when its residual is at
+    most ``tol``, followed by the sign partner (`eig_orbit` with ``t = -1``)
+    of every converged record.
     """
     order, m = arr.ndim, arr.shape[0]
     power = 1 if variant == "z" else order - 1
@@ -455,22 +473,22 @@ def _polish(arr, mode, variant, x, tol, dedup_tol):
     def F(x):
         return _contract_all_but_batch(arr, mode, x)
 
+    residual, jacobian = _eig_system(arr, mode, power)
     scale = 1.0 + float(np.max(np.abs(arr)))
-    v = _damped_newton(*_eig_system(arr, mode, power), np.vstack([x, _fit_scale(F(x), x**power)]), scale)
+    v = _damped_newton(residual, jacobian, np.vstack([x, _fit_scale(F(x), x**power)]), scale)
     x, lam = v[:m], v[m]
     if variant == "h":
         # the h equation is homogeneous; renormalize the records
         nrm = np.linalg.norm(x, axis=0)
         x = np.where(nrm > 0, x / np.where(nrm > 0, nrm, 1.0), x)
         lam = np.where(nrm > 0, _fit_scale(F(x), x**power), lam)
-    res = np.max(np.abs(F(x) - lam * x**power), axis=0)
+    res = np.max(np.abs(residual(np.vstack([x, lam]))[:m]), axis=0)
     pairs = [
         EigenPair(variant, mode, lam[c], x[:, c], res[c], converged=bool(res[c] <= tol))
         for c in range(x.shape[1])
     ]
-    good = [p for p in pairs if p.converged]
     # the t = -1 orbit of a solution is a solution with the same residual
-    return pairs, _dedup(good + [eig_orbit(p, -1.0, order) for p in good], lambda p: (p.value, p.vector), dedup_tol)
+    return pairs + [eig_orbit(p, -1.0, order) for p in pairs if p.converged]
 
 
 def find_eigenpairs(
@@ -479,7 +497,6 @@ def find_eigenpairs(
     variant: str,
     *,
     tol: float = 1e-10,
-    dedup_tol: float = 1e-8,
     max_iters: int = 500,
     seed: int = 0,
     starts: int = 32,
@@ -490,15 +507,18 @@ def find_eigenpairs(
     the binary form (module docstring), taken in both charts ``x_1/x_0`` and
     ``x_0/x_1``.  The k roots into which rounding splits a k-fold root are
     merged into their mean, so a multiple root line gives one start.  Every
-    isolated solution is found deterministically (``seed``, ``starts`` and
-    ``max_iters`` are unused), except that two distinct root lines closer
-    than the rounding spread of a double root (a few 1e-7 rad for a 2x2x2
-    tensor) give one start and may be reported as one line.  The tensor is solved as
-    ``T / max|T|``: records are gated at ``eig_residual <= tol * max|T|``
-    and do not depend on the tensor's scale.  When the form vanishes
-    identically (every unit vector is a solution, as for the zero tensor) a
-    warning says the family is not isolated and ``[]`` is returned.
-    For larger modes all ``starts`` run at once, one per column, through a
+    isolated solution is found deterministically (``seed`` and ``max_iters``
+    are unused, ``starts`` is only checked), except that two distinct root
+    lines closer than the rounding spread of a double root (a few 1e-7 rad
+    for a 2x2x2 tensor) give one start and may be reported as one line.  The
+    tensor is solved as ``T / max|T|``: records are gated at
+    ``eig_residual <= tol * max|T|`` and do not depend on the tensor's
+    scale.  When the form vanishes identically (every unit vector is a
+    solution, as for the zero tensor) a warning says the family is not
+    isolated and ``[]`` is returned.
+    For larger modes the ``starts`` are the leading left singular vectors of
+    the mode's unfolding, then coordinate vectors, then ``default_rng(seed)``
+    normal draws (`_starts`), and all run at once, one per column, through a
     power iteration: on symmetric input each z start runs both shifted maps,
     other z input the unshifted map, and h starts on nonnegative input the
     entrywise-root map (other h starts skip it).  Completeness is not
@@ -510,7 +530,8 @@ def find_eigenpairs(
     On larger modes every returned pair satisfies ``eig_residual <= tol``
     except when nothing converged at all, in which case the single best
     non-converged record is returned flagged (``converged=False``).  On
-    size-2 modes ``[]`` is returned when no root line is real.
+    size-2 modes ``[]`` is returned when no root line is real.  ``starts``
+    below 1 raises `ValueError` on both paths.
     """
     arr = _as_array(t)
     m = _check_cubical(arr)
@@ -519,9 +540,11 @@ def find_eigenpairs(
     variant = variant.lower()
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be 'z' or 'h', got {variant!r}")
+    if starts < 1:
+        raise ValueError("starts must be >= 1")
     if m == 2:
-        return _size2_solve(arr, mode, variant, tol, dedup_tol)
-    return _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts, dedup_tol)
+        return _size2_solve(arr, mode, variant, tol)
+    return _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts)
 
 
 def find_eigenpairs_contract_trailing(t: DenseTensor, variant: str, **opts) -> list[EigenPair]:
@@ -548,22 +571,14 @@ def eig_orbit(pair: EigenPair, t_scale: float, order: int, tensor: DenseTensor |
     if order < 1:
         raise ValueError("order must be >= 1")
     value = pair.value * t_scale ** (order - 2) if pair.variant == "z" else pair.value
-    vector = t_scale * pair.vector
+    residual = pair.residual * abs(t_scale) ** (order - 1)
+    out = EigenPair(pair.variant, pair.mode, value, t_scale * pair.vector, residual, pair.converged)
     if tensor is not None:
-        residual = _eig_defect(_as_array(tensor), pair.variant, pair.mode, value, vector)
-    else:
-        residual = pair.residual * abs(t_scale) ** (order - 1)
-    return EigenPair(pair.variant, pair.mode, value, vector, residual, pair.converged)
+        out = replace(out, residual=eig_residual(tensor, out))
+    return out
 
 
 # -- singular tuples -------------------------------------------------------------
-
-
-def _lp_normalize(v: np.ndarray, p: int) -> np.ndarray:
-    nrm = float(np.sum(np.abs(v) ** p) ** (1.0 / p))
-    if nrm == 0.0:
-        raise ZeroDivisionError
-    return v / nrm
 
 
 def _signed_root(v: np.ndarray, k: int) -> np.ndarray:
@@ -638,22 +653,23 @@ def find_singular_tuples(
     max_iters: int = 500,
     seed: int = 0,
     starts: int = 32,
-    dedup_tol: float = 1e-8,
 ) -> list[SingularTuple]:
     """Singular value tuples by multi-start alternating power iteration.
 
-    ``p`` must be 2 or the tensor order.  Starts combine per-mode leading
-    singular vectors of the matricizations, coordinate vectors, and seeded
-    random draws; all of them run at once through the cyclic update
+    ``p`` must be 2 or the tensor order and ``starts`` at least 1.  The
+    starts are the per-mode leading left singular vectors of the
+    unfoldings, then coordinate vectors, then ``default_rng(seed)`` normal
+    draws (`_starts`); all of them run at once through the cyclic update
     ``x_o <- normalize_p(F_o)`` (with entrywise signed roots feeding the lO
     variant) until no factor moves by more than 1e-13 over a sweep, and are
     then tightened by a least-squares Newton pass on the coupled system.  A
     start whose iterate collapses to zero restarts from the derived seed
     ``seed + starts + k`` (k = 1, 2, ...), at most ``starts`` times in all.
     A record is flagged converged when its residual is at most ``tol`` and
-    every factor's p-norm is within ``tol`` of 1.  The result is
-    deduplicated under the sign gauge and sorted by decreasing |sigma|;
-    completeness is not claimed (the problem is NP-hard in general).
+    every factor's p-norm is within ``tol`` of 1.  The converged records are
+    deduplicated under the sign gauge and sorted by decreasing |sigma|; when
+    none converged, the single best record is returned flagged.
+    Completeness is not claimed (the problem is NP-hard in general).
     """
     arr = _as_array(t)
     order = arr.ndim
@@ -661,24 +677,12 @@ def find_singular_tuples(
         raise ValueError(f"singular tuples need a tensor of order >= 2, got order {order}")
     if p not in (2, order):
         raise ValueError(f"p must be 2 or the tensor order {order}, got {p}")
+    if starts < 1:
+        raise ValueError("starts must be >= 1")
     dims = arr.shape
     power = 1 if p == 2 else order - 1
     offsets = np.cumsum([0] + list(dims))
     n = int(offsets[-1])
-
-    svd_starts = []
-    factors = [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0] for o in range(1, order + 1)]
-    for r in range(min(dims)):
-        svd_starts.append([factors[o][:, r] for o in range(order)])
-    coord_starts = []
-    for r in range(min(dims)):
-        coord_starts.append([np.eye(d)[:, r] for d in dims])
-
-    g = np.random.default_rng(seed)
-    seeds = svd_starts + coord_starts
-    while len(seeds) < starts:
-        seeds.append([g.normal(size=d) for d in dims])
-    seeds = seeds[:starts]
 
     def update(k, cur, cols):
         f = _contract_all_but_batch(arr, k + 1, cur[:k] + cur[k + 1:])
@@ -687,9 +691,7 @@ def find_singular_tuples(
     residual, jacobian = _tuple_system(arr, p)
     scale = 1.0 + float(np.max(np.abs(arr)))
 
-    def run(group) -> list[SingularTuple | None]:
-        blocks = [np.column_stack([s[o] for s in group]) for o in range(order)]
-        blocks = [b / np.linalg.norm(b, axis=0) for b in blocks]
+    def run(blocks) -> list[SingularTuple | None]:
         blocks, status = _power_sweeps(update, blocks, p, 1e-13, max_iters)
         live = np.flatnonzero(status >= 0)
         xs = [b[:, live] for b in blocks]
@@ -698,32 +700,25 @@ def find_singular_tuples(
         res = np.max(np.abs(residual(v)[:n]), axis=0)
         xs, sigma = np.split(v[:n], offsets[1:-1]), v[n]
         unit = np.all([np.abs(np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p) - 1.0) <= tol for x in xs], axis=0)
-        out: list[SingularTuple | None] = [None] * len(group)
+        out: list[SingularTuple | None] = [None] * status.size
         for c, s in enumerate(live):
             vecs, sig = _canonical_tuple_signs([x[:, c] for x in xs], sigma[c], p, order)
             out[s] = SingularTuple(p, sig, tuple(vecs), res[c], converged=bool(res[c] <= tol and unit[c]))
         return out
 
-    results = run(seeds) if seeds else []
+    results = run(_starts(arr, range(1, order + 1), starts, seed))
     restarts = 0
     while None in results and restarts < starts:
         # a zero iterate killed these starts; fill their slots, in order, from
         # fresh derived seeds run in order until the slots or the budget run out
         dead = [i for i, r in enumerate(results) if r is None]
-        fresh = [
-            [np.random.default_rng(seed + starts + restarts + k).normal(size=d) for d in dims]
-            for k in range(1, min(len(dead), starts - restarts) + 1)
-        ]
+        fresh = range(restarts + 1, restarts + min(len(dead), starts - restarts) + 1)
         restarts += len(fresh)
-        for i, r in zip(dead, [r for r in run(fresh) if r is not None]):
+        blocks = [np.column_stack([np.random.default_rng(seed + starts + k).normal(size=d) for k in fresh]) for d in dims]
+        for i, r in zip(dead, [r for r in run([b / np.linalg.norm(b, axis=0) for b in blocks]) if r is not None]):
             results[i] = r
     tuples = [r for r in results if r is not None]
-    good = _dedup([r for r in tuples if r.converged], lambda r: (r.sigma, np.concatenate(r.vectors)), dedup_tol)
-    if good:
-        return good
-    if tuples:
-        return [min(tuples, key=lambda r: r.residual)]
-    return []
+    return _converged_or_best(tuples, lambda r: (r.sigma, np.concatenate(r.vectors)))
 
 
 def singular_orbit(
@@ -833,9 +828,7 @@ def eig_singular_bridge(t: DenseTensor, pair: EigenPair, tol: float = 1e-10) -> 
     # renormalize the record first (scale rule with t = 1/||x||)
     x = pair.vector / nrm
     lam = pair.value / nrm ** (order - 2)
-    residuals = tuple(
-        _eig_defect(arr, "z", o, lam, x) for o in range(1, order + 1)
-    )
+    residuals = tuple(eig_residual(t, EigenPair("z", o, lam, x, 0.0)) for o in range(1, order + 1))
     if any(r > tol for r in residuals):
         return BridgeResult("mode_mismatch", None, residuals)
     if lam >= 0:

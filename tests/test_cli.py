@@ -202,11 +202,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "unrecognized arguments: --threads" in err and "Traceback" not in err
 
-    def test_bad_counts_are_4(self, capsys, golden_path):
+    def test_bad_counts_are_4(self, capsys, golden_path, tmp_path):
+        cube_path = str(tmp_path / "cube.json")
+        save_tensor(DenseTensor(np.random.default_rng(5).normal(size=(3, 3, 3))), cube_path)
         for argv in (
             ["cp", golden_path, "--rank", "1", "--max-iters", "0"],
             ["cp", golden_path, "--rank", "1", "--starts", "0"],
             ["odeco", golden_path, "--starts", "0"],
+            ["odeco", golden_path, "--rank", "0"],
+            ["odeco", golden_path, "--rank", "-1"],
+            ["odeco", golden_path, "--max-iters", "0"],
+            ["eig", golden_path, "--starts", "0"],
+            ["eig", cube_path, "--starts", "0"],
+            ["svd", golden_path, "--starts", "0"],
+            ["svd", cube_path, "--p", "O", "--starts", "-3"],
         ):
             assert main(argv) == 4
             err = capsys.readouterr().err

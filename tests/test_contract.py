@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import contract_all_but_loop
 
 from tensorspec.contract import (
     contract,
@@ -278,12 +279,12 @@ class TestKroneckerChainProperty:
 
 
 class TestContractAllButBatch:
-    """The batched kernel against `_contract_all_but_array`, one column at a time."""
+    """The batched kernel against the tensordot loop, one column at a time."""
 
     SHAPES = [(4, 5), (3, 3), (3, 4, 5), (4, 4, 4), (2, 3, 4, 5), (3, 3, 3, 3), (3, 2, 4, 2, 3)]
 
     def test_matches_loop_columnwise(self):
-        from tensorspec.contract import _contract_all_but_array, _contract_all_but_batch
+        from tensorspec.contract import _contract_all_but_batch
 
         g = rng(31)
         for shape in self.SHAPES:
@@ -294,7 +295,7 @@ class TestContractAllButBatch:
                 got = _contract_all_but_batch(arr, o, xs)
                 assert got.shape == (shape[o - 1], 6)
                 for s in range(6):
-                    want = _contract_all_but_array(arr, o, [x[:, s] for x in xs])
+                    want = contract_all_but_loop(arr, o, [x[:, s] for x in xs])
                     assert np.max(np.abs(got[:, s] - want)) <= tol
 
     def test_shared_matrix_is_every_mode(self):
@@ -310,7 +311,7 @@ class TestContractAllButBatch:
                 assert np.array_equal(shared, listed)
 
     def test_two_kept_modes(self):
-        from tensorspec.contract import _contract_all_but_array, _contract_all_but_batch
+        from tensorspec.contract import _contract_all_but_batch
 
         g = rng(33)
         arr = g.normal(size=(2, 3, 4, 5))
@@ -324,7 +325,7 @@ class TestContractAllButBatch:
                 for i in range(arr.shape[keep[1] - 1]):
                     sliced = np.take(arr, i, axis=keep[1] - 1)
                     o = keep[0] - (keep[0] > keep[1])
-                    want = _contract_all_but_array(sliced, o, [x[:, s] for x in xs])
+                    want = contract_all_but_loop(sliced, o, [x[:, s] for x in xs])
                     assert np.max(np.abs(got[:, i, s] - want)) <= 1e-12 * np.max(np.abs(arr))
 
     def test_no_columns(self):

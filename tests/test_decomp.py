@@ -355,6 +355,13 @@ class TestOdeco:
             with pytest.raises(ValueError):
                 odeco_decompose(DenseTensor(np.ones((2, 2, 2))), starts=starts)
 
+    def test_bad_rank_and_max_iters(self):
+        t = DenseTensor(np.ones((2, 2, 2)))
+        for kwargs in ({"rank": 0}, {"rank": -1}, {"max_iters": 0}, {"max_iters": -5}):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                odeco_decompose(t, **kwargs)
+        odeco_decompose(t, rank=1, max_iters=1)
+
 
 def reference_cp_eval(cp):
     """The per-rank outer-product sum cp_eval computed before it became one matmul."""

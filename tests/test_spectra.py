@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import contract_all_but_loop
 
-from tensorspec.decomp import cp_eval, CpDecomposition
+from tensorspec.decomp import cp_eval, CpDecomposition, odeco_decompose
 from tensorspec.spectra import (
     BestRankOne,
     EigenPair,
@@ -282,9 +283,25 @@ class TestSize2BinaryForm:
             assert find_eigenpairs(DenseTensor(3.0 * np.eye(2)), 1, "z") == []
 
     def test_removed_keywords(self):
-        for kw in ("grid", "newton_iters", "newton_tol"):
+        for kw in ("grid", "newton_iters", "newton_tol", "dedup_tol"):
             with pytest.raises(TypeError):
                 find_eigenpairs(golden_222(), 1, "z", **{kw: 64})
+        with pytest.raises(TypeError):
+            find_eigenpairs(random_symmetric(3, seed=7), 1, "z", dedup_tol=1e-6)
+        with pytest.raises(TypeError):
+            find_singular_tuples(golden_222(), 2, dedup_tol=1e-6)
+        with pytest.raises(TypeError):
+            odeco_decompose(golden_222(), orth_tol=1e-3)
+
+    def test_bad_starts_rejected_on_every_path(self):
+        for t in (golden_222(), random_symmetric(3, seed=8), DenseTensor(np.abs(rng(9).normal(size=(3, 3, 3))))):
+            for starts in (0, -1):
+                for variant in ("z", "h"):
+                    with pytest.raises(ValueError, match="starts must be >= 1"):
+                        find_eigenpairs(t, 1, variant, starts=starts)
+                for p in (2, 3):
+                    with pytest.raises(ValueError, match="starts must be >= 1"):
+                        find_singular_tuples(t, p, starts=starts)
 
 
 class TestFindEigenpairsIterative:
@@ -379,6 +396,89 @@ class TestSingularResidual:
         t = golden_222()
         with pytest.raises(ValueError):
             singular_residual(t, SingularTuple(2, 0.0, (np.ones(3), np.ones(2), np.ones(2)), 0.0))
+
+
+def eig_residual_loop(arr, pair):
+    """The eigen defect as computed before it read `_eig_system`'s residual."""
+    f = contract_all_but_loop(arr, pair.mode, [pair.vector] * (arr.ndim - 1))
+    rhs = pair.vector if pair.variant == "z" else pair.vector ** (arr.ndim - 1)
+    return float(np.max(np.abs(f - pair.value * rhs)))
+
+
+def singular_residual_loop(arr, tup):
+    """The tuple defect as computed before it read `_tuple_system`'s residual: one loop per mode."""
+    power = 1 if tup.p == 2 else arr.ndim - 1
+    worst = 0.0
+    for o in range(arr.ndim):
+        f = contract_all_but_loop(arr, o + 1, tup.vectors[:o] + tup.vectors[o + 1:])
+        worst = max(worst, float(np.max(np.abs(f - tup.sigma * tup.vectors[o] ** power))))
+    return worst
+
+
+class TestResidualsMatchModeLoop:
+    """`eig_residual` and `singular_residual` against the per-mode tensordot loop."""
+
+    def test_eig_residual(self):
+        g = rng(40)
+        for order in (2, 3, 4, 5):
+            arr = g.normal(size=(3,) * order)
+            t, tol = DenseTensor(arr), 1e-12 * np.max(np.abs(arr))
+            for mode in range(1, order + 1):
+                for variant in ("z", "h"):
+                    x = g.normal(size=3)
+                    pair = EigenPair(variant, mode, g.normal(), x / np.linalg.norm(x), 0.0)
+                    for rec in (pair, eig_orbit(pair, 1.7, order), eig_orbit(pair, -0.6, order)):
+                        assert abs(eig_residual(t, rec) - eig_residual_loop(arr, rec)) <= tol
+
+    def test_eig_residual_of_solver_records(self):
+        for order in (3, 4):
+            t = random_symmetric(3, seed=41, order=order)
+            arr = t.to_array()
+            for pair in find_eigenpairs(t, 1, "z", starts=8):
+                moved = eig_orbit(pair, -2.0, order, tensor=t)
+                assert abs(moved.residual - eig_residual_loop(arr, moved)) <= 1e-12 * np.max(np.abs(arr))
+
+    def test_singular_residual(self):
+        g = rng(42)
+        for shape in [(3, 4), (2, 3, 4), (3, 2, 2, 3), (2, 3, 2, 2, 3)]:
+            arr = g.normal(size=shape)
+            t, tol = DenseTensor(arr), 1e-12 * np.max(np.abs(arr))
+            for p in (2, len(shape)):
+                xs = [g.normal(size=d) for d in shape]
+                tup = SingularTuple(p, g.normal(), tuple(x / np.linalg.norm(x, p) for x in xs), 0.0)
+                for rec in (tup, singular_orbit(tup, scale=1.3), singular_orbit(tup, scale=-0.8)):
+                    assert abs(singular_residual(t, rec) - singular_residual_loop(arr, rec)) <= tol
+
+
+class TestStarts:
+    def test_order_svd_then_coordinates_then_draws(self):
+        from tensorspec.contract import _mode_unfolding
+        from tensorspec.spectra import _starts
+
+        arr = rng(43).normal(size=(3, 4, 5))
+        blocks = _starts(arr, [1, 2, 3], 9, seed=6)
+        assert [b.shape for b in blocks] == [(3, 9), (4, 9), (5, 9)]
+        g = np.random.default_rng(6)
+        draws = [[g.normal(size=d) for d in arr.shape] for _ in range(3)]
+        for o, b in enumerate(blocks):
+            u = np.linalg.svd(_mode_unfolding(arr, o + 1), full_matrices=False)[0]
+            assert np.allclose(b[:, :3], u[:, :3], atol=1e-15)
+            assert np.array_equal(b[:, 3:6], np.eye(arr.shape[o], 3))
+            for k, w in enumerate(draws):
+                assert np.allclose(b[:, 6 + k], w[o] / np.linalg.norm(w[o]), atol=1e-15)
+            assert np.allclose(np.linalg.norm(b, axis=0), 1.0, atol=1e-15)
+
+    def test_truncation_at_count(self):
+        from tensorspec.spectra import _starts
+
+        arr = rng(44).normal(size=(4, 4, 4))
+        full = _starts(arr, [2], 12, seed=3)[0]
+        assert full.shape == (4, 12)
+        for count in (1, 3, 4, 6, 8, 9):
+            part = _starts(arr, [2], count, seed=3)[0]
+            assert np.array_equal(part, full[:, :count])
+        # the svd columns fill short blocks first
+        assert np.array_equal(_starts(arr, [1, 3], 2, seed=3)[1], _starts(arr, [1, 3], 5, seed=3)[1][:, :2])
 
 
 class TestFindSingularTuples:
@@ -618,13 +718,13 @@ class TestModeSymmetryInvariant:
 # -- batched solvers against the per-start loop -----------------------------------
 
 
-def reference_eig_iterative(arr, mode, variant, starts=32, seed=0, max_iters=500, tol=1e-10, dedup_tol=1e-8):
+def reference_eig_iterative(arr, mode, variant, starts=32, seed=0, max_iters=500, tol=1e-10):
     """The per-start solve, one start at a time with a finite-difference Newton.
 
     Kept as the reference for the batched solver: same starts, maps, stopping
     rules and line search, without the sign partners the batched solver adds.
     """
-    from tensorspec.contract import _contract_all_but_array, _mode_unfolding
+    from tensorspec.contract import _mode_unfolding
     from tensorspec.spectra import _dedup
     from tensorspec.tensor import is_symmetric
 
@@ -632,7 +732,7 @@ def reference_eig_iterative(arr, mode, variant, starts=32, seed=0, max_iters=500
     power = 1 if variant == "z" else order - 1
 
     def F(x):
-        return _contract_all_but_array(arr, mode, [x] * (order - 1))
+        return contract_all_but_loop(arr, mode, [x] * (order - 1))
 
     def polish(x0, lam0):
         def G(v):
@@ -673,9 +773,9 @@ def reference_eig_iterative(arr, mode, variant, starts=32, seed=0, max_iters=500
             x = y
         return x
 
-    seeds = [np.eye(m)[:, r] for r in range(m)]
     u = np.linalg.svd(_mode_unfolding(arr, mode), full_matrices=False)[0]
-    seeds += [u[:, r] for r in range(u.shape[1])]
+    seeds = [u[:, r] for r in range(u.shape[1])]
+    seeds += [np.eye(m)[:, r] for r in range(m)]
     g = np.random.default_rng(seed)
     while len(seeds) < starts:
         v = g.normal(size=m)
@@ -698,7 +798,7 @@ def reference_eig_iterative(arr, mode, variant, starts=32, seed=0, max_iters=500
         for x, lam in polished:
             res = float(np.max(np.abs(F(x) - lam * x ** power)))
             pairs.append(EigenPair(variant, mode, lam, x, res, converged=res <= tol))
-    return _dedup([p for p in pairs if p.converged], lambda p: (p.value, p.vector), dedup_tol)
+    return _dedup([p for p in pairs if p.converged], lambda p: (p.value, p.vector))
 
 
 def same_records(a, b, tol=1e-8):
