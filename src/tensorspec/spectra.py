@@ -10,7 +10,16 @@ except ``o``):
   ``||x||_2 = 1`` as the canonical representative.
 * l2 singular tuple: ``F_o(x_1, .., x_O except o) = sigma * x_o`` for every
   mode simultaneously, each ``||x_o||_2 = 1``.
-* lO singular tuple: same with ``sigma * x_o^(O-1)`` and unit lO norms.
+* lO singular tuple: same with ``sigma * sign(x_o) |x_o|^(O-1)`` (entrywise;
+  the plain power for even O) and unit lO norms, Lim's l^p tuple for p = O
+  (Lim 2005, "Singular values and eigenvalues of tensors: a variational
+  approach"): a critical point of ``T(x_1, .., x_O) / prod_o ||x_o||_O``.
+  For both kinds every single-mode flip (``x_o -> -x_o``, ``sigma -> -sigma``)
+  is a symmetry; each class is reported once, under a sign gauge.
+
+Both solvers solve ``T / max|T|`` and scale lambda, sigma and the residual
+back, so records do not depend on the tensor's scale and a record is
+converged when its residual is at most ``tol * max|T|``.
 
 Solvers are heuristic for modes of size >= 3 (the general problems are
 NP-hard).  On 2-dimensional modes the eigen equation holds at a unit
@@ -120,11 +129,7 @@ class SingularTuple:
         return len(self.vectors)
 
     def with_nonnegative_sigma(self) -> "SingularTuple":
-        """Equivalent record with sigma >= 0 (one vector flipped when needed).
-
-        Only available where the sign rules permit: always for p=2, and for
-        p=O only when the order is even.
-        """
+        """Equivalent record with sigma >= 0 (the first vector flipped when needed)."""
         if self.sigma >= 0:
             return self
         return singular_orbit(self, flip=(True,) + (False,) * (self.order - 1))
@@ -306,30 +311,20 @@ def _root_lines(g: np.ndarray, noise: float) -> np.ndarray:
 
 
 def _size2_solve(arr, mode, variant, tol):
-    """Every isolated solution on a size-2 mode, from the real roots of the binary form.
+    """Every isolated solution on a size-2 mode of a tensor with max|T| = 1, from the real roots of the binary form.
 
-    Solves ``T / max|T|`` and maps the values back, so the records do not
-    depend on the tensor's scale and the gate is ``tol * max|T|``.
+    Returns None when the form vanishes identically (the solutions are not isolated).
     """
-    order = arr.ndim
-    power = 1 if variant == "z" else order - 1
-    top = float(np.max(np.abs(arr)))
-    unit = arr / top if top > 0 else arr
-    g = _binary_form(unit, mode, power)
+    power = 1 if variant == "z" else arr.ndim - 1
+    g = _binary_form(arr, mode, power)
     # a coefficient sums 2^(O-1) entries of magnitude <= 1; below 2^O eps it is rounding
     noise = arr.size * np.finfo(float).eps
     g[np.abs(g) <= noise] = 0.0
     if not g.any():
-        warnings.warn(
-            "defining equation vanishes on the whole circle; the solution family "
-            "is not isolated and no records are returned",
-            stacklevel=3,
-        )
-        return []
+        return None
     # np.roots adds rounding of its own to that of the coefficients
-    pairs = _polish(unit, mode, variant, _root_lines(g, 4.0 * noise), tol)
-    good = _dedup([p for p in pairs if p.converged], _eig_key)
-    return [replace(p, value=p.value * top, residual=p.residual * top) for p in good]
+    pairs = _polish(arr, mode, variant, _root_lines(g, 4.0 * noise), tol)
+    return _dedup([p for p in pairs if p.converged], _eig_key)
 
 
 # -- iterative path for larger modes --------------------------------------------
@@ -342,12 +337,12 @@ def _fit_scale(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(nonzero, np.sum(f * w, axis=0) / np.where(nonzero, denom, 1.0), 0.0)
 
 
-def _damped_newton(residual, jacobian, v, scale, iters=50, tol=1e-13):
+def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
     """Damped Gauss-Newton on every column of ``v`` at once.
 
     ``residual`` maps an ``(n, C)`` block of points to their ``(r, C)``
     residuals and ``jacobian`` to their exact ``(C, r, n)`` Jacobians.  Per
-    column: stop once ``max|residual| <= tol * scale``; otherwise take the
+    column: stop once ``max|residual| <= tol``; otherwise take the
     minimum-norm least-squares step and halve it, at most 20 times, until the
     residual's 2-norm drops; a column whose residual never drops stops there.
     """
@@ -355,7 +350,7 @@ def _damped_newton(residual, jacobian, v, scale, iters=50, tol=1e-13):
     g = residual(v)
     cols = np.arange(v.shape[1])
     for _ in range(iters):
-        cols = cols[np.max(np.abs(g[:, cols]), axis=0) > tol * scale]
+        cols = cols[np.max(np.abs(g[:, cols]), axis=0) > tol]
         if not cols.size:
             break
         jac = jacobian(v[:, cols])
@@ -422,7 +417,7 @@ def _eig_system(arr, mode, power):
 def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts):
     order = arr.ndim
     symmetric = is_symmetric(DenseTensor(arr), tol=1e-12)
-    shift = 1.0 + float(np.sum(np.abs(arr)))
+    shift = float(np.sum(np.abs(arr)))
     nonneg = bool(np.all(arr >= 0.0))
     [x] = _starts(arr, [mode], starts, seed)
 
@@ -474,8 +469,7 @@ def _polish(arr, mode, variant, x, tol):
         return _contract_all_but_batch(arr, mode, x)
 
     residual, jacobian = _eig_system(arr, mode, power)
-    scale = 1.0 + float(np.max(np.abs(arr)))
-    v = _damped_newton(residual, jacobian, np.vstack([x, _fit_scale(F(x), x**power)]), scale)
+    v = _damped_newton(residual, jacobian, np.vstack([x, _fit_scale(F(x), x**power)]))
     x, lam = v[:m], v[m]
     if variant == "h":
         # the h equation is homogeneous; renormalize the records
@@ -503,6 +497,11 @@ def find_eigenpairs(
 ) -> list[EigenPair]:
     """Mode-``mode`` eigenpairs of a cubical tensor, deduplicated and sorted.
 
+    Every path solves ``T / max|T|`` (module docstring), so a record is
+    converged when ``eig_residual <= tol * max|T|``.  When the solutions are
+    not isolated (every unit vector solves the zero tensor; on size-2 modes,
+    whenever the binary form vanishes identically) a warning says so and
+    ``[]`` is returned.
     For modes of size 2 the starts are one unit vector per real root line of
     the binary form (module docstring), taken in both charts ``x_1/x_0`` and
     ``x_0/x_1``.  The k roots into which rounding splits a k-fold root are
@@ -510,12 +509,7 @@ def find_eigenpairs(
     isolated solution is found deterministically (``seed`` and ``max_iters``
     are unused, ``starts`` is only checked), except that two distinct root
     lines closer than the rounding spread of a double root (a few 1e-7 rad
-    for a 2x2x2 tensor) give one start and may be reported as one line.  The
-    tensor is solved as ``T / max|T|``: records are gated at
-    ``eig_residual <= tol * max|T|`` and do not depend on the tensor's
-    scale.  When the form vanishes identically (every unit vector is a
-    solution, as for the zero tensor) a warning says the family is not
-    isolated and ``[]`` is returned.
+    for a 2x2x2 tensor) give one start and may be reported as one line.
     For larger modes the ``starts`` are the leading left singular vectors of
     the mode's unfolding, then coordinate vectors, then ``default_rng(seed)``
     normal draws (`_starts`), and all run at once, one per column, through a
@@ -527,8 +521,8 @@ def find_eigenpairs(
     ``t = -1``) of every converged record before deduplication.  Pairs are
     sorted by decreasing |value|, then vector.
 
-    On larger modes every returned pair satisfies ``eig_residual <= tol``
-    except when nothing converged at all, in which case the single best
+    On larger modes every returned pair is converged except when nothing
+    converged at all, in which case the single best
     non-converged record is returned flagged (``converged=False``).  On
     size-2 modes ``[]`` is returned when no root line is real.  ``starts``
     below 1 raises `ValueError` on both paths.
@@ -542,9 +536,16 @@ def find_eigenpairs(
         raise ValueError(f"variant must be 'z' or 'h', got {variant!r}")
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    if m == 2:
-        return _size2_solve(arr, mode, variant, tol)
-    return _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts)
+    top = float(np.max(np.abs(arr)))
+    pairs = None
+    if top > 0.0 and m == 2:
+        pairs = _size2_solve(arr / top, mode, variant, tol)
+    elif top > 0.0:
+        pairs = _eig_iterative(arr / top, mode, variant, tol, max_iters, seed, starts)
+    if pairs is None:
+        warnings.warn("the solutions form a continuous family, not isolated; no records are returned", stacklevel=2)
+        return []
+    return [replace(p, value=p.value * top, residual=p.residual * top) for p in pairs]
 
 
 def find_eigenpairs_contract_trailing(t: DenseTensor, variant: str, **opts) -> list[EigenPair]:
@@ -581,25 +582,27 @@ def eig_orbit(pair: EigenPair, t_scale: float, order: int, tensor: DenseTensor |
 # -- singular tuples -------------------------------------------------------------
 
 
-def _signed_root(v: np.ndarray, k: int) -> np.ndarray:
-    return np.sign(v) * np.abs(v) ** (1.0 / k)
+def _phi(v: np.ndarray, k: float) -> np.ndarray:
+    """The signed power ``sign(v) |v|^k``, entrywise (``v`` itself at k = 1)."""
+    return v if k == 1 else np.sign(v) * np.abs(v) ** k
 
 
 def _tuple_system(arr, p):
     """Residual and exact Jacobian of the singular system at the columns ``[x_1; ..; x_O; sigma]``.
 
-    The rows are ``F_o - sigma * x_o^power`` for every mode ``o``, then
-    ``sum |x_o|^p - 1`` for every mode.  The block ``dF_o/dx_j`` is the
-    tensor contracted with the vectors on every mode except ``o`` and ``j``.
+    The rows are ``F_o - sigma * phi(x_o, p - 1)`` (`_phi`) for every mode
+    ``o``, then ``sum |x_o|^p - 1`` for every mode.  The block ``dF_o/dx_j``
+    is the tensor contracted with the vectors on every mode except ``o`` and
+    ``j``.
     """
     order = arr.ndim
-    power = 1 if p == 2 else order - 1
+    power = p - 1
     offsets = np.cumsum([0] + list(arr.shape))
     n = int(offsets[-1])
 
     def residual(v):
         xs, sig = np.split(v[:n], offsets[1:-1]), v[n]
-        eqs = [_contract_all_but_batch(arr, o + 1, xs[:o] + xs[o + 1:]) - sig * xs[o] ** power for o in range(order)]
+        eqs = [_contract_all_but_batch(arr, o + 1, xs[:o] + xs[o + 1:]) - sig * _phi(xs[o], power) for o in range(order)]
         norms = np.array([np.sum(np.abs(x) ** p, axis=0) - 1.0 for x in xs])
         return np.vstack(eqs + [norms])
 
@@ -615,34 +618,27 @@ def _tuple_system(arr, p):
                 jac[:, rows, cols] = block
                 jac[:, cols, rows] = np.swapaxes(block, 1, 2)
             diag = np.arange(offsets[o], offsets[o + 1])
-            jac[:, diag, diag] = -(power * sig * xs[o] ** (power - 1)).T
-            jac[:, rows, n] = -(xs[o] ** power).T
-            jac[:, n + o, rows] = (p * np.sign(xs[o]) * np.abs(xs[o]) ** (p - 1)).T
+            jac[:, diag, diag] = -(power * sig * np.abs(xs[o]) ** (power - 1)).T
+            jac[:, rows, n] = -_phi(xs[o], power).T
+            jac[:, n + o, rows] = (p * _phi(xs[o], p - 1)).T
         return jac
 
     return residual, jacobian
 
 
-def _canonical_tuple_signs(xs: list[np.ndarray], sigma: float, p: int, order: int):
-    """Deterministic sign gauge so flip-equivalent records dedup together."""
+def _canonical_tuple_signs(xs: list[np.ndarray], sigma: float):
+    """Deterministic sign gauge so flip-equivalent records dedup together.
 
-    def first_nonzero_sign(v):
-        for val in v:
-            if abs(val) > 1e-12:
-                return 1.0 if val > 0 else -1.0
-        return 1.0
-
-    xs = [x.copy() for x in xs]
-    if p == 2 or order % 2 == 0:
-        for o in range(order):
-            if first_nonzero_sign(xs[o]) < 0:
-                xs[o] = -xs[o]
-                sigma = -sigma
-    else:
-        # odd order, p = O: only the global flip (scale t = -1) is available
-        if first_nonzero_sign(xs[0]) < 0:
-            xs = [-x for x in xs]
-    return xs, sigma
+    Each factor's first entry above 1e-12 in magnitude is made positive, each
+    flip negating sigma.
+    """
+    out = []
+    for x in xs:
+        big = x[np.abs(x) > 1e-12]
+        flip = big.size > 0 and big[0] < 0
+        out.append(-x if flip else x.copy())
+        sigma = -sigma if flip else sigma
+    return out, sigma
 
 
 def find_singular_tuples(
@@ -660,15 +656,16 @@ def find_singular_tuples(
     starts are the per-mode leading left singular vectors of the
     unfoldings, then coordinate vectors, then ``default_rng(seed)`` normal
     draws (`_starts`); all of them run at once through the cyclic update
-    ``x_o <- normalize_p(F_o)`` (with entrywise signed roots feeding the lO
-    variant) until no factor moves by more than 1e-13 over a sweep, and are
-    then tightened by a least-squares Newton pass on the coupled system.  A
-    start whose iterate collapses to zero restarts from the derived seed
-    ``seed + starts + k`` (k = 1, 2, ...), at most ``starts`` times in all.
-    A record is flagged converged when its residual is at most ``tol`` and
-    every factor's p-norm is within ``tol`` of 1.  The converged records are
-    deduplicated under the sign gauge and sorted by decreasing |sigma|; when
-    none converged, the single best record is returned flagged.
+    ``x_o <- normalize_p(sign(F_o) |F_o|^(1/(p-1)))`` until no factor moves by
+    more than 1e-13 over a sweep, and are then tightened by a least-squares
+    Newton pass on the coupled system.  A start whose iterate collapses to
+    zero restarts from the derived seed ``seed + starts + k`` (k = 1, 2, ...),
+    at most ``starts`` times in all.  The tensor is solved as ``T / max|T|``
+    (module docstring): a record is flagged converged when
+    ``singular_residual <= tol * max|T|`` and every factor's p-norm is within
+    ``tol`` of 1.  The converged records are deduplicated under the sign
+    gauge and sorted by decreasing |sigma|; when none converged, the single
+    best record is returned flagged.  The zero tensor gives ``[]``.
     Completeness is not claimed (the problem is NP-hard in general).
     """
     arr = _as_array(t)
@@ -679,30 +676,32 @@ def find_singular_tuples(
         raise ValueError(f"p must be 2 or the tensor order {order}, got {p}")
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    top = float(np.max(np.abs(arr)))
+    if top == 0.0:
+        return []
+    arr = arr / top
     dims = arr.shape
-    power = 1 if p == 2 else order - 1
+    power = p - 1
     offsets = np.cumsum([0] + list(dims))
     n = int(offsets[-1])
 
     def update(k, cur, cols):
-        f = _contract_all_but_batch(arr, k + 1, cur[:k] + cur[k + 1:])
-        return f if p == 2 else _signed_root(f, order - 1)
+        return _phi(_contract_all_but_batch(arr, k + 1, cur[:k] + cur[k + 1:]), 1.0 / power)
 
     residual, jacobian = _tuple_system(arr, p)
-    scale = 1.0 + float(np.max(np.abs(arr)))
 
     def run(blocks) -> list[SingularTuple | None]:
         blocks, status = _power_sweeps(update, blocks, p, 1e-13, max_iters)
         live = np.flatnonzero(status >= 0)
         xs = [b[:, live] for b in blocks]
-        sigma0 = _fit_scale(_contract_all_but_batch(arr, 1, xs[1:]), xs[0] ** power)
-        v = _damped_newton(residual, jacobian, np.vstack(xs + [sigma0]), scale)
+        sigma0 = _fit_scale(_contract_all_but_batch(arr, 1, xs[1:]), _phi(xs[0], power))
+        v = _damped_newton(residual, jacobian, np.vstack(xs + [sigma0]))
         res = np.max(np.abs(residual(v)[:n]), axis=0)
         xs, sigma = np.split(v[:n], offsets[1:-1]), v[n]
         unit = np.all([np.abs(np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p) - 1.0) <= tol for x in xs], axis=0)
         out: list[SingularTuple | None] = [None] * status.size
         for c, s in enumerate(live):
-            vecs, sig = _canonical_tuple_signs([x[:, c] for x in xs], sigma[c], p, order)
+            vecs, sig = _canonical_tuple_signs([x[:, c] for x in xs], sigma[c])
             out[s] = SingularTuple(p, sig, tuple(vecs), res[c], converged=bool(res[c] <= tol and unit[c]))
         return out
 
@@ -717,8 +716,8 @@ def find_singular_tuples(
         blocks = [np.column_stack([np.random.default_rng(seed + starts + k).normal(size=d) for k in fresh]) for d in dims]
         for i, r in zip(dead, [r for r in run([b / np.linalg.norm(b, axis=0) for b in blocks]) if r is not None]):
             results[i] = r
-    tuples = [r for r in results if r is not None]
-    return _converged_or_best(tuples, lambda r: (r.sigma, np.concatenate(r.vectors)))
+    tuples = _converged_or_best([r for r in results if r is not None], lambda r: (r.sigma, np.concatenate(r.vectors)))
+    return [replace(r, sigma=r.sigma * top, residual=r.residual * top) for r in tuples]
 
 
 def singular_orbit(
@@ -731,11 +730,12 @@ def singular_orbit(
     """Apply one equivalence operation to a singular tuple.
 
     ``scale=t``: every vector scales by ``t``; sigma scales by ``t^(O-2)``
-    for p=2 and is unchanged for p=O.  ``flip``: a per-mode sign mask; an odd
-    number of flips negates sigma, an even number leaves it unchanged.  For
-    the lO variant with odd order there is no sign indeterminacy and flips
-    are rejected.  Flips preserve the residual exactly; scaling multiplies it
-    by ``|t|^(O-1)`` (re-evaluated when ``tensor`` is given).
+    for p=2 and by ``sign(t)^(O-2)`` for p=O (phi is odd, so a negative
+    ``t`` negates sigma at odd order).  ``flip``: a per-mode sign mask; an odd
+    number of flips negates sigma, an even number leaves it unchanged.  Every
+    mask is a symmetry of both variants at every order and preserves the
+    residual exactly; scaling multiplies it by ``|t|^(O-1)`` (re-evaluated
+    when ``tensor`` is given).
     """
     if (scale is None) == (flip is None):
         raise ValueError("give exactly one of scale= or flip=")
@@ -744,14 +744,12 @@ def singular_orbit(
         if scale == 0.0:
             raise ValueError("orbit scale must be nonzero")
         vectors = tuple(scale * v for v in tup.vectors)
-        sigma = tup.sigma * scale ** (order - 2) if tup.p == 2 else tup.sigma
+        sigma = tup.sigma * (scale if tup.p == 2 else np.sign(scale)) ** (order - 2)
         residual = tup.residual * abs(scale) ** (order - 1)
     else:
         flip = tuple(bool(b) for b in flip)
         if len(flip) != order:
             raise ValueError(f"flip mask needs {order} entries, got {len(flip)}")
-        if tup.p != 2 and order % 2 == 1 and any(flip):
-            raise ValueError("lO tuples of odd order admit no sign flips")
         vectors = tuple(-v if b else v for v, b in zip(tup.vectors, flip))
         sigma = -tup.sigma if sum(flip) % 2 == 1 else tup.sigma
         residual = tup.residual

@@ -106,6 +106,15 @@ class TestSvd:
         assert code == 0
         assert all(t["residual"] <= 1e-10 for t in json.loads(out)["tuples"])
 
+    def test_lO_odd_order(self, capsys, tmp_path):
+        arr = np.random.default_rng(3).normal(size=(3, 3, 3))
+        path = tmp_path / "gen3.json"
+        save_tensor(DenseTensor(arr), path)
+        code, out = run(capsys, ["svd", "--p", "O", str(path)])
+        assert code == 0
+        tuples = json.loads(out)["tuples"]
+        assert tuples and all(t["residual"] <= 1e-10 * np.max(np.abs(arr)) for t in tuples)
+
     def test_order1_is_4(self, capsys, tmp_path):
         path = tmp_path / "vector.json"
         save_tensor(DenseTensor([1.0, 2.0, 3.0]), path)

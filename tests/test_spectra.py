@@ -5,6 +5,7 @@ and all-twos; derived values are verified here against brute-force circle
 oracles that never call the solver path they check.
 """
 
+import itertools
 import math
 import warnings
 
@@ -30,7 +31,7 @@ from tensorspec.spectra import (
     singular_orbit,
     singular_residual,
 )
-from tensorspec.tensor import DenseTensor, outer
+from tensorspec.tensor import DenseTensor, is_symmetric, outer
 
 
 def golden_222():
@@ -52,14 +53,15 @@ def contains_pair(pairs, value, vector, tol=1e-8):
     )
 
 
-def random_symmetric(m, seed, order=3):
-    import itertools
-
-    arr = rng(seed).normal(size=(m,) * order)
+def symmetrize(arr):
     sym = np.zeros_like(arr)
-    for p in itertools.permutations(range(order)):
+    for p in itertools.permutations(range(arr.ndim)):
         sym += np.transpose(arr, p)
-    return DenseTensor(sym / math.factorial(order))
+    return sym / math.factorial(arr.ndim)
+
+
+def random_symmetric(m, seed, order=3):
+    return DenseTensor(symmetrize(rng(seed).normal(size=(m,) * order)))
 
 
 SQ2 = math.sqrt(2.0)
@@ -197,11 +199,16 @@ class TestFindEigenpairsGolden:
             find_eigenpairs(golden_222(), 1, "q")
 
 
+def scalar_and_vector(r):
+    return (r.value, r.vector) if isinstance(r, EigenPair) else (r.sigma, np.concatenate(r.vectors))
+
+
 def same_scaled_records(base, scaled, s, top, tol=1e-9):
     """Both ways, every record of ``base`` times ``s`` has a record of ``scaled`` within ``tol``."""
 
     def near(p, q):
-        return abs(q.value - s * p.value) <= tol * s * top and np.max(np.abs(q.vector - p.vector)) <= tol
+        (a, u), (b, w) = scalar_and_vector(p), scalar_and_vector(q)
+        return abs(b - s * a) <= tol * s * top and np.max(np.abs(w - u)) <= tol
 
     return all(any(near(p, q) for q in scaled) for p in base) and all(any(near(p, q) for p in base) for q in scaled)
 
@@ -273,9 +280,11 @@ class TestSize2BinaryForm:
                 assert same_scaled_records(base, scaled, s, np.max(np.abs(arr)))
 
     def test_zero_tensor_is_not_isolated(self):
-        for variant in ("z", "h"):
-            with pytest.warns(UserWarning, match="not isolated"):
-                assert find_eigenpairs(DenseTensor.zeros([2, 2, 2]), 1, variant) == []
+        # on every path, not only size 2
+        for dims in ([2, 2, 2], [3, 3, 3], [4, 4, 4, 4]):
+            for variant in ("z", "h"):
+                with pytest.warns(UserWarning, match="not isolated"):
+                    assert find_eigenpairs(DenseTensor.zeros(dims), 1, variant) == []
 
     def test_identity_matrix_is_not_isolated(self):
         # every unit vector is an eigenvector
@@ -336,6 +345,58 @@ class TestFindEigenpairsIterative:
         pairs = find_eigenpairs(t, 1, "h", starts=16)
         pos = [p for p in pairs if p.value > 0 and np.all(p.vector > 0)]
         assert pos and all(p.residual <= 1e-10 for p in pos)
+
+
+def converged_records(arr, variant):
+    t = DenseTensor(arr)
+    if variant in ("z", "h"):
+        records = find_eigenpairs(t, 1, variant)
+    else:
+        records = find_singular_tuples(t, 2 if variant == "l2" else arr.ndim)
+    return [r for r in records if r.converged]
+
+
+class TestIterativeScaleEquivariance:
+    """The records of s*T are those of T, with lambda and sigma times s."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["general", "symmetric", "nonnegative"]),
+        variant=st.sampled_from(["z", "h", "l2", "lO"]),
+    )
+    def test_scaled_copies_keep_their_records(self, data, kind, variant):
+        arr = np.array(data.draw(st.lists(ENTRY, min_size=27, max_size=27))).reshape(3, 3, 3)
+        arr = {"general": arr, "symmetric": symmetrize(arr), "nonnegative": np.abs(arr)}[kind]
+        top = np.max(np.abs(arr))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            base = converged_records(arr, variant)
+            # a power of two scales every entry exactly, so the records agree to the bit
+            for s in (2.0**27, 2.0**-27, 2.0**500, 2.0**-500):
+                scaled = converged_records(arr * s, variant)
+                assert len(scaled) == len(base)
+                assert same_scaled_records(base, scaled, s, top, tol=0.0)
+            # a decimal scale moves T / max|T| by an ulp.  z on non-symmetric input runs
+            # the unshifted map and h on input with a negative entry runs plain Newton
+            # from the starts; neither need converge, so their records can change with
+            # one-ulp changes (ROADMAP item 4)
+            if (variant == "z" and not is_symmetric(DenseTensor(arr))) or (variant == "h" and np.any(arr < 0.0)):
+                return
+            for s in (1e8, 1e-8, 1e150, 1e-150):
+                scaled = converged_records(arr * s, variant)
+                assert len(scaled) == len(base)
+                assert same_scaled_records(base, scaled, s, top)
+
+    def test_benchmark_scale_probes(self):
+        # the scale probes of bench/workloads.py: symmetric 3^3, l2 at 1e+-200 and z at 1e100
+        for seed in range(3):
+            arr = random_symmetric(3, seed=400 + seed).to_array()
+            top = np.max(np.abs(arr))
+            for variant, s in (("l2", 1e200), ("l2", 1e-200), ("z", 1e100)):
+                base, scaled = converged_records(arr, variant), converged_records(arr * s, variant)
+                assert base and len(scaled) == len(base)
+                assert same_scaled_records(base, scaled, s, top)
 
 
 class TestEigOrbit:
@@ -405,13 +466,16 @@ def eig_residual_loop(arr, pair):
     return float(np.max(np.abs(f - pair.value * rhs)))
 
 
+def signed_power(v, k):
+    return np.sign(v) * np.abs(v) ** k
+
+
 def singular_residual_loop(arr, tup):
-    """The tuple defect as computed before it read `_tuple_system`'s residual: one loop per mode."""
-    power = 1 if tup.p == 2 else arr.ndim - 1
+    """The tuple defect ``F_o - sigma sign(x_o)|x_o|^(p-1)``, one loop per mode."""
     worst = 0.0
     for o in range(arr.ndim):
         f = contract_all_but_loop(arr, o + 1, tup.vectors[:o] + tup.vectors[o + 1:])
-        worst = max(worst, float(np.max(np.abs(f - tup.sigma * tup.vectors[o] ** power))))
+        worst = max(worst, float(np.max(np.abs(f - tup.sigma * signed_power(tup.vectors[o], tup.p - 1)))))
     return worst
 
 
@@ -537,14 +601,34 @@ class TestFindSingularTuples:
                 assert np.sum(np.abs(v) ** 3) == pytest.approx(1.0, abs=1e-9)
 
     def test_lO_odd_order_no_flip_duplicates(self):
-        t = golden_222()
-        tuples = find_singular_tuples(t, 3)
-        for i, a in enumerate(tuples):
-            for b in tuples[i + 1:]:
-                for mask in [(True, False, False), (True, True, False), (False, True, False)]:
-                    flipped = [(-v if f else v) for v, f in zip(a.vectors, mask)]
-                    same = all(np.max(np.abs(u - w)) <= 1e-8 for u, w in zip(flipped, b.vectors))
-                    assert not same
+        for t in (golden_222(), DenseTensor(rng(60).normal(size=(3, 3, 3))), random_symmetric(3, seed=61)):
+            tuples = find_singular_tuples(t, 3)
+            for i, a in enumerate(tuples):
+                for b in tuples[i + 1:]:
+                    for mask in itertools.product((False, True), repeat=3):
+                        f = singular_orbit(a, flip=mask)
+                        assert abs(f.sigma - b.sigma) > 1e-8 * max(1.0, abs(b.sigma)) or any(
+                            np.max(np.abs(u - w)) > 1e-8 for u, w in zip(f.vectors, b.vectors)
+                        )
+
+    def test_lO_odd_order_solves_signed_equation(self):
+        # F_o = sigma sign(x_o) |x_o|^2 with unit l3 norms (Lim 2005), each F_o one einsum
+        for shape in [(3, 3, 3), (4, 4, 4), (5, 6, 7)]:
+            for seed in range(3):
+                arr = rng(70 + seed).normal(size=shape)
+                good = [tup for tup in find_singular_tuples(DenseTensor(arr), 3) if tup.converged]
+                assert good
+                for tup in good:
+                    x, y, z = tup.vectors
+                    fs = [np.einsum("ijk,j,k->i", arr, y, z), np.einsum("ijk,i,k->j", arr, x, z), np.einsum("ijk,i,j->k", arr, x, y)]
+                    for f, v in zip(fs, tup.vectors):
+                        assert np.max(np.abs(f - tup.sigma * signed_power(v, 2))) <= 1e-8 * np.max(np.abs(arr))
+                        assert np.sum(np.abs(v) ** 3) == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_tensor_has_no_tuples(self):
+        for dims in ([2, 2, 2], [3, 3, 3], [3, 4]):
+            for p in (2, len(dims)):
+                assert find_singular_tuples(DenseTensor.zeros(dims), p) == []
 
     def test_sigma_is_norm_proxy(self):
         t = golden_222()
@@ -595,10 +679,45 @@ class TestSingularOrbit:
         moved = singular_orbit(tup, scale=5.0, tensor=t)
         assert moved.sigma == tup.sigma
 
-    def test_lO_odd_flip_rejected(self):
-        tup = SingularTuple(3, 1.0, tuple(np.ones(2) for _ in range(3)), 0.0)
-        with pytest.raises(ValueError):
-            singular_orbit(tup, flip=(True, False, False))
+    def test_lO_odd_flip_is_a_record(self):
+        arr = rng(80).normal(size=(3, 3, 3))
+        t = DenseTensor(arr)
+        tup = next(r for r in find_singular_tuples(t, 3) if r.converged)
+        for o in range(3):
+            flipped = singular_orbit(tup, flip=[k == o for k in range(3)], tensor=t)
+            assert flipped.sigma == -tup.sigma
+            assert flipped.residual == singular_residual(t, tup) <= 1e-10 * np.max(np.abs(arr))
+
+    def test_lO_negative_scale_is_the_full_flip(self):
+        # phi is odd, so t = -1 negates sigma at odd order, as flipping all three modes does
+        arr = rng(80).normal(size=(3, 3, 3))
+        t = DenseTensor(arr)
+        tup = next(r for r in find_singular_tuples(t, 3) if r.converged)
+        residual = singular_residual(t, tup)
+        moved = singular_orbit(tup, scale=-1.0, tensor=t)
+        flipped = singular_orbit(tup, flip=(True, True, True), tensor=t)
+        assert moved.sigma == flipped.sigma == -tup.sigma
+        assert all(np.array_equal(a, b) for a, b in zip(moved.vectors, flipped.vectors))
+        assert moved.residual == flipped.residual == residual <= 1e-10 * np.max(np.abs(arr))
+        # a power of two scales the residual exactly, by |t|^(O-1)
+        far = singular_orbit(tup, scale=-2.0, tensor=t)
+        assert far.sigma == -tup.sigma
+        assert far.residual == 4.0 * residual
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dims=st.lists(st.integers(2, 4), min_size=3, max_size=3), p=st.sampled_from([2, 3]))
+    def test_single_mode_flips_are_records(self, data, dims, p):
+        arr = np.array(data.draw(st.lists(ENTRY, min_size=math.prod(dims), max_size=math.prod(dims)))).reshape(dims)
+        t = DenseTensor(arr)
+        for tup in find_singular_tuples(t, p, starts=8):
+            if not tup.converged:
+                continue
+            residual = singular_residual(t, tup)
+            assert residual <= 1e-9 * np.max(np.abs(arr))
+            for o in range(3):
+                flipped = singular_orbit(tup, flip=[k == o for k in range(3)], tensor=t)
+                assert flipped.sigma == -tup.sigma
+                assert flipped.residual == residual
 
     def test_argument_validation(self):
         tup = SingularTuple(2, 1.0, tuple(np.ones(2) for _ in range(3)), 0.0)
@@ -855,7 +974,7 @@ class TestBatchedSolvers:
 
             (x,), status = _power_sweeps(update, [x0[:, cols]], 2, 1e-14, 500)
             lam = np.sum(_contract_all_but_batch(arr, 1, x) * x, axis=0)
-            v = _damped_newton(*_eig_system(arr, 1, 1), np.vstack([x, lam]), 1.0 + np.max(np.abs(arr)))
+            v = _damped_newton(*_eig_system(arr, 1, 1), np.vstack([x, lam]))
             return v, status
 
         everything, status = solve(np.arange(24))
