@@ -4,20 +4,22 @@ Subcommands: info, contract, eig, svd, cp, tucker, hosvd, odeco, mlrank.
 Input tensors come from the JSON tensor file format; results go to stdout or
 ``--output`` as JSON (round-trippable through the library's deserializers) or
 as a plain table.  All numbers are printed to 12 significant digits and runs
-with the same seed and inputs produce byte-identical output.
+with the same seed and inputs produce byte-identical output.  The JSON bytes
+are ``json.dumps(obj, indent=2)`` of the result with every float rounded to 12
+significant digits, plus a newline; `_to_json` writes them in one pass.
 
 Exit codes: 0 success, 2 input parse error, 3 solver non-convergence (partial
-results are still emitted, flagged), 4 invalid flags.
+results are still emitted, flagged), 4 invalid flags or an unwritable
+``--output``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Any
-
-import numpy as np
+from typing import Any, Callable
 
 from . import serialize
 from .contract import contract
@@ -38,19 +40,44 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _sig12(x: float) -> float:
-    """Round to 12 significant digits so output is stable across platforms."""
-    return float(f"{float(x):.12g}")
+# how json.dumps spells the non-finite floats
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _round_floats(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return _sig12(obj)
+def _token(s: str) -> str:
+    """JSON token of the float that the ``.12g`` string ``s`` rounds to.
+
+    A token with a point and no exponent is already that float's repr; the
+    rest (integral values, exponents, zeros, subnormals) take ``repr(float(s))``.
+    """
+    if "." in s and "e" not in s:
+        return s
+    return _NONFINITE.get(s) or repr(float(s))
+
+
+def _to_json(obj: Any, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, every float in dicts and lists rounded to 12 digits.
+
+    Dict keys are strings, as in every CLI result.  A list of plain floats is
+    written as one join of their tokens.
+    """
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = (json.dumps(k) + ": " + _to_json(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float}:
+            items = map(_token, map("{:.12g}".format, obj))
+        else:
+            items = (_to_json(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, float):
+        return _token(f"{obj:.12g}")
+    return json.dumps(obj)
 
 
 def _fmt(x: float) -> str:
@@ -65,20 +92,29 @@ def _load(path: str) -> DenseTensor:
         raise SystemExit(EXIT_PARSE)
 
 
-def _emit(obj: dict[str, Any], table_lines: list[str], args) -> None:
+def _emit(obj: dict[str, Any], table_lines: Callable[[], list[str]], args) -> None:
+    """Write ``obj`` as JSON, or the lines ``table_lines()`` builds for ``--format table``."""
     if args.format == "json":
-        text = json.dumps(_round_floats(obj), indent=2) + "\n"
+        text = _to_json(obj) + "\n"
     else:
-        text = "\n".join(table_lines) + "\n"
-    if args.output:
+        text = "\n".join(table_lines()) + "\n"
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _vec_str(v) -> str:
     return "(" + ", ".join(_fmt(x) for x in v) + ")"
+
+
+def _tensor_lines(t: DenseTensor) -> list[str]:
+    return [f"shape: {list(t.dims)}", f"data: {[_fmt(x) for x in t.to_buffer()]}"]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -153,6 +189,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """`build_parser`, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _cmd_info(args) -> int:
     t = _load(args.input)
     symmetric = t.is_cubical and is_symmetric(t, tol=1e-12)
@@ -164,14 +206,13 @@ def _cmd_info(args) -> int:
         "frobenius_norm": frobenius_norm(t),
         "multilinear_rank": list(mlr),
     }
-    lines = [
+    _emit(obj, lambda: [
         f"order: {t.order}",
         f"shape: {list(t.dims)}",
         f"symmetric: {str(symmetric).lower()}",
-        f"frobenius_norm: {_fmt(frobenius_norm(t))}",
+        f"frobenius_norm: {_fmt(obj['frobenius_norm'])}",
         f"multilinear_rank: {list(mlr)}",
-    ]
-    _emit(obj, lines, args)
+    ], args)
     return EXIT_OK
 
 
@@ -181,12 +222,9 @@ def _cmd_contract(args) -> int:
     mode = args.mode if args.mode is not None else a.order
     out = contract(a, mode, b, 1)
     if isinstance(out, DenseTensor):
-        obj = serialize.tensor_to_dict(out)
-        lines = [f"shape: {list(out.dims)}", f"data: {[_fmt(x) for x in out.to_buffer()]}"]
+        _emit(serialize.tensor_to_dict(out), lambda: _tensor_lines(out), args)
     else:
-        obj = {"scalar": out}
-        lines = [f"scalar: {_fmt(out)}"]
-    _emit(obj, lines, args)
+        _emit({"scalar": out}, lambda: [f"scalar: {_fmt(out)}"], args)
     return EXIT_OK
 
 
@@ -194,12 +232,10 @@ def _cmd_eig(args) -> int:
     t = _load(args.input)
     pairs = find_eigenpairs(t, args.mode, args.variant, **_solver_opts(args))
     obj = {"pairs": [serialize.eigenpair_to_dict(p) for p in pairs]}
-    lines = [f"{'variant':<8}{'mode':<6}{'lambda':<22}{'vector':<40}residual"]
-    for p in pairs:
-        lines.append(
-            f"{p.variant:<8}{p.mode:<6}{_fmt(p.value):<22}{_vec_str(p.vector):<40}{_fmt(p.residual)}"
-        )
-    _emit(obj, lines, args)
+    _emit(obj, lambda: [f"{'variant':<8}{'mode':<6}{'lambda':<22}{'vector':<40}residual"] + [
+        f"{p.variant:<8}{p.mode:<6}{_fmt(p.value):<22}{_vec_str(p.vector):<40}{_fmt(p.residual)}"
+        for p in pairs
+    ], args)
     return EXIT_OK if all(p.converged for p in pairs) else EXIT_NOCONVERGE
 
 
@@ -208,11 +244,10 @@ def _cmd_svd(args) -> int:
     p_val = 2 if args.p == "2" else t.order
     tuples = find_singular_tuples(t, p_val, **_solver_opts(args))
     obj = {"tuples": [serialize.singular_tuple_to_dict(s) for s in tuples]}
-    lines = [f"{'p':<4}{'sigma':<22}{'residual':<14}vectors"]
-    for s in tuples:
-        vecs = " ".join(_vec_str(v) for v in s.vectors)
-        lines.append(f"{s.p:<4}{_fmt(s.sigma):<22}{_fmt(s.residual):<14}{vecs}")
-    _emit(obj, lines, args)
+    _emit(obj, lambda: [f"{'p':<4}{'sigma':<22}{'residual':<14}vectors"] + [
+        f"{s.p:<4}{_fmt(s.sigma):<22}{_fmt(s.residual):<14}{' '.join(map(_vec_str, s.vectors))}"
+        for s in tuples
+    ], args)
     return EXIT_OK if all(s.converged for s in tuples) else EXIT_NOCONVERGE
 
 
@@ -223,12 +258,11 @@ def _cmd_cp(args) -> int:
     obj["relative_error"] = res.error
     obj["sweeps"] = len(res.errors)
     obj["converged"] = res.converged
-    lines = [
+    _emit(obj, lambda: [
         f"rank: {res.cp.rank}",
         f"relative_error: {_fmt(res.error)}",
         f"weights: {[_fmt(w) for w in res.cp.weights]}",
-    ]
-    _emit(obj, lines, args)
+    ], args)
     return EXIT_OK if res.converged else EXIT_NOCONVERGE
 
 
@@ -240,9 +274,7 @@ def _cmd_tucker(args) -> int:
         print(f"error: cannot read Tucker decomposition from {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out = tucker_eval(tk)
-    obj = serialize.tensor_to_dict(out)
-    lines = [f"shape: {list(out.dims)}", f"data: {[_fmt(x) for x in out.to_buffer()]}"]
-    _emit(obj, lines, args)
+    _emit(serialize.tensor_to_dict(out), lambda: _tensor_lines(out), args)
     return EXIT_OK
 
 
@@ -259,11 +291,10 @@ def _cmd_hosvd(args) -> int:
     err = frobenius_norm(tucker_eval(tk) - t)
     obj = serialize.tucker_to_dict(tk)
     obj["reconstruction_error"] = err
-    lines = [
+    _emit(obj, lambda: [
         f"core_shape: {list(tk.core.dims)}",
         f"reconstruction_error: {_fmt(err)}",
-    ]
-    _emit(obj, lines, args)
+    ], args)
     return EXIT_OK
 
 
@@ -278,22 +309,19 @@ def _cmd_odeco(args) -> int:
     obj["reconstruction_error"] = res.reconstruction_error
     obj["orthogonality_defect"] = res.orthogonality_defect
     obj["status"] = res.status
-    lines = [
+    _emit(obj, lambda: [
         f"status: {res.status}",
         f"reconstruction_error: {_fmt(res.reconstruction_error)}",
         f"orthogonality_defect: {_fmt(res.orthogonality_defect)}",
         f"weights: {[_fmt(w) for w in res.cp.weights]}",
-    ]
-    _emit(obj, lines, args)
+    ], args)
     return EXIT_OK if res.ok else EXIT_NOCONVERGE
 
 
 def _cmd_mlrank(args) -> int:
     t = _load(args.input)
     mlr = multilinear_rank(t, tol=args.tol if args.tol is not None else 1e-8)
-    obj = {"multilinear_rank": list(mlr)}
-    lines = [f"multilinear_rank: {list(mlr)}"]
-    _emit(obj, lines, args)
+    _emit({"multilinear_rank": list(mlr)}, lambda: [f"multilinear_rank: {list(mlr)}"], args)
     return EXIT_OK
 
 
@@ -311,7 +339,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, IndexError) as exc:

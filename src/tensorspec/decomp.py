@@ -217,8 +217,10 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     """Numerical rank of every single-mode matricization.
 
     Singular values above ``tol`` times the largest one count; each component
-    lower-bounds the tensor rank.
+    lower-bounds the tensor rank.  ``tol`` below 0 or NaN raises `ValueError`.
     """
+    if not tol >= 0:  # also catches NaN
+        raise ValueError("tol must be >= 0")
     arr = _as_array(t)
     out = []
     for o in range(1, arr.ndim + 1):
@@ -345,11 +347,11 @@ def cp_als(
     seeds ``seed + k``) and keeps the best final error; ties break on the
     start index.  All starts run at once as slices of stacked factor
     matrices, and a stopped start stays frozen while the others go on.
-    ``tol`` is the per-sweep improvement below which a start stops; a start
-    also stops, keeping its previous sweep, when a sweep would raise the
-    error (rounding at an exact fit).  The per-sweep error is the exact
-    relative residual, computed from the last mode's unfolding and the
-    Khatri-Rao product its update already built.  It is non-increasing
+    ``tol`` (at least 0) is the per-sweep improvement below which a start
+    stops; a start also stops, keeping its previous sweep, when a sweep
+    would raise the error (rounding at an exact fit).  The per-sweep error
+    is the exact relative residual, computed from the last mode's unfolding
+    and the Khatri-Rao product its update already built.  It is non-increasing
     across sweeps and the returned trace belongs to the winning start.
     """
     if rank < 1:
@@ -358,6 +360,8 @@ def cp_als(
         raise ValueError("starts must be >= 1")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if not tol >= 0:  # also catches NaN
+        raise ValueError("tol must be >= 0")
     arr = _as_array(t)
     order = arr.ndim
     if order < 2:
@@ -446,11 +450,11 @@ def odeco_decompose(
     Each round runs multi-start power iteration on the deflated remainder
     (symmetric map when ``symmetric``, alternating per-mode otherwise), keeps
     the largest-magnitude component found, subtracts it, and repeats until the
-    remainder drops below ``tol`` times the input norm or ``rank`` components
-    are extracted (default: the smallest mode size).  On input that is not
-    orthogonally decomposable the factor Gram check (entries within
-    ``_ORTH_TOL`` of the identity) or, without a ``rank`` cap, the
-    reconstruction check fails and the result carries the "not_orthogonal"
+    remainder drops below ``tol`` (at least 0) times the input norm or
+    ``rank`` components are extracted (default: the smallest mode size).  On
+    input that is not orthogonally decomposable the factor Gram check
+    (entries within ``_ORTH_TOL`` of the identity) or, without a ``rank``
+    cap, the reconstruction check fails and the result carries the "not_orthogonal"
     status.
     """
     if rank is not None and rank < 1:
@@ -459,6 +463,8 @@ def odeco_decompose(
         raise ValueError("starts must be >= 1")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if not tol >= 0:  # also catches NaN
+        raise ValueError("tol must be >= 0")
     arr = _as_array(t).copy()
     if symmetric and len(set(arr.shape)) != 1:
         raise ValueError("symmetric recovery needs a cubical tensor")

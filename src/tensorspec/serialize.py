@@ -5,9 +5,10 @@ The tensor file format is a bit-exact contract:
     {"shape": [M1, ..., MO], "layout": "colex", "data": [ ... floats ... ]}
 
 with integer dims ``M_i >= 1`` and exactly ``M1 * ... * MO`` finite numbers in
-colex (column-major) order.  The reader rejects wrong-length, nested,
-string, all-boolean and non-finite data, non-integer or non-positive dims,
-and unknown layouts.
+colex (column-major) order.  The entries must be JSON numbers, read as
+Python ``int`` or ``float``: the reader rejects wrong-length, nested, string,
+boolean (even one ``true`` among numbers) and non-finite data, non-integer or
+non-positive dims, and unknown layouts.
 
 CP and Tucker decompositions serialize as
 
@@ -51,7 +52,7 @@ def tensor_to_dict(t: DenseTensor) -> dict[str, Any]:
     return {
         "shape": list(t.dims),
         "layout": "colex",
-        "data": [float(x) for x in t.to_buffer()],
+        "data": t.to_buffer().tolist(),
     }
 
 
@@ -68,20 +69,18 @@ def tensor_from_dict(obj: dict[str, Any]) -> DenseTensor:
     if not isinstance(dims, list) or not all(type(d) is int and d >= 1 for d in dims):
         raise ValueError(f"shape must be a list of integers >= 1, got {dims!r}")
     data = obj["data"]
-    buf = np.asarray(data)
-    if buf.dtype.kind == "O" and buf.ndim == 1 and all(isinstance(x, (int, float)) for x in data):
-        # integers beyond 64 bits (JSON allows them) leave numpy an object array
-        try:
-            buf = np.asarray(data, dtype=float)
-        except OverflowError:
-            raise ValueError("tensor data must be finite") from None
-    if buf.ndim != 1 or buf.dtype.kind not in "iuf":
+    # one scan of the entry types: JSON numbers load as int or float; bool,
+    # str, None and nested lists are rejected
+    if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
         raise ValueError("data must be a flat list of numbers")
-    if buf.size != math.prod(dims):
+    if len(data) != math.prod(dims):
         raise ValueError(
-            f"data has {buf.size} entries, shape {dims} needs {math.prod(dims)}"
+            f"data has {len(data)} entries, shape {dims} needs {math.prod(dims)}"
         )
-    buf = buf.astype(float, copy=False)
+    try:
+        buf = np.asarray(data, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("tensor data must be finite") from None
     if not np.all(np.isfinite(buf)):
         raise ValueError("tensor data must be finite")
     return DenseTensor(buf, dims=dims)
@@ -94,18 +93,13 @@ def load_tensor(path) -> DenseTensor:
 
 def save_tensor(t: DenseTensor, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tensor_to_dict(t), fh)
-        fh.write("\n")
-
-
-def _matrix_to_lists(m: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in m]
+        fh.write(json.dumps(tensor_to_dict(t)) + "\n")
 
 
 def cp_to_dict(cp: CpDecomposition) -> dict[str, Any]:
     return {
         "weights": [float(w) for w in cp.weights],
-        "factors": [_matrix_to_lists(f) for f in cp.factors],
+        "factors": [f.tolist() for f in cp.factors],
     }
 
 
@@ -116,7 +110,7 @@ def cp_from_dict(obj: dict[str, Any]) -> CpDecomposition:
 def tucker_to_dict(tk: TuckerDecomposition) -> dict[str, Any]:
     return {
         "core": tensor_to_dict(tk.core),
-        "factors": [_matrix_to_lists(f) for f in tk.factors],
+        "factors": [f.tolist() for f in tk.factors],
     }
 
 

@@ -135,6 +135,15 @@ class SingularTuple:
         return singular_orbit(self, flip=(True,) + (False,) * (self.order - 1))
 
 
+def _check_run_opts(tol: float, max_iters: int, starts: int) -> None:
+    if not tol >= 0:  # also catches NaN
+        raise ValueError("tol must be >= 0")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    if starts < 1:
+        raise ValueError("starts must be >= 1")
+
+
 def _check_cubical(arr: np.ndarray) -> int:
     if len(set(arr.shape)) != 1:
         raise ValueError(f"eigenpairs are defined for cubical tensors only, got shape {arr.shape}")
@@ -506,9 +515,9 @@ def find_eigenpairs(
     the binary form (module docstring), taken in both charts ``x_1/x_0`` and
     ``x_0/x_1``.  The k roots into which rounding splits a k-fold root are
     merged into their mean, so a multiple root line gives one start.  Every
-    isolated solution is found deterministically (``seed`` and ``max_iters``
-    are unused, ``starts`` is only checked), except that two distinct root
-    lines closer than the rounding spread of a double root (a few 1e-7 rad
+    isolated solution is found deterministically (``seed`` is unused,
+    ``max_iters`` and ``starts`` are only checked), except that two distinct
+    root lines closer than the rounding spread of a double root (a few 1e-7 rad
     for a 2x2x2 tensor) give one start and may be reported as one line.
     For larger modes the ``starts`` are the leading left singular vectors of
     the mode's unfolding, then coordinate vectors, then ``default_rng(seed)``
@@ -525,7 +534,8 @@ def find_eigenpairs(
     converged at all, in which case the single best
     non-converged record is returned flagged (``converged=False``).  On
     size-2 modes ``[]`` is returned when no root line is real.  ``starts``
-    below 1 raises `ValueError` on both paths.
+    or ``max_iters`` below 1 and ``tol`` below 0 or NaN raise `ValueError`
+    on both paths.
     """
     arr = _as_array(t)
     m = _check_cubical(arr)
@@ -534,8 +544,7 @@ def find_eigenpairs(
     variant = variant.lower()
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be 'z' or 'h', got {variant!r}")
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    _check_run_opts(tol, max_iters, starts)
     top = float(np.max(np.abs(arr)))
     pairs = None
     if top > 0.0 and m == 2:
@@ -652,10 +661,11 @@ def find_singular_tuples(
 ) -> list[SingularTuple]:
     """Singular value tuples by multi-start alternating power iteration.
 
-    ``p`` must be 2 or the tensor order and ``starts`` at least 1.  The
-    starts are the per-mode leading left singular vectors of the
-    unfoldings, then coordinate vectors, then ``default_rng(seed)`` normal
-    draws (`_starts`); all of them run at once through the cyclic update
+    ``p`` must be 2 or the tensor order, ``starts`` and ``max_iters`` at
+    least 1 and ``tol`` at least 0 (not NaN).  The starts are the per-mode
+    leading left singular vectors of the unfoldings, then coordinate
+    vectors, then ``default_rng(seed)`` normal draws (`_starts`); all of
+    them run at once through the cyclic update
     ``x_o <- normalize_p(sign(F_o) |F_o|^(1/(p-1)))`` until no factor moves by
     more than 1e-13 over a sweep, and are then tightened by a least-squares
     Newton pass on the coupled system.  A start whose iterate collapses to
@@ -674,8 +684,7 @@ def find_singular_tuples(
         raise ValueError(f"singular tuples need a tensor of order >= 2, got order {order}")
     if p not in (2, order):
         raise ValueError(f"p must be 2 or the tensor order {order}, got {p}")
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    _check_run_opts(tol, max_iters, starts)
     top = float(np.max(np.abs(arr)))
     if top == 0.0:
         return []

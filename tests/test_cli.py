@@ -2,10 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import cli_json
+from tensorspec import cli
 from tensorspec.cli import main
 from tensorspec.golden import counterexample_222, rank3_multilinear22
 from tensorspec.serialize import (
@@ -225,6 +230,9 @@ class TestExitCodes:
             ["eig", cube_path, "--starts", "0"],
             ["svd", golden_path, "--starts", "0"],
             ["svd", cube_path, "--p", "O", "--starts", "-3"],
+            ["eig", golden_path, "--max-iters", "0"],
+            ["eig", cube_path, "--variant", "h", "--max-iters", "0"],
+            ["svd", cube_path, "--max-iters", "-1"],
         ):
             assert main(argv) == 4
             err = capsys.readouterr().err
@@ -236,6 +244,8 @@ class TestExitCodes:
             '{"shape": [2], "layout": "colex", "data": [[1.0], [2.0]]}',
             '{"shape": [2], "layout": "colex", "data": ["1", "2"]}',
             '{"shape": [2], "layout": "colex", "data": [true, false]}',
+            '{"shape": [2], "layout": "colex", "data": [true, 1.5]}',
+            '{"shape": [2], "layout": "colex", "data": [2, false]}',
         ]):
             path = tmp_path / f"bad{i}.json"
             path.write_text(text)
@@ -257,3 +267,142 @@ class TestExitCodes:
         code = main(["info", golden_path, "--output", str(out_path)])
         assert code == 0
         assert json.loads(out_path.read_text())["order"] == 3
+
+    def test_bad_tol_is_4(self, capsys, golden_path, tmp_path):
+        # --tol nan and --tol -1 used to print "pairs": [] and exit 0
+        cube_path = str(tmp_path / "cube.json")
+        save_tensor(DenseTensor(np.random.default_rng(6).normal(size=(3, 3, 3))), cube_path)
+        for tol in ("nan", "-1", "-inf"):
+            for argv in (
+                ["eig", golden_path],
+                ["eig", cube_path, "--variant", "h"],
+                ["svd", golden_path],
+                ["svd", cube_path, "--p", "O"],
+                ["cp", golden_path, "--rank", "1"],
+                ["odeco", golden_path],
+                ["mlrank", golden_path],
+            ):
+                assert main(argv + [f"--tol={tol}"]) == 4
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "tol must be >= 0" in captured.err and "Traceback" not in captured.err
+
+    def test_unwritable_output_is_4(self, capsys, tmp_path, golden_path):
+        for target in (tmp_path / "missing" / "out.json", tmp_path):
+            with pytest.raises(SystemExit) as exc:
+                main(["info", golden_path, "--output", str(target)])
+            assert exc.value.code == 4
+            err = capsys.readouterr().err
+            assert f"error: cannot write {target}" in err and "Traceback" not in err
+
+
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+# floats whose .12g string is not their repr (zeros, integral values, exponents,
+# subnormals, non-finite), and 12-digit rounding ties that are exact in binary
+EDGE_FLOATS = [
+    -0.0, 0.0, 1.0, -1.0, 999999999999.4, 999999999999.5, 999999999998.5, 1e12, 1e15, 1e16,
+    1e-4, 9.99999999999e-5, 1e-5, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+    12345678901.25, 12345678901.75, 1000000000005.0, 0.1, 1 / 3, -2.5,
+    float("nan"), float("inf"), float("-inf"),
+]
+JSON_TREES = st.recursive(
+    st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=16,
+)
+
+
+class TestJsonBytes:
+    """`cli._to_json` writes the bytes of the reference encoder (`reference.cli_json`)."""
+
+    def test_edge_floats(self):
+        for x in EDGE_FLOATS:
+            for obj in (x, [x], [x, 2.0], {"v": x, "vs": [1.5, x], "mixed": [x, 1, None]}):
+                assert cli._to_json(obj) == cli_json(obj), x
+
+    def test_empty_and_nested(self):
+        for obj in ({}, [], {"a": []}, {"a": {}}, [[[]]], [[1.0, 2.0], [3.0]], {"p": [{"x": [0.5]}]}, "s", 3, True, None):
+            assert cli._to_json(obj) == cli_json(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), max_size=12))
+    def test_float_lists(self, xs):
+        obj = {"data": xs, "rows": [xs, xs[::-1]]}
+        assert cli._to_json(obj) == cli_json(obj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_TREES)
+    def test_json_trees(self, obj):
+        assert cli._to_json(obj) == cli_json(obj)
+
+    def test_fixture_files(self):
+        for path in FIXTURES:
+            obj = json.loads(path.read_text())
+            assert cli._to_json(obj) == cli_json(obj), path.name
+
+    def test_every_subcommand(self, capsys, monkeypatch, tmp_path):
+        emitted = []
+        real_emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda obj, lines, args: (emitted.append(obj), real_emit(obj, lines, args)))
+        g = np.random.default_rng(11)
+        paths = {}
+        for name, dims in (("cube", (3, 3, 3)), ("box", (2, 3, 4)), ("mat", (4, 3)), ("vec", (4,))):
+            paths[name] = str(tmp_path / f"{name}.json")
+            save_tensor(DenseTensor(g.normal(size=dims) * 10.0 ** g.integers(-8, 9)), paths[name])
+        tk_path = str(tmp_path / "tk.json")
+        inputs = [str(p) for p in FIXTURES[:3]] + [paths["cube"], paths["box"]]
+        for path in inputs:
+            for argv in (
+                ["info", path], ["mlrank", path], ["hosvd", path], ["hosvd", path, "--ranks", "1,1,1"],
+                ["tucker", tk_path], ["cp", path, "--rank", "2"], ["odeco", path], ["svd", path],
+                ["svd", path, "--p", "O"], ["eig", path, "--mode", "2"], ["eig", path, "--variant", "h"],
+                ["contract", path, path, "--mode", "1"], ["contract", paths["vec"], paths["mat"]],
+                ["contract", paths["vec"], paths["vec"]],
+            ):
+                if argv[0] == "eig" and path == paths["box"]:
+                    continue
+                emitted.clear()
+                assert main(argv) in (0, 3), argv
+                out = capsys.readouterr().out
+                assert out == cli_json(emitted[0]) + "\n", argv
+                if argv[0] == "hosvd":
+                    Path(tk_path).write_text(out)
+
+    def test_table_lines_are_built_only_for_tables(self, capsys, monkeypatch, golden_path):
+        def no_table(x):
+            raise AssertionError("table line built in JSON mode")
+
+        monkeypatch.setattr(cli, "_fmt", no_table)
+        for argv in (["info", golden_path], ["eig", golden_path], ["contract", golden_path, golden_path]):
+            assert main(argv) == 0
+        with pytest.raises(AssertionError, match="table line"):
+            main(["info", golden_path, "--format", "table"])
+
+
+class TestParserReuse:
+    def test_main_builds_one_parser(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_rejected_argv_then_valid(self, capsys, golden_path):
+        _, want = run(capsys, ["eig", golden_path, "--mode", "2"])
+        for bad in (["eig", "--variant", "q", golden_path], ["cp", golden_path], ["nope"], ["eig", golden_path, "--threads", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 4
+            capsys.readouterr()
+            code, out = run(capsys, ["eig", golden_path, "--mode", "2"])
+            assert code == 0 and out == want
+
+    def test_flags_do_not_carry_over(self, capsys, golden_path):
+        _, want = run(capsys, ["eig", golden_path])
+        run(capsys, ["eig", golden_path, "--mode", "3", "--variant", "h", "--seed", "4", "--tol", "1e-6"])
+        code, out = run(capsys, ["eig", golden_path])
+        assert code == 0 and out == want
+
+    def test_table_then_default_writes_json(self, capsys, golden_path):
+        _, table = run(capsys, ["eig", golden_path, "--format", "table"])
+        assert table.startswith("variant")
+        code, out = run(capsys, ["eig", golden_path])
+        assert code == 0
+        assert json.loads(out)["pairs"]

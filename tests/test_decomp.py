@@ -264,6 +264,27 @@ class TestCpAls:
             cp_als(DenseTensor([1.0, 2.0]), 1)
 
 
+class TestTolChecks:
+    """A NaN or negative ``tol`` used to pass every gate silently; it is rejected."""
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300])
+    def test_bad_tol_is_rejected(self, tol):
+        t = DenseTensor(rng(30).normal(size=(2, 2, 2)))
+        for call in (
+            lambda: cp_als(t, 1, tol=tol),
+            lambda: odeco_decompose(t, tol=tol),
+            lambda: multilinear_rank(t, tol=tol),
+        ):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                call()
+
+    def test_zero_tol_is_allowed(self):
+        t = DenseTensor(rng(31).normal(size=(2, 2, 2)))
+        assert multilinear_rank(t, tol=0.0) == (2, 2, 2)
+        assert cp_als(t, 1, tol=0.0, max_iters=3).errors
+        odeco_decompose(t, tol=0.0, max_iters=3)
+
+
 class TestOdeco:
     def test_axis_aligned(self):
         t = 2.0 * outer(e(1), e(1), e(1)) + 1.0 * outer(e(2), e(2), e(2))

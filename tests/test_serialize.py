@@ -1,5 +1,6 @@
 """JSON round-trips and file-format rejection rules."""
 
+import io
 import json
 from pathlib import Path
 
@@ -81,7 +82,8 @@ class TestTensorFormat:
 
     def test_rejects_non_numeric_data(self):
         for data in ([[1.0], [2.0]], [[1.0, 2.0]], ["1", "2"], [True, False], [1.0, None],
-                     [1.0, "x"], [[1.0], [2.0, 3.0]], "12", {"a": 1.0}, 3.0):
+                     [1.0, "x"], [[1.0], [2.0, 3.0]], "12", {"a": 1.0}, 3.0,
+                     [True, 1.5], [1, False], [1.0, True]):
             with pytest.raises(ValueError):
                 tensor_from_dict({"shape": [2], "layout": "colex", "data": data})
 
@@ -119,8 +121,20 @@ class TestTensorFormat:
         except ValueError:
             return
         assert all(type(d) is int for d in shape) and list(t.dims) == shape
-        assert all(isinstance(x, (int, float)) for x in data) and not all(isinstance(x, bool) for x in data)
+        assert all(isinstance(x, (int, float)) for x in data) and not any(isinstance(x, bool) for x in data)
         assert np.array_equal(t.to_buffer(), [float(x) for x in data])
+
+    def test_save_tensor_bytes_match_json_dump(self, tmp_path):
+        # the streaming encoder's output, which the tensor file format was written with
+        edge = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1, 1 / 3, 1e300, -2.5, 1e15, 123.0]
+        for t in (DenseTensor(np.array(edge).reshape(3, 4)), DenseTensor(rng(5).normal(size=(3, 4, 5))),
+                  golden.counterexample_222()):
+            path = tmp_path / "t.json"
+            save_tensor(t, path)
+            want = io.StringIO()
+            json.dump({"shape": list(t.dims), "layout": "colex", "data": [float(x) for x in t.to_buffer()]}, want)
+            want.write("\n")
+            assert path.read_bytes() == want.getvalue().encode("utf-8")
 
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError):

@@ -312,6 +312,19 @@ class TestSize2BinaryForm:
                     with pytest.raises(ValueError, match="starts must be >= 1"):
                         find_singular_tuples(t, p, starts=starts)
 
+    def test_bad_tol_and_max_iters_rejected_on_every_path(self):
+        # --tol nan and --tol -1 used to return no record and exit 0
+        bad = [({"tol": float("nan")}, "tol must be >= 0"), ({"tol": -1.0}, "tol must be >= 0"),
+               ({"max_iters": 0}, "max_iters must be >= 1"), ({"max_iters": -2}, "max_iters must be >= 1")]
+        for t in (golden_222(), random_symmetric(3, seed=8), DenseTensor(np.abs(rng(9).normal(size=(3, 3, 3))))):
+            for kw, msg in bad:
+                for variant in ("z", "h"):
+                    with pytest.raises(ValueError, match=msg):
+                        find_eigenpairs(t, 1, variant, **kw)
+                for p in (2, 3):
+                    with pytest.raises(ValueError, match=msg):
+                        find_singular_tuples(t, p, **kw)
+
 
 class TestFindEigenpairsIterative:
     def test_symmetric_3x3x3_matches_odeco_truth(self):
