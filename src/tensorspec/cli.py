@@ -8,6 +8,11 @@ with the same seed and inputs produce byte-identical output.  The JSON bytes
 are ``json.dumps(obj, indent=2)`` of the result with every float rounded to 12
 significant digits, plus a newline; `_to_json` writes them in one pass.
 
+Every subcommand takes ``--output`` and ``--format``.  Only the iterative
+solvers (eig, svd, cp, odeco) take ``--tol``, ``--max-iters``, ``--seed`` and
+``--starts``; mlrank takes ``--tol`` as its rank cutoff.  Any other flag is a
+usage error.
+
 Exit codes: 0 success, 2 input parse error, 3 solver non-convergence (partial
 results are still emitted, flagged), 4 invalid flags or an unwritable
 ``--output``.
@@ -117,13 +122,18 @@ def _tensor_lines(t: DenseTensor) -> list[str]:
     return [f"shape: {list(t.dims)}", f"data: {[_fmt(x) for x in t.to_buffer()]}"]
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser) -> None:
+    """The flags every subcommand takes."""
+    p.add_argument("--output", default=None, help="write output here instead of stdout")
+    p.add_argument("--format", choices=["json", "table"], default="json")
+
+
+def _add_solver(p: argparse.ArgumentParser) -> None:
+    """The flags the iterative solvers read (eig, svd, cp, odeco)."""
     p.add_argument("--tol", type=float, default=None, help="solver tolerance")
     p.add_argument("--max-iters", type=int, default=None, help="iteration cap")
     p.add_argument("--seed", type=int, default=0, help="base seed (runs are deterministic)")
     p.add_argument("--starts", type=int, default=None, help="multi-start count")
-    p.add_argument("--output", default=None, help="write output here instead of stdout")
-    p.add_argument("--format", choices=["json", "table"], default="json")
 
 
 def _solver_opts(args, **extra) -> dict[str, Any]:
@@ -144,47 +154,52 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("info", help="shape, symmetry, norm, and multilinear rank")
     p.add_argument("input")
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("contract", help="contract a mode of one tensor against mode 1 of another")
     p.add_argument("input")
     p.add_argument("other")
     p.add_argument("--mode", type=int, default=None, help="mode of the first tensor (default: its last)")
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("eig", help="mode-o eigenpairs of a cubical tensor")
     p.add_argument("input")
     p.add_argument("--variant", choices=["z", "h"], default="z")
     p.add_argument("--mode", type=int, default=1)
-    _add_common(p)
+    _add_output(p)
+    _add_solver(p)
 
     p = sub.add_parser("svd", help="singular value tuples")
     p.add_argument("input")
     p.add_argument("--p", choices=["2", "o", "O"], default="2", help="2 for l2, O for the lO variant")
-    _add_common(p)
+    _add_output(p)
+    _add_solver(p)
 
     p = sub.add_parser("cp", help="CP decomposition by alternating least squares")
     p.add_argument("input")
     p.add_argument("--rank", type=int, required=True)
-    _add_common(p)
+    _add_output(p)
+    _add_solver(p)
 
     p = sub.add_parser("tucker", help="evaluate a Tucker decomposition file to a dense tensor")
     p.add_argument("input")
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("hosvd", help="truncated higher-order SVD")
     p.add_argument("input")
     p.add_argument("--ranks", default=None, help="comma-separated target ranks, default full")
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("odeco", help="orthogonal decomposition by power iteration and deflation")
     p.add_argument("input")
     p.add_argument("--rank", type=int, default=None, help="component cap (default: smallest mode)")
-    _add_common(p)
+    _add_output(p)
+    _add_solver(p)
 
     p = sub.add_parser("mlrank", help="multilinear rank")
     p.add_argument("input")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-8, help="singular value cutoff, relative to the largest")
+    _add_output(p)
 
     return parser
 
@@ -320,7 +335,7 @@ def _cmd_odeco(args) -> int:
 
 def _cmd_mlrank(args) -> int:
     t = _load(args.input)
-    mlr = multilinear_rank(t, tol=args.tol if args.tol is not None else 1e-8)
+    mlr = multilinear_rank(t, tol=args.tol)
     _emit({"multilinear_rank": list(mlr)}, lambda: [f"multilinear_rank: {list(mlr)}"], args)
     return EXIT_OK
 

@@ -209,15 +209,18 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
     when an update of it has zero norm (that block keeps its value; status
     -1), when no block moved by more than ``tol`` in 2-norm up to sign
     during a sweep (status 1), or after ``max_iters`` sweeps (status 0).
-    Returns the final blocks and the per-column status.
+    ``current`` is kept from sweep to sweep; it is written back into the
+    blocks and narrowed to the running columns only after a sweep in which
+    some column stopped, and once at the end.  Returns the final blocks and
+    the per-column status.
     """
     blocks = [np.array(b, dtype=float) for b in blocks]
     status = np.zeros(blocks[0].shape[1], dtype=int)
     cols = np.arange(status.size)
+    current = list(blocks)
     for _ in range(max_iters):
         if not cols.size:
             break
-        current = [b[:, cols] for b in blocks]
         alive = np.ones(cols.size, dtype=bool)
         delta = np.zeros(cols.size)
         for k, x in enumerate(current):
@@ -227,10 +230,16 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
             y = np.where(alive, y / np.where(alive, nrm, 1.0), x)
             delta = np.maximum(delta, np.minimum(_column_norms(y - x), _column_norms(y + x)))
             current[k] = y
+        done = alive & (delta <= tol)
+        running = alive & ~done
+        if running.all():
+            continue
         for b, c in zip(blocks, current):
             b[:, cols] = c
-        done = alive & (delta <= tol)
         status[cols[~alive]] = -1
         status[cols[done]] = 1
-        cols = cols[alive & ~done]
+        cols = cols[running]
+        current = [c[:, running] for c in current]
+    for b, c in zip(blocks, current):
+        b[:, cols] = c
     return blocks, status

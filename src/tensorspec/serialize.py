@@ -15,7 +15,9 @@ CP and Tucker decompositions serialize as
     {"weights": [...], "factors": [[[row], ...], ...]}
     {"core": <tensor object>, "factors": [[[row], ...], ...]}
 
-with factor matrices as nested row lists.  Eigenpairs and singular tuples
+with factor matrices as nested row lists.  The weights, and every factor as
+a nonempty list of equal-length row lists, follow the tensor data's rule:
+exact ``int`` or ``float`` entries, all finite.  Eigenpairs and singular tuples
 serialize as ``{"variant", "mode", "lambda", "vector", "residual"}`` and
 ``{"p", "sigma", "vectors", "residual"}`` records.
 """
@@ -56,6 +58,37 @@ def tensor_to_dict(t: DenseTensor) -> dict[str, Any]:
     }
 
 
+def _is_number_list(values) -> bool:
+    """True for a flat list of JSON numbers, which load as int or float.
+
+    One scan of the entry types; bool, str, None and nested lists fail it.
+    """
+    return isinstance(values, list) and set(map(type, values)) <= {int, float}
+
+
+def _finite(values, what: str) -> np.ndarray:
+    """The float array of a number list (or list of them), rejecting non-finite entries."""
+    try:
+        buf = np.asarray(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} must be finite") from None
+    if not np.all(np.isfinite(buf)):
+        raise ValueError(f"{what} must be finite")
+    return buf
+
+
+def _matrix_from_lists(rows) -> np.ndarray:
+    """A factor matrix from a nonempty list of equal-length lists of finite numbers."""
+    if (
+        not isinstance(rows, list)
+        or not rows
+        or not all(_is_number_list(r) for r in rows)
+        or len({len(r) for r in rows}) != 1
+    ):
+        raise ValueError("each factor must be a nonempty list of equal-length lists of numbers")
+    return _finite(rows, "factor entries")
+
+
 def tensor_from_dict(obj: dict[str, Any]) -> DenseTensor:
     if not isinstance(obj, dict):
         raise ValueError("tensor file must hold a JSON object")
@@ -69,21 +102,13 @@ def tensor_from_dict(obj: dict[str, Any]) -> DenseTensor:
     if not isinstance(dims, list) or not all(type(d) is int and d >= 1 for d in dims):
         raise ValueError(f"shape must be a list of integers >= 1, got {dims!r}")
     data = obj["data"]
-    # one scan of the entry types: JSON numbers load as int or float; bool,
-    # str, None and nested lists are rejected
-    if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+    if not _is_number_list(data):
         raise ValueError("data must be a flat list of numbers")
     if len(data) != math.prod(dims):
         raise ValueError(
             f"data has {len(data)} entries, shape {dims} needs {math.prod(dims)}"
         )
-    try:
-        buf = np.asarray(data, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError("tensor data must be finite") from None
-    if not np.all(np.isfinite(buf)):
-        raise ValueError("tensor data must be finite")
-    return DenseTensor(buf, dims=dims)
+    return DenseTensor(_finite(data, "tensor data"), dims=dims)
 
 
 def load_tensor(path) -> DenseTensor:
@@ -103,8 +128,18 @@ def cp_to_dict(cp: CpDecomposition) -> dict[str, Any]:
     }
 
 
+def _factor_list(obj: dict[str, Any]) -> list[np.ndarray]:
+    factors = obj["factors"]
+    if not isinstance(factors, list):
+        raise ValueError("factors must be a list of matrices")
+    return [_matrix_from_lists(f) for f in factors]
+
+
 def cp_from_dict(obj: dict[str, Any]) -> CpDecomposition:
-    return CpDecomposition(obj["weights"], [np.asarray(f, dtype=float) for f in obj["factors"]])
+    weights = obj["weights"]
+    if not _is_number_list(weights):
+        raise ValueError("weights must be a flat list of numbers")
+    return CpDecomposition(_finite(weights, "weights"), _factor_list(obj))
 
 
 def tucker_to_dict(tk: TuckerDecomposition) -> dict[str, Any]:
@@ -115,10 +150,7 @@ def tucker_to_dict(tk: TuckerDecomposition) -> dict[str, Any]:
 
 
 def tucker_from_dict(obj: dict[str, Any]) -> TuckerDecomposition:
-    return TuckerDecomposition(
-        tensor_from_dict(obj["core"]),
-        [np.asarray(f, dtype=float) for f in obj["factors"]],
-    )
+    return TuckerDecomposition(tensor_from_dict(obj["core"]), _factor_list(obj))
 
 
 def eigenpair_to_dict(p: EigenPair) -> dict[str, Any]:

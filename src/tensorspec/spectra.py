@@ -339,6 +339,10 @@ def _size2_solve(arr, mode, variant, tol):
 # -- iterative path for larger modes --------------------------------------------
 
 
+# the step lengths `_damped_newton` tries, longest first
+_LADDER = 0.5 ** np.arange(20)
+
+
 def _fit_scale(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per column, the least-squares c in ``f = c * w``; 0 where ``w`` is zero."""
     denom = np.sum(w * w, axis=0)
@@ -352,8 +356,10 @@ def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
     ``residual`` maps an ``(n, C)`` block of points to their ``(r, C)``
     residuals and ``jacobian`` to their exact ``(C, r, n)`` Jacobians.  Per
     column: stop once ``max|residual| <= tol``; otherwise take the
-    minimum-norm least-squares step and halve it, at most 20 times, until the
-    residual's 2-norm drops; a column whose residual never drops stops there.
+    minimum-norm least-squares step scaled by the first of ``1, 1/2, ..,
+    2^-19`` at which the residual's 2-norm drops; a column whose residual
+    drops at none of them stops there.  The whole ladder is evaluated for
+    every column in one residual call per iteration.
     """
     v = np.array(v, dtype=float)
     g = residual(v)
@@ -378,20 +384,14 @@ def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
         coef = np.where(kept, coef / np.where(kept, sv, 1.0), 0.0)
         step = -np.einsum("ckn,ck->nc", vt, coef)
         base = np.linalg.norm(g[:, cols], axis=0)
-        pending = np.ones(cols.size, dtype=bool)
-        t = 1.0
-        for _ in range(20):
-            idx = np.flatnonzero(pending)
-            cand = v[:, cols[idx]] + t * step[:, idx]
-            gc = residual(cand)
-            better = np.linalg.norm(gc, axis=0) < base[idx]
-            v[:, cols[idx[better]]] = cand[:, better]
-            g[:, cols[idx[better]]] = gc[:, better]
-            pending[idx[better]] = False
-            if not pending.any():
-                break
-            t /= 2.0
-        cols = cols[~pending]
+        cand = v[:, cols, None] + step[:, :, None] * _LADDER
+        gc = residual(cand.reshape(v.shape[0], -1)).reshape(g.shape[0], cols.size, _LADDER.size)
+        better = np.linalg.norm(gc, axis=0) < base[:, None]
+        hit = np.flatnonzero(better.any(axis=1))
+        level = better[hit].argmax(axis=1)
+        cols = cols[hit]
+        v[:, cols] = cand[:, hit, level]
+        g[:, cols] = gc[:, hit, level]
     return v
 
 

@@ -287,6 +287,45 @@ class TestExitCodes:
                 assert captured.out == ""
                 assert "tol must be >= 0" in captured.err and "Traceback" not in captured.err
 
+    def test_malformed_tucker_file_is_2(self, capsys, tmp_path):
+        core = '{"shape": [1, 1], "layout": "colex", "data": [1.0]}'
+        for i, factors in enumerate(['[[["1"], [true]], [[0.5]]]', '[[[1.0], [NaN]], [[0.5]]]', '[[[1.0], [2.0, 3.0]], [[0.5]]]']):
+            path = tmp_path / f"tk{i}.json"
+            path.write_text(f'{{"core": {core}, "factors": {factors}}}')
+            assert main(["tucker", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "cannot read Tucker decomposition" in captured.err
+
+    def test_solver_flags_only_where_read(self, capsys, golden_path):
+        solver = {"--tol": "1e-6", "--max-iters": "5", "--seed": "3", "--starts": "2"}
+        subcommands = {
+            "info": [golden_path], "contract": [golden_path, golden_path], "tucker": [golden_path],
+            "hosvd": [golden_path], "mlrank": [golden_path],
+        }
+        for command, args in subcommands.items():
+            for flag, value in solver.items():
+                if command == "mlrank" and flag == "--tol":
+                    continue
+                with pytest.raises(SystemExit) as exc:
+                    main([command, *args, flag, value])
+                assert exc.value.code == 4
+                err = capsys.readouterr().err
+                assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        # the bad values that used to be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["info", golden_path, "--tol", "nan", "--starts", "-5", "--max-iters", "0"])
+        assert exc.value.code == 4
+        capsys.readouterr()
+        for command in ("eig", "svd", "cp", "odeco"):
+            extra = ["--rank", "1"] if command == "cp" else []
+            assert main([command, golden_path, *extra, *[x for kv in solver.items() for x in kv]]) in (0, 3)
+            capsys.readouterr()
+
+    def test_mlrank_tol_default(self, capsys, eight1_path):
+        _, want = run(capsys, ["mlrank", eight1_path])
+        assert run(capsys, ["mlrank", eight1_path, "--tol", "1e-8"])[1] == want
+        assert json.loads(run(capsys, ["mlrank", eight1_path, "--tol", "0.9"])[1])["multilinear_rank"] == [1, 1, 1]
+
     def test_unwritable_output_is_4(self, capsys, tmp_path, golden_path):
         for target in (tmp_path / "missing" / "out.json", tmp_path):
             with pytest.raises(SystemExit) as exc:

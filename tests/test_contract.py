@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from reference import contract_all_but_loop
+from reference import contract_all_but_loop, power_sweeps_loop
 
 from tensorspec.contract import (
     contract,
@@ -333,3 +333,88 @@ class TestContractAllButBatch:
 
         arr = rng(34).normal(size=(3, 3, 3))
         assert _contract_all_but_batch(arr, 2, np.zeros((3, 0))).shape == (3, 0)
+
+
+class TestPowerSweeps:
+    """`_power_sweeps` against the loop that re-slices every sweep: the same bits."""
+
+    @staticmethod
+    def unit(x):
+        return x / np.linalg.norm(x, axis=0)
+
+    def check(self, update, blocks, p, tol, max_iters):
+        from tensorspec.contract import _power_sweeps
+
+        got, status = _power_sweeps(update, blocks, p, tol, max_iters)
+        want, want_status = power_sweeps_loop(update, blocks, p, tol, max_iters)
+        assert np.array_equal(status, want_status)
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+        return status
+
+    def test_z_maps(self):
+        from tensorspec.contract import _contract_all_but_batch
+
+        g = rng(40)
+        a = g.normal(size=(4, 4, 4))
+        sym = sum(a.transpose(q) for q in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]) / 6
+        x0 = self.unit(g.normal(size=(4, 16)))
+        sign = np.tile([1.0, -1.0], 8)
+        shift = float(np.sum(np.abs(sym)))
+
+        def shifted(k, cur, cols):
+            return sign[cols] * _contract_all_but_batch(sym, 1, cur[0]) + shift * cur[0]
+
+        def unshifted(arr):
+            return lambda k, cur, cols: _contract_all_but_batch(arr, 1, cur[0])
+
+        # the unshifted map converges on nonnegative input, not on general input
+        for update, stops in [(shifted, True), (unshifted(np.abs(a)), True), (unshifted(a), False)]:
+            seen = set()
+            # at 1e-14 the shifted maps run every column to the cap
+            for tol, max_iters in [(1e-14, 500), (1e-8, 500), (1e-8, 7)]:
+                seen |= set(self.check(update, [x0], 2, tol, max_iters).tolist())
+            assert seen == ({0, 1} if stops else {0})
+
+    def test_nonnegative_root_with_zero_updates(self):
+        from tensorspec.contract import _contract_all_but_batch
+
+        g = rng(41)
+        arr = np.abs(g.normal(size=(3, 3, 3)))
+        # mixed-sign starts make F negative somewhere: those columns take a zero update
+        x0 = self.unit(g.normal(size=(3, 24)))
+        x0[:, :6] = np.abs(x0[:, :6])
+
+        def update(k, cur, cols):
+            f = _contract_all_but_batch(arr, 1, cur[0])
+            return np.where(np.any(f < 0.0, axis=0), 0.0, np.maximum(f, 0.0) ** 0.5)
+
+        status = self.check(update, [x0], 2, 1e-14, 500)
+        assert -1 in status and 1 in status
+
+    def test_tuple_updates(self):
+        from tensorspec.contract import _contract_all_but_batch
+
+        g = rng(42)
+        for shape in [(3, 3, 3), (5, 6, 7), (3, 4, 3, 2)]:
+            arr = g.normal(size=shape)
+            for p in (2, len(shape)):
+                power = p - 1
+
+                def update(k, cur, cols):
+                    f = _contract_all_but_batch(arr, k + 1, cur[:k] + cur[k + 1:])
+                    return np.sign(f) * np.abs(f) ** (1.0 / power)
+
+                blocks = [self.unit(g.normal(size=(d, 12))) for d in shape]
+                for max_iters in (500, 4):
+                    status = self.check(update, blocks, p, 1e-13, max_iters)
+                    if max_iters == 4:
+                        assert 0 in status
+
+    def test_no_sweeps_and_no_columns(self):
+        x0 = self.unit(rng(43).normal(size=(3, 4)))
+
+        def update(k, cur, cols):
+            return cur[0]
+
+        assert np.array_equal(self.check(update, [x0], 2, 1e-14, 0), np.zeros(4, dtype=int))
+        assert self.check(update, [x0[:, :0]], 2, 1e-14, 5).size == 0

@@ -158,6 +158,39 @@ class TestDecompositionFormats:
         back = tucker_from_dict(json.loads(json.dumps(tucker_to_dict(tk))))
         assert tucker_eval(back).allclose(tucker_eval(tk), tol=0.0)
 
+    # factors and weights follow the tensor data's rule: equal-length row lists
+    # of exact int/float entries, all finite
+    BAD_FACTORS = [
+        [[["1"], [True]], [[0.5]]],
+        [[[1.0], [True]], [[0.5]]],
+        [[[1.0], [2.0]], [[float("nan")]]],
+        [[[1.0], [float("inf")]], [[0.5]]],
+        [[[1.0], [10**400]], [[0.5]]],
+        [[[1.0], [2.0, 3.0]], [[0.5]]],
+        [[[1.0], [None]], [[0.5]]],
+        [[1.0, 2.0], [[0.5]]],
+        [[], [[0.5]]],
+        [[[[1.0]], [[2.0]]], [[0.5]]],
+        [[[1.0], [2.0]], "x"],
+        "factors",
+    ]
+
+    def test_tucker_rejects_bad_factors(self):
+        core = {"shape": [1, 1], "layout": "colex", "data": [1.0]}
+        assert tucker_from_dict({"core": core, "factors": [[[1], [2.5]], [[0.5]]]}).dims == (2, 1)
+        for factors in self.BAD_FACTORS:
+            with pytest.raises(ValueError):
+                tucker_from_dict({"core": core, "factors": factors})
+
+    def test_cp_rejects_bad_factors_and_weights(self):
+        assert cp_from_dict({"weights": [2], "factors": [[[1], [2.5]], [[0.5]]]}).dims == (2, 1)
+        for factors in self.BAD_FACTORS:
+            with pytest.raises(ValueError):
+                cp_from_dict({"weights": [1.0], "factors": factors})
+        for weights in ([True], ["1"], [float("nan")], [[1.0]], 1.0, [10**400]):
+            with pytest.raises(ValueError):
+                cp_from_dict({"weights": weights, "factors": [[[1.0]], [[0.5]]]})
+
 
 class TestResultFormats:
     def test_eigenpair_roundtrip(self):

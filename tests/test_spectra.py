@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import contract_all_but_loop
+from reference import contract_all_but_loop, damped_newton_loop
 
 from tensorspec.decomp import cp_eval, CpDecomposition, odeco_decompose
 from tensorspec.spectra import (
@@ -996,6 +996,75 @@ class TestBatchedSolvers:
             assert np.array_equal(part_status, status[cols])
             assert np.max(np.abs(part - everything[:, cols])) <= 1e-12
 
+        # plain Newton from the raw starts on general h input, where the line search halves
+        residual, jacobian = _eig_system(rng(322).normal(size=(4, 4, 4)), 1, 2)
+        v0 = np.vstack([x0, np.ones(24)])
+        everything = _damped_newton(residual, jacobian, v0)
+        calls = []
+        damped_newton_loop(counted(residual, calls), jacobian, v0)
+        assert any(c < 24 for c in calls[1:])
+        for cols in ([5], [0, 7, 19], list(range(1, 24, 2))):
+            part = _damped_newton(residual, jacobian, v0[:, cols])
+            assert np.max(np.abs(part - everything[:, cols])) <= 1e-12
+
+    def test_newton_ladder_matches_halving_loop(self):
+        from tensorspec.spectra import _damped_newton, _eig_system, _fit_scale, _phi, _tuple_system
+
+        g = rng(350)
+        systems = []
+        for shape, power in [((3, 3, 3), 1), ((3, 3, 3), 2), ((4, 4, 4, 4), 1), ((4, 4, 4, 4), 3), ((8, 8, 8), 2)]:
+            arr = g.normal(size=shape)
+            x = g.normal(size=(shape[0], 12))
+            x /= np.linalg.norm(x, axis=0)
+            v = np.vstack([x, _fit_scale(eig_map_loop(arr, x), x**power)])
+            # at x = 0 the step is zero, so all 20 halvings fail; then a NaN
+            # column and one whose residual overflows
+            v[:, 0] = 0.0
+            v[-1, 0] = 1.0
+            v[0, 1] = np.nan
+            v[0, 2] = 1e200
+            systems.append((_eig_system(arr, 1, power), v, [0, 1, 2]))
+        for shape in [(3, 3, 3), (5, 6, 7)]:
+            arr = g.normal(size=shape)
+            for p in (2, 3):
+                xs = [g.normal(size=(d, 12)) for d in shape]
+                xs = [x / np.sum(np.abs(x) ** p, axis=0) ** (1 / p) for x in xs]
+                sigma = _fit_scale(np.einsum("ijk,js,ks->is", arr, xs[1], xs[2]), _phi(xs[0], p - 1))
+                systems.append((_tuple_system(arr, p), np.vstack(xs + [sigma]), []))
+        solved = 0
+        for (residual, jacobian), v, stuck in systems:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _damped_newton(residual, jacobian, v)
+                want = damped_newton_loop(residual, jacobian, v)
+                converged = [np.max(np.abs(residual(w)), axis=0) <= 1e-13 for w in (got, want)]
+            # a column that does not converge can wander for 50 iterations, and
+            # the rounding of the batched residual moves where it stops
+            assert np.array_equal(*converged)
+            assert np.max(np.abs(got - want)[:, converged[0]], initial=0.0) <= 1e-12
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.array_equal(got[:, stuck], v[:, stuck], equal_nan=True)
+            solved += converged[0].sum()
+        assert solved >= 50
+
+    def test_one_residual_call_per_newton_iteration(self):
+        from tensorspec.spectra import _damped_newton, _eig_system, _fit_scale, _starts
+
+        arr = rng(360).normal(size=(8, 8, 8))
+        arr /= np.max(np.abs(arr))
+        [x] = _starts(arr, [1], 32, 1)
+        residual, jacobian = _eig_system(arr, 1, 2)
+        v = np.vstack([x, _fit_scale(eig_map_loop(arr, x), x**2)])
+        counts = {}
+        for newton in (_damped_newton, damped_newton_loop):
+            res_calls, jac_calls = [], []
+            newton(counted(residual, res_calls), counted(jacobian, jac_calls), v)
+            counts[newton] = len(res_calls), len(jac_calls)
+        # the halving loop makes many residual calls per iteration on this input
+        calls, iters = counts[damped_newton_loop]
+        assert calls > 5 * iters
+        calls, iters = counts[_damped_newton]
+        assert iters > 5 and calls <= iters + 1
+
     def test_identical_calls_identical_arrays(self):
         t = random_symmetric(3, seed=330)
         gen = DenseTensor(rng(331).normal(size=(3, 4, 5)))
@@ -1016,6 +1085,19 @@ class TestBatchedSolvers:
 
         for call in calls:
             assert np.array_equal(flat(call()), flat(call()))
+
+
+def counted(fn, calls):
+    """``fn`` that appends the column count of every call to ``calls``."""
+    def wrapped(v):
+        calls.append(v.shape[1])
+        return fn(v)
+    return wrapped
+
+
+def eig_map_loop(arr, x):
+    """``F_1(x, .., x)`` for every column of ``x``, one column at a time."""
+    return np.column_stack([contract_all_but_loop(arr, 1, [x[:, s]] * (arr.ndim - 1)) for s in range(x.shape[1])])
 
 
 def assert_jacobian(residual, jacobian, v, h=1e-6):
