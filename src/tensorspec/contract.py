@@ -199,6 +199,15 @@ def _column_norms(y: np.ndarray, p: int = 2) -> np.ndarray:
     return (np.abs(y) ** p).sum(axis=0) ** (1.0 / p)
 
 
+def _check_run_opts(tol: float, **counts: int) -> None:
+    """Reject a ``tol`` below 0 or NaN, then each count below 1, in the order given."""
+    if not tol >= 0:  # also catches NaN
+        raise ValueError("tol must be >= 0")
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_iters: int):
     """Multi-start power iteration with every start as one column.
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contract import _contract_all_but_batch, _mode_unfolding, _power_sweeps, multi_mode_product
+from .contract import _check_run_opts, _contract_all_but_batch, _mode_unfolding, _power_sweeps, multi_mode_product
 from .tensor import DenseTensor, _as_array, frobenius_norm, outer
 
 __all__ = [
@@ -219,8 +219,7 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     Singular values above ``tol`` times the largest one count; each component
     lower-bounds the tensor rank.  ``tol`` below 0 or NaN raises `ValueError`.
     """
-    if not tol >= 0:  # also catches NaN
-        raise ValueError("tol must be >= 0")
+    _check_run_opts(tol)
     arr = _as_array(t)
     out = []
     for o in range(1, arr.ndim + 1):
@@ -354,14 +353,7 @@ def cp_als(
     and the Khatri-Rao product its update already built.  It is non-increasing
     across sweeps and the returned trace belongs to the winning start.
     """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if not tol >= 0:  # also catches NaN
-        raise ValueError("tol must be >= 0")
+    _check_run_opts(tol, rank=rank, starts=starts, max_iters=max_iters)
     arr = _as_array(t)
     order = arr.ndim
     if order < 2:
@@ -459,12 +451,7 @@ def odeco_decompose(
     """
     if rank is not None and rank < 1:
         raise ValueError("rank must be >= 1")
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if not tol >= 0:  # also catches NaN
-        raise ValueError("tol must be >= 0")
+    _check_run_opts(tol, starts=starts, max_iters=max_iters)
     arr = _as_array(t).copy()
     if symmetric and len(set(arr.shape)) != 1:
         raise ValueError("symmetric recovery needs a cubical tensor")

@@ -37,11 +37,13 @@ explicitly.
 The iterative solvers share one design: `_starts` builds every start (the
 only other draws are the tuple solver's restarts), `contract._power_sweeps`
 runs them as the columns of one matrix, `_damped_newton` polishes them, and
-`_dedup` merges records closer than ``_DEDUP_TOL`` (1e-8).  Each system, the
-eigen one (`_eig_system`) and the singular one (`_tuple_system`), has one
-residual, which the Newton polish, the convergence gate and the public
-`eig_residual` and `singular_residual` all read; ``F_o`` is always the
-batched kernel `contract._contract_all_but_batch`.
+`_dedup` merges records closer than ``_DEDUP_TOL`` (1e-8).  Power sweeps run
+only where a map converges (tuple starts, z starts on symmetric input, h
+starts on nonnegative input); other eigen starts go to Newton as they are.
+Each system, the eigen one (`_eig_system`) and the singular one
+(`_tuple_system`), has one residual, which the Newton polish, the
+convergence gate and the public `eig_residual` and `singular_residual` all
+read; ``F_o`` is always the batched kernel `contract._contract_all_but_batch`.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contract import _contract_all_but_batch, _mode_unfolding, _power_sweeps
+from .contract import _check_run_opts, _contract_all_but_batch, _mode_unfolding, _power_sweeps
 from .tensor import DenseTensor, _as_array, is_symmetric, outer
 
 __all__ = [
@@ -135,15 +137,6 @@ class SingularTuple:
         return singular_orbit(self, flip=(True,) + (False,) * (self.order - 1))
 
 
-def _check_run_opts(tol: float, max_iters: int, starts: int) -> None:
-    if not tol >= 0:  # also catches NaN
-        raise ValueError("tol must be >= 0")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
-
-
 def _check_cubical(arr: np.ndarray) -> int:
     if len(set(arr.shape)) != 1:
         raise ValueError(f"eigenpairs are defined for cubical tensors only, got shape {arr.shape}")
@@ -177,7 +170,7 @@ def singular_residual(t: DenseTensor, tup: SingularTuple) -> float:
 
 
 def _dedup(records: list, key) -> list:
-    """Drop records within ``_DEDUP_TOL`` of a lower-residual one; sort by decreasing |scalar|, then entries.
+    """Drop records within ``_DEDUP_TOL`` of a lower-residual one.
 
     ``key`` maps a record to the (scalar, vector) pair that is compared.
     """
@@ -189,8 +182,17 @@ def _dedup(records: list, key) -> list:
             for _, ks, kv in kept
         ):
             kept.append((r, s, v))
-    kept.sort(key=lambda k: (-abs(k[1]), tuple(k[2])))
     return [k[0] for k in kept]
+
+
+def _printed_order(records: list, key) -> list:
+    """By decreasing |scalar| to 12 significant digits, as printed, then unit-scale entries to 12 decimals."""
+
+    def rank(r):
+        s, v = key(r)
+        return -float(f"{abs(s):.12g}"), [round(e, 12) for e in v.tolist()]
+
+    return sorted(records, key=rank)
 
 
 def _converged_or_best(records: list, key) -> list:
@@ -203,6 +205,10 @@ def _converged_or_best(records: list, key) -> list:
 
 def _eig_key(p: EigenPair):
     return p.value, p.vector
+
+
+def _tuple_key(r: SingularTuple):
+    return r.sigma, np.concatenate(r.vectors)
 
 
 def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:
@@ -425,41 +431,32 @@ def _eig_system(arr, mode, power):
 
 def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts):
     order = arr.ndim
-    symmetric = is_symmetric(DenseTensor(arr), tol=1e-12)
-    shift = float(np.sum(np.abs(arr)))
-    nonneg = bool(np.all(arr >= 0.0))
     [x] = _starts(arr, [mode], starts, seed)
 
     def F(x):
         return _contract_all_but_batch(arr, mode, x)
 
-    update = None
-    if variant == "z" and symmetric:
+    if variant == "z" and is_symmetric(arr, tol=1e-12):
         # each start runs both shifted maps (Kolda & Mayo 2011), which converge
         # monotonically to local maxima and minima: column 2s adds F, 2s+1 subtracts it
         x = np.repeat(x, 2, axis=1)
         sign = np.tile([1.0, -1.0], x.shape[1] // 2)
+        shift = float(np.sum(np.abs(arr)))
 
         def update(k, cur, cols):
             return sign[cols] * F(cur[0]) + shift * cur[0]
 
-    elif variant == "z":
+        (x,), _ = _power_sweeps(update, [x], 2, 1e-14, max_iters)
 
-        def update(k, cur, cols):
-            return F(cur[0])
-
-    elif nonneg:
-        # entrywise-root iteration is valid on the nonnegative path; a negative
-        # entry of F stops the start, signalled as a zero update
-        x = np.abs(x)
-
+    elif variant == "h" and np.all(arr >= 0.0):
+        # the entrywise-root map converges on nonnegative input (Ng, Qi & Zhou
+        # 2009); a negative entry of F stops the start, signalled as a zero update
         def update(k, cur, cols):
             f = F(cur[0])
             y = np.maximum(f, 0.0) ** (1.0 / (order - 1)) if order > 2 else f
             return np.where(np.any(f < 0.0, axis=0), 0.0, y)
 
-    if update is not None:
-        (x,), _ = _power_sweeps(update, [x], 2, 1e-14, max_iters)
+        (x,), _ = _power_sweeps(update, [np.abs(x)], 2, 1e-14, max_iters)
 
     return _converged_or_best(_polish(arr, mode, variant, x, tol), _eig_key)
 
@@ -521,30 +518,32 @@ def find_eigenpairs(
     for a 2x2x2 tensor) give one start and may be reported as one line.
     For larger modes the ``starts`` are the leading left singular vectors of
     the mode's unfolding, then coordinate vectors, then ``default_rng(seed)``
-    normal draws (`_starts`), and all run at once, one per column, through a
-    power iteration: on symmetric input each z start runs both shifted maps,
-    other z input the unshifted map, and h starts on nonnegative input the
-    entrywise-root map (other h starts skip it).  Completeness is not
-    claimed there.  Both paths then polish every start by damped Newton with
-    the exact Jacobian and add the sign partner (`eig_orbit` with
-    ``t = -1``) of every converged record before deduplication.  Pairs are
-    sorted by decreasing |value|, then vector.
+    normal draws (`_starts`), all run at once, one per column.  On symmetric
+    input z starts first run both shifted power maps, on nonnegative input
+    h starts the entrywise-root map; ``max_iters`` caps those sweeps only.
+    Other starts go straight to Newton.  Completeness is not claimed there.
+    Both paths polish every start by damped Newton with the exact Jacobian
+    and add the sign partner (`eig_orbit` with ``t = -1``) of every
+    converged record before deduplication.  Pairs are sorted by decreasing
+    |value| to 12 significant digits, then vector.
 
     On larger modes every returned pair is converged except when nothing
     converged at all, in which case the single best
     non-converged record is returned flagged (``converged=False``).  On
-    size-2 modes ``[]`` is returned when no root line is real.  ``starts``
-    or ``max_iters`` below 1 and ``tol`` below 0 or NaN raise `ValueError`
-    on both paths.
+    size-2 modes ``[]`` is returned when no root line is real.  A tensor of
+    order below 2, ``starts`` or ``max_iters`` below 1 and ``tol`` below 0
+    or NaN raise `ValueError` on both paths.
     """
     arr = _as_array(t)
+    if arr.ndim < 2:
+        raise ValueError(f"eigenpairs need a tensor of order >= 2, got order {arr.ndim}")
     m = _check_cubical(arr)
     if not 1 <= mode <= arr.ndim:
         raise IndexError(f"mode {mode} out of range [1, {arr.ndim}]")
     variant = variant.lower()
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be 'z' or 'h', got {variant!r}")
-    _check_run_opts(tol, max_iters, starts)
+    _check_run_opts(tol, max_iters=max_iters, starts=starts)
     top = float(np.max(np.abs(arr)))
     pairs = None
     if top > 0.0 and m == 2:
@@ -554,7 +553,7 @@ def find_eigenpairs(
     if pairs is None:
         warnings.warn("the solutions form a continuous family, not isolated; no records are returned", stacklevel=2)
         return []
-    return [replace(p, value=p.value * top, residual=p.residual * top) for p in pairs]
+    return _printed_order([replace(p, value=p.value * top, residual=p.residual * top) for p in pairs], _eig_key)
 
 
 def find_eigenpairs_contract_trailing(t: DenseTensor, variant: str, **opts) -> list[EigenPair]:
@@ -674,7 +673,8 @@ def find_singular_tuples(
     (module docstring): a record is flagged converged when
     ``singular_residual <= tol * max|T|`` and every factor's p-norm is within
     ``tol`` of 1.  The converged records are deduplicated under the sign
-    gauge and sorted by decreasing |sigma|; when none converged, the single
+    gauge and sorted by decreasing |sigma| (12 significant digits), then
+    entries; when none converged, the single
     best record is returned flagged.  The zero tensor gives ``[]``.
     Completeness is not claimed (the problem is NP-hard in general).
     """
@@ -684,7 +684,7 @@ def find_singular_tuples(
         raise ValueError(f"singular tuples need a tensor of order >= 2, got order {order}")
     if p not in (2, order):
         raise ValueError(f"p must be 2 or the tensor order {order}, got {p}")
-    _check_run_opts(tol, max_iters, starts)
+    _check_run_opts(tol, max_iters=max_iters, starts=starts)
     top = float(np.max(np.abs(arr)))
     if top == 0.0:
         return []
@@ -725,8 +725,8 @@ def find_singular_tuples(
         blocks = [np.column_stack([np.random.default_rng(seed + starts + k).normal(size=d) for k in fresh]) for d in dims]
         for i, r in zip(dead, [r for r in run([b / np.linalg.norm(b, axis=0) for b in blocks]) if r is not None]):
             results[i] = r
-    tuples = _converged_or_best([r for r in results if r is not None], lambda r: (r.sigma, np.concatenate(r.vectors)))
-    return [replace(r, sigma=r.sigma * top, residual=r.residual * top) for r in tuples]
+    tuples = _converged_or_best([r for r in results if r is not None], _tuple_key)
+    return _printed_order([replace(r, sigma=r.sigma * top, residual=r.residual * top) for r in tuples], _tuple_key)
 
 
 def singular_orbit(

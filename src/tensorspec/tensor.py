@@ -57,7 +57,7 @@ class DenseTensor:
     __slots__ = ("_array", "shape")
 
     def __init__(self, data, dims: Sequence[int] | None = None):
-        arr = np.asarray(data, dtype=float)
+        arr = _as_array(data)
         if dims is not None:
             dims = tuple(int(d) for d in dims)
             if arr.size != math.prod(dims):
@@ -67,8 +67,6 @@ class DenseTensor:
             arr = arr.reshape(dims, order="F")
         if arr.ndim == 0:
             raise ValueError("order-0 values are plain floats, not DenseTensor")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite (no NaN/Inf)")
         arr = arr.copy(order="F")
         arr.flags.writeable = False
         self._array = arr
@@ -162,10 +160,13 @@ class DenseTensor:
 
 
 def _as_array(t) -> np.ndarray:
-    """Accept DenseTensor, ndarray, or nested lists; return a float ndarray."""
+    """Accept DenseTensor, ndarray, or nested lists; return a float ndarray with finite entries."""
     if isinstance(t, DenseTensor):
         return t.to_array()
-    return np.asarray(t, dtype=float)
+    arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("tensor entries must be finite (no NaN/Inf)")
+    return arr
 
 
 def _as_matrix(t) -> np.ndarray:

@@ -88,6 +88,13 @@ class TestEig:
         assert json.loads(captured.out)["pairs"] == []
         assert "Traceback" not in captured.err
 
+    def test_order1_is_4(self, capsys, tmp_path):
+        path = tmp_path / "vector.json"
+        save_tensor(DenseTensor(np.arange(1.0, 8.0)), path)
+        assert main(["eig", str(path), "--variant", "h"]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: eigenpairs need a tensor of order >= 2, got order 1\n"
+
     def test_deterministic_bytes(self, capsys, golden_path):
         _, out1 = run(capsys, ["eig", "--variant", "z", "--mode", "1", "--seed", "0", golden_path])
         _, out2 = run(capsys, ["eig", "--variant", "z", "--mode", "1", "--seed", "0", golden_path])

@@ -197,6 +197,17 @@ class TestFindEigenpairsGolden:
             find_eigenpairs(golden_222(), 4, "z")
         with pytest.raises(ValueError):
             find_eigenpairs(golden_222(), 1, "q")
+        with pytest.raises(ValueError, match="order >= 2"):
+            find_eigenpairs(DenseTensor(np.arange(1.0, 8.0)), 1, "h")
+
+    def test_sort_reads_the_printed_value(self):
+        from tensorspec.spectra import _eig_key, _printed_order
+
+        up = np.nextafter(1.0, 2.0)
+        a, b = EigenPair("z", 1, up, [1.0, 0.0], 0.0), EigenPair("z", 1, 1.0, [0.0, 1.0], 0.0)
+        # values one ulp apart print alike, so the entries decide the order
+        for records in ([a, b], [b, a]):
+            assert [p.value for p in _printed_order(records, _eig_key)] == [1.0, up]
 
 
 def scalar_and_vector(r):
@@ -351,6 +362,14 @@ class TestFindEigenpairsIterative:
         got = sorted({round(p.value, 9) for p in pairs})
         assert got == [round(v, 9) for v in evals]
 
+    def test_general_z_records_converge(self):
+        g = rng(2008)
+        _, a4, a8 = (g.normal(size=(m, m, m)) for m in (3, 4, 8))
+        g = rng(2014)
+        *_, b4 = (g.normal(size=shape) for shape in ((3, 3, 3), (4, 4, 4), (8, 8, 8), (3, 3, 3, 3)))
+        for arr in (a4, a8, b4):
+            assert any(p.converged for p in find_eigenpairs(DenseTensor(arr), 1, "z"))
+
     def test_nonneg_h_power_iteration(self):
         # nonnegative cubical tensor: entrywise-root path finds a positive pair
         g = rng(7)
@@ -390,16 +409,18 @@ class TestIterativeScaleEquivariance:
                 scaled = converged_records(arr * s, variant)
                 assert len(scaled) == len(base)
                 assert same_scaled_records(base, scaled, s, top, tol=0.0)
-            # a decimal scale moves T / max|T| by an ulp.  z on non-symmetric input runs
-            # the unshifted map and h on input with a negative entry runs plain Newton
-            # from the starts; neither need converge, so their records can change with
-            # one-ulp changes (ROADMAP item 4)
-            if (variant == "z" and not is_symmetric(DenseTensor(arr))) or (variant == "h" and np.any(arr < 0.0)):
-                return
+            # a decimal scale moves T / max|T| by an ulp
             for s in (1e8, 1e-8, 1e150, 1e-150):
                 scaled = converged_records(arr * s, variant)
                 assert len(scaled) == len(base)
                 assert same_scaled_records(base, scaled, s, top)
+
+    def test_general_8x8x8_z_keeps_its_records(self):
+        for seed in range(3):
+            arr = rng(seed).normal(size=(8, 8, 8))
+            base, scaled = converged_records(arr, "z"), converged_records(arr * 1e8, "z")
+            assert base and len(scaled) == len(base)
+            assert same_scaled_records(base, scaled, 1e8, np.max(np.abs(arr)))
 
     def test_benchmark_scale_probes(self):
         # the scale probes of bench/workloads.py: symmetric 3^3, l2 at 1e+-200 and z at 1e100

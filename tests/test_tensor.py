@@ -58,6 +58,24 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             DenseTensor(5.0)
 
+    def test_raw_arrays_are_checked_like_dense_tensors(self):
+        from tensorspec.decomp import cp_als, hosvd, multilinear_rank, odeco_decompose
+        from tensorspec.spectra import find_eigenpairs, find_singular_tuples
+
+        for bad in (np.nan, np.inf):
+            arr = rng(5).normal(size=(3, 3, 3))
+            arr[1, 2, 0] = bad
+            for call in (
+                lambda: find_eigenpairs(arr, 1, "z"),
+                lambda: find_singular_tuples(arr, 2),
+                lambda: cp_als(arr, 2),
+                lambda: multilinear_rank(arr),
+                lambda: odeco_decompose(arr),
+                lambda: hosvd(arr, [2, 2, 2]),
+            ):
+                with pytest.raises(ValueError, match="must be finite"):
+                    call()
+
     def test_immutability(self):
         t = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError):
