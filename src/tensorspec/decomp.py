@@ -452,7 +452,7 @@ def odeco_decompose(
     if rank is not None and rank < 1:
         raise ValueError("rank must be >= 1")
     _check_run_opts(tol, starts=starts, max_iters=max_iters)
-    arr = _as_array(t).copy()
+    data = arr = _as_array(t)
     if symmetric and len(set(arr.shape)) != 1:
         raise ValueError("symmetric recovery needs a cubical tensor")
     order = arr.ndim
@@ -479,12 +479,12 @@ def odeco_decompose(
         component += 1
 
     if not weights:
-        cp = CpDecomposition(np.zeros(1), [np.eye(d, 1) for d in t.dims])
+        cp = CpDecomposition(np.zeros(1), [np.eye(d, 1) for d in data.shape])
         return OdecoResult(cp, 1.0 if norm0 > 0 else 0.0, 0.0, "not_converged")
 
     factors = [np.column_stack(vectors[o]) for o in range(order)]
     cp = CpDecomposition(np.array(weights), factors)
-    recon_err = frobenius_norm(cp_eval(cp) - t) / max(norm0, 1e-300)
+    recon_err = frobenius_norm(cp_eval(cp).to_array() - data) / max(norm0, 1e-300)
     defect = 0.0
     for f in factors:
         gram = f.T @ f

@@ -19,7 +19,11 @@ with factor matrices as nested row lists.  The weights, and every factor as
 a nonempty list of equal-length row lists, follow the tensor data's rule:
 exact ``int`` or ``float`` entries, all finite.  Eigenpairs and singular tuples
 serialize as ``{"variant", "mode", "lambda", "vector", "residual"}`` and
-``{"p", "sigma", "vectors", "residual"}`` records.
+``{"p", "sigma", "vectors", "residual"}`` records, with an optional boolean
+``"converged"``.  Their readers apply the same rule: every number an exact,
+finite ``int`` or ``float``, every vector a nonempty flat list of them,
+``mode`` an ``int >= 1``, and ``p`` 2 or the number of vectors, of which
+there are at least two.
 """
 
 from __future__ import annotations
@@ -164,14 +168,43 @@ def eigenpair_to_dict(p: EigenPair) -> dict[str, Any]:
     }
 
 
+def _record(obj, keys: set[str]) -> bool:
+    """Check a record object's keys; return its ``converged`` flag (default true)."""
+    if not isinstance(obj, dict):
+        raise ValueError("a record must be a JSON object")
+    missing = keys - set(obj)
+    if missing:
+        raise ValueError(f"record missing keys: {sorted(missing)}")
+    converged = obj.get("converged", True)
+    if type(converged) is not bool:
+        raise ValueError("converged must be true or false")
+    return converged
+
+
+def _number(value, what: str) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number")
+    return float(_finite(value, what))
+
+
+def _vector(values, what: str) -> np.ndarray:
+    if not _is_number_list(values) or not values:
+        raise ValueError(f"{what} must be a nonempty flat list of numbers")
+    return _finite(values, what)
+
+
 def eigenpair_from_dict(obj: dict[str, Any]) -> EigenPair:
+    converged = _record(obj, {"variant", "mode", "lambda", "vector", "residual"})
+    mode = obj["mode"]
+    if type(mode) is not int or mode < 1:
+        raise ValueError(f"mode must be an integer >= 1, got {mode!r}")
     return EigenPair(
         variant=obj["variant"],
-        mode=int(obj["mode"]),
-        value=float(obj["lambda"]),
-        vector=np.asarray(obj["vector"], dtype=float),
-        residual=float(obj["residual"]),
-        converged=bool(obj.get("converged", True)),
+        mode=mode,
+        value=_number(obj["lambda"], "lambda"),
+        vector=_vector(obj["vector"], "vector"),
+        residual=_number(obj["residual"], "residual"),
+        converged=converged,
     )
 
 
@@ -186,10 +219,17 @@ def singular_tuple_to_dict(s: SingularTuple) -> dict[str, Any]:
 
 
 def singular_tuple_from_dict(obj: dict[str, Any]) -> SingularTuple:
+    converged = _record(obj, {"p", "sigma", "vectors", "residual"})
+    vectors = obj["vectors"]
+    if not isinstance(vectors, list) or len(vectors) < 2:
+        raise ValueError("vectors must be a list of at least two vectors")
+    p = obj["p"]
+    if type(p) is not int or p not in (2, len(vectors)):
+        raise ValueError(f"p must be 2 or the number of vectors {len(vectors)}, got {p!r}")
     return SingularTuple(
-        p=int(obj["p"]),
-        sigma=float(obj["sigma"]),
-        vectors=tuple(np.asarray(v, dtype=float) for v in obj["vectors"]),
-        residual=float(obj["residual"]),
-        converged=bool(obj.get("converged", True)),
+        p=p,
+        sigma=_number(obj["sigma"], "sigma"),
+        vectors=tuple(_vector(v, "each vector") for v in vectors),
+        residual=_number(obj["residual"], "residual"),
+        converged=converged,
     )

@@ -34,15 +34,16 @@ Both sign choices of an eigenvector solve the equations and are reported as
 distinct records, matching the convention of listing plus/minus pairs
 explicitly.
 
-The iterative solvers share one design: `_starts` builds every start (the
-only other draws are the tuple solver's restarts), `contract._power_sweeps`
-runs them as the columns of one matrix, `_damped_newton` polishes them, and
-`_dedup` merges records closer than ``_DEDUP_TOL`` (1e-8).  Power sweeps run
-only where a map converges (tuple starts, z starts on symmetric input, h
-starts on nonnegative input); other eigen starts go to Newton as they are.
-Each system, the eigen one (`_eig_system`) and the singular one
-(`_tuple_system`), has one residual, which the Newton polish, the
-convergence gate and the public `eig_residual` and `singular_residual` all
+Every spectral solve has three steps.  Starts: `_starts` builds every
+start (on size-2 modes the root lines of the binary form are the starts),
+and `contract._power_sweeps` runs them as the columns of one matrix where a
+map converges (tuple starts, z starts on symmetric input, h starts on
+nonnegative input).  Polish: `_damped_newton` on the system's residual, then
+`_gate` reads that residual once per record.  Finish: `_converged_or_best`
+keeps the converged records through `_dedup`, which merges records closer
+than ``_DEDUP_TOL`` (1e-8).  Each system, the eigen one (`_eig_system`) and
+the singular one (`_tuple_system`), has one residual, which the Newton
+polish, the gate and the public `eig_residual` and `singular_residual` all
 read; ``F_o`` is always the batched kernel `contract._contract_all_but_batch`.
 """
 
@@ -203,6 +204,16 @@ def _converged_or_best(records: list, key) -> list:
     return [min(records, key=lambda r: r.residual)]
 
 
+def _gate(residual, v, n: int, tol: float):
+    """Per column of ``v``, the record's residual and whether it converged.
+
+    The residual is the largest defect of the ``n`` equation rows; converged
+    means every row, the norm rows included, is within ``tol``.
+    """
+    g = np.abs(residual(v))
+    return np.max(g[:n], axis=0), np.all(g <= tol, axis=0)
+
+
 def _eig_key(p: EigenPair):
     return p.value, p.vector
 
@@ -338,8 +349,7 @@ def _size2_solve(arr, mode, variant, tol):
     if not g.any():
         return None
     # np.roots adds rounding of its own to that of the coefficients
-    pairs = _polish(arr, mode, variant, _root_lines(g, 4.0 * noise), tol)
-    return _dedup([p for p in pairs if p.converged], _eig_key)
+    return _converged_or_best(_polish(arr, mode, variant, _root_lines(g, 4.0 * noise), tol), _eig_key)
 
 
 # -- iterative path for larger modes --------------------------------------------
@@ -450,11 +460,9 @@ def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts):
 
     elif variant == "h" and np.all(arr >= 0.0):
         # the entrywise-root map converges on nonnegative input (Ng, Qi & Zhou
-        # 2009); a negative entry of F stops the start, signalled as a zero update
+        # 2009); from the starts |x| every F(x) stays nonnegative
         def update(k, cur, cols):
-            f = F(cur[0])
-            y = np.maximum(f, 0.0) ** (1.0 / (order - 1)) if order > 2 else f
-            return np.where(np.any(f < 0.0, axis=0), 0.0, y)
+            return F(cur[0]) ** (1.0 / (order - 1))
 
         (x,), _ = _power_sweeps(update, [np.abs(x)], 2, 1e-14, max_iters)
 
@@ -464,8 +472,8 @@ def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts):
 def _polish(arr, mode, variant, x, tol):
     """Damped-Newton polish of the start columns ``x`` into eigenpair records.
 
-    Returns one record per column, flagged converged when its residual is at
-    most ``tol``, followed by the sign partner (`eig_orbit` with ``t = -1``)
+    Returns one record per column, flagged converged when `_gate` passes it,
+    followed by the sign partner (`eig_orbit` with ``t = -1``)
     of every converged record.
     """
     order, m = arr.ndim, arr.shape[0]
@@ -482,11 +490,8 @@ def _polish(arr, mode, variant, x, tol):
         nrm = np.linalg.norm(x, axis=0)
         x = np.where(nrm > 0, x / np.where(nrm > 0, nrm, 1.0), x)
         lam = np.where(nrm > 0, _fit_scale(F(x), x**power), lam)
-    res = np.max(np.abs(residual(np.vstack([x, lam]))[:m]), axis=0)
-    pairs = [
-        EigenPair(variant, mode, lam[c], x[:, c], res[c], converged=bool(res[c] <= tol))
-        for c in range(x.shape[1])
-    ]
+    res, ok = _gate(residual, np.vstack([x, lam]), m, tol)
+    pairs = [EigenPair(variant, mode, lam[c], x[:, c], res[c], converged=bool(ok[c])) for c in range(x.shape[1])]
     # the t = -1 orbit of a solution is a solution with the same residual
     return pairs + [eig_orbit(p, -1.0, order) for p in pairs if p.converged]
 
@@ -504,10 +509,10 @@ def find_eigenpairs(
     """Mode-``mode`` eigenpairs of a cubical tensor, deduplicated and sorted.
 
     Every path solves ``T / max|T|`` (module docstring), so a record is
-    converged when ``eig_residual <= tol * max|T|``.  When the solutions are
-    not isolated (every unit vector solves the zero tensor; on size-2 modes,
-    whenever the binary form vanishes identically) a warning says so and
-    ``[]`` is returned.
+    converged when ``eig_residual <= tol * max|T|`` and ``|x . x - 1| <= tol``
+    (`_gate`).  When the solutions are not isolated (every unit vector solves
+    the zero tensor; on size-2 modes, whenever the binary form vanishes
+    identically) a warning says so and ``[]`` is returned.
     For modes of size 2 the starts are one unit vector per real root line of
     the binary form (module docstring), taken in both charts ``x_1/x_0`` and
     ``x_0/x_1``.  The k roots into which rounding splits a k-fold root are
@@ -522,17 +527,15 @@ def find_eigenpairs(
     input z starts first run both shifted power maps, on nonnegative input
     h starts the entrywise-root map; ``max_iters`` caps those sweeps only.
     Other starts go straight to Newton.  Completeness is not claimed there.
-    Both paths polish every start by damped Newton with the exact Jacobian
-    and add the sign partner (`eig_orbit` with ``t = -1``) of every
-    converged record before deduplication.  Pairs are sorted by decreasing
-    |value| to 12 significant digits, then vector.
-
-    On larger modes every returned pair is converged except when nothing
-    converged at all, in which case the single best
-    non-converged record is returned flagged (``converged=False``).  On
-    size-2 modes ``[]`` is returned when no root line is real.  A tensor of
-    order below 2, ``starts`` or ``max_iters`` below 1 and ``tol`` below 0
-    or NaN raise `ValueError` on both paths.
+    Both paths polish every start by damped Newton with the exact Jacobian,
+    add the sign partner (`eig_orbit` with ``t = -1``) of every converged
+    record and share one finish: the converged records, deduplicated, or
+    when nothing converged at all the single best non-converged record,
+    flagged (``converged=False``).  On size-2 modes ``[]`` is returned when
+    no root line is real.  Pairs are sorted by decreasing |value| to 12
+    significant digits, then vector.  A tensor of order below 2, ``starts``
+    or ``max_iters`` below 1 and ``tol`` below 0 or NaN raise `ValueError`
+    on both paths.
     """
     arr = _as_array(t)
     if arr.ndim < 2:
@@ -663,19 +666,22 @@ def find_singular_tuples(
     ``p`` must be 2 or the tensor order, ``starts`` and ``max_iters`` at
     least 1 and ``tol`` at least 0 (not NaN).  The starts are the per-mode
     leading left singular vectors of the unfoldings, then coordinate
-    vectors, then ``default_rng(seed)`` normal draws (`_starts`); all of
-    them run at once through the cyclic update
+    vectors, then ``default_rng(seed)`` normal draws: the first ``starts``
+    columns of `_starts` with count ``2 * starts``.  All of them run at once
+    through the cyclic update
     ``x_o <- normalize_p(sign(F_o) |F_o|^(1/(p-1)))`` until no factor moves by
-    more than 1e-13 over a sweep, and are then tightened by a least-squares
-    Newton pass on the coupled system.  A start whose iterate collapses to
-    zero restarts from the derived seed ``seed + starts + k`` (k = 1, 2, ...),
-    at most ``starts`` times in all.  The tensor is solved as ``T / max|T|``
-    (module docstring): a record is flagged converged when
-    ``singular_residual <= tol * max|T|`` and every factor's p-norm is within
-    ``tol`` of 1.  The converged records are deduplicated under the sign
+    more than 1e-13 over a sweep.  A start whose iterate collapses to zero is
+    replaced once by the next unused column of that stream (column
+    ``starts``, ``starts + 1``, ..), and the replacements run as one more
+    such batch; a replacement that collapses too is dropped.  Every start
+    is then tightened by a least-squares Newton pass on the coupled system.
+    The tensor is solved as ``T / max|T|`` (module docstring): a record is
+    flagged converged when every row of the system is within the gate,
+    ``singular_residual <= tol * max|T|`` and every ``sum |x_o|^p - 1``
+    within ``tol``.  The converged records are deduplicated under the sign
     gauge and sorted by decreasing |sigma| (12 significant digits), then
-    entries; when none converged, the single
-    best record is returned flagged.  The zero tensor gives ``[]``.
+    entries; when none converged, the single best record is returned
+    flagged.  The zero tensor gives ``[]``.
     Completeness is not claimed (the problem is NP-hard in general).
     """
     arr = _as_array(t)
@@ -689,43 +695,31 @@ def find_singular_tuples(
     if top == 0.0:
         return []
     arr = arr / top
-    dims = arr.shape
     power = p - 1
-    offsets = np.cumsum([0] + list(dims))
-    n = int(offsets[-1])
 
     def update(k, cur, cols):
         return _phi(_contract_all_but_batch(arr, k + 1, cur[:k] + cur[k + 1:]), 1.0 / power)
 
+    blocks = _starts(arr, range(1, order + 1), 2 * starts, seed)
+    xs, status = _power_sweeps(update, [b[:, :starts] for b in blocks], p, 1e-13, max_iters)
+    # a zero iterate killed these starts; each is replaced once by the next unused column
+    dead = np.flatnonzero(status < 0)
+    spare = [b[:, starts : starts + dead.size] for b in blocks]
+    spare, status[dead] = _power_sweeps(update, spare, p, 1e-13, max_iters)
+    for x, y in zip(xs, spare):
+        x[:, dead] = y
+    xs = [x[:, status >= 0] for x in xs]
+    n = sum(arr.shape)
+    sigma0 = _fit_scale(_contract_all_but_batch(arr, 1, xs[1:]), _phi(xs[0], power))
     residual, jacobian = _tuple_system(arr, p)
-
-    def run(blocks) -> list[SingularTuple | None]:
-        blocks, status = _power_sweeps(update, blocks, p, 1e-13, max_iters)
-        live = np.flatnonzero(status >= 0)
-        xs = [b[:, live] for b in blocks]
-        sigma0 = _fit_scale(_contract_all_but_batch(arr, 1, xs[1:]), _phi(xs[0], power))
-        v = _damped_newton(residual, jacobian, np.vstack(xs + [sigma0]))
-        res = np.max(np.abs(residual(v)[:n]), axis=0)
-        xs, sigma = np.split(v[:n], offsets[1:-1]), v[n]
-        unit = np.all([np.abs(np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p) - 1.0) <= tol for x in xs], axis=0)
-        out: list[SingularTuple | None] = [None] * status.size
-        for c, s in enumerate(live):
-            vecs, sig = _canonical_tuple_signs([x[:, c] for x in xs], sigma[c])
-            out[s] = SingularTuple(p, sig, tuple(vecs), res[c], converged=bool(res[c] <= tol and unit[c]))
-        return out
-
-    results = run(_starts(arr, range(1, order + 1), starts, seed))
-    restarts = 0
-    while None in results and restarts < starts:
-        # a zero iterate killed these starts; fill their slots, in order, from
-        # fresh derived seeds run in order until the slots or the budget run out
-        dead = [i for i, r in enumerate(results) if r is None]
-        fresh = range(restarts + 1, restarts + min(len(dead), starts - restarts) + 1)
-        restarts += len(fresh)
-        blocks = [np.column_stack([np.random.default_rng(seed + starts + k).normal(size=d) for k in fresh]) for d in dims]
-        for i, r in zip(dead, [r for r in run([b / np.linalg.norm(b, axis=0) for b in blocks]) if r is not None]):
-            results[i] = r
-    tuples = _converged_or_best([r for r in results if r is not None], _tuple_key)
+    v = _damped_newton(residual, jacobian, np.vstack(xs + [sigma0]))
+    res, ok = _gate(residual, v, n, tol)
+    xs, sigma = np.split(v[:n], np.cumsum(arr.shape)[:-1]), v[n]
+    records = []
+    for c in range(v.shape[1]):
+        vecs, sig = _canonical_tuple_signs([x[:, c] for x in xs], sigma[c])
+        records.append(SingularTuple(p, sig, tuple(vecs), res[c], converged=bool(ok[c])))
+    tuples = _converged_or_best(records, _tuple_key)
     return _printed_order([replace(r, sigma=r.sigma * top, residual=r.residual * top) for r in tuples], _tuple_key)
 
 

@@ -1,5 +1,6 @@
 """CP/Tucker formats, HOSVD, ALS fitting, and odeco recovery."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -519,3 +520,49 @@ class TestBatchedAls:
                 assert np.max(np.abs(a[0] - b[k])) <= 1e-12
         _, ref_errors, _ = reference_als_single(arr, singular, 500, 1e-12)
         assert_same_trace(traces[2], ref_errors)
+
+
+class TestRawArrayInput:
+    """Every public solver takes a DenseTensor, an ndarray or a nested list alike."""
+
+    @staticmethod
+    def numbers(result) -> np.ndarray:
+        """Every number in a solver result's fields, in a fixed order."""
+        if isinstance(result, DenseTensor):
+            result = result.to_array()
+        elif dataclasses.is_dataclass(result):
+            result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+        if isinstance(result, (list, tuple)):
+            return np.concatenate([TestRawArrayInput.numbers(r) for r in result] + [np.zeros(0)])
+        return np.zeros(0) if isinstance(result, str) else np.ravel(np.asarray(result, dtype=float))
+
+    def test_every_solver_on_ndarray_and_list(self):
+        from tensorspec.spectra import best_rank_one, find_eigenpairs, find_singular_tuples
+
+        arr = rng(700).normal(size=(3, 3, 3))
+        solvers = [
+            lambda t: find_eigenpairs(t, 1, "z"),
+            lambda t: find_eigenpairs(t, 2, "h"),
+            lambda t: find_singular_tuples(t, 2),
+            lambda t: [best_rank_one(t)],
+            lambda t: cp_als(t, 2, starts=2),
+            lambda t: odeco_decompose(t),
+            lambda t: odeco_decompose(t, symmetric=True),
+            lambda t: hosvd(t, [2, 2, 2]),
+            lambda t: multilinear_rank(t),
+        ]
+        for solve in solvers:
+            want = self.numbers(solve(DenseTensor(arr)))
+            for raw in (arr, arr.tolist()):
+                # a DenseTensor keeps its entries in colex order, so sums over them round differently
+                np.testing.assert_allclose(self.numbers(solve(raw)), want, rtol=1e-13, atol=1e-15)
+
+    def test_odeco_on_raw_input(self):
+        sym, _, _ = random_odeco_symmetric(3, 2, seed=701)
+        for raw in (sym.to_array(), sym.to_array().tolist()):
+            res = odeco_decompose(raw, symmetric=True)
+            assert res.ok and res.reconstruction_error <= 1e-8
+        for raw in (np.zeros((3, 3, 3)), np.zeros((2, 3, 4)).tolist()):
+            res = odeco_decompose(raw)
+            assert res.status == "not_converged" and res.reconstruction_error == 0.0
+            assert res.cp.dims == np.shape(raw)

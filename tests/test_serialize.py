@@ -25,7 +25,7 @@ from tensorspec.serialize import (
     tucker_from_dict,
     tucker_to_dict,
 )
-from tensorspec.spectra import EigenPair, SingularTuple
+from tensorspec.spectra import EigenPair, SingularTuple, find_eigenpairs, find_singular_tuples
 from tensorspec.tensor import DenseTensor
 
 
@@ -207,6 +207,84 @@ class TestResultFormats:
         back = singular_tuple_from_dict(json.loads(json.dumps(singular_tuple_to_dict(s))))
         assert back.p == 2 and back.sigma == 2.0
         assert all(np.array_equal(a, b) for a, b in zip(back.vectors, s.vectors))
+
+    def test_solver_records_roundtrip(self):
+        arr = rng(5).normal(size=(3, 3, 3))
+        records = find_eigenpairs(arr, 2, "z") + find_eigenpairs(arr, 1, "h")
+        for p in records:
+            back = eigenpair_from_dict(json.loads(json.dumps(eigenpair_to_dict(p))))
+            assert (back.variant, back.mode, back.value, back.residual, back.converged) == (
+                p.variant, p.mode, p.value, p.residual, p.converged)
+            assert np.array_equal(back.vector, p.vector)
+        for s in find_singular_tuples(arr, 2) + find_singular_tuples(arr, 3):
+            back = singular_tuple_from_dict(json.loads(json.dumps(singular_tuple_to_dict(s))))
+            assert (back.p, back.sigma, back.residual, back.converged) == (s.p, s.sigma, s.residual, s.converged)
+            assert all(np.array_equal(a, b) for a, b in zip(back.vectors, s.vectors))
+
+    # records follow the tensor data's rule: exact, finite int/float numbers
+    EIG = {"variant": "z", "mode": 1, "lambda": 1.5, "vector": [0.6, 0.8], "residual": 0.0, "converged": True}
+    BAD_EIG = [
+        {"vector": ["1", True]},
+        {"vector": [1.0, True]},
+        {"vector": [float("nan"), 0.8]},
+        {"vector": [0.6, float("inf")]},
+        {"vector": [[0.6], [0.8]]},
+        {"vector": []},
+        {"vector": 0.6},
+        {"mode": 1.9},
+        {"mode": 0},
+        {"mode": True},
+        {"mode": "1"},
+        {"lambda": "1.5"},
+        {"lambda": False},
+        {"lambda": float("nan")},
+        {"residual": None},
+        {"residual": 10**400},
+        {"converged": 1},
+        {"variant": "x"},
+    ]
+
+    def test_eigenpair_rejects_junk(self):
+        assert eigenpair_from_dict(dict(self.EIG, mode=2, vector=[1, 0])).mode == 2
+        for bad in self.BAD_EIG:
+            with pytest.raises(ValueError):
+                eigenpair_from_dict(dict(self.EIG, **bad))
+        for key in self.EIG:
+            if key != "converged":
+                with pytest.raises(ValueError):
+                    eigenpair_from_dict({k: v for k, v in self.EIG.items() if k != key})
+        with pytest.raises(ValueError):
+            eigenpair_from_dict([self.EIG])
+
+    TUP = {"p": 3, "sigma": 2.0, "vectors": [[1.0, 0.0], [0, 1], [1.0]], "residual": 0.0}
+    BAD_TUP = [
+        {"p": 7, "vectors": []},
+        {"p": 7},
+        {"p": 3.0},
+        {"p": True},
+        {"p": 1},
+        {"p": 3, "vectors": [[1.0, 0.0]]},
+        {"p": 2, "vectors": [[1.0, 0.0]]},
+        {"vectors": [[1.0, 0.0], [], [1.0]]},
+        {"vectors": [[1.0, 0.0], ["1"], [1.0]]},
+        {"vectors": [[1.0, 0.0], [True], [1.0]]},
+        {"vectors": [[1.0, 0.0], [float("nan")], [1.0]]},
+        {"vectors": [[1.0, 0.0], [[1.0]], [1.0]]},
+        {"vectors": "vectors"},
+        {"sigma": "2"},
+        {"sigma": float("-inf")},
+        {"residual": True},
+        {"converged": "yes"},
+    ]
+
+    def test_singular_tuple_rejects_junk(self):
+        assert singular_tuple_from_dict(dict(self.TUP, p=2)).order == 3
+        for bad in self.BAD_TUP:
+            with pytest.raises(ValueError):
+                singular_tuple_from_dict(dict(self.TUP, **bad))
+        for key in self.TUP:
+            with pytest.raises(ValueError):
+                singular_tuple_from_dict({k: v for k, v in self.TUP.items() if k != key})
 
 
 class TestFixtures:

@@ -1165,3 +1165,76 @@ class TestZeroFactorTuples:
             assert tup.converged
             for v in tup.vectors:
                 assert abs(np.sum(np.abs(v) ** 3) ** (1 / 3) - 1.0) <= 1e-10
+
+
+def diagonal_with_zero_slice():
+    """diag(3, 2, 0) on 3^3: the third svd and coordinate starts meet a zero slice and die."""
+    arr = np.zeros((3, 3, 3))
+    arr[0, 0, 0], arr[1, 1, 1] = 3.0, 2.0
+    return arr
+
+
+class TestStartStream:
+    def test_dead_starts_take_the_next_columns(self, monkeypatch):
+        import tensorspec.spectra as spectra
+
+        arr = diagonal_with_zero_slice()
+        power_sweeps = spectra._power_sweeps
+        batches = []
+
+        def sweeps(update, blocks, *args):
+            out = power_sweeps(update, blocks, *args)
+            batches.append(([b.copy() for b in blocks], out[1].copy()))
+            return out
+
+        monkeypatch.setattr(spectra, "_power_sweeps", sweeps)
+        stream = spectra._starts(arr, [1, 2, 3], 16, 5)
+        for p in (2, 3):
+            batches.clear()
+            tuples = find_singular_tuples(arr, p, starts=8, seed=5)
+            (first, status), (second, _) = batches
+            dead = np.flatnonzero(status < 0)
+            assert dead.tolist() == [2, 5]
+            assert all(np.array_equal(b, s[:, :8]) for b, s in zip(first, stream))
+            assert all(np.array_equal(b, s[:, 8:10]) for b, s in zip(second, stream))
+            assert [round(t.sigma, 10) for t in tuples] == [3.0, 2.0] and all(t.converged for t in tuples)
+
+    def test_one_generator_per_call(self, monkeypatch):
+        made = []
+        default_rng = np.random.default_rng
+
+        def counting(*args):
+            made.append(args)
+            return default_rng(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        arr = diagonal_with_zero_slice()
+        gen = rng(360).normal(size=(3, 3, 3))
+        sym = random_symmetric(3, seed=361)
+        calls = [
+            lambda: find_singular_tuples(arr, 2, seed=4),
+            lambda: find_singular_tuples(arr, 3, seed=4),
+            lambda: find_singular_tuples(gen, 2, seed=4),
+            lambda: find_eigenpairs(gen, 1, "z", seed=4),
+            lambda: find_eigenpairs(np.abs(gen), 2, "h", seed=4),
+            lambda: find_eigenpairs(sym, 3, "z", seed=4),
+        ]
+        for call in calls:
+            made.clear()
+            call()
+            assert made == [(4,)]
+
+
+class TestGate:
+    def test_z_norm_row_gates_convergence(self, monkeypatch):
+        import tensorspec.spectra as spectra
+
+        arr = diagonal_with_zero_slice() / 3.0
+        # Newton returns the start as it is, so the start's defects are the record's
+        monkeypatch.setattr(spectra, "_damped_newton", lambda residual, jacobian, v: v)
+        e1 = np.eye(3)[:, :1]
+        for scale, converged in [(1.0, True), (1.0 + 1e-12, True), (1.0 + 1e-6, False)]:
+            [pair, *partner] = spectra._polish(arr, 1, "z", scale * e1, 1e-10)
+            # (1 + eps) e_1 with lambda = 1 + eps solves the equation rows exactly
+            assert pair.residual <= 1e-15 and pair.value == pytest.approx(scale, abs=1e-15)
+            assert pair.converged is converged and len(partner) == int(converged)
