@@ -195,8 +195,8 @@ def _contract_all_but_batch(arr: np.ndarray, keep, xs) -> np.ndarray:
 
 def _column_norms(y: np.ndarray, p: int = 2) -> np.ndarray:
     if p == 2:
-        return np.sqrt((y * y).sum(axis=0))
-    return (np.abs(y) ** p).sum(axis=0) ** (1.0 / p)
+        return np.sqrt(np.add.reduce(y * y, axis=0))
+    return np.add.reduce(np.abs(y) ** p, axis=0) ** (1.0 / p)
 
 
 def _check_run_opts(tol: float, **counts: int) -> None:
@@ -231,15 +231,21 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
         if not cols.size:
             break
         alive = np.ones(cols.size, dtype=bool)
-        delta = np.zeros(cols.size)
+        moved = np.zeros(cols.size)
         for k, x in enumerate(current):
             y = update(k, current, cols)
             nrm = _column_norms(y, p)
             alive &= nrm != 0.0
-            y = np.where(alive, y / np.where(alive, nrm, 1.0), x)
-            delta = np.maximum(delta, np.minimum(_column_norms(y - x), _column_norms(y + x)))
+            if alive.all():
+                y = y / nrm
+            else:
+                y = np.where(alive, y / np.where(alive, nrm, 1.0), x)
+            d, s = y - x, y + x
+            moved = np.maximum(moved, np.minimum(np.add.reduce(d * d, axis=0), np.add.reduce(s * s, axis=0)))
             current[k] = y
-        done = alive & (delta <= tol)
+        # sqrt is monotone, so this is the largest over the blocks of the
+        # smaller 2-norm of y -/+ x, to the bit
+        done = alive & (np.sqrt(moved) <= tol)
         running = alive & ~done
         if running.all():
             continue

@@ -38,10 +38,12 @@ Every spectral solve has three steps.  Starts: `_starts` builds every
 start (on size-2 modes the root lines of the binary form are the starts),
 and `contract._power_sweeps` runs them as the columns of one matrix where a
 map converges (tuple starts, z starts on symmetric input, h starts on
-nonnegative input).  Polish: `_damped_newton` on the system's residual, then
-`_gate` reads that residual once per record.  Finish: `_converged_or_best`
-keeps the converged records through `_dedup`, which merges records closer
-than ``_DEDUP_TOL`` (1e-8).  Each system, the eigen one (`_eig_system`) and
+nonnegative input).  Polish: `_damped_newton` on the system's residual (one
+batched LU per step on the square eigen system, the truncated SVD on the
+tuple system and at exactly singular Jacobians), then `_gate` reads that
+residual once per record.  Finish: `_converged_or_best` keeps the converged
+records through `_dedup`, which merges records closer than ``_DEDUP_TOL``
+(1e-8).  Each system, the eigen one (`_eig_system`) and
 the singular one (`_tuple_system`), has one residual, which the Newton
 polish, the gate and the public `eig_residual` and `singular_residual` all
 read; ``F_o`` is always the batched kernel `contract._contract_all_but_batch`.
@@ -229,17 +231,21 @@ def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:
     leading left singular vectors of each mode's unfolding, columns
     ``R .. 2R-1`` the first ``R`` coordinate vectors, and every later column
     takes one ``default_rng(seed).normal`` draw per mode, mode by mode.  The
-    blocks keep their first ``count`` columns.
+    blocks keep their first ``count`` columns.  The draws are one
+    ``(count - 2R, sum M_o)`` block, split by mode, and each is divided by
+    the square root of its own dot product (a batched ``w @ w``, the dot
+    that `np.linalg.norm` takes), so every column has the bits of a
+    per-column draw and norm.
     """
     dims = [arr.shape[o - 1] for o in modes]
     r = min(dims)
     lead = [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0][:, :r] for o in modes]
-    g = np.random.default_rng(seed)
-    draws = [[g.normal(size=d) for d in dims] for _ in range(count - 2 * r)]
-    return [
-        np.column_stack([u, np.eye(d, r)] + [w[k] / np.linalg.norm(w[k]) for w in draws])[:, :count]
-        for k, (u, d) in enumerate(zip(lead, dims))
-    ]
+    draws = np.random.default_rng(seed).normal(size=(max(count - 2 * r, 0), sum(dims)))
+    blocks = []
+    for u, d, w in zip(lead, dims, np.split(draws, np.cumsum(dims)[:-1], axis=1)):
+        nrm = np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0]
+        blocks.append(np.hstack([u, np.eye(d, r), (w / nrm).T])[:, :count])
+    return blocks
 
 
 # -- exact path for 2-dimensional modes -----------------------------------------
@@ -366,6 +372,26 @@ def _fit_scale(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(nonzero, np.sum(f * w, axis=0) / np.where(nonzero, denom, 1.0), 0.0)
 
 
+def _newton_step(jac: np.ndarray, g: np.ndarray):
+    """The ``(n, C)`` steps of `_damped_newton` for ``(C, r, n)`` Jacobians and ``(r, C)`` residuals.
+
+    None when the SVD does not converge.
+    """
+    if jac.shape[1] == jac.shape[2]:
+        try:
+            return -np.linalg.solve(jac, g.T[:, :, None])[:, :, 0].T
+        except np.linalg.LinAlgError:
+            pass
+    try:
+        u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return None
+    kept = sv > np.finfo(float).eps * max(jac.shape[1:]) * sv[:, :1]
+    coef = np.einsum("crk,rc->ck", u, g)
+    coef = np.where(kept, coef / np.where(kept, sv, 1.0), 0.0)
+    return -np.einsum("ckn,ck->nc", vt, coef)
+
+
 def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
     """Damped Gauss-Newton on every column of ``v`` at once.
 
@@ -376,6 +402,14 @@ def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
     2^-19`` at which the residual's 2-norm drops; a column whose residual
     drops at none of them stops there.  The whole ladder is evaluated for
     every column in one residual call per iteration.
+
+    Square systems (the eigen system) solve every step of an iteration with
+    one batched LU.  Systems that are not square (the tuple system), and an
+    iteration in which some Jacobian is exactly singular so that LU raises,
+    take the truncated SVD: singular values below lstsq's default cutoff,
+    ``eps * max(r, n) * sigma_max``, are dropped, as lstsq does.  Only a
+    Jacobian singular to rounding has such values, so elsewhere the two
+    steps agree to rounding.
     """
     v = np.array(v, dtype=float)
     g = residual(v)
@@ -390,15 +424,9 @@ def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
         cols, jac = cols[finite], jac[finite]
         if not cols.size:
             break
-        try:
-            u, sv, vt = np.linalg.svd(jac, full_matrices=False)
-        except np.linalg.LinAlgError:
+        step = _newton_step(jac, g[:, cols])
+        if step is None:
             break
-        # singular values below lstsq's default cutoff are dropped, as lstsq does
-        kept = sv > np.finfo(float).eps * max(jac.shape[1:]) * sv[:, :1]
-        coef = np.einsum("crk,rc->ck", u, g[:, cols])
-        coef = np.where(kept, coef / np.where(kept, sv, 1.0), 0.0)
-        step = -np.einsum("ckn,ck->nc", vt, coef)
         base = np.linalg.norm(g[:, cols], axis=0)
         cand = v[:, cols, None] + step[:, :, None] * _LADDER
         gc = residual(cand.reshape(v.shape[0], -1)).reshape(g.shape[0], cols.size, _LADDER.size)

@@ -8,10 +8,15 @@ evaluates ``F_o`` only through the batched kernel
 `power_sweeps_loop` and `damped_newton_loop` are the solvers' two shared
 iterations written step by step: the power sweep slices the running columns
 out of the blocks and writes them back every sweep, and the Newton line search
-halves the step one residual call at a time.  The library's
-`contract._power_sweeps` must match the loop bit for bit, and
-`spectra._damped_newton`, which evaluates the whole halving ladder in one
-residual call, must match it to rounding.
+halves the step one residual call at a time and takes every step by the
+truncated SVD.  The library's `contract._power_sweeps` must match the loop bit
+for bit.  `spectra._damped_newton` evaluates the whole halving ladder in one
+residual call and solves square systems by LU; its converged columns must
+match the loop's to rounding, since the two steps differ only at Jacobians
+singular to rounding.
+
+`starts_loop` is `spectra._starts` drawn and normalized one column and one
+mode at a time; the library draws one block and must match it bit for bit.
 
 `cli_json` is the CLI's JSON byte contract written with the standard encoder:
 round every float to 12 significant digits, then ``json.dumps(indent=2)``.
@@ -22,7 +27,7 @@ import json
 
 import numpy as np
 
-from tensorspec.contract import _column_norms
+from tensorspec.contract import _column_norms, _mode_unfolding
 
 
 def contract_all_but_loop(arr, o, xs):
@@ -100,6 +105,19 @@ def damped_newton_loop(residual, jacobian, v, iters=50, tol=1e-13):
             t /= 2.0
         cols = cols[~pending]
     return v
+
+
+def starts_loop(arr, modes, count, seed):
+    """`spectra._starts` with one ``g.normal`` per mode per column and one `np.linalg.norm` per draw."""
+    dims = [arr.shape[o - 1] for o in modes]
+    r = min(dims)
+    lead = [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0][:, :r] for o in modes]
+    g = np.random.default_rng(seed)
+    draws = [[g.normal(size=d) for d in dims] for _ in range(count - 2 * r)]
+    return [
+        np.column_stack([u, np.eye(d, r)] + [w[k] / np.linalg.norm(w[k]) for w in draws])[:, :count]
+        for k, (u, d) in enumerate(zip(lead, dims))
+    ]
 
 
 def round12(obj):

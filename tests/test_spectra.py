@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import contract_all_but_loop, damped_newton_loop
+from reference import contract_all_but_loop, damped_newton_loop, starts_loop
 
 from tensorspec.decomp import cp_eval, CpDecomposition, odeco_decompose
 from tensorspec.spectra import (
@@ -578,6 +578,24 @@ class TestStarts:
         # the svd columns fill short blocks first
         assert np.array_equal(_starts(arr, [1, 3], 2, seed=3)[1], _starts(arr, [1, 3], 5, seed=3)[1][:, :2])
 
+    def test_one_draw_matches_per_column_loop(self):
+        from tensorspec.spectra import _starts
+
+        g = rng(45)
+        for shape in [(3, 3, 3), (8, 8, 8), (5, 6, 7), (4, 4, 4, 4), (3, 3, 3, 3, 3)]:
+            arr = g.normal(size=shape)
+            order = len(shape)
+            # an eigen call takes one mode, a tuple call every mode
+            for modes in ([order], [2], list(range(1, order + 1))):
+                r = min(shape[o - 1] for o in modes)
+                # below 2R (no draws), at it, and above it
+                for count in (1, r, 2 * r, 2 * r + 1, 64):
+                    for seed in (0, 1, 7, 2024):
+                        got = _starts(arr, modes, count, seed)
+                        want = starts_loop(arr, modes, count, seed)
+                        assert len(got) == len(want) == len(modes)
+                        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
 
 class TestFindSingularTuples:
     def test_matrix_svd(self):
@@ -1086,6 +1104,62 @@ class TestBatchedSolvers:
         calls, iters = counts[_damped_newton]
         assert iters > 5 and calls <= iters + 1
 
+    def test_square_systems_step_by_lu(self, monkeypatch):
+        from tensorspec.spectra import _damped_newton, _eig_system, _fit_scale, _starts
+
+        arr = rng(370).normal(size=(8, 8, 8))
+        arr /= np.max(np.abs(arr))
+        for power in (1, 2):
+            [x] = _starts(arr, [1], 32, 1)
+            v = np.vstack([x, _fit_scale(eig_map_loop(arr, x), x**power)])
+            with monkeypatch.context() as patch:
+                calls = count_linalg(patch)
+                got = _damped_newton(*_eig_system(arr, 1, power), v)
+            assert not calls["svd"] and len(calls["solve"]) > 5
+            assert all(dims[1:] == (9, 9) for dims in calls["solve"])
+            assert np.max(np.abs(got - v)) > 0.0
+
+    def test_tuple_systems_step_by_svd(self, monkeypatch):
+        from tensorspec.spectra import _damped_newton, _fit_scale, _phi, _starts, _tuple_system
+
+        for shape in [(3, 3, 3), (5, 6, 7)]:
+            arr = rng(371).normal(size=shape)
+            arr /= np.max(np.abs(arr))
+            for p in (2, 3):
+                xs = _starts(arr, [1, 2, 3], 12, 2)
+                xs = [x / np.sum(np.abs(x) ** p, axis=0) ** (1 / p) for x in xs]
+                sigma = _fit_scale(np.einsum("ijk,js,ks->is", arr, xs[1], xs[2]), _phi(xs[0], p - 1))
+                with monkeypatch.context() as patch:
+                    calls = count_linalg(patch)
+                    _damped_newton(*_tuple_system(arr, p), np.vstack(xs + [sigma]))
+                assert not calls["solve"] and calls["svd"]
+
+    def test_exactly_singular_jacobian_takes_the_svd_step(self, monkeypatch):
+        from tensorspec.spectra import _damped_newton, _eig_system, _fit_scale
+
+        g = rng(372)
+        for shape, power in [((3, 3, 3), 1), ((4, 4, 4, 4), 3)]:
+            arr = g.normal(size=shape)
+            x = g.normal(size=(shape[0], 12))
+            x /= np.linalg.norm(x, axis=0)
+            v = np.vstack([x, _fit_scale(eig_map_loop(arr, x), x**power)])
+            # at x = 0 the norm row of the Jacobian is zero, so LU raises
+            v[:, 0] = 0.0
+            v[-1, 0] = 1.0
+            residual, jacobian = _eig_system(arr, 1, power)
+            with monkeypatch.context() as patch:
+                calls = count_linalg(patch)
+                got = _damped_newton(residual, jacobian, v)
+            # the first iteration falls back to the SVD; column 0 stops there
+            assert calls["svd"] == [(12, shape[0] + 1, shape[0] + 1)]
+            assert calls["solve"][0] == calls["svd"][0] and len(calls["solve"]) > 2
+            assert all(dims[0] < 12 for dims in calls["solve"][1:])
+            want = damped_newton_loop(residual, jacobian, v)
+            converged = [np.max(np.abs(residual(w)), axis=0) <= 1e-13 for w in (got, want)]
+            assert np.array_equal(*converged) and converged[0].sum() >= 5
+            assert np.max(np.abs(got - want)[:, converged[0]]) <= 1e-12
+            assert np.array_equal(got[:, 0], v[:, 0])
+
     def test_identical_calls_identical_arrays(self):
         t = random_symmetric(3, seed=330)
         gen = DenseTensor(rng(331).normal(size=(3, 4, 5)))
@@ -1114,6 +1188,17 @@ def counted(fn, calls):
         calls.append(v.shape[1])
         return fn(v)
     return wrapped
+
+
+def count_linalg(monkeypatch):
+    """The shapes of the first arguments of every later `np.linalg.svd` and `np.linalg.solve` call, by name."""
+    calls = {"svd": [], "solve": []}
+    for name, shapes in calls.items():
+        def wrapped(a, *args, _fn=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+            _shapes.append(a.shape)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    return calls
 
 
 def eig_map_loop(arr, x):
@@ -1238,3 +1323,27 @@ class TestGate:
             # (1 + eps) e_1 with lambda = 1 + eps solves the equation rows exactly
             assert pair.residual <= 1e-15 and pair.value == pytest.approx(scale, abs=1e-15)
             assert pair.converged is converged and len(partner) == int(converged)
+
+
+class TestSparseInput:
+    """Sparse input makes singular and near-singular Jacobians common."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_converged_eigen_records_solve_the_equation(self):
+        g = rng(380)
+        tol, checked = 1e-10, 0
+        # F_mode by one einsum: the vector on the other two modes
+        subs = {1: "ijk,j,k->i", 2: "ijk,i,k->j", 3: "ijk,i,j->k"}
+        for s in [(3, 3, 3), (4, 4, 4)]:
+            for i in range(10):
+                arr = g.normal(size=s) * (g.random(s) < 0.3)
+                top = np.max(np.abs(arr))
+                mode = 1 + i % 3
+                for variant, power in (("z", 1), ("h", 2)):
+                    for r in find_eigenpairs(DenseTensor(arr), mode, variant, seed=i):
+                        if r.converged:
+                            f = np.einsum(subs[mode], arr, r.vector, r.vector)
+                            assert np.max(np.abs(f - r.value * r.vector**power)) <= tol * top * (1 + 1e-6)
+                            checked += 1
+        assert checked >= 100
+
