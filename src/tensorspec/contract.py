@@ -20,6 +20,7 @@ matrix.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -200,11 +201,14 @@ def _column_norms(y: np.ndarray, p: int = 2) -> np.ndarray:
 
 
 def _check_run_opts(tol: float, **counts: int) -> None:
-    """Reject a ``tol`` below 0 or NaN, then each count below 1, in the order given."""
+    """Reject a ``tol`` below 0 or NaN, then each count below 1, in the order given.
+
+    A count that is not an integer raises `TypeError` (`operator.index`).
+    """
     if not tol >= 0:  # also catches NaN
         raise ValueError("tol must be >= 0")
     for name, n in counts.items():
-        if n < 1:
+        if operator.index(n) < 1:
             raise ValueError(f"{name} must be >= 1")
 
 

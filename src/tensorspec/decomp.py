@@ -12,16 +12,17 @@ Multi-start solvers derive per-start seeds from ``seed`` and the start index
 and merge results by ``(error, start_index)``, so outputs do not depend on the
 order in which starts run; unlike the spectral solvers, whose random starts
 come from one generator, they keep a generator per start for that reason.
-Counts (``rank``, ``starts``, ``max_iters``) below 1 raise `ValueError`.  ALS
-runs all its starts at once, one start per slice of stacked ``(S, M_o, R)``
-factor arrays, and takes each sweep's error as the exact residual of the last
-mode's unfolding against the Khatri-Rao product that mode's update already
-built.  The odeco power iterations run all starts of a deflation round at
-once, one start per column.
+Counts (``rank``, ``starts``, ``max_iters``) below 1 raise `ValueError`,
+counts that are not integers `TypeError`.  ALS runs all its starts at once,
+one start per slice of stacked ``(S, M_o, R)`` factor arrays, and takes each
+sweep's error as the exact residual of the last mode's unfolding against the
+Khatri-Rao product that mode's update already built.  The odeco power
+iterations run all starts of a deflation round at once, one start per column.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -195,11 +196,11 @@ def hosvd(t: DenseTensor, ranks: Sequence[int]) -> TuckerDecomposition:
     Factor ``o`` holds the leading ``ranks[o]`` left singular vectors of the
     mode-o matricization; the core is ``t`` contracted with the factor
     transposes.  Exact at full multilinear ranks; a heuristic (not optimal)
-    truncation below them.
+    truncation below them.  A rank that is not an integer raises `TypeError`.
     """
     arr = _as_array(t)
     order = arr.ndim
-    ranks = [int(r) for r in ranks]
+    ranks = [operator.index(r) for r in ranks]
     if len(ranks) != order:
         raise ValueError(f"need {order} ranks, got {len(ranks)}")
     for o, r in enumerate(ranks, start=1):
@@ -399,10 +400,10 @@ def _odeco_round(arr, symmetric, seeds, max_iters, tol):
     """One deflation round: the power iteration of every start at once.
 
     Start ``k`` draws its initial vectors from ``default_rng(seeds[k])``.
-    Returns one ``(|value|, value, vectors, converged)`` record per start.
-    Symmetric input runs the symmetric map ``x <- F_1(x, .., x)``, anything
-    else the alternating per-mode update (HOPM); a start whose update hits
-    zero reports value 0, not converged.
+    Returns ``(value, vectors, converged)`` of the first start with the
+    largest ``|value|``.  Symmetric input runs the symmetric map
+    ``x <- F_1(x, .., x)``, anything else the alternating per-mode update
+    (HOPM); a start whose update hits zero reports value 0, not converged.
     """
     order = arr.ndim
     gens = [np.random.default_rng(sd) for sd in seeds]
@@ -424,7 +425,8 @@ def _odeco_round(arr, symmetric, seeds, max_iters, tol):
     xs = blocks * order if symmetric else blocks
     value = np.sum(_contract_all_but_batch(arr, 1, xs[1:]) * xs[0], axis=0)
     value[status < 0] = 0.0
-    return [(abs(value[k]), value[k], [x[:, k] for x in xs], status[k] == 1) for k in range(len(seeds))]
+    k = int(np.argmax(np.abs(value)))
+    return value[k], [x[:, k] for x in xs], status[k] == 1
 
 
 def odeco_decompose(
@@ -449,9 +451,7 @@ def odeco_decompose(
     cap, the reconstruction check fails and the result carries the "not_orthogonal"
     status.
     """
-    if rank is not None and rank < 1:
-        raise ValueError("rank must be >= 1")
-    _check_run_opts(tol, starts=starts, max_iters=max_iters)
+    _check_run_opts(tol, rank=1 if rank is None else rank, starts=starts, max_iters=max_iters)
     data = arr = _as_array(t)
     if symmetric and len(set(arr.shape)) != 1:
         raise ValueError("symmetric recovery needs a cubical tensor")
@@ -466,10 +466,8 @@ def odeco_decompose(
     component = 0
     while component < rank and np.linalg.norm(arr) > tol * max(norm0, 1e-300):
         seeds = [seed + 101 * component + k for k in range(starts)]
-        found = _odeco_round(arr, symmetric, seeds, max_iters, tol)
-        found.sort(key=lambda rec: -rec[0])
-        mag, value, xs, conv = found[0]
-        if not conv or mag == 0.0:
+        value, xs, conv = _odeco_round(arr, symmetric, seeds, max_iters, tol)
+        if not conv or value == 0.0:
             status = "not_converged"
             break
         weights.append(value)

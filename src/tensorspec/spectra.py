@@ -41,12 +41,14 @@ map converges (tuple starts, z starts on symmetric input, h starts on
 nonnegative input).  Polish: `_damped_newton` on the system's residual (one
 batched LU per step on the square eigen system, the truncated SVD on the
 tuple system and at exactly singular Jacobians), then `_gate` reads that
-residual once per record.  Finish: `_converged_or_best` keeps the converged
-records through `_dedup`, which merges records closer than ``_DEDUP_TOL``
-(1e-8).  Each system, the eigen one (`_eig_system`) and
-the singular one (`_tuple_system`), has one residual, which the Newton
-polish, the gate and the public `eig_residual` and `singular_residual` all
-read; ``F_o`` is always the batched kernel `contract._contract_all_but_batch`.
+residual once per column.  Finish: `_finish` reads the arrays of every
+column once and returns the columns to report in printed order: the
+converged ones, a column within ``_DEDUP_TOL`` (1e-8) of a lower-residual
+one dropped, or when none converged the best one.  Record objects are built
+for those columns only.  Each system, the eigen one (`_eig_system`) and the
+singular one (`_tuple_system`), has one residual, which the Newton polish,
+the gate and the public `eig_residual` and `singular_residual` all read;
+``F_o`` is always the batched kernel `contract._contract_all_but_batch`.
 """
 
 from __future__ import annotations
@@ -172,40 +174,6 @@ def singular_residual(t: DenseTensor, tup: SingularTuple) -> float:
     return float(np.max(np.abs(residual(v)[: sum(arr.shape)])))
 
 
-def _dedup(records: list, key) -> list:
-    """Drop records within ``_DEDUP_TOL`` of a lower-residual one.
-
-    ``key`` maps a record to the (scalar, vector) pair that is compared.
-    """
-    kept = []
-    for r in sorted(records, key=lambda q: q.residual):
-        s, v = key(r)
-        if not any(
-            abs(s - ks) <= _DEDUP_TOL * max(1.0, abs(ks)) and np.max(np.abs(v - kv)) <= _DEDUP_TOL
-            for _, ks, kv in kept
-        ):
-            kept.append((r, s, v))
-    return [k[0] for k in kept]
-
-
-def _printed_order(records: list, key) -> list:
-    """By decreasing |scalar| to 12 significant digits, as printed, then unit-scale entries to 12 decimals."""
-
-    def rank(r):
-        s, v = key(r)
-        return -float(f"{abs(s):.12g}"), [round(e, 12) for e in v.tolist()]
-
-    return sorted(records, key=rank)
-
-
-def _converged_or_best(records: list, key) -> list:
-    """The converged records through `_dedup`; if none converged, the lowest-residual record alone."""
-    good = [r for r in records if r.converged]
-    if good or not records:
-        return _dedup(good, key)
-    return [min(records, key=lambda r: r.residual)]
-
-
 def _gate(residual, v, n: int, tol: float):
     """Per column of ``v``, the record's residual and whether it converged.
 
@@ -216,12 +184,33 @@ def _gate(residual, v, n: int, tol: float):
     return np.max(g[:n], axis=0), np.all(g <= tol, axis=0)
 
 
-def _eig_key(p: EigenPair):
-    return p.value, p.vector
+def _finish(s, v, res, ok, top: float) -> list:
+    """The columns a solve returns, given per column its scalar, ``(n, C)`` entries, residual and gate.
 
-
-def _tuple_key(r: SingularTuple):
-    return r.sigma, np.concatenate(r.vectors)
+    The converged columns are taken in stable residual order, and one within
+    ``_DEDUP_TOL`` of a column already kept (the scalar relative to
+    ``max(1, |kept|)``, every entry absolute) is dropped.  When none
+    converged, the first lowest-residual column is returned alone.  The
+    result is sorted by decreasing ``|s * top|`` to 12 significant digits, as
+    printed, then by the entries rounded to 12 decimals; Python's ``.12g`` and
+    `round` are used because `np.round` rounds ties differently.
+    """
+    if not ok.any():
+        return [int(np.argmin(res))] if res.size else []
+    good = np.flatnonzero(ok)
+    rest = good[np.argsort(res[good], kind="stable")]
+    kept = []
+    # the first column left is kept, and the columns after it within the tolerance
+    # of it are dropped; entries are compared only where the scalars are near
+    while rest.size:
+        c, rest = rest[0], rest[1:]
+        kept.append(c)
+        near = np.abs(s[rest] - s[c]) <= _DEDUP_TOL * max(1.0, abs(s[c]))
+        if near.any():
+            near[near] = np.max(np.abs(v[:, rest[near]] - v[:, c, None]), axis=0) <= _DEDUP_TOL
+            rest = rest[~near]
+    scaled = (s * top).tolist()
+    return sorted(kept, key=lambda c: (-float(f"{abs(scaled[c]):.12g}"), [round(e, 12) for e in v[:, c].tolist()]))
 
 
 def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:
@@ -355,7 +344,7 @@ def _size2_solve(arr, mode, variant, tol):
     if not g.any():
         return None
     # np.roots adds rounding of its own to that of the coefficients
-    return _converged_or_best(_polish(arr, mode, variant, _root_lines(g, 4.0 * noise), tol), _eig_key)
+    return _polish(arr, mode, variant, _root_lines(g, 4.0 * noise), tol)
 
 
 # -- iterative path for larger modes --------------------------------------------
@@ -494,15 +483,16 @@ def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts):
 
         (x,), _ = _power_sweeps(update, [np.abs(x)], 2, 1e-14, max_iters)
 
-    return _converged_or_best(_polish(arr, mode, variant, x, tol), _eig_key)
+    return _polish(arr, mode, variant, x, tol)
 
 
 def _polish(arr, mode, variant, x, tol):
-    """Damped-Newton polish of the start columns ``x`` into eigenpair records.
+    """Damped-Newton polish of the start columns ``x``: ``(lam, x, res, ok)``, one entry per column.
 
-    Returns one record per column, flagged converged when `_gate` passes it,
-    followed by the sign partner (`eig_orbit` with ``t = -1``)
-    of every converged record.
+    ``res`` and ``ok`` are `_gate`'s.  The polished columns are followed by
+    the sign partner (`eig_orbit` with ``t = -1``) of every converged one:
+    ``-x``, with ``(-1)^(O-2) lam`` for z and ``lam`` for h, the same
+    residual, converged.
     """
     order, m = arr.ndim, arr.shape[0]
     power = 1 if variant == "z" else order - 1
@@ -519,9 +509,9 @@ def _polish(arr, mode, variant, x, tol):
         x = np.where(nrm > 0, x / np.where(nrm > 0, nrm, 1.0), x)
         lam = np.where(nrm > 0, _fit_scale(F(x), x**power), lam)
     res, ok = _gate(residual, np.vstack([x, lam]), m, tol)
-    pairs = [EigenPair(variant, mode, lam[c], x[:, c], res[c], converged=bool(ok[c])) for c in range(x.shape[1])]
     # the t = -1 orbit of a solution is a solution with the same residual
-    return pairs + [eig_orbit(p, -1.0, order) for p in pairs if p.converged]
+    sign = (-1.0) ** (order - 2) if variant == "z" else 1.0
+    return np.append(lam, sign * lam[ok]), np.hstack([x, -x[:, ok]]), np.append(res, res[ok]), np.append(ok, ok[ok])
 
 
 def find_eigenpairs(
@@ -563,7 +553,8 @@ def find_eigenpairs(
     no root line is real.  Pairs are sorted by decreasing |value| to 12
     significant digits, then vector.  A tensor of order below 2, ``starts``
     or ``max_iters`` below 1 and ``tol`` below 0 or NaN raise `ValueError`
-    on both paths.
+    on both paths, a ``starts`` or ``max_iters`` that is not an integer
+    `TypeError`.
     """
     arr = _as_array(t)
     if arr.ndim < 2:
@@ -576,15 +567,19 @@ def find_eigenpairs(
         raise ValueError(f"variant must be 'z' or 'h', got {variant!r}")
     _check_run_opts(tol, max_iters=max_iters, starts=starts)
     top = float(np.max(np.abs(arr)))
-    pairs = None
+    solved = None
     if top > 0.0 and m == 2:
-        pairs = _size2_solve(arr / top, mode, variant, tol)
+        solved = _size2_solve(arr / top, mode, variant, tol)
     elif top > 0.0:
-        pairs = _eig_iterative(arr / top, mode, variant, tol, max_iters, seed, starts)
-    if pairs is None:
+        solved = _eig_iterative(arr / top, mode, variant, tol, max_iters, seed, starts)
+    if solved is None:
         warnings.warn("the solutions form a continuous family, not isolated; no records are returned", stacklevel=2)
         return []
-    return _printed_order([replace(p, value=p.value * top, residual=p.residual * top) for p in pairs], _eig_key)
+    lam, x, res, ok = solved
+    return [
+        EigenPair(variant, mode, lam[c] * top, x[:, c], res[c] * top, bool(ok[c]))
+        for c in _finish(lam, x, res, ok, top)
+    ]
 
 
 def find_eigenpairs_contract_trailing(t: DenseTensor, variant: str, **opts) -> list[EigenPair]:
@@ -665,21 +660,6 @@ def _tuple_system(arr, p):
     return residual, jacobian
 
 
-def _canonical_tuple_signs(xs: list[np.ndarray], sigma: float):
-    """Deterministic sign gauge so flip-equivalent records dedup together.
-
-    Each factor's first entry above 1e-12 in magnitude is made positive, each
-    flip negating sigma.
-    """
-    out = []
-    for x in xs:
-        big = x[np.abs(x) > 1e-12]
-        flip = big.size > 0 and big[0] < 0
-        out.append(-x if flip else x.copy())
-        sigma = -sigma if flip else sigma
-    return out, sigma
-
-
 def find_singular_tuples(
     t: DenseTensor,
     p: int,
@@ -691,12 +671,12 @@ def find_singular_tuples(
 ) -> list[SingularTuple]:
     """Singular value tuples by multi-start alternating power iteration.
 
-    ``p`` must be 2 or the tensor order, ``starts`` and ``max_iters`` at
-    least 1 and ``tol`` at least 0 (not NaN).  The starts are the per-mode
-    leading left singular vectors of the unfoldings, then coordinate
-    vectors, then ``default_rng(seed)`` normal draws: the first ``starts``
-    columns of `_starts` with count ``2 * starts``.  All of them run at once
-    through the cyclic update
+    ``p`` must be 2 or the tensor order, ``starts`` and ``max_iters``
+    integers at least 1 and ``tol`` at least 0 (not NaN).  The starts are
+    the per-mode leading left singular vectors of the unfoldings, then
+    coordinate vectors, then ``default_rng(seed)`` normal draws: the first
+    ``starts`` columns of `_starts` with count ``2 * starts``.  All of them
+    run at once through the cyclic update
     ``x_o <- normalize_p(sign(F_o) |F_o|^(1/(p-1)))`` until no factor moves by
     more than 1e-13 over a sweep.  A start whose iterate collapses to zero is
     replaced once by the next unused column of that stream (column
@@ -709,7 +689,8 @@ def find_singular_tuples(
     within ``tol``.  The converged records are deduplicated under the sign
     gauge and sorted by decreasing |sigma| (12 significant digits), then
     entries; when none converged, the single best record is returned
-    flagged.  The zero tensor gives ``[]``.
+    flagged.  Every unit tuple solves the zero tensor with sigma 0, so the
+    solutions are not isolated: a warning says so and ``[]`` is returned.
     Completeness is not claimed (the problem is NP-hard in general).
     """
     arr = _as_array(t)
@@ -721,6 +702,7 @@ def find_singular_tuples(
     _check_run_opts(tol, max_iters=max_iters, starts=starts)
     top = float(np.max(np.abs(arr)))
     if top == 0.0:
+        warnings.warn("the solutions form a continuous family, not isolated; no records are returned", stacklevel=2)
         return []
     arr = arr / top
     power = p - 1
@@ -743,12 +725,17 @@ def find_singular_tuples(
     v = _damped_newton(residual, jacobian, np.vstack(xs + [sigma0]))
     res, ok = _gate(residual, v, n, tol)
     xs, sigma = np.split(v[:n], np.cumsum(arr.shape)[:-1]), v[n]
-    records = []
-    for c in range(v.shape[1]):
-        vecs, sig = _canonical_tuple_signs([x[:, c] for x in xs], sigma[c])
-        records.append(SingularTuple(p, sig, tuple(vecs), res[c], converged=bool(ok[c])))
-    tuples = _converged_or_best(records, _tuple_key)
-    return _printed_order([replace(r, sigma=r.sigma * top, residual=r.residual * top) for r in tuples], _tuple_key)
+    # sign gauge, so flip-equivalent records dedup together: in each mode the
+    # first entry above 1e-12 in magnitude is made positive, each flip negating sigma
+    for x in xs:
+        big = np.abs(x) > 1e-12
+        flip = big.any(axis=0) & (np.take_along_axis(x, big.argmax(axis=0)[None], 0)[0] < 0)
+        x[:, flip] = -x[:, flip]
+        sigma[flip] = -sigma[flip]
+    return [
+        SingularTuple(p, sigma[c] * top, tuple(x[:, c] for x in xs), res[c] * top, bool(ok[c]))
+        for c in _finish(sigma, v[:n], res, ok, top)
+    ]
 
 
 def singular_orbit(
@@ -844,10 +831,11 @@ def eig_singular_bridge(t: DenseTensor, pair: EigenPair, tol: float = 1e-10) -> 
     Checks the z equation of ``pair`` against all modes; on success returns
     the l2 tuple with ``sigma = |lambda|`` and signs arranged to keep sigma
     nonnegative.  Precondition failure is reported in the result status, not
-    raised.
+    raised; ``tol`` below 0 or NaN raises `ValueError`.
     """
     arr = _as_array(t)
     _check_cubical(arr)
+    _check_run_opts(tol)
     if pair.variant != "z":
         raise ValueError("the bridge is defined for z-eigenpairs")
     order = arr.ndim

@@ -279,7 +279,7 @@ def is_symmetric(t: DenseTensor, tol: float = 0.0) -> bool:
     enumeration for orders <= 4.
     """
     arr = _as_array(t)
-    if tol < 0:
+    if not tol >= 0:  # also catches NaN
         raise ValueError("tol must be >= 0")
     if len(set(arr.shape)) != 1:
         raise ValueError(f"symmetry is defined for cubical tensors only, got shape {arr.shape}")

@@ -18,6 +18,11 @@ singular to rounding.
 `starts_loop` is `spectra._starts` drawn and normalized one column and one
 mode at a time; the library draws one block and must match it bit for bit.
 
+`finish_loop` is the end of a spectral solve on record objects: converged
+records deduplicated one pair at a time, or the best record alone, then
+sorted as printed.  `spectra._finish` does the same on arrays and must
+return the same records in the same order.
+
 `cli_json` is the CLI's JSON byte contract written with the standard encoder:
 round every float to 12 significant digits, then ``json.dumps(indent=2)``.
 The CLI writes the same bytes in one pass with `cli._to_json`.
@@ -28,6 +33,7 @@ import json
 import numpy as np
 
 from tensorspec.contract import _column_norms, _mode_unfolding
+from tensorspec.spectra import _DEDUP_TOL
 
 
 def contract_all_but_loop(arr, o, xs):
@@ -118,6 +124,44 @@ def starts_loop(arr, modes, count, seed):
         np.column_stack([u, np.eye(d, r)] + [w[k] / np.linalg.norm(w[k]) for w in draws])[:, :count]
         for k, (u, d) in enumerate(zip(lead, dims))
     ]
+
+
+def finish_loop(records: list, key, top: float = 1.0) -> list:
+    """`spectra._finish` on records: ``key`` maps a record to its (scalar, vector) pair.
+
+    The printed order reads the scalar times ``top``, the factor the solvers
+    scale records back by.
+    """
+
+    def dedup(records: list) -> list:
+        """Drop records within ``_DEDUP_TOL`` of a lower-residual one."""
+        kept = []
+        for r in sorted(records, key=lambda q: q.residual):
+            s, v = key(r)
+            if not any(
+                abs(s - ks) <= _DEDUP_TOL * max(1.0, abs(ks)) and np.max(np.abs(v - kv)) <= _DEDUP_TOL
+                for _, ks, kv in kept
+            ):
+                kept.append((r, s, v))
+        return [k[0] for k in kept]
+
+    def printed_order(records: list) -> list:
+        """By decreasing |scalar| to 12 significant digits, as printed, then unit-scale entries to 12 decimals."""
+
+        def rank(r):
+            s, v = key(r)
+            return -float(f"{abs(s * top):.12g}"), [round(e, 12) for e in v.tolist()]
+
+        return sorted(records, key=rank)
+
+    def converged_or_best(records: list) -> list:
+        """The converged records through `dedup`; if none converged, the lowest-residual record alone."""
+        good = [r for r in records if r.converged]
+        if good or not records:
+            return dedup(good)
+        return [min(records, key=lambda r: r.residual)]
+
+    return printed_order(converged_or_best(records))
 
 
 def round12(obj):

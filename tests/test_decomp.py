@@ -186,6 +186,8 @@ class TestHosvd:
             hosvd(t, [0, 1])
         with pytest.raises(ValueError):
             hosvd(t, [1])
+        with pytest.raises(TypeError):
+            hosvd(DenseTensor(np.ones((3, 3, 3))), [2.7, 3, 3])
 
 
 class TestMultilinearRank:
@@ -381,6 +383,9 @@ class TestOdeco:
         t = DenseTensor(np.ones((2, 2, 2)))
         for kwargs in ({"rank": 0}, {"rank": -1}, {"max_iters": 0}, {"max_iters": -5}):
             with pytest.raises(ValueError, match="must be >= 1"):
+                odeco_decompose(t, **kwargs)
+        for kwargs in ({"rank": 2.5}, {"starts": 2.0}, {"max_iters": 10.5}):
+            with pytest.raises(TypeError):
                 odeco_decompose(t, **kwargs)
         odeco_decompose(t, rank=1, max_iters=1)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import contract_all_but_loop, damped_newton_loop, starts_loop
+from reference import contract_all_but_loop, damped_newton_loop, finish_loop, starts_loop
 
 from tensorspec.decomp import cp_eval, CpDecomposition, odeco_decompose
 from tensorspec.spectra import (
@@ -201,13 +201,15 @@ class TestFindEigenpairsGolden:
             find_eigenpairs(DenseTensor(np.arange(1.0, 8.0)), 1, "h")
 
     def test_sort_reads_the_printed_value(self):
-        from tensorspec.spectra import _eig_key, _printed_order
+        from tensorspec.spectra import _finish
 
         up = np.nextafter(1.0, 2.0)
-        a, b = EigenPair("z", 1, up, [1.0, 0.0], 0.0), EigenPair("z", 1, 1.0, [0.0, 1.0], 0.0)
+        a, b = (up, [1.0, 0.0]), (1.0, [0.0, 1.0])
         # values one ulp apart print alike, so the entries decide the order
         for records in ([a, b], [b, a]):
-            assert [p.value for p in _printed_order(records, _eig_key)] == [1.0, up]
+            s = np.array([r[0] for r in records])
+            v = np.array([r[1] for r in records]).T
+            assert [s[c] for c in _finish(s, v, np.zeros(2), np.ones(2, dtype=bool), 1.0)] == [1.0, up]
 
 
 def scalar_and_vector(r):
@@ -680,7 +682,8 @@ class TestFindSingularTuples:
     def test_zero_tensor_has_no_tuples(self):
         for dims in ([2, 2, 2], [3, 3, 3], [3, 4]):
             for p in (2, len(dims)):
-                assert find_singular_tuples(DenseTensor.zeros(dims), p) == []
+                with pytest.warns(UserWarning, match="not isolated"):
+                    assert find_singular_tuples(DenseTensor.zeros(dims), p) == []
 
     def test_sigma_is_norm_proxy(self):
         t = golden_222()
@@ -761,7 +764,11 @@ class TestSingularOrbit:
     def test_single_mode_flips_are_records(self, data, dims, p):
         arr = np.array(data.draw(st.lists(ENTRY, min_size=math.prod(dims), max_size=math.prod(dims)))).reshape(dims)
         t = DenseTensor(arr)
-        for tup in find_singular_tuples(t, p, starts=8):
+        with warnings.catch_warnings():
+            # a drawn zero tensor warns that its tuples are not isolated
+            warnings.filterwarnings("ignore", "the solutions form a continuous family", UserWarning)
+            tuples = find_singular_tuples(t, p, starts=8)
+        for tup in tuples:
             if not tup.converged:
                 continue
             residual = singular_residual(t, tup)
@@ -800,6 +807,7 @@ class TestBestRankOne:
         assert res.sigma == pytest.approx(2.0, abs=1e-10)
         assert res.error == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.filterwarnings("error")
     def test_zero_tensor(self):
         res = best_rank_one(DenseTensor.zeros([2, 2, 2]))
         assert res.sigma == 0.0
@@ -861,6 +869,15 @@ class TestBridge:
         with pytest.raises(ValueError):
             eig_singular_bridge(golden_222(), EigenPair("h", 1, 6.0, np.ones(2), 0.0))
 
+    def test_bad_tol_rejected(self):
+        t = DenseTensor(rng(205).normal(size=(3, 3, 3)))
+        pair = EigenPair("z", 1, 5.0, np.eye(3)[0], 0.0)
+        # a NaN tol used to pass this pair, whose per-mode residuals are of order 1
+        assert min(eig_singular_bridge(t, pair).per_mode_residuals) > 1.0
+        for tol in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                eig_singular_bridge(t, pair, tol=tol)
+
 
 class TestModeSymmetryInvariant:
     def test_swap_invariant_tensor_same_pairs(self):
@@ -896,7 +913,6 @@ def reference_eig_iterative(arr, mode, variant, starts=32, seed=0, max_iters=500
     rules and line search, without the sign partners the batched solver adds.
     """
     from tensorspec.contract import _mode_unfolding
-    from tensorspec.spectra import _dedup
     from tensorspec.tensor import is_symmetric
 
     order, m = arr.ndim, arr.shape[0]
@@ -969,7 +985,7 @@ def reference_eig_iterative(arr, mode, variant, starts=32, seed=0, max_iters=500
         for x, lam in polished:
             res = float(np.max(np.abs(F(x) - lam * x ** power)))
             pairs.append(EigenPair(variant, mode, lam, x, res, converged=res <= tol))
-    return _dedup([p for p in pairs if p.converged], lambda p: (p.value, p.vector))
+    return finish_loop([p for p in pairs if p.converged], lambda p: (p.value, p.vector))
 
 
 def same_records(a, b, tol=1e-8):
@@ -1319,10 +1335,62 @@ class TestGate:
         monkeypatch.setattr(spectra, "_damped_newton", lambda residual, jacobian, v: v)
         e1 = np.eye(3)[:, :1]
         for scale, converged in [(1.0, True), (1.0 + 1e-12, True), (1.0 + 1e-6, False)]:
-            [pair, *partner] = spectra._polish(arr, 1, "z", scale * e1, 1e-10)
+            lam, x, res, ok = spectra._polish(arr, 1, "z", scale * e1, 1e-10)
             # (1 + eps) e_1 with lambda = 1 + eps solves the equation rows exactly
-            assert pair.residual <= 1e-15 and pair.value == pytest.approx(scale, abs=1e-15)
-            assert pair.converged is converged and len(partner) == int(converged)
+            assert res[0] <= 1e-15 and lam[0] == pytest.approx(scale, abs=1e-15)
+            assert ok[0] == converged and lam.size == x.shape[1] == res.size == ok.size == 1 + int(converged)
+
+
+class TestFinish:
+    """`spectra._finish` on arrays against `finish_loop` on records."""
+
+    @staticmethod
+    def check(s, v, res, ok, top):
+        from tensorspec.spectra import _finish
+
+        records = [EigenPair("z", 1, s[c], v[:, c], res[c], bool(ok[c])) for c in range(s.size)]
+        index = {id(r): c for c, r in enumerate(records)}
+        want = [index[id(r)] for r in finish_loop(records, lambda p: (p.value, p.vector), top)]
+        assert [int(c) for c in _finish(s, v, res, ok, top)] == want
+        return want
+
+    def test_matches_finish_loop(self):
+        g = rng(390)
+        scalars = np.array([1.0, -1.0, 3.5, -1e3, 0.0, 1e-3])
+        # offsets straddling the 1e-8 tolerance, and one ulp
+        steps = [0.0, 0.99e-8, 1e-8, 1.01e-8, 2e-8]
+        residuals = [0.0, 1e-16, 2e-16, 1e-12]
+        base = g.normal(size=(3, scalars.size))
+        # from 0 the offsets are exact, so some entries lie exactly 1e-8 apart
+        base[0] = 0.0
+        for trial in range(400):
+            cols = int(g.integers(1, 13))
+            pick = g.integers(0, scalars.size, size=cols)
+            s = scalars[pick] + g.choice(steps, size=cols) * np.maximum(1.0, np.abs(scalars[pick])) * g.choice([-1.0, 1.0], size=cols)
+            s = np.where(g.random(cols) < 0.2, np.nextafter(scalars[pick], np.inf), s)
+            v = base[:, pick] + g.choice(steps, size=(3, cols)) * (g.random((3, cols)) < 0.4)
+            res = g.choice(residuals, size=cols)
+            ok = g.random(cols) < (0.0 if trial % 10 == 0 else 0.8)
+            top = [1.0, 2.5, 1e-3, 7e5][trial % 4]
+            want = self.check(s, v, res, ok, top)
+            if not ok.any():
+                assert want == [int(np.argmin(res))]
+
+    def test_edge_sets(self):
+        e = np.eye(2)
+        up = np.nextafter(1.0, 2.0)
+        # zero columns
+        assert self.check(np.zeros(0), np.zeros((2, 0)), np.zeros(0), np.zeros(0, dtype=bool), 1.0) == []
+        # nothing converged: the first of the lowest residuals
+        assert self.check(np.array([1.0, 2.0, 3.0]), e[:, [0, 1, 0]], np.array([1.0, 0.5, 0.5]), np.zeros(3, dtype=bool), 1.0) == [1]
+        # equal residuals: the first column is kept over its duplicate
+        assert self.check(np.array([1.0, up]), e[:, [0, 0]], np.zeros(2), np.ones(2, dtype=bool), 1.0) == [0]
+        # entries 1.01e-8 apart are two records
+        v = np.array([[1.0, 1.0 + 1.01e-8], [0.0, 0.0]])
+        assert len(self.check(np.array([1.0, 1.0]), v, np.zeros(2), np.ones(2, dtype=bool), 1.0)) == 2
+        # round(e, 12) rounds this tie up where np.round rounds it down
+        v = np.array([[0.1000000000025, 0.100000000002], [0.0, 0.5]])
+        assert self.check(np.array([1.0, 1.0]), v, np.zeros(2), np.ones(2, dtype=bool), 1.0) == [1, 0]
 
 
 class TestSparseInput:

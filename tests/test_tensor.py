@@ -263,6 +263,12 @@ class TestSymmetry:
         with pytest.raises(ValueError):
             is_symmetric(DenseTensor(np.ones((2, 3))))
 
+    def test_bad_tol_rejected(self):
+        t = DenseTensor(rng(9).normal(size=(3, 3, 3)))
+        for tol in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                is_symmetric(t, tol=tol)
+
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_generator_check_matches_full_enumeration(self, order):
         r = rng(8 + order)
