@@ -15,7 +15,8 @@ usage error.
 
 Exit codes: 0 success, 2 input parse error, 3 solver non-convergence (partial
 results are still emitted, flagged), 4 invalid flags or an unwritable
-``--output``.
+``--output``.  Errors and the library's warnings go to stderr as one
+``error: <message>`` or ``warning: <message>`` line each.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from typing import Any, Callable
 
 from . import serialize
@@ -89,11 +91,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _load(path: str) -> DenseTensor:
+def _load(path: str, from_dict: Callable[[Any], Any] | None = None, what: str = "tensor") -> Any:
+    """The JSON file ``path`` read through ``from_dict`` (default `serialize.tensor_from_dict`).
+
+    A file that cannot be opened, parsed or validated exits 2 with one
+    ``error: cannot read`` line.
+    """
     try:
-        return serialize.load_tensor(path)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read tensor from {path}: {exc}", file=sys.stderr)
+        with open(path, "r", encoding="utf-8") as fh:
+            return (from_dict or serialize.tensor_from_dict)(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot read {what} from {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
 
@@ -282,12 +290,7 @@ def _cmd_cp(args) -> int:
 
 
 def _cmd_tucker(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            tk = serialize.tucker_from_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read Tucker decomposition from {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    tk = _load(args.input, serialize.tucker_from_dict, "Tucker decomposition")
     out = tucker_eval(tk)
     _emit(serialize.tensor_to_dict(out), lambda: _tensor_lines(out), args)
     return EXIT_OK
@@ -353,14 +356,21 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, IndexError) as exc:
-        # the library rejects bad flag values (counts, modes, ranks) this way
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        # the warning filters still decide which warnings show
+        warnings.showwarning = _show_warning
+        try:
+            return _COMMANDS[args.command](args)
+        except (ValueError, IndexError) as exc:
+            # the library rejects bad flag values (counts, modes, ranks) this way
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

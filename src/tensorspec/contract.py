@@ -14,8 +14,10 @@ property tolerances honest at desk scale.
 The private helpers at the end are the kernels the solvers share: the mode
 unfolding, the contraction evaluated at many vectors at once (the one kernel
 for ``F_o``, which `contract_all_but` also evaluates, with a single column),
-and one multi-start power iteration that runs every start as a column of one
-matrix.
+one multi-start power iteration that runs every start as a column of one
+matrix, the one start generator of the spectral solvers and odeco, and one
+batched minimum-norm least-squares solve (the Newton steps and the ALS normal
+equations).
 """
 
 from __future__ import annotations
@@ -262,3 +264,59 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
     for b, c in zip(blocks, current):
         b[:, cols] = c
     return blocks, status
+
+
+def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:
+    """One ``(M_o, count)`` block of unit start columns for each mode ``o`` in ``modes``.
+
+    With ``R`` the smallest listed mode size, columns ``0 .. R-1`` are the
+    leading left singular vectors of each mode's unfolding, columns
+    ``R .. 2R-1`` the first ``R`` coordinate vectors, and every later column
+    takes one ``default_rng(seed).normal`` draw per mode, mode by mode.  The
+    blocks keep their first ``count`` columns.  The draws are one
+    ``(count - 2R, sum M_o)`` block, split by mode, and each is divided by
+    the square root of its own dot product (a batched ``w @ w``, the dot
+    that `np.linalg.norm` takes), so every column has the bits of a
+    per-column draw and norm.
+    """
+    dims = [arr.shape[o - 1] for o in modes]
+    r = min(dims)
+    lead = [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0][:, :r] for o in modes]
+    draws = np.random.default_rng(seed).normal(size=(max(count - 2 * r, 0), sum(dims)))
+    blocks = []
+    for u, d, w in zip(lead, dims, np.split(draws, np.cumsum(dims)[:-1], axis=1)):
+        nrm = np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0]
+        blocks.append(np.hstack([u, np.eye(d, r), (w / nrm).T])[:, :count])
+    return blocks
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``(C, n, K)`` minimum-norm least-squares solutions of ``a[c] @ x = b[c]``.
+
+    ``a`` is a ``(C, r, n)`` batch and ``b`` its ``(C, r, K)`` right-hand
+    sides.  Square systems are solved with one batched LU.  Systems that are
+    not square, and a batch in which some matrix is exactly singular so that
+    LU raises, take the truncated SVD, dropping singular values below
+    lstsq's cutoff ``eps * max(r, n) * sigma_max``; there the square
+    matrices that drop none are solved by LU again, which gives them the
+    bits they get alone.  Raises `np.linalg.LinAlgError` when the SVD does
+    not converge.
+    """
+    square = a.shape[1] == a.shape[2]
+    if square:
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            pass
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    kept = (sv > np.finfo(float).eps * max(a.shape[1:]) * sv[:, :1])[:, :, None]
+    coef = np.einsum("crk,crj->ckj", u, b)
+    coef = np.where(kept, coef / np.where(kept, sv[:, :, None], 1.0), 0.0)
+    x = np.einsum("ckn,ckj->cnj", vt, coef)
+    full = kept.all(axis=(1, 2))
+    if square and full.any():
+        try:
+            x[full] = np.linalg.solve(a[full], b[full])
+        except np.linalg.LinAlgError:
+            pass
+    return x

@@ -8,16 +8,17 @@ start stops before a sweep that would raise it) and that on orthogonally
 decomposable input the power-iteration / deflation loop recovers the
 components.
 
-Multi-start solvers derive per-start seeds from ``seed`` and the start index
-and merge results by ``(error, start_index)``, so outputs do not depend on the
-order in which starts run; unlike the spectral solvers, whose random starts
-come from one generator, they keep a generator per start for that reason.
-Counts (``rank``, ``starts``, ``max_iters``) below 1 raise `ValueError`,
-counts that are not integers `TypeError`.  ALS runs all its starts at once,
-one start per slice of stacked ``(S, M_o, R)`` factor arrays, and takes each
-sweep's error as the exact residual of the last mode's unfolding against the
-Khatri-Rao product that mode's update already built.  The odeco power
-iterations run all starts of a deflation round at once, one start per column.
+Both multi-start solvers run all starts of a fit at once, one per slice of
+a batch, and draw their random starts from one ``default_rng(seed)`` per
+call: start ``k`` does not depend on ``starts``, and two seeds share no
+random start.  Results merge by ``(error, start_index)``.  Counts (``rank``,
+``starts``, ``max_iters``) below 1 raise `ValueError`, counts that are not
+integers `TypeError`.  ALS stacks its starts as ``(S, M_o, R)`` factor
+arrays, solves every mode update with `contract._lstsq` (the pseudoinverse
+update of standard CP-ALS) and takes each sweep's error as the exact
+residual of the last mode's unfolding against the Khatri-Rao product its
+update already built.  Each odeco round runs the `contract._starts` columns
+of its remainder as the columns of one power iteration.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contract import _check_run_opts, _contract_all_but_batch, _mode_unfolding, _power_sweeps, multi_mode_product
+from .contract import _check_run_opts, _contract_all_but_batch, _lstsq, _mode_unfolding, _power_sweeps, _starts, multi_mode_product
 from .tensor import DenseTensor, _as_array, frobenius_norm, outer
 
 __all__ = [
@@ -190,6 +191,11 @@ def tucker_eval(tk: TuckerDecomposition) -> DenseTensor:
     return multi_mode_product(tk.core, tk.factors)
 
 
+def _leading_vectors(arr: np.ndarray, ranks: Sequence[int]) -> list[np.ndarray]:
+    """The HOSVD factors: the leading ``ranks[o]`` left singular vectors of each mode-o unfolding."""
+    return [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0][:, :r] for o, r in enumerate(ranks, start=1)]
+
+
 def hosvd(t: DenseTensor, ranks: Sequence[int]) -> TuckerDecomposition:
     """Truncated higher-order SVD.
 
@@ -206,10 +212,7 @@ def hosvd(t: DenseTensor, ranks: Sequence[int]) -> TuckerDecomposition:
     for o, r in enumerate(ranks, start=1):
         if not 1 <= r <= arr.shape[o - 1]:
             raise ValueError(f"rank {r} out of range [1, {arr.shape[o - 1]}] for mode {o}")
-    factors = []
-    for o in range(1, order + 1):
-        u, _, _ = np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)
-        factors.append(u[:, : ranks[o - 1]])
+    factors = _leading_vectors(arr, ranks)
     core = multi_mode_product(DenseTensor(arr), [f.T for f in factors])
     return TuckerDecomposition(core, factors)
 
@@ -245,26 +248,6 @@ class CpAlsResult:
     @property
     def error(self) -> float:
         return self.errors[-1]
-
-
-def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``x @ gram[s] = rhs[s]`` rowwise for every start ``s``.
-
-    ``gram`` is ``(S, R, R)`` and ``rhs`` is ``(S, M, R)``.  One stacked solve
-    serves the batch; when some start's Gram is singular, the starts are
-    solved one by one and only the singular ones get a 1e-12 ridge.
-    """
-    try:
-        return np.swapaxes(np.linalg.solve(np.swapaxes(gram, 1, 2), np.swapaxes(rhs, 1, 2)), 1, 2)
-    except np.linalg.LinAlgError:
-        out = np.empty_like(rhs)
-        for s in range(gram.shape[0]):
-            try:
-                out[s] = np.linalg.solve(gram[s].T, rhs[s].T).T
-            except np.linalg.LinAlgError:
-                ridge = 1e-12 * np.eye(gram.shape[1])
-                out[s] = np.linalg.solve((gram[s] + ridge).T, rhs[s].T).T
-        return out
 
 
 def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol: float):
@@ -305,7 +288,8 @@ def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol:
             for j in range(order):
                 if j != o:
                     gram = gram * cur_grams[j]
-            cur[o] = _solve_normal(gram, unfoldings[o] @ kr)
+            # x @ gram = rhs, transposed to gram^T @ x^T = rhs^T
+            cur[o] = np.swapaxes(_lstsq(np.swapaxes(gram, 1, 2), np.swapaxes(unfoldings[o] @ kr, 1, 2)), 1, 2)
             cur_grams[o] = np.swapaxes(cur[o], 1, 2) @ cur[o]
         # one start at a time, so the residual holds one copy of the tensor
         err = np.empty(cols.size)
@@ -342,11 +326,14 @@ def cp_als(
 ) -> CpAlsResult:
     """Fit a rank-``rank`` CP decomposition by alternating least squares.
 
-    Runs ``starts`` fits (start 0 seeds from the leading HOSVD vectors when
-    the rank allows, the rest from uniform(-1, 1) entries with per-start
-    seeds ``seed + k``) and keeps the best final error; ties break on the
-    start index.  All starts run at once as slices of stacked factor
-    matrices, and a stopped start stays frozen while the others go on.
+    Runs ``starts`` fits and keeps the best final error; ties break on the
+    start index.  Start ``k`` is row ``k`` of one
+    ``default_rng(seed).uniform(-1, 1, size=(starts, sum M_o, rank))`` draw,
+    split by mode, except that start 0 is the `hosvd` factors when ``rank``
+    is at most every mode size.  All starts run at once as slices of stacked
+    factor matrices, and a stopped start stays frozen while the others go
+    on.  A mode update is the minimum-norm least-squares solution of its
+    normal equations, also where the Gram is singular.
     ``tol`` (at least 0) is the per-sweep improvement below which a start
     stops; a start also stops, keeping its previous sweep, when a sweep
     would raise the error (rounding at an exact fit).  The per-sweep error
@@ -359,14 +346,11 @@ def cp_als(
     order = arr.ndim
     if order < 2:
         raise ValueError("cp_als needs a tensor of order >= 2")
-    inits = []
-    for k in range(starts):
-        if k == 0 and rank <= min(arr.shape):
-            inits.append(hosvd(t, [rank] * order).factors)
-        else:
-            r = np.random.default_rng(seed + k)
-            inits.append([r.uniform(-1.0, 1.0, size=(d, rank)) for d in arr.shape])
-    factors = [np.stack([init[o] for init in inits]) for o in range(order)]
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(starts, sum(arr.shape), rank))
+    factors = np.split(draws, np.cumsum(arr.shape)[:-1], axis=1)
+    if rank <= min(arr.shape):
+        for f, u in zip(factors, _leading_vectors(arr, [rank] * order)):
+            f[0] = u
     factors, traces, converged = _als_sweeps(arr, factors, max_iters, tol)
     best = min(range(starts), key=lambda k: (traces[k][-1], k))
     cp = cp_normalize(CpDecomposition(np.ones(rank), [f[best] for f in factors]))
@@ -396,31 +380,25 @@ class OdecoResult:
         return self.status == "ok"
 
 
-def _odeco_round(arr, symmetric, seeds, max_iters, tol):
+def _odeco_round(arr, symmetric, starts, seed, max_iters, tol):
     """One deflation round: the power iteration of every start at once.
 
-    Start ``k`` draws its initial vectors from ``default_rng(seeds[k])``.
-    Returns ``(value, vectors, converged)`` of the first start with the
-    largest ``|value|``.  Symmetric input runs the symmetric map
+    The starts are the `contract._starts` columns of ``arr``: its mode-1
+    block on symmetric input, one block per mode otherwise.  Returns
+    ``(value, vectors, converged)`` of the first start with the largest
+    ``|value|``.  Symmetric input runs the symmetric map
     ``x <- F_1(x, .., x)``, anything else the alternating per-mode update
     (HOPM); a start whose update hits zero reports value 0, not converged.
     """
     order = arr.ndim
-    gens = [np.random.default_rng(sd) for sd in seeds]
+    blocks = _starts(arr, [1] if symmetric else range(1, order + 1), starts, seed)
     if symmetric:
-        blocks = [np.column_stack([r.normal(size=arr.shape[0]) for r in gens])]
-
         def update(k, cur, cols):
             return _contract_all_but_batch(arr, 1, cur[0])
-
     else:
-        draws = [[r.normal(size=d) for d in arr.shape] for r in gens]
-        blocks = [np.column_stack([d[o] for d in draws]) for o in range(order)]
-
         def update(k, cur, cols):
             return _contract_all_but_batch(arr, k + 1, cur[:k] + cur[k + 1:])
 
-    blocks = [b / np.linalg.norm(b, axis=0) for b in blocks]
     blocks, status = _power_sweeps(update, blocks, 2, tol, max_iters)
     xs = blocks * order if symmetric else blocks
     value = np.sum(_contract_all_but_batch(arr, 1, xs[1:]) * xs[0], axis=0)
@@ -442,13 +420,16 @@ def odeco_decompose(
     """Recover an orthogonal CP decomposition by power iteration with deflation.
 
     Each round runs multi-start power iteration on the deflated remainder
-    (symmetric map when ``symmetric``, alternating per-mode otherwise), keeps
-    the largest-magnitude component found, subtracts it, and repeats until the
-    remainder drops below ``tol`` (at least 0) times the input norm or
-    ``rank`` components are extracted (default: the smallest mode size).  On
-    input that is not orthogonally decomposable the factor Gram check
-    (entries within ``_ORTH_TOL`` of the identity) or, without a ``rank``
-    cap, the reconstruction check fails and the result carries the "not_orthogonal"
+    (symmetric map when ``symmetric``, alternating per-mode otherwise) from
+    the ``starts`` columns of `contract._starts` of that remainder: its
+    leading left singular vectors, then coordinate vectors, then
+    ``default_rng(seed)`` normal draws.  It keeps the largest-magnitude
+    component found, subtracts it, and repeats until the remainder drops
+    below ``tol`` (at least 0) times the input norm or ``rank`` components
+    are extracted (default: the smallest mode size).  On input that is not
+    orthogonally decomposable the factor Gram check (entries within
+    ``_ORTH_TOL`` of the identity) or, without a ``rank`` cap, the
+    reconstruction check fails and the result carries the "not_orthogonal"
     status.
     """
     _check_run_opts(tol, rank=1 if rank is None else rank, starts=starts, max_iters=max_iters)
@@ -465,8 +446,7 @@ def odeco_decompose(
     status = "ok"
     component = 0
     while component < rank and np.linalg.norm(arr) > tol * max(norm0, 1e-300):
-        seeds = [seed + 101 * component + k for k in range(starts)]
-        value, xs, conv = _odeco_round(arr, symmetric, seeds, max_iters, tol)
+        value, xs, conv = _odeco_round(arr, symmetric, starts, seed, max_iters, tol)
         if not conv or value == 0.0:
             status = "not_converged"
             break

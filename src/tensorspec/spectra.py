@@ -34,12 +34,14 @@ Both sign choices of an eigenvector solve the equations and are reported as
 distinct records, matching the convention of listing plus/minus pairs
 explicitly.
 
-Every spectral solve has three steps.  Starts: `_starts` builds every
-start (on size-2 modes the root lines of the binary form are the starts),
-and `contract._power_sweeps` runs them as the columns of one matrix where a
-map converges (tuple starts, z starts on symmetric input, h starts on
-nonnegative input).  Polish: `_damped_newton` on the system's residual (one
-batched LU per step on the square eigen system, the truncated SVD on the
+Every spectral solve has three steps.  Starts: `contract._starts`, the
+start generator `decomp`'s odeco rounds share, builds every start (on
+size-2 modes the root lines of the binary form are the starts), and
+`contract._power_sweeps` runs them as the columns of one matrix where a map
+converges (tuple starts, z starts on symmetric input, h starts on
+nonnegative input).  Polish: `_damped_newton` on the system's residual,
+each step one `contract._lstsq` solve, the least-squares kernel ALS also
+uses (one batched LU on the square eigen system, the truncated SVD on the
 tuple system and at exactly singular Jacobians), then `_gate` reads that
 residual once per column.  Finish: `_finish` reads the arrays of every
 column once and returns the columns to report in printed order: the
@@ -60,7 +62,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contract import _check_run_opts, _contract_all_but_batch, _mode_unfolding, _power_sweeps
+from .contract import _check_run_opts, _contract_all_but_batch, _lstsq, _power_sweeps, _starts
 from .tensor import DenseTensor, _as_array, is_symmetric, outer
 
 __all__ = [
@@ -213,30 +215,6 @@ def _finish(s, v, res, ok, top: float) -> list:
     return sorted(kept, key=lambda c: (-float(f"{abs(scaled[c]):.12g}"), [round(e, 12) for e in v[:, c].tolist()]))
 
 
-def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:
-    """One ``(M_o, count)`` block of unit start columns for each mode ``o`` in ``modes``.
-
-    With ``R`` the smallest listed mode size, columns ``0 .. R-1`` are the
-    leading left singular vectors of each mode's unfolding, columns
-    ``R .. 2R-1`` the first ``R`` coordinate vectors, and every later column
-    takes one ``default_rng(seed).normal`` draw per mode, mode by mode.  The
-    blocks keep their first ``count`` columns.  The draws are one
-    ``(count - 2R, sum M_o)`` block, split by mode, and each is divided by
-    the square root of its own dot product (a batched ``w @ w``, the dot
-    that `np.linalg.norm` takes), so every column has the bits of a
-    per-column draw and norm.
-    """
-    dims = [arr.shape[o - 1] for o in modes]
-    r = min(dims)
-    lead = [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0][:, :r] for o in modes]
-    draws = np.random.default_rng(seed).normal(size=(max(count - 2 * r, 0), sum(dims)))
-    blocks = []
-    for u, d, w in zip(lead, dims, np.split(draws, np.cumsum(dims)[:-1], axis=1)):
-        nrm = np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0]
-        blocks.append(np.hstack([u, np.eye(d, r), (w / nrm).T])[:, :count])
-    return blocks
-
-
 # -- exact path for 2-dimensional modes -----------------------------------------
 
 
@@ -361,26 +339,6 @@ def _fit_scale(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(nonzero, np.sum(f * w, axis=0) / np.where(nonzero, denom, 1.0), 0.0)
 
 
-def _newton_step(jac: np.ndarray, g: np.ndarray):
-    """The ``(n, C)`` steps of `_damped_newton` for ``(C, r, n)`` Jacobians and ``(r, C)`` residuals.
-
-    None when the SVD does not converge.
-    """
-    if jac.shape[1] == jac.shape[2]:
-        try:
-            return -np.linalg.solve(jac, g.T[:, :, None])[:, :, 0].T
-        except np.linalg.LinAlgError:
-            pass
-    try:
-        u, sv, vt = np.linalg.svd(jac, full_matrices=False)
-    except np.linalg.LinAlgError:
-        return None
-    kept = sv > np.finfo(float).eps * max(jac.shape[1:]) * sv[:, :1]
-    coef = np.einsum("crk,rc->ck", u, g)
-    coef = np.where(kept, coef / np.where(kept, sv, 1.0), 0.0)
-    return -np.einsum("ckn,ck->nc", vt, coef)
-
-
 def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
     """Damped Gauss-Newton on every column of ``v`` at once.
 
@@ -392,13 +350,10 @@ def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
     drops at none of them stops there.  The whole ladder is evaluated for
     every column in one residual call per iteration.
 
-    Square systems (the eigen system) solve every step of an iteration with
-    one batched LU.  Systems that are not square (the tuple system), and an
-    iteration in which some Jacobian is exactly singular so that LU raises,
-    take the truncated SVD: singular values below lstsq's default cutoff,
-    ``eps * max(r, n) * sigma_max``, are dropped, as lstsq does.  Only a
-    Jacobian singular to rounding has such values, so elsewhere the two
-    steps agree to rounding.
+    The steps of an iteration are one `contract._lstsq` call: batched LU on
+    the square eigen system, the truncated SVD on the tuple system and for a
+    Jacobian that is exactly singular.  The iteration stops when the SVD
+    does not converge.
     """
     v = np.array(v, dtype=float)
     g = residual(v)
@@ -413,8 +368,9 @@ def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
         cols, jac = cols[finite], jac[finite]
         if not cols.size:
             break
-        step = _newton_step(jac, g[:, cols])
-        if step is None:
+        try:
+            step = -_lstsq(jac, g[:, cols].T[:, :, None])[:, :, 0].T
+        except np.linalg.LinAlgError:
             break
         base = np.linalg.norm(g[:, cols], axis=0)
         cand = v[:, cols, None] + step[:, :, None] * _LADDER

@@ -11,12 +11,13 @@ out of the blocks and writes them back every sweep, and the Newton line search
 halves the step one residual call at a time and takes every step by the
 truncated SVD.  The library's `contract._power_sweeps` must match the loop bit
 for bit.  `spectra._damped_newton` evaluates the whole halving ladder in one
-residual call and solves square systems by LU; its converged columns must
-match the loop's to rounding, since the two steps differ only at Jacobians
-singular to rounding.
+residual call and takes its steps from `contract._lstsq`, which solves square
+systems by LU; its converged columns must match the loop's to rounding, since
+the two steps differ only at Jacobians singular to rounding.
 
-`starts_loop` is `spectra._starts` drawn and normalized one column and one
-mode at a time; the library draws one block and must match it bit for bit.
+`starts_loop` is `contract._starts`, the start generator of the spectral
+solvers and of odeco, drawn and normalized one column and one mode at a time;
+the library draws one block and must match it bit for bit.
 
 `finish_loop` is the end of a spectral solve on record objects: converged
 records deduplicated one pair at a time, or the best record alone, then
@@ -114,7 +115,7 @@ def damped_newton_loop(residual, jacobian, v, iters=50, tol=1e-13):
 
 
 def starts_loop(arr, modes, count, seed):
-    """`spectra._starts` with one ``g.normal`` per mode per column and one `np.linalg.norm` per draw."""
+    """`contract._starts` with one ``g.normal`` per mode per column and one `np.linalg.norm` per draw."""
     dims = [arr.shape[o - 1] for o in modes]
     r = min(dims)
     lead = [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0][:, :r] for o in modes]

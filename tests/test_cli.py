@@ -60,6 +60,9 @@ class TestInfo:
         assert "symmetric: false" in out
 
 
+NOT_ISOLATED = "warning: the solutions form a continuous family, not isolated; no records are returned\n"
+
+
 class TestEig:
     def test_mode3_z_pairs(self, capsys, golden_path):
         code, out = run(capsys, ["eig", "--variant", "z", "--mode", "3", golden_path])
@@ -81,12 +84,20 @@ class TestEig:
     def test_zero_tensor_is_empty(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
         save_tensor(DenseTensor.zeros([2, 2, 2]), path)
-        with pytest.warns(UserWarning, match="not isolated"):
-            code = main(["eig", str(path)])
+        code = main(["eig", str(path)])
         captured = capsys.readouterr()
         assert code == 0
         assert json.loads(captured.out)["pairs"] == []
-        assert "Traceback" not in captured.err
+        assert captured.err == NOT_ISOLATED
+
+    def test_library_warning_is_one_cli_line(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        save_tensor(DenseTensor.zeros([2, 2, 2]), path)
+        for argv, key in ((["eig", str(path)], "pairs"), (["svd", str(path)], "tuples"), (["eig", str(path)], "pairs")):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.out == "{\n  \"%s\": []\n}\n" % key
+            assert captured.err == NOT_ISOLATED
 
     def test_order1_is_4(self, capsys, tmp_path):
         path = tmp_path / "vector.json"
@@ -299,7 +310,9 @@ class TestExitCodes:
         for i, factors in enumerate(['[[["1"], [true]], [[0.5]]]', '[[[1.0], [NaN]], [[0.5]]]', '[[[1.0], [2.0, 3.0]], [[0.5]]]']):
             path = tmp_path / f"tk{i}.json"
             path.write_text(f'{{"core": {core}, "factors": {factors}}}')
-            assert main(["tucker", str(path)]) == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["tucker", str(path)])
+            assert exc.value.code == 2
             captured = capsys.readouterr()
             assert captured.out == "" and "cannot read Tucker decomposition" in captured.err
 

@@ -418,3 +418,42 @@ class TestPowerSweeps:
 
         assert np.array_equal(self.check(update, [x0], 2, 1e-14, 0), np.zeros(4, dtype=int))
         assert self.check(update, [x0[:, :0]], 2, 1e-14, 5).size == 0
+
+
+class TestLstsq:
+    """`_lstsq` against `np.linalg.lstsq` with its default cutoff, one matrix at a time."""
+
+    @staticmethod
+    def check(a):
+        from tensorspec.contract import _lstsq
+
+        for k in (1, 3):
+            b = rng(60 + k).normal(size=(a.shape[0], a.shape[1], k))
+            got = _lstsq(a, b)
+            assert got.shape == (a.shape[0], a.shape[2], k)
+            for c in range(a.shape[0]):
+                want = np.linalg.lstsq(a[c], b[c], rcond=None)[0]
+                assert np.max(np.abs(got[c] - want)) <= 1e-12
+            yield b, got
+
+    def test_square_nonsingular_batch(self):
+        a = rng(61).normal(size=(8, 4, 4))
+        for b, got in self.check(a):
+            assert np.array_equal(got, np.linalg.solve(a, b))
+
+    def test_square_batch_with_a_singular_matrix(self):
+        a = rng(62).normal(size=(8, 4, 4))
+        # a zero row and column: LU raises on the batch
+        a[3, 1, :] = 0.0
+        a[3, :, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, np.ones((8, 4, 1)))
+        rest = np.arange(8) != 3
+        for b, got in self.check(a):
+            # the other matrices get the bits they get on their own
+            assert np.array_equal(got[rest], np.linalg.solve(a[rest], b[rest]))
+
+    def test_non_square_batch(self):
+        for shape in [(6, 7, 4), (6, 3, 5)]:
+            for _ in self.check(rng(63).normal(size=shape)):
+                pass

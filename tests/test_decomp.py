@@ -424,7 +424,7 @@ def reference_als_single(arr, init, max_iters, tol):
             try:
                 factors[o] = np.linalg.solve(gram.T, rhs.T).T
             except np.linalg.LinAlgError:
-                factors[o] = np.linalg.solve((gram + 1e-12 * np.eye(rank)).T, rhs.T).T
+                factors[o] = np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
         fit = reference_cp_eval(CpDecomposition(np.ones(rank), factors))
         err = np.linalg.norm(fit - arr) / norm_t if norm_t > 0 else 0.0
         if errors and err > errors[-1]:
@@ -441,14 +441,16 @@ def reference_als_single(arr, init, max_iters, tol):
 
 
 def als_inits(arr, rank, seed, starts):
-    """The documented cp_als starts: HOSVD vectors for start 0 when the rank allows, else uniform(-1, 1)."""
-    inits = []
-    for k in range(starts):
-        if k == 0 and rank <= min(arr.shape):
-            inits.append(list(hosvd(DenseTensor(arr), [rank] * arr.ndim).factors))
-        else:
-            g = np.random.default_rng(seed + k)
-            inits.append([g.uniform(-1.0, 1.0, size=(d, rank)) for d in arr.shape])
+    """The documented cp_als starts: HOSVD vectors for start 0 when the rank allows, else uniform(-1, 1).
+
+    Start k is row k of one ``default_rng(seed)`` draw of shape
+    ``(starts, sum M_o, rank)``, cut into its mode factors in mode order.
+    """
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(starts, sum(arr.shape), rank))
+    ends = np.cumsum(arr.shape)
+    inits = [[draw[end - d:end] for d, end in zip(arr.shape, ends)] for draw in draws]
+    if rank <= min(arr.shape):
+        inits[0] = list(hosvd(DenseTensor(arr), [rank] * arr.ndim).factors)
     return inits
 
 
@@ -508,7 +510,8 @@ class TestBatchedAls:
 
     def test_singular_start_in_mixed_batch(self):
         # a zero factor column keeps that start's normal-equation Gram exactly
-        # singular every sweep, so the whole batch falls back to per-start solves
+        # singular every sweep, so LU raises on the batch and that start takes the
+        # minimum-norm SVD solve
         arr = rng(1).normal(size=(2, 2, 2))
         inits = als_inits(arr, 4, 0, 4)
         singular = [f.copy() for f in inits[1]]
@@ -516,7 +519,7 @@ class TestBatchedAls:
             f[:, 1] = 0.0
         inits.insert(2, singular)
         factors, traces, converged = _als_sweeps(arr, stacked(inits), 500, 1e-12)
-        assert len(traces[2]) > 1
+        assert traces[2][-1] <= 1e-14
         for k, init in enumerate(inits):
             solo_factors, solo, solo_conv = _als_sweeps(arr, stacked([init]), 500, 1e-12)
             assert_same_trace(solo[0], traces[k])
@@ -525,6 +528,82 @@ class TestBatchedAls:
                 assert np.max(np.abs(a[0] - b[k])) <= 1e-12
         _, ref_errors, _ = reference_als_single(arr, singular, 500, 1e-12)
         assert_same_trace(traces[2], ref_errors)
+
+
+class TestStartRule:
+    """The blocks the multi-start solvers hand to their batched sweeps."""
+
+    @staticmethod
+    def capture(monkeypatch, name):
+        import tensorspec.decomp as decomp
+
+        seen = []
+        inner = getattr(decomp, name)
+
+        def wrapped(*args):
+            seen.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(decomp, name, wrapped)
+        return seen
+
+    def als_starts(self, monkeypatch, arr, rank, seed, starts):
+        with monkeypatch.context() as patch:
+            seen = self.capture(patch, "_als_sweeps")
+            cp_als(arr, rank, seed=seed, starts=starts, max_iters=2)
+        [(_, factors, _, _)] = seen
+        return [[f[k] for f in factors] for k in range(starts)]
+
+    def test_cp_als_starts(self, monkeypatch):
+        for dims, rank in [((3, 4, 5), 2), ((2, 3, 2, 3), 3), ((3, 3, 3), 4)]:
+            arr = rng(80).normal(size=dims)
+            first = 1 if rank <= min(dims) else 0
+            by_seed = [self.als_starts(monkeypatch, arr, rank, seed, 8) for seed in (0, 1)]
+            for seed, got in enumerate(by_seed):
+                want = als_inits(arr, rank, seed, 8)
+                assert all(np.array_equal(a, b) for k in range(8) for a, b in zip(got[k], want[k]))
+                few = self.als_starts(monkeypatch, arr, rank, seed, 3)
+                assert all(np.array_equal(a, b) for k in range(3) for a, b in zip(few[k], got[k]))
+            # no random start of one seed is a random start of the other
+            for a in by_seed[0][first:]:
+                for b in by_seed[1][first:]:
+                    assert not any(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def odeco_rounds(self, monkeypatch, t, symmetric, seed, starts):
+        """Per deflation round: the remainder and the start blocks of its power sweeps."""
+        with monkeypatch.context() as patch:
+            rounds = self.capture(patch, "_odeco_round")
+            sweeps = self.capture(patch, "_power_sweeps")
+            odeco_decompose(t, symmetric=symmetric, seed=seed, starts=starts)
+        assert len(rounds) == len(sweeps) >= 2
+        return [(r[0], s[1]) for r, s in zip(rounds, sweeps)]
+
+    def test_odeco_round_starts(self, monkeypatch):
+        from tensorspec.contract import _starts
+
+        sym, _, _ = random_odeco_symmetric(4, 3, seed=81)
+        general = rng(82).normal(size=(3, 4, 3))
+        for t, symmetric in [(sym, True), (sym, False), (general, False)]:
+            arr = np.asarray(t.to_array() if isinstance(t, DenseTensor) else t)
+            modes = [1] if symmetric else [1, 2, 3]
+            # past 2R coordinate and singular-vector columns, the rest are random
+            first_random = 2 * min(arr.shape[o - 1] for o in modes)
+            by_seed = []
+            for seed in (0, 1):
+                rounds = self.odeco_rounds(monkeypatch, t, symmetric, seed, 12)
+                assert np.array_equal(rounds[0][0], arr)
+                for remainder, blocks in rounds:
+                    want = _starts(remainder, modes, 12, seed)
+                    assert len(blocks) == len(modes)
+                    assert all(np.array_equal(b, w) for b, w in zip(blocks, want))
+                # start k does not depend on the number of starts; later rounds
+                # may deflate another component first, so compare the first
+                (_, few), (_, blocks) = self.odeco_rounds(monkeypatch, t, symmetric, seed, 3)[0], rounds[0]
+                assert all(np.array_equal(f, b[:, :3]) for f, b in zip(few, blocks))
+                by_seed.append(np.vstack(rounds[0][1])[:, first_random:])
+            # seeds 0 and 1 share no random start column
+            assert by_seed[0].shape[1] >= 4
+            assert not np.any(np.all(by_seed[0][:, :, None] == by_seed[1][:, None, :], axis=0))
 
 
 class TestRawArrayInput:
