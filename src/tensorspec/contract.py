@@ -12,16 +12,18 @@ Sums are accumulated pairwise by numpy, which keeps the library's 1e-12
 property tolerances honest at desk scale.
 
 The private helpers at the end are the kernels the solvers share: the mode
-unfolding, the contraction evaluated at many vectors at once (the one kernel
-for ``F_o``, which `contract_all_but` also evaluates, with a single column),
-one multi-start power iteration that runs every start as a column of one
-matrix, the one start generator of the spectral solvers and odeco, and one
-batched minimum-norm least-squares solve (the Newton steps and the ALS normal
+unfolding, the contraction evaluated at many vectors at once on a tensor
+laid out once per operator (the one kernel for ``F_o``, which
+`contract_all_but` also evaluates, with a single column), one multi-start
+power iteration that runs every start as a column of one matrix, the one
+start generator of the spectral solvers and odeco, and one batched
+minimum-norm least-squares solve (the Newton steps and the ALS normal
 equations).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Sequence
 
@@ -141,12 +143,13 @@ def contract_all_but(t: DenseTensor, o: int, xs: Sequence) -> DenseTensor:
 
     ``xs`` lists the O-1 vectors in increasing mode order (skipping ``o``);
     the result is the length-``M_o`` vector of full contractions against each
-    mode-``o`` slice.  Multilinear in the ``xs``.  Evaluated by
-    `_contract_all_but_batch` with one column per vector.
+    mode-``o`` slice (``o`` read by `operator.index`).  Multilinear in the
+    ``xs``.  Evaluated by `_contract_all_but_batch` with one column each.
     """
     arr = _as_array(t)
     xs = [_as_vector(x) for x in xs]
     order = arr.ndim
+    o = operator.index(o)
     if not 1 <= o <= order:
         raise IndexError(f"mode {o} out of range [1, {order}]")
     if len(xs) != order - 1:
@@ -157,7 +160,7 @@ def contract_all_but(t: DenseTensor, o: int, xs: Sequence) -> DenseTensor:
             raise ValueError(
                 f"vector of length {x.shape[0]} does not match mode-{m} size {arr.shape[m - 1]}"
             )
-    return DenseTensor(_contract_all_but_batch(arr, o, [x[:, None] for x in xs])[:, 0])
+    return DenseTensor(_contract_all_but_batch(_contract_plan(arr, (o,)), [x[:, None] for x in xs])[:, 0])
 
 
 # -- kernels shared by the solvers ----------------------------------------------
@@ -168,32 +171,54 @@ def _mode_unfolding(arr: np.ndarray, o: int) -> np.ndarray:
     return np.moveaxis(arr, o - 1, 0).reshape(arr.shape[o - 1], -1, order="F")
 
 
-def _contract_all_but_batch(arr: np.ndarray, keep, xs) -> np.ndarray:
-    """Contract column ``s`` of ``xs`` onto every mode outside ``keep``, for every ``s``.
+def _contract_plan(arr: np.ndarray, keep) -> tuple:
+    """What `_contract_all_but_batch` needs of ``arr`` for the modes ``keep``, set up once.
 
-    ``keep`` is one 1-based mode or a tuple of distinct modes; they lead the
-    result in the order given.  ``xs`` is either one ``(M, S)`` matrix whose
-    columns go on every contracted mode (eigenvectors) or a sequence of one
-    ``(M_m, S)`` matrix per contracted mode, in increasing mode order.  The
-    result has shape ``(M_k for k in keep) + (S,)``; with nothing left to
-    contract the last axis has length 1 and broadcasts.
+    ``keep`` is a tuple of distinct 1-based modes (plain ints), which lead
+    the result in the order given, or a list of such tuples of equal sizes,
+    stacked along a new leading axis.  The plan is ``(mat, dims, shape)``:
+    ``arr`` with the kept modes first as a matrix whose columns are the last
+    contracted mode (the reshape copies ``arr`` once per keep, or is a
+    view), the sizes of the other contracted modes, last first, and the kept
+    shape.  Stacked matrices are concatenated when all are C-ordered, else
+    kept apart, as BLAS sums one column differently in another order.  With
+    nothing to contract ``mat`` is the result and ``dims`` is None.
+    """
+    stacked = isinstance(keep, list)
+    keeps = keep if stacked else [keep]
+    leads = [arr.transpose([m - 1 for m in k] + [m - 1 for m in range(1, arr.ndim + 1) if m not in k]) for k in keeps]
+    kept = len(keeps[0])
+    shape = ((len(leads),) if stacked else ()) + leads[0].shape[:kept]
+    if kept == arr.ndim:
+        return (np.stack(leads) if stacked else leads[0])[..., None], None, shape
+    mats = [lead.reshape(-1, lead.shape[-1]) for lead in leads]
+    if stacked and all(a.flags.c_contiguous for a in mats):
+        mats = [np.concatenate(mats)]
+    return mats[0] if len(mats) == 1 else tuple(mats), leads[0].shape[kept:-1][::-1], shape
+
+
+def _contract_all_but_batch(plan: tuple, xs) -> np.ndarray:
+    """Contract column ``s`` of ``xs`` onto every mode outside a `_contract_plan`'s ``keep``, for every ``s``.
+
+    ``xs`` is either one ``(M, S)`` matrix whose columns go on every
+    contracted mode (eigenvectors) or a sequence of one ``(M_m, S)`` matrix
+    per contracted mode, in increasing mode order.  The result has shape
+    ``(M_k for k in keep) + (S,)``, after the stacking axis if any; with
+    nothing left to contract the last axis has length 1 and broadcasts.
 
     One matmul contracts the last mode for all columns at once, then one
     batched reduction per remaining mode; a single many-operand einsum is
     far slower at these sizes.
     """
-    keep = (keep,) if isinstance(keep, int) else tuple(keep)
-    rest = [m for m in range(1, arr.ndim + 1) if m not in keep]
-    mats = [xs] * len(rest) if isinstance(xs, np.ndarray) else list(xs)
-    lead = arr.transpose([k - 1 for k in keep] + [m - 1 for m in rest])
-    if not rest:
-        return lead[..., None]
+    mat, dims, shape = plan
+    if dims is None:
+        return mat
+    mats = [xs] * (len(dims) + 1) if isinstance(xs, np.ndarray) else xs
     s = mats[-1].shape[1]
-    out = lead.reshape(-1, arr.shape[rest[-1] - 1]) @ mats[-1]
-    for m, x in zip(rest[-2::-1], mats[-2::-1]):
-        d = arr.shape[m - 1]
+    out = mat @ mats[-1] if isinstance(mat, np.ndarray) else np.concatenate([a @ mats[-1] for a in mat])
+    for d, x in zip(dims, mats[-2::-1]):
         out = np.einsum("rjs,js->rs", out.reshape(out.shape[0] // d, d, s), x)
-    return out.reshape(lead.shape[: len(keep)] + (s,))
+    return out.reshape(shape + (s,))
 
 
 def _column_norms(y: np.ndarray, p: int = 2) -> np.ndarray:
@@ -226,8 +251,9 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
     during a sweep (status 1), or after ``max_iters`` sweeps (status 0).
     ``current`` is kept from sweep to sweep; it is written back into the
     blocks and narrowed to the running columns only after a sweep in which
-    some column stopped, and once at the end.  Returns the final blocks and
-    the per-column status.
+    some column stopped, and once at the end; a sweep with no zero norm in
+    which some block moved every column by more than ``tol`` does neither.
+    Returns the final blocks and the per-column status.
     """
     blocks = [np.array(b, dtype=float) for b in blocks]
     status = np.zeros(blocks[0].shape[1], dtype=int)
@@ -236,22 +262,25 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
     for _ in range(max_iters):
         if not cols.size:
             break
-        alive = np.ones(cols.size, dtype=bool)
-        moved = np.zeros(cols.size)
+        alive, may_stop, moved = None, True, []  # alive is None until a norm is zero
         for k, x in enumerate(current):
             y = update(k, current, cols)
             nrm = _column_norms(y, p)
-            alive &= nrm != 0.0
-            if alive.all():
+            if alive is None and np.count_nonzero(nrm) == nrm.size:
                 y = y / nrm
             else:
+                alive = nrm != 0.0 if alive is None else alive & (nrm != 0.0)
                 y = np.where(alive, y / np.where(alive, nrm, 1.0), x)
             d, s = y - x, y + x
-            moved = np.maximum(moved, np.minimum(np.add.reduce(d * d, axis=0), np.add.reduce(s * s, axis=0)))
+            moved.append(np.minimum(np.add.reduce(d * d, axis=0), np.add.reduce(s * s, axis=0)))
+            # none stops once a block moved every column by more than tol; sqrt is
+            # monotone, so the sqrt of the smallest move decides it to the bit
+            may_stop = may_stop and not math.sqrt(np.minimum.reduce(moved[-1])) > tol
             current[k] = y
-        # sqrt is monotone, so this is the largest over the blocks of the
-        # smaller 2-norm of y -/+ x, to the bit
-        done = alive & (np.sqrt(moved) <= tol)
+        if alive is None and not may_stop:
+            continue
+        alive = np.ones(cols.size, dtype=bool) if alive is None else alive
+        done = alive & (np.sqrt(np.max(moved, axis=0)) <= tol)
         running = alive & ~done
         if running.all():
             continue

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contract import _check_run_opts, _contract_all_but_batch, _lstsq, _mode_unfolding, _power_sweeps, _starts, multi_mode_product
+from .contract import _check_run_opts, _contract_all_but_batch, _contract_plan, _lstsq, _mode_unfolding, _power_sweeps, _starts, multi_mode_product
 from .tensor import DenseTensor, _as_array, frobenius_norm, outer
 
 __all__ = [
@@ -392,16 +392,17 @@ def _odeco_round(arr, symmetric, starts, seed, max_iters, tol):
     """
     order = arr.ndim
     blocks = _starts(arr, [1] if symmetric else range(1, order + 1), starts, seed)
+    plans = [_contract_plan(arr, (o,)) for o in range(1, len(blocks) + 1)]
     if symmetric:
         def update(k, cur, cols):
-            return _contract_all_but_batch(arr, 1, cur[0])
+            return _contract_all_but_batch(plans[0], cur[0])
     else:
         def update(k, cur, cols):
-            return _contract_all_but_batch(arr, k + 1, cur[:k] + cur[k + 1:])
+            return _contract_all_but_batch(plans[k], cur[:k] + cur[k + 1:])
 
     blocks, status = _power_sweeps(update, blocks, 2, tol, max_iters)
     xs = blocks * order if symmetric else blocks
-    value = np.sum(_contract_all_but_batch(arr, 1, xs[1:]) * xs[0], axis=0)
+    value = np.sum(_contract_all_but_batch(plans[0], xs[1:]) * xs[0], axis=0)
     value[status < 0] = 0.0
     k = int(np.argmax(np.abs(value)))
     return value[k], [x[:, k] for x in xs], status[k] == 1

@@ -50,19 +50,20 @@ one dropped, or when none converged the best one.  Record objects are built
 for those columns only.  Each system, the eigen one (`_eig_system`) and the
 singular one (`_tuple_system`), has one residual, which the Newton polish,
 the gate and the public `eig_residual` and `singular_residual` all read;
-``F_o`` is always the batched kernel `contract._contract_all_but_batch`.
+``F_o`` is always `contract._contract_all_but_batch` on plans built once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .contract import _check_run_opts, _contract_all_but_batch, _lstsq, _power_sweeps, _starts
+from .contract import _check_run_opts, _column_norms, _contract_all_but_batch, _contract_plan, _lstsq, _power_sweeps, _starts
 from .tensor import DenseTensor, _as_array, is_symmetric, outer
 
 __all__ = [
@@ -108,6 +109,7 @@ class EigenPair:
         vec = np.asarray(self.vector, dtype=float)
         vec.flags.writeable = False
         object.__setattr__(self, "vector", vec)
+        object.__setattr__(self, "mode", operator.index(self.mode))
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "residual", float(self.residual))
 
@@ -359,50 +361,57 @@ def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
     g = residual(v)
     cols = np.arange(v.shape[1])
     for _ in range(iters):
-        cols = cols[np.max(np.abs(g[:, cols]), axis=0) > tol]
+        live = np.max(np.abs(g), axis=0) > tol  # g holds the residuals of cols
+        cols, g = cols[live], g[:, live]
         if not cols.size:
             break
         jac = jacobian(v[:, cols])
         # lstsq rejects non-finite systems; such a column stops where it is
-        finite = np.all(np.isfinite(jac), axis=(1, 2)) & np.all(np.isfinite(g[:, cols]), axis=0)
-        cols, jac = cols[finite], jac[finite]
-        if not cols.size:
-            break
+        finite = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(g).all(axis=0)
+        if not finite.all():
+            cols, jac, g = cols[finite], jac[finite], g[:, finite]
+            if not cols.size:
+                break
         try:
-            step = -_lstsq(jac, g[:, cols].T[:, :, None])[:, :, 0].T
+            step = -_lstsq(jac, g.T[:, :, None])[:, :, 0].T
         except np.linalg.LinAlgError:
             break
-        base = np.linalg.norm(g[:, cols], axis=0)
+        base = _column_norms(g)
         cand = v[:, cols, None] + step[:, :, None] * _LADDER
-        gc = residual(cand.reshape(v.shape[0], -1)).reshape(g.shape[0], cols.size, _LADDER.size)
-        better = np.linalg.norm(gc, axis=0) < base[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected: inf < base is False
+            gc = residual(cand.reshape(v.shape[0], -1)).reshape(g.shape[0], cols.size, _LADDER.size)
+            better = _column_norms(gc) < base[:, None]
         hit = np.flatnonzero(better.any(axis=1))
         level = better[hit].argmax(axis=1)
         cols = cols[hit]
         v[:, cols] = cand[:, hit, level]
-        g[:, cols] = gc[:, hit, level]
+        g = gc[:, hit, level]
     return v
 
 
-def _eig_system(arr, mode, power):
+def _eig_system(arr, mode, power, plan=None):
     """Residual and exact Jacobian of the eigen system at the columns ``[x; lambda]``.
 
     The system is ``F_mode(x, .., x) - lambda * x^power = 0`` with
-    ``x . x = 1``.  ``dF_mode/dx`` sums, over the other modes ``j``, the
-    tensor contracted with ``x`` on every mode except ``mode`` and ``j``.
+    ``x . x = 1``, ``plan`` the `_contract_plan` of ``F_mode`` (built when
+    None).  ``dF_mode/dx`` sums, over the other modes ``j``, the tensor
+    contracted with ``x`` on every mode except ``mode`` and ``j``: one
+    kernel pass over the stacked slabs, planned on the first call.
     """
     m = arr.shape[0]
+    plan = _contract_plan(arr, (mode,)) if plan is None else plan
+    slabs = []
 
     def residual(v):
         x, lam = v[:m], v[m]
-        return np.vstack([_contract_all_but_batch(arr, mode, x) - lam * x**power, np.sum(x * x, axis=0) - 1.0])
+        return np.vstack([_contract_all_but_batch(plan, x) - lam * x**power, np.sum(x * x, axis=0) - 1.0])
 
     def jacobian(v):
+        if not slabs:
+            slabs.append(_contract_plan(arr, [(mode, j) for j in range(1, arr.ndim + 1) if j != mode]))
         x, lam = v[:m], v[m]
         jac = np.zeros((x.shape[1], m + 1, m + 1))
-        for j in range(1, arr.ndim + 1):
-            if j != mode:
-                jac[:, :m, :m] += np.moveaxis(_contract_all_but_batch(arr, (mode, j), x), -1, 0)
+        jac[:, :m, :m] = np.add.reduce(_contract_all_but_batch(slabs[0], x), axis=0, initial=0.0).transpose(2, 0, 1)
         diag = np.arange(m)
         jac[:, diag, diag] -= (power * lam * x ** (power - 1)).T
         jac[:, :m, m] = -(x**power).T
@@ -415,9 +424,7 @@ def _eig_system(arr, mode, power):
 def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts):
     order = arr.ndim
     [x] = _starts(arr, [mode], starts, seed)
-
-    def F(x):
-        return _contract_all_but_batch(arr, mode, x)
+    plan = _contract_plan(arr, (mode,))
 
     if variant == "z" and is_symmetric(arr, tol=1e-12):
         # each start runs both shifted maps (Kolda & Mayo 2011), which converge
@@ -427,7 +434,7 @@ def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts):
         shift = float(np.sum(np.abs(arr)))
 
         def update(k, cur, cols):
-            return sign[cols] * F(cur[0]) + shift * cur[0]
+            return sign[cols] * _contract_all_but_batch(plan, cur[0]) + shift * cur[0]
 
         (x,), _ = _power_sweeps(update, [x], 2, 1e-14, max_iters)
 
@@ -435,35 +442,32 @@ def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts):
         # the entrywise-root map converges on nonnegative input (Ng, Qi & Zhou
         # 2009); from the starts |x| every F(x) stays nonnegative
         def update(k, cur, cols):
-            return F(cur[0]) ** (1.0 / (order - 1))
+            return _contract_all_but_batch(plan, cur[0]) ** (1.0 / (order - 1))
 
         (x,), _ = _power_sweeps(update, [np.abs(x)], 2, 1e-14, max_iters)
 
-    return _polish(arr, mode, variant, x, tol)
+    return _polish(arr, mode, variant, x, tol, plan)
 
 
-def _polish(arr, mode, variant, x, tol):
+def _polish(arr, mode, variant, x, tol, plan=None):
     """Damped-Newton polish of the start columns ``x``: ``(lam, x, res, ok)``, one entry per column.
 
-    ``res`` and ``ok`` are `_gate`'s.  The polished columns are followed by
-    the sign partner (`eig_orbit` with ``t = -1``) of every converged one:
-    ``-x``, with ``(-1)^(O-2) lam`` for z and ``lam`` for h, the same
-    residual, converged.
+    ``plan`` is `_eig_system`'s, ``res`` and ``ok`` are `_gate`'s.  The
+    polished columns are followed by the sign partner (`eig_orbit` with
+    ``t = -1``) of every converged one: ``-x``, with ``(-1)^(O-2) lam`` for
+    z and ``lam`` for h, the same residual, converged.
     """
     order, m = arr.ndim, arr.shape[0]
     power = 1 if variant == "z" else order - 1
-
-    def F(x):
-        return _contract_all_but_batch(arr, mode, x)
-
-    residual, jacobian = _eig_system(arr, mode, power)
-    v = _damped_newton(residual, jacobian, np.vstack([x, _fit_scale(F(x), x**power)]))
+    plan = _contract_plan(arr, (mode,)) if plan is None else plan
+    residual, jacobian = _eig_system(arr, mode, power, plan)
+    v = _damped_newton(residual, jacobian, np.vstack([x, _fit_scale(_contract_all_but_batch(plan, x), x**power)]))
     x, lam = v[:m], v[m]
     if variant == "h":
         # the h equation is homogeneous; renormalize the records
         nrm = np.linalg.norm(x, axis=0)
         x = np.where(nrm > 0, x / np.where(nrm > 0, nrm, 1.0), x)
-        lam = np.where(nrm > 0, _fit_scale(F(x), x**power), lam)
+        lam = np.where(nrm > 0, _fit_scale(_contract_all_but_batch(plan, x), x**power), lam)
     res, ok = _gate(residual, np.vstack([x, lam]), m, tol)
     # the t = -1 orbit of a solution is a solution with the same residual
     sign = (-1.0) ** (order - 2) if variant == "z" else 1.0
@@ -509,13 +513,14 @@ def find_eigenpairs(
     no root line is real.  Pairs are sorted by decreasing |value| to 12
     significant digits, then vector.  A tensor of order below 2, ``starts``
     or ``max_iters`` below 1 and ``tol`` below 0 or NaN raise `ValueError`
-    on both paths, a ``starts`` or ``max_iters`` that is not an integer
-    `TypeError`.
+    on both paths, a ``mode``, ``starts`` or ``max_iters`` that is not an
+    integer `TypeError`.
     """
     arr = _as_array(t)
     if arr.ndim < 2:
         raise ValueError(f"eigenpairs need a tensor of order >= 2, got order {arr.ndim}")
     m = _check_cubical(arr)
+    mode = operator.index(mode)
     if not 1 <= mode <= arr.ndim:
         raise IndexError(f"mode {mode} out of range [1, {arr.ndim}]")
     variant = variant.lower()
@@ -577,26 +582,31 @@ def _phi(v: np.ndarray, k: float) -> np.ndarray:
     return v if k == 1 else np.sign(v) * np.abs(v) ** k
 
 
-def _tuple_system(arr, p):
+def _tuple_system(arr, p, plans=None):
     """Residual and exact Jacobian of the singular system at the columns ``[x_1; ..; x_O; sigma]``.
 
     The rows are ``F_o - sigma * phi(x_o, p - 1)`` (`_phi`) for every mode
-    ``o``, then ``sum |x_o|^p - 1`` for every mode.  The block ``dF_o/dx_j``
-    is the tensor contracted with the vectors on every mode except ``o`` and
-    ``j``.
+    ``o`` (``plans`` those of `_eig_system`, one per ``o``), then
+    ``sum |x_o|^p - 1`` for every mode.  The block ``dF_o/dx_j``, planned on
+    the first call, is the tensor contracted with the vectors on every mode
+    except ``o`` and ``j``.
     """
     order = arr.ndim
     power = p - 1
     offsets = np.cumsum([0] + list(arr.shape))
     n = int(offsets[-1])
+    plans = [_contract_plan(arr, (o,)) for o in range(1, order + 1)] if plans is None else plans
+    pairs = {}
 
     def residual(v):
         xs, sig = np.split(v[:n], offsets[1:-1]), v[n]
-        eqs = [_contract_all_but_batch(arr, o + 1, xs[:o] + xs[o + 1:]) - sig * _phi(xs[o], power) for o in range(order)]
+        eqs = [_contract_all_but_batch(plans[o], xs[:o] + xs[o + 1:]) - sig * _phi(xs[o], power) for o in range(order)]
         norms = np.array([np.sum(np.abs(x) ** p, axis=0) - 1.0 for x in xs])
         return np.vstack(eqs + [norms])
 
     def jacobian(v):
+        if not pairs:
+            pairs.update({(o, j): _contract_plan(arr, (o + 1, j + 1)) for o in range(order) for j in range(o + 1, order)})
         xs, sig = np.split(v[:n], offsets[1:-1]), v[n]
         jac = np.zeros((v.shape[1], n + order, n + 1))
         for o in range(order):
@@ -604,7 +614,7 @@ def _tuple_system(arr, p):
             for j in range(o + 1, order):
                 cols = slice(offsets[j], offsets[j + 1])
                 rest = [xs[k] for k in range(order) if k not in (o, j)]
-                block = np.moveaxis(_contract_all_but_batch(arr, (o + 1, j + 1), rest), -1, 0)
+                block = _contract_all_but_batch(pairs[o, j], rest).transpose(2, 0, 1)
                 jac[:, rows, cols] = block
                 jac[:, cols, rows] = np.swapaxes(block, 1, 2)
             diag = np.arange(offsets[o], offsets[o + 1])
@@ -662,9 +672,10 @@ def find_singular_tuples(
         return []
     arr = arr / top
     power = p - 1
+    plans = [_contract_plan(arr, (o,)) for o in range(1, order + 1)]
 
     def update(k, cur, cols):
-        return _phi(_contract_all_but_batch(arr, k + 1, cur[:k] + cur[k + 1:]), 1.0 / power)
+        return _phi(_contract_all_but_batch(plans[k], cur[:k] + cur[k + 1:]), 1.0 / power)
 
     blocks = _starts(arr, range(1, order + 1), 2 * starts, seed)
     xs, status = _power_sweeps(update, [b[:, :starts] for b in blocks], p, 1e-13, max_iters)
@@ -676,8 +687,8 @@ def find_singular_tuples(
         x[:, dead] = y
     xs = [x[:, status >= 0] for x in xs]
     n = sum(arr.shape)
-    sigma0 = _fit_scale(_contract_all_but_batch(arr, 1, xs[1:]), _phi(xs[0], power))
-    residual, jacobian = _tuple_system(arr, p)
+    sigma0 = _fit_scale(_contract_all_but_batch(plans[0], xs[1:]), _phi(xs[0], power))
+    residual, jacobian = _tuple_system(arr, p, plans)
     v = _damped_newton(residual, jacobian, np.vstack(xs + [sigma0]))
     res, ok = _gate(residual, v, n, tol)
     xs, sigma = np.split(v[:n], np.cumsum(arr.shape)[:-1]), v[n]

@@ -5,6 +5,13 @@
 evaluates ``F_o`` only through the batched kernel
 `contract._contract_all_but_batch`, which the tests compare against this loop.
 
+`contract_all_but_batch_parent` is that kernel as it was before it took a
+plan: it transposed and reshaped the tensor on every call.
+`eig_jacobian_parent` and `tuple_jacobian_parent` are the two systems'
+Jacobians on top of it, with one kernel call per other mode or pair of modes.
+The planned kernel and the Jacobians built on it, one stacked kernel pass for
+the eigen system, must match them bit for bit, at one column too.
+
 `power_sweeps_loop` and `damped_newton_loop` are the solvers' two shared
 iterations written step by step: the power sweep slices the running columns
 out of the blocks and writes them back every sweep, and the Newton line search
@@ -34,7 +41,7 @@ import json
 import numpy as np
 
 from tensorspec.contract import _column_norms, _mode_unfolding
-from tensorspec.spectra import _DEDUP_TOL
+from tensorspec.spectra import _DEDUP_TOL, _phi
 
 
 def contract_all_but_loop(arr, o, xs):
@@ -45,6 +52,60 @@ def contract_all_but_loop(arr, o, xs):
     for m, x in sorted(zip(modes, xs), key=lambda p: -p[0]):
         out = np.tensordot(out, x, axes=(m - 1, 0))
     return out
+
+
+def contract_all_but_batch_parent(arr, keep, xs):
+    """`contract._contract_all_but_batch` before it took a plan, which set up the same unfolding on every call."""
+    keep = (keep,) if isinstance(keep, int) else tuple(keep)
+    rest = [m for m in range(1, arr.ndim + 1) if m not in keep]
+    mats = [xs] * len(rest) if isinstance(xs, np.ndarray) else list(xs)
+    lead = arr.transpose([k - 1 for k in keep] + [m - 1 for m in rest])
+    if not rest:
+        return lead[..., None]
+    s = mats[-1].shape[1]
+    out = lead.reshape(-1, arr.shape[rest[-1] - 1]) @ mats[-1]
+    for m, x in zip(rest[-2::-1], mats[-2::-1]):
+        d = arr.shape[m - 1]
+        out = np.einsum("rjs,js->rs", out.reshape(out.shape[0] // d, d, s), x)
+    return out.reshape(lead.shape[: len(keep)] + (s,))
+
+
+def eig_jacobian_parent(arr, mode, power, v):
+    """The eigen system's Jacobian with one kernel call and one ``+=`` per other mode."""
+    m = arr.shape[0]
+    x, lam = v[:m], v[m]
+    jac = np.zeros((x.shape[1], m + 1, m + 1))
+    for j in range(1, arr.ndim + 1):
+        if j != mode:
+            jac[:, :m, :m] += np.moveaxis(contract_all_but_batch_parent(arr, (mode, j), x), -1, 0)
+    diag = np.arange(m)
+    jac[:, diag, diag] -= (power * lam * x ** (power - 1)).T
+    jac[:, :m, m] = -(x**power).T
+    jac[:, m, :m] = 2.0 * x.T
+    return jac
+
+
+def tuple_jacobian_parent(arr, p, v):
+    """The singular system's Jacobian with one kernel call per pair of modes."""
+    order = arr.ndim
+    power = p - 1
+    offsets = np.cumsum([0] + list(arr.shape))
+    n = int(offsets[-1])
+    xs, sig = np.split(v[:n], offsets[1:-1]), v[n]
+    jac = np.zeros((v.shape[1], n + order, n + 1))
+    for o in range(order):
+        rows = slice(offsets[o], offsets[o + 1])
+        for j in range(o + 1, order):
+            cols = slice(offsets[j], offsets[j + 1])
+            rest = [xs[k] for k in range(order) if k not in (o, j)]
+            block = np.moveaxis(contract_all_but_batch_parent(arr, (o + 1, j + 1), rest), -1, 0)
+            jac[:, rows, cols] = block
+            jac[:, cols, rows] = np.swapaxes(block, 1, 2)
+        diag = np.arange(offsets[o], offsets[o + 1])
+        jac[:, diag, diag] = -(power * sig * np.abs(xs[o]) ** (power - 1)).T
+        jac[:, rows, n] = -_phi(xs[o], power).T
+        jac[:, n + o, rows] = (p * _phi(xs[o], p - 1)).T
+    return jac
 
 
 def power_sweeps_loop(update, blocks, p, tol, max_iters):

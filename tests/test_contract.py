@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from reference import contract_all_but_loop, power_sweeps_loop
+from reference import contract_all_but_batch_parent, contract_all_but_loop, power_sweeps_loop
 
 from tensorspec.contract import (
     contract,
@@ -265,6 +265,14 @@ class TestContractAllBut:
         with pytest.raises(IndexError):
             contract_all_but(t, 5, [np.ones(2), np.ones(2)])
 
+    def test_integer_like_modes(self):
+        t = DenseTensor(rng(18).normal(size=(2, 3, 4)))
+        xs = [np.ones(2), np.arange(4.0)]
+        want = contract_all_but(t, 2, xs).to_array()
+        assert np.array_equal(contract_all_but(t, np.int64(2), xs).to_array(), want)
+        with pytest.raises(TypeError):
+            contract_all_but(t, 1.5, xs)
+
 
 class TestKroneckerChainProperty:
     def test_matrix_case_reduces_to_kron_vec(self):
@@ -284,7 +292,7 @@ class TestContractAllButBatch:
     SHAPES = [(4, 5), (3, 3), (3, 4, 5), (4, 4, 4), (2, 3, 4, 5), (3, 3, 3, 3), (3, 2, 4, 2, 3)]
 
     def test_matches_loop_columnwise(self):
-        from tensorspec.contract import _contract_all_but_batch
+        from tensorspec.contract import _contract_all_but_batch, _contract_plan
 
         g = rng(31)
         for shape in self.SHAPES:
@@ -292,33 +300,33 @@ class TestContractAllButBatch:
             tol = 1e-12 * np.max(np.abs(arr))
             for o in range(1, len(shape) + 1):
                 xs = [g.normal(size=(shape[m - 1], 6)) for m in range(1, len(shape) + 1) if m != o]
-                got = _contract_all_but_batch(arr, o, xs)
+                got = _contract_all_but_batch(_contract_plan(arr, (o,)), xs)
                 assert got.shape == (shape[o - 1], 6)
                 for s in range(6):
                     want = contract_all_but_loop(arr, o, [x[:, s] for x in xs])
                     assert np.max(np.abs(got[:, s] - want)) <= tol
 
     def test_shared_matrix_is_every_mode(self):
-        from tensorspec.contract import _contract_all_but_batch
+        from tensorspec.contract import _contract_all_but_batch, _contract_plan
 
         g = rng(32)
         for shape in [(3, 3, 3), (4, 4, 4, 4), (2, 2, 2, 2, 2)]:
             arr = g.normal(size=shape)
             x = g.normal(size=(shape[0], 5))
             for o in range(1, len(shape) + 1):
-                shared = _contract_all_but_batch(arr, o, x)
-                listed = _contract_all_but_batch(arr, o, [x] * (len(shape) - 1))
+                shared = _contract_all_but_batch(_contract_plan(arr, (o,)), x)
+                listed = _contract_all_but_batch(_contract_plan(arr, (o,)), [x] * (len(shape) - 1))
                 assert np.array_equal(shared, listed)
 
     def test_two_kept_modes(self):
-        from tensorspec.contract import _contract_all_but_batch
+        from tensorspec.contract import _contract_all_but_batch, _contract_plan
 
         g = rng(33)
         arr = g.normal(size=(2, 3, 4, 5))
         for keep in [(1, 3), (4, 2), (3, 4)]:
             rest = [m for m in range(1, 5) if m not in keep]
             xs = [g.normal(size=(arr.shape[m - 1], 3)) for m in rest]
-            got = _contract_all_but_batch(arr, keep, xs)
+            got = _contract_all_but_batch(_contract_plan(arr, keep), xs)
             assert got.shape == (arr.shape[keep[0] - 1], arr.shape[keep[1] - 1], 3)
             for s in range(3):
                 # keeping modes (o, j) is the loop kernel at mode o, column by column of mode j
@@ -329,10 +337,64 @@ class TestContractAllButBatch:
                     assert np.max(np.abs(got[:, i, s] - want)) <= 1e-12 * np.max(np.abs(arr))
 
     def test_no_columns(self):
-        from tensorspec.contract import _contract_all_but_batch
+        from tensorspec.contract import _contract_all_but_batch, _contract_plan
 
         arr = rng(34).normal(size=(3, 3, 3))
-        assert _contract_all_but_batch(arr, 2, np.zeros((3, 0))).shape == (3, 0)
+        assert _contract_all_but_batch(_contract_plan(arr, (2,)), np.zeros((3, 0))).shape == (3, 0)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPlannedKernel:
+    """The planned kernel against the parent's kernel, which set up the unfolding on every call: the same bits."""
+
+    SHAPES = [(2, 2, 2), (3, 3, 3), (4, 4, 4, 4), (8, 8, 8), (3, 3, 3, 3, 3), (5, 6, 7)]
+
+    def test_single_and_pair_keeps(self):
+        from tensorspec.contract import _contract_all_but_batch, _contract_plan
+
+        g = rng(35)
+        for shape in self.SHAPES:
+            arr = g.normal(size=shape)
+            order = len(shape)
+            # at S = 1 BLAS takes its one-column path
+            for s in (1, 64):
+                for o in range(1, order + 1):
+                    for keep in [(o,)] + [(o, j) for j in range(1, order + 1) if j != o]:
+                        xs = [g.normal(size=(shape[m - 1], s)) for m in range(1, order + 1) if m not in keep]
+                        got = _contract_all_but_batch(_contract_plan(arr, keep), xs)
+                        assert same_bits(got, contract_all_but_batch_parent(arr, keep, xs))
+                        if shape[0] == shape[-1]:
+                            x = xs[0] if xs else g.normal(size=(shape[0], s))
+                            got = _contract_all_but_batch(_contract_plan(arr, keep), x)
+                            assert same_bits(got, contract_all_but_batch_parent(arr, keep, x))
+
+    def test_stacked_keeps(self):
+        from tensorspec.contract import _contract_all_but_batch, _contract_plan
+
+        g = rng(36)
+        for shape in self.SHAPES[:5] + [(3, 3)]:
+            arr = g.normal(size=shape)
+            order = len(shape)
+            for s in (1, 64):
+                x = g.normal(size=(shape[0], s))
+                for o in range(1, order + 1):
+                    keeps = [(o, j) for j in range(1, order + 1) if j != o]
+                    got = _contract_all_but_batch(_contract_plan(arr, keeps), x)
+                    want = np.stack([contract_all_but_batch_parent(arr, k, x) for k in keeps])
+                    assert same_bits(got, want)
+
+    def test_plan_copies_at_most_one_tensor_per_keep(self):
+        from tensorspec.contract import _contract_plan
+
+        arr = rng(37).normal(size=(3, 4, 5))
+        # the identity order is a view of the tensor itself
+        assert np.shares_memory(_contract_plan(arr, (1,))[0], arr)
+        for keep in [(2,), (3,), (3, 1)]:
+            assert _contract_plan(arr, keep)[0].size == arr.size
+        assert _contract_plan(rng(38).normal(size=(3, 3, 3, 3)), [(2, 1), (2, 3), (2, 4)])[0].size == 3 * 81
 
 
 class TestPowerSweeps:
@@ -352,7 +414,7 @@ class TestPowerSweeps:
         return status
 
     def test_z_maps(self):
-        from tensorspec.contract import _contract_all_but_batch
+        from tensorspec.contract import _contract_all_but_batch, _contract_plan
 
         g = rng(40)
         a = g.normal(size=(4, 4, 4))
@@ -362,10 +424,10 @@ class TestPowerSweeps:
         shift = float(np.sum(np.abs(sym)))
 
         def shifted(k, cur, cols):
-            return sign[cols] * _contract_all_but_batch(sym, 1, cur[0]) + shift * cur[0]
+            return sign[cols] * _contract_all_but_batch(_contract_plan(sym, (1,)), cur[0]) + shift * cur[0]
 
         def unshifted(arr):
-            return lambda k, cur, cols: _contract_all_but_batch(arr, 1, cur[0])
+            return lambda k, cur, cols: _contract_all_but_batch(_contract_plan(arr, (1,)), cur[0])
 
         # the unshifted map converges on nonnegative input, not on general input
         for update, stops in [(shifted, True), (unshifted(np.abs(a)), True), (unshifted(a), False)]:
@@ -376,7 +438,7 @@ class TestPowerSweeps:
             assert seen == ({0, 1} if stops else {0})
 
     def test_nonnegative_root_with_zero_updates(self):
-        from tensorspec.contract import _contract_all_but_batch
+        from tensorspec.contract import _contract_all_but_batch, _contract_plan
 
         g = rng(41)
         arr = np.abs(g.normal(size=(3, 3, 3)))
@@ -385,14 +447,14 @@ class TestPowerSweeps:
         x0[:, :6] = np.abs(x0[:, :6])
 
         def update(k, cur, cols):
-            f = _contract_all_but_batch(arr, 1, cur[0])
+            f = _contract_all_but_batch(_contract_plan(arr, (1,)), cur[0])
             return np.where(np.any(f < 0.0, axis=0), 0.0, np.maximum(f, 0.0) ** 0.5)
 
         status = self.check(update, [x0], 2, 1e-14, 500)
         assert -1 in status and 1 in status
 
     def test_tuple_updates(self):
-        from tensorspec.contract import _contract_all_but_batch
+        from tensorspec.contract import _contract_all_but_batch, _contract_plan
 
         g = rng(42)
         for shape in [(3, 3, 3), (5, 6, 7), (3, 4, 3, 2)]:
@@ -401,7 +463,7 @@ class TestPowerSweeps:
                 power = p - 1
 
                 def update(k, cur, cols):
-                    f = _contract_all_but_batch(arr, k + 1, cur[:k] + cur[k + 1:])
+                    f = _contract_all_but_batch(_contract_plan(arr, (k + 1,)), cur[:k] + cur[k + 1:])
                     return np.sign(f) * np.abs(f) ** (1.0 / power)
 
                 blocks = [self.unit(g.normal(size=(d, 12))) for d in shape]
@@ -409,6 +471,52 @@ class TestPowerSweeps:
                     status = self.check(update, blocks, p, 1e-13, max_iters)
                     if max_iters == 4:
                         assert 0 in status
+
+    def test_zero_update_keeps_the_block(self):
+        from tensorspec.contract import _power_sweeps
+
+        g = rng(44)
+        blocks = [self.unit(g.normal(size=(d, 6))) for d in (3, 4)]
+        a, b = g.normal(size=(3, 4)), g.normal(size=(4, 3))
+
+        def run(sweeps):
+            calls, seen = [], {}
+
+            def update(k, cur, cols):
+                calls.append(k)
+                y = a @ cur[1] if k == 0 else b @ cur[0]
+                if len(calls) == 6:
+                    # sweep 3, block 1: column 2 gets a zero update
+                    i = int(np.flatnonzero(cols == 2)[0])
+                    seen["kept"], seen["first"] = cur[1][:, i].copy(), cur[0][:, i].copy()
+                    y[:, i] = 0.0
+                return y
+
+            return sweeps(update, blocks, 2, 1e-13, 8), seen
+
+        (got, status), seen = run(_power_sweeps)
+        (want, want_status), _ = run(power_sweeps_loop)
+        assert status.tolist() == want_status.tolist() == [0, 0, -1, 0, 0, 0]
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        # the dead column keeps block 1 from before the zero update and block 0 from that sweep
+        assert np.array_equal(got[1][:, 2], seen["kept"]) and np.array_equal(got[0][:, 2], seen["first"])
+
+    def test_columns_stop_in_different_sweeps(self):
+        g = rng(45)
+        q = np.linalg.qr(g.normal(size=(4, 4)))[0]
+        a = q @ np.diag([1.0, 0.5, 0.3, 0.1]) @ q.T
+        # starts at different distances from the top eigenvector converge at different sweeps
+        x0 = self.unit(q[:, :1] + g.normal(size=(4, 5)) * np.array([1e-9, 1e-6, 1e-3, 0.1, 1.0]))
+        sizes = []
+
+        def update(k, cur, cols):
+            sizes.append(cols.size)
+            return a @ cur[0]
+
+        status = self.check(update, [x0], 2, 1e-12, 500)
+        assert status.tolist() == [1] * 5
+        # the running set narrowed at least three times
+        assert len(set(sizes)) >= 4
 
     def test_no_sweeps_and_no_columns(self):
         x0 = self.unit(rng(43).normal(size=(3, 4)))

@@ -1027,7 +1027,7 @@ class TestBatchedSolvers:
             assert_jacobian(residual, jacobian, v)
 
     def test_column_does_not_depend_on_its_batch(self):
-        from tensorspec.contract import _contract_all_but_batch, _power_sweeps
+        from tensorspec.contract import _contract_all_but_batch, _contract_plan, _power_sweeps
         from tensorspec.spectra import _damped_newton, _eig_system
 
         arr = random_symmetric(4, seed=320, order=4).to_array()
@@ -1038,10 +1038,10 @@ class TestBatchedSolvers:
         def solve(cols):
             # the shifted symmetric maps, as find_eigenpairs runs them
             def update(k, cur, c):
-                return sign[cols][c] * _contract_all_but_batch(arr, 1, cur[0]) + 10.0 * cur[0]
+                return sign[cols][c] * _contract_all_but_batch(_contract_plan(arr, (1,)), cur[0]) + 10.0 * cur[0]
 
             (x,), status = _power_sweeps(update, [x0[:, cols]], 2, 1e-14, 500)
-            lam = np.sum(_contract_all_but_batch(arr, 1, x) * x, axis=0)
+            lam = np.sum(_contract_all_but_batch(_contract_plan(arr, (1,)), x) * x, axis=0)
             v = _damped_newton(*_eig_system(arr, 1, 1), np.vstack([x, lam]))
             return v, status
 
@@ -1415,3 +1415,193 @@ class TestSparseInput:
                             checked += 1
         assert checked >= 100
 
+
+    def test_line_search_overflow_is_rejected_quietly(self):
+        # a ladder step on this input has a residual whose square overflows; it
+        # is rejected (inf < base is False) and no RuntimeWarning escapes
+        g = rng(1001)
+        g.normal(size=(3, 3, 3))
+        arr = g.normal(size=(3, 3, 3)) * (g.random((3, 3, 3)) < 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = find_eigenpairs(DenseTensor(arr), 2, "h", seed=1)
+        assert len(got) == 24 and all(r.converged and r.residual <= 1e-13 for r in got)
+        want = [-1.27424802808, -1.26085927938, -0.628335611847, -0.624212003864]
+        assert np.allclose([r.value for r in got[:8]], np.repeat(want, 2), rtol=0, atol=1e-11)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestParentJacobians:
+    """Both systems' Jacobians against the parent's, which called the kernel once per other mode: the same bits."""
+
+    SHAPES = [(2, 2, 2), (3, 3, 3), (4, 4, 4, 4), (8, 8, 8), (3, 3, 3, 3, 3), (5, 6, 7)]
+
+    def test_eig_jacobian(self):
+        from reference import eig_jacobian_parent
+
+        from tensorspec.spectra import _eig_system
+
+        g = rng(390)
+        for shape in [s for s in self.SHAPES if len(set(s)) == 1] + [(3, 3)]:
+            arr = g.normal(size=shape)
+            for mode in range(1, len(shape) + 1):
+                for power in sorted({1, len(shape) - 1}):
+                    _, jacobian = _eig_system(arr, mode, power)
+                    # at S = 1 BLAS takes its one-column path
+                    for s in (1, 64):
+                        v = g.normal(size=(shape[0] + 1, s))
+                        assert same_bits(jacobian(v), eig_jacobian_parent(arr, mode, power, v))
+
+    def test_tuple_jacobian(self):
+        from reference import tuple_jacobian_parent
+
+        from tensorspec.spectra import _tuple_system
+
+        g = rng(391)
+        for shape in self.SHAPES:
+            arr = g.normal(size=shape)
+            for p in (2, len(shape)):
+                _, jacobian = _tuple_system(arr, p)
+                for s in (1, 64):
+                    v = g.normal(size=(sum(shape) + 1, s))
+                    assert same_bits(jacobian(v), tuple_jacobian_parent(arr, p, v))
+
+
+class TestWorkCounts:
+    """Deterministic counts of kernel evaluations and plan builds."""
+
+    @staticmethod
+    def count(monkeypatch, module, name):
+        calls = []
+        inner = getattr(module, name)
+
+        def wrapped(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+        return calls
+
+    def test_one_evaluation_per_block_per_sweep(self, monkeypatch):
+        from tensorspec import spectra
+
+        evals = self.count(monkeypatch, spectra, "_contract_all_but_batch")
+        sweeps = spectra._power_sweeps
+        per_update, ks = [], []
+
+        def counted_sweeps(update, blocks, *args):
+            def counted(k, cur, cols):
+                before = len(evals)
+                out = update(k, cur, cols)
+                per_update.append(len(evals) - before)
+                ks.append(k)
+                return out
+
+            return sweeps(counted, blocks, *args)
+
+        monkeypatch.setattr(spectra, "_power_sweeps", counted_sweeps)
+        cases = [
+            (lambda: find_eigenpairs(random_symmetric(4, seed=392, order=4), 1, "z", max_iters=40), 1),
+            (lambda: find_eigenpairs(DenseTensor(np.abs(rng(393).normal(size=(3, 3, 3)))), 2, "h"), 1),
+            (lambda: find_singular_tuples(DenseTensor(rng(394).normal(size=(3, 4, 5))), 2, max_iters=40), 3),
+            (lambda: find_singular_tuples(DenseTensor(rng(395).normal(size=(3, 2, 3, 2))), 4, max_iters=40), 4),
+        ]
+        for call, blocks in cases:
+            per_update.clear()
+            ks.clear()
+            call()
+            assert ks and per_update == [1] * len(ks)
+            assert ks == list(range(blocks)) * (len(ks) // blocks)
+
+    def test_one_evaluation_per_eigen_jacobian(self, monkeypatch):
+        from tensorspec import spectra
+
+        evals = self.count(monkeypatch, spectra, "_contract_all_but_batch")
+        plans = self.count(monkeypatch, spectra, "_contract_plan")
+        g = rng(396)
+        for order in (2, 3, 4, 5):
+            arr = g.normal(size=(3,) * order)
+            for mode in range(1, order + 1):
+                plans.clear()
+                _, jacobian = spectra._eig_system(arr, mode, order - 1)
+                assert len(plans) == 1
+                for s in (1, 5, 5):
+                    evals.clear()
+                    jacobian(g.normal(size=(4, s)))
+                    assert len(evals) == 1
+                # the slabs are planned on the first Jacobian call only
+                assert len(plans) == 2
+
+    def test_plans_built_once_per_solve(self, monkeypatch):
+        from tensorspec import decomp, spectra
+
+        plans = self.count(monkeypatch, spectra, "_contract_plan")
+        solves = [
+            (lambda: find_eigenpairs(random_symmetric(4, seed=397, order=4), 2, "z"), 2),
+            (lambda: find_eigenpairs(DenseTensor(rng(398).normal(size=(4, 4, 4))), 3, "h"), 2),
+            # every column converges in the power sweeps: no Newton step, so no Jacobian plan
+            (lambda: find_eigenpairs(DenseTensor(np.abs(rng(399).normal(size=(3, 3, 3)))), 1, "h"), 1),
+            (lambda: find_singular_tuples(DenseTensor(rng(400).normal(size=(3, 4, 5))), 3), 3 + 3),
+            (lambda: find_singular_tuples(DenseTensor(rng(401).normal(size=(3, 2, 3, 2))), 4), 4 + 6),
+            # every start converges in the sweeps: no Newton step, no pair plans
+            (lambda: find_singular_tuples(DenseTensor(rng(401).normal(size=(3, 2, 3, 2))), 2), 4),
+        ]
+        for solve, builds in solves:
+            plans.clear()
+            solve()
+            assert len(plans) == builds
+        plans.clear()
+        pair = EigenPair("z", 1, 0.5, np.array([0.6, 0.8, 0.0]), 0.0)
+        eig_residual(DenseTensor(rng(402).normal(size=(3, 3, 3))), pair)
+        # a one-shot residual plans F_o and not the Jacobian
+        assert len(plans) == 1
+
+        rounds = self.count(monkeypatch, decomp, "_odeco_round")
+        plans = self.count(monkeypatch, decomp, "_contract_plan")
+        g = rng(403)
+        w = np.arange(3.0, 0.0, -1.0)
+        q = np.linalg.qr(g.normal(size=(4, 4)))[0][:, :3]
+        sym = DenseTensor(np.einsum("r,ar,br,cr->abc", w, q, q, q))
+        for symmetric, per_round in [(True, 1), (False, 3)]:
+            rounds.clear()
+            plans.clear()
+            odeco_decompose(sym, symmetric=symmetric)
+            assert len(rounds) >= 2 and len(plans) == per_round * len(rounds)
+
+
+class TestIntegerModes:
+    """A mode is read with `operator.index`: NumPy integers work like ints, floats raise."""
+
+    def test_numpy_integer_modes(self):
+        g = rng(404)
+        for shape in [(3, 3, 3), (2, 2, 2), (4, 4, 4, 4)]:
+            t = DenseTensor(g.normal(size=shape))
+            for variant in "zh":
+                want = find_eigenpairs(t, 2, variant, seed=3)
+                got = find_eigenpairs(t, np.int64(2), variant, seed=3)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert type(a.mode) is int and same_record(a, b)
+                    assert eig_residual(t, replace_mode(a, np.int64(2))) == eig_residual(t, b)
+
+    def test_float_modes_raise(self):
+        t = DenseTensor(rng(405).normal(size=(3, 3, 3)))
+        with pytest.raises(TypeError):
+            find_eigenpairs(t, 1.5, "z")
+        with pytest.raises(TypeError):
+            find_eigenpairs(DenseTensor(np.ones((2, 2, 2))), 1.0, "z")
+        with pytest.raises(TypeError):
+            EigenPair("z", 1.5, 1.0, np.ones(3), 0.0)
+
+
+def same_record(a, b):
+    return (a.variant, a.mode, a.value, a.residual, a.converged) == (b.variant, b.mode, b.value, b.residual, b.converged) and (
+        a.vector.tobytes() == b.vector.tobytes()
+    )
+
+
+def replace_mode(pair, mode):
+    return EigenPair(pair.variant, mode, pair.value, pair.vector, pair.residual, pair.converged)
