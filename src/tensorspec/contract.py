@@ -24,11 +24,11 @@ equations).
 from __future__ import annotations
 
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
 
+from .shape import _check_mode
 from .tensor import DenseTensor, _as_array, _as_matrix, _as_vector, frobenius_inner
 
 __all__ = [
@@ -66,12 +66,9 @@ def trace_pair(t: DenseTensor, mode_a: int, mode_b: int):
     zero.
     """
     arr = _as_array(t)
-    order = arr.ndim
     if mode_a == mode_b:
         raise ValueError("trace needs two distinct modes")
-    for o in (mode_a, mode_b):
-        if not 1 <= o <= order:
-            raise IndexError(f"mode {o} out of range [1, {order}]")
+    mode_a, mode_b = _check_mode(mode_a, arr.ndim), _check_mode(mode_b, arr.ndim)
     if arr.shape[mode_a - 1] != arr.shape[mode_b - 1]:
         raise ValueError(
             f"modes {mode_a} and {mode_b} have unequal sizes "
@@ -88,10 +85,7 @@ def contract(a: DenseTensor, mode_a: int, b: DenseTensor, mode_b: int):
     inputs are vectors.
     """
     aa, bb = _as_array(a), _as_array(b)
-    if not 1 <= mode_a <= aa.ndim:
-        raise IndexError(f"mode {mode_a} out of range [1, {aa.ndim}] for first tensor")
-    if not 1 <= mode_b <= bb.ndim:
-        raise IndexError(f"mode {mode_b} out of range [1, {bb.ndim}] for second tensor")
+    mode_a, mode_b = _check_mode(mode_a, aa.ndim), _check_mode(mode_b, bb.ndim)
     if aa.shape[mode_a - 1] != bb.shape[mode_b - 1]:
         raise ValueError(
             f"contracted sizes differ: {aa.shape[mode_a - 1]} vs {bb.shape[mode_b - 1]}"
@@ -109,8 +103,7 @@ def mode_product(t: DenseTensor, o: int, L) -> DenseTensor:
     """
     arr = _as_array(t)
     mat = _as_matrix(L)
-    if not 1 <= o <= arr.ndim:
-        raise IndexError(f"mode {o} out of range [1, {arr.ndim}]")
+    o = _check_mode(o, arr.ndim)
     if mat.shape[1] != arr.shape[o - 1]:
         raise ValueError(
             f"matrix width {mat.shape[1]} does not match mode-{o} size {arr.shape[o - 1]}"
@@ -143,15 +136,13 @@ def contract_all_but(t: DenseTensor, o: int, xs: Sequence) -> DenseTensor:
 
     ``xs`` lists the O-1 vectors in increasing mode order (skipping ``o``);
     the result is the length-``M_o`` vector of full contractions against each
-    mode-``o`` slice (``o`` read by `operator.index`).  Multilinear in the
-    ``xs``.  Evaluated by `_contract_all_but_batch` with one column each.
+    mode-``o`` slice.  Multilinear in the ``xs``.  Evaluated by
+    `_contract_all_but_batch` with one column each.
     """
     arr = _as_array(t)
     xs = [_as_vector(x) for x in xs]
     order = arr.ndim
-    o = operator.index(o)
-    if not 1 <= o <= order:
-        raise IndexError(f"mode {o} out of range [1, {order}]")
+    o = _check_mode(o, order)
     if len(xs) != order - 1:
         raise ValueError(f"need {order - 1} vectors, got {len(xs)}")
     modes = [m for m in range(1, order + 1) if m != o]
@@ -227,18 +218,6 @@ def _column_norms(y: np.ndarray, p: int = 2) -> np.ndarray:
     return np.add.reduce(np.abs(y) ** p, axis=0) ** (1.0 / p)
 
 
-def _check_run_opts(tol: float, **counts: int) -> None:
-    """Reject a ``tol`` below 0 or NaN, then each count below 1, in the order given.
-
-    A count that is not an integer raises `TypeError` (`operator.index`).
-    """
-    if not tol >= 0:  # also catches NaN
-        raise ValueError("tol must be >= 0")
-    for name, n in counts.items():
-        if operator.index(n) < 1:
-            raise ValueError(f"{name} must be >= 1")
-
-
 def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_iters: int):
     """Multi-start power iteration with every start as one column.
 
@@ -295,6 +274,11 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
     return blocks, status
 
 
+def _leading_vectors(arr: np.ndarray, modes, ranks) -> list[np.ndarray]:
+    """For each mode ``o`` and rank ``r``, the leading ``r`` left singular vectors of the mode-o unfolding."""
+    return [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0][:, :r] for o, r in zip(modes, ranks)]
+
+
 def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:
     """One ``(M_o, count)`` block of unit start columns for each mode ``o`` in ``modes``.
 
@@ -310,7 +294,7 @@ def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:
     """
     dims = [arr.shape[o - 1] for o in modes]
     r = min(dims)
-    lead = [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0][:, :r] for o in modes]
+    lead = _leading_vectors(arr, modes, [r] * len(dims))
     draws = np.random.default_rng(seed).normal(size=(max(count - 2 * r, 0), sum(dims)))
     blocks = []
     for u, d, w in zip(lead, dims, np.split(draws, np.cumsum(dims)[:-1], axis=1)):

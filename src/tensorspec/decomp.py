@@ -12,8 +12,8 @@ Both multi-start solvers run all starts of a fit at once, one per slice of
 a batch, and draw their random starts from one ``default_rng(seed)`` per
 call: start ``k`` does not depend on ``starts``, and two seeds share no
 random start.  Results merge by ``(error, start_index)``.  Counts (``rank``,
-``starts``, ``max_iters``) below 1 raise `ValueError`, counts that are not
-integers `TypeError`.  ALS stacks its starts as ``(S, M_o, R)`` factor
+``starts``, ``max_iters``) below 1 and a ``seed`` below 0 raise `ValueError`,
+counts and seeds that are not integers `TypeError`.  ALS stacks its starts as ``(S, M_o, R)`` factor
 arrays, solves every mode update with `contract._lstsq` (the pseudoinverse
 update of standard CP-ALS) and takes each sweep's error as the exact
 residual of the last mode's unfolding against the Khatri-Rao product its
@@ -23,14 +23,14 @@ of its remainder as the columns of one power iteration.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .contract import _check_run_opts, _contract_all_but_batch, _contract_plan, _lstsq, _mode_unfolding, _power_sweeps, _starts, multi_mode_product
-from .tensor import DenseTensor, _as_array, frobenius_norm, outer
+from .contract import _contract_all_but_batch, _contract_plan, _leading_vectors, _lstsq, _mode_unfolding, _power_sweeps, _starts, multi_mode_product
+from .shape import _ints
+from .tensor import DenseTensor, _as_array, _check_cubical, _check_order, _check_run_opts, frobenius_norm, outer
 
 __all__ = [
     "CpDecomposition",
@@ -52,7 +52,7 @@ __all__ = [
 _ORTH_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpDecomposition:
     """Rank-R sum of weighted outer products: weights plus one factor matrix per mode.
 
@@ -100,7 +100,7 @@ class CpDecomposition:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TuckerDecomposition:
     """A core tensor transformed by one factor matrix per mode."""
 
@@ -191,11 +191,6 @@ def tucker_eval(tk: TuckerDecomposition) -> DenseTensor:
     return multi_mode_product(tk.core, tk.factors)
 
 
-def _leading_vectors(arr: np.ndarray, ranks: Sequence[int]) -> list[np.ndarray]:
-    """The HOSVD factors: the leading ``ranks[o]`` left singular vectors of each mode-o unfolding."""
-    return [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0][:, :r] for o, r in enumerate(ranks, start=1)]
-
-
 def hosvd(t: DenseTensor, ranks: Sequence[int]) -> TuckerDecomposition:
     """Truncated higher-order SVD.
 
@@ -206,13 +201,13 @@ def hosvd(t: DenseTensor, ranks: Sequence[int]) -> TuckerDecomposition:
     """
     arr = _as_array(t)
     order = arr.ndim
-    ranks = [operator.index(r) for r in ranks]
+    ranks = _ints(ranks)
     if len(ranks) != order:
         raise ValueError(f"need {order} ranks, got {len(ranks)}")
     for o, r in enumerate(ranks, start=1):
         if not 1 <= r <= arr.shape[o - 1]:
             raise ValueError(f"rank {r} out of range [1, {arr.shape[o - 1]}] for mode {o}")
-    factors = _leading_vectors(arr, ranks)
+    factors = _leading_vectors(arr, range(1, order + 1), ranks)
     core = multi_mode_product(DenseTensor(arr), [f.T for f in factors])
     return TuckerDecomposition(core, factors)
 
@@ -236,7 +231,7 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
 # -- alternating least squares ------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class CpAlsResult:
     """Best fit across starts, with the winning start's per-sweep error trace."""
 
@@ -341,15 +336,13 @@ def cp_als(
     and the Khatri-Rao product its update already built.  It is non-increasing
     across sweeps and the returned trace belongs to the winning start.
     """
-    _check_run_opts(tol, rank=rank, starts=starts, max_iters=max_iters)
+    _check_run_opts(tol, seed, rank=rank, starts=starts, max_iters=max_iters)
     arr = _as_array(t)
-    order = arr.ndim
-    if order < 2:
-        raise ValueError("cp_als needs a tensor of order >= 2")
+    order = _check_order(arr, "CP fits")
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(starts, sum(arr.shape), rank))
     factors = np.split(draws, np.cumsum(arr.shape)[:-1], axis=1)
     if rank <= min(arr.shape):
-        for f, u in zip(factors, _leading_vectors(arr, [rank] * order)):
+        for f, u in zip(factors, _leading_vectors(arr, range(1, order + 1), [rank] * order)):
             f[0] = u
     factors, traces, converged = _als_sweeps(arr, factors, max_iters, tol)
     best = min(range(starts), key=lambda k: (traces[k][-1], k))
@@ -360,7 +353,7 @@ def cp_als(
 # -- odeco recovery -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class OdecoResult:
     """Deflation-based recovery output plus its diagnostics.
 
@@ -433,11 +426,11 @@ def odeco_decompose(
     reconstruction check fails and the result carries the "not_orthogonal"
     status.
     """
-    _check_run_opts(tol, rank=1 if rank is None else rank, starts=starts, max_iters=max_iters)
+    _check_run_opts(tol, seed, rank=1 if rank is None else rank, starts=starts, max_iters=max_iters)
     data = arr = _as_array(t)
-    if symmetric and len(set(arr.shape)) != 1:
-        raise ValueError("symmetric recovery needs a cubical tensor")
-    order = arr.ndim
+    order = _check_order(arr, "odeco fits")
+    if symmetric:
+        _check_cubical(arr, "symmetric odeco fits")
     rank_capped = rank is not None
     if rank is None:
         rank = min(arr.shape)

@@ -221,11 +221,11 @@ def singular_tuple_to_dict(s: SingularTuple) -> dict[str, Any]:
 def singular_tuple_from_dict(obj: dict[str, Any]) -> SingularTuple:
     converged = _record(obj, {"p", "sigma", "vectors", "residual"})
     vectors = obj["vectors"]
-    if not isinstance(vectors, list) or len(vectors) < 2:
-        raise ValueError("vectors must be a list of at least two vectors")
+    if not isinstance(vectors, list):
+        raise ValueError("vectors must be a list of vectors")
     p = obj["p"]
-    if type(p) is not int or p not in (2, len(vectors)):
-        raise ValueError(f"p must be 2 or the number of vectors {len(vectors)}, got {p!r}")
+    if type(p) is not int:
+        raise ValueError(f"p must be an integer, got {p!r}")
     return SingularTuple(
         p=p,
         sigma=_number(obj["sigma"], "sigma"),

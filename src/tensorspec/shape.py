@@ -6,6 +6,10 @@ index sets.  Multi-indices are plain tuples of 1-based integers throughout the
 public API; conversion to 0-based offsets happens only inside the storage
 layer (`tensorspec.tensor`).
 
+This module reads every integer argument of the library: sizes, indices,
+ranks, block lengths and permutations go through `operator.index` (a float
+raises `TypeError`), modes through `_check_mode`, orderings through `_layout`.
+
 Two total orders are supported, both linear extensions of the componentwise
 product order:
 
@@ -18,12 +22,34 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 MultiIndex = tuple  # 1-based index tuple; validated against a Shape
 
-_ORDERINGS = ("lex", "colex")
+# the numpy memory order of each ordering: "F" has the last coordinate most significant
+_ORDERINGS = {"lex": "C", "colex": "F"}
+
+
+def _ints(values: Sequence[int]) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each read by `operator.index` (a float raises `TypeError`)."""
+    return tuple(map(operator.index, values))
+
+
+def _check_mode(o: int, order: int) -> int:
+    """``o`` read by `operator.index` as a 1-based mode of an order-``order`` tensor."""
+    o = operator.index(o)
+    if not 1 <= o <= order:
+        raise IndexError(f"mode {o} out of range [1, {order}]")
+    return o
+
+
+def _layout(ordering: str) -> str:
+    """The numpy memory order ("C" or "F") that stores entries in ``ordering``."""
+    if ordering not in _ORDERINGS:
+        raise ValueError(f"ordering must be one of {tuple(_ORDERINGS)}, got {ordering!r}")
+    return _ORDERINGS[ordering]
 
 
 @dataclass(frozen=True)
@@ -33,7 +59,7 @@ class Shape:
     dims: tuple[int, ...]
 
     def __init__(self, dims: Sequence[int]):
-        dims = tuple(int(d) for d in dims)
+        dims = _ints(dims)
         if len(dims) == 0:
             raise ValueError("a shape needs at least one mode")
         if any(d < 1 for d in dims):
@@ -50,7 +76,7 @@ class Shape:
 
     def check_index(self, m: Sequence[int]) -> tuple[int, ...]:
         """Validate a 1-based multi-index against this shape, returning it as a tuple."""
-        m = tuple(int(x) for x in m)
+        m = _ints(m)
         if len(m) != self.order:
             raise IndexError(f"multi-index {m} has {len(m)} components, shape has order {self.order}")
         for x, d in zip(m, self.dims):
@@ -60,15 +86,11 @@ class Shape:
 
     def iter_indices(self, ordering: str = "colex") -> Iterator[tuple[int, ...]]:
         """Enumerate all multi-indices in the given linear order."""
-        _check_ordering(ordering)
         ranges = [range(1, d + 1) for d in self.dims]
-        if ordering == "lex":
+        if _layout(ordering) == "C":
             # itertools.product varies the last factor fastest: lex directly
-            for m in itertools.product(*ranges):
-                yield m
-        else:
-            for rev in itertools.product(*reversed(ranges)):
-                yield rev[::-1]
+            return itertools.product(*ranges)
+        return (rev[::-1] for rev in itertools.product(*reversed(ranges)))
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return self.iter_indices()
@@ -78,11 +100,6 @@ class Shape:
 
     def __repr__(self) -> str:
         return f"Shape({list(self.dims)})"
-
-
-def _check_ordering(ordering: str) -> None:
-    if ordering not in _ORDERINGS:
-        raise ValueError(f"ordering must be one of {_ORDERINGS}, got {ordering!r}")
 
 
 def _as_shape(shape: Shape | Sequence[int]) -> Shape:
@@ -95,45 +112,40 @@ def colex_rank(shape: Shape | Sequence[int], m: Sequence[int]) -> int:
     The first coordinate varies fastest: on a ``[2, 2]`` shape the order is
     (1,1), (2,1), (1,2), (2,2).
     """
-    shape = _as_shape(shape)
-    m = shape.check_index(m)
-    rank, stride = 0, 1
-    for x, d in zip(m, shape.dims):
-        rank += (x - 1) * stride
-        stride *= d
-    return rank + 1
+    return rank(shape, m, "colex")
 
 
 def lex_rank(shape: Shape | Sequence[int], m: Sequence[int]) -> int:
     """1-based position of ``m`` in the lexicographic enumeration of ``shape``."""
-    shape = _as_shape(shape)
-    m = shape.check_index(m)
-    rank, stride = 0, 1
-    for x, d in zip(reversed(m), reversed(shape.dims)):
-        rank += (x - 1) * stride
-        stride *= d
-    return rank + 1
+    return rank(shape, m, "lex")
 
 
 def unrank(shape: Shape | Sequence[int], k: int, ordering: str = "colex") -> tuple[int, ...]:
-    """Inverse of `colex_rank` / `lex_rank`: the multi-index at 1-based position ``k``."""
+    """Inverse of `rank`: the multi-index at 1-based position ``k`` (read by `operator.index`)."""
     shape = _as_shape(shape)
-    _check_ordering(ordering)
+    colex = _layout(ordering) == "F"
+    k = operator.index(k)
     if not 1 <= k <= shape.cardinality:
         raise IndexError(f"rank {k} out of range [1, {shape.cardinality}]")
     rem = k - 1
-    dims = shape.dims if ordering == "colex" else shape.dims[::-1]
     out = []
-    for d in dims:
+    # least significant coordinate first
+    for d in shape.dims if colex else shape.dims[::-1]:
         out.append(rem % d + 1)
         rem //= d
-    return tuple(out) if ordering == "colex" else tuple(out[::-1])
+    return tuple(out) if colex else tuple(out[::-1])
 
 
 def rank(shape: Shape | Sequence[int], m: Sequence[int], ordering: str = "colex") -> int:
-    """Rank under either ordering; convenience dispatcher."""
-    _check_ordering(ordering)
-    return colex_rank(shape, m) if ordering == "colex" else lex_rank(shape, m)
+    """1-based position of ``m`` in the enumeration of ``shape`` in ``ordering``."""
+    colex = _layout(ordering) == "F"
+    shape = _as_shape(shape)
+    pairs = list(zip(shape.check_index(m), shape.dims))
+    out = 0
+    # most significant coordinate first
+    for x, d in pairs[::-1] if colex else pairs:
+        out = out * d + x - 1
+    return out + 1
 
 
 @dataclass(frozen=True)
@@ -148,7 +160,7 @@ class ContiguousPartition:
     block_lengths: tuple[int, ...]
 
     def __init__(self, block_lengths: Sequence[int]):
-        block_lengths = tuple(int(b) for b in block_lengths)
+        block_lengths = _ints(block_lengths)
         if len(block_lengths) == 0:
             raise ValueError("a partition needs at least one block")
         if any(b < 1 for b in block_lengths):
@@ -175,6 +187,7 @@ class ContiguousPartition:
 
     def block_of(self, n: int) -> int:
         """The monotone surjection: 1-based block number of element ``n``."""
+        n = operator.index(n)
         if not 1 <= n <= self.ground_size:
             raise IndexError(f"element {n} outside ground set [{self.ground_size}]")
         upper = 0
@@ -245,7 +258,7 @@ def refinement_quotient(p2: ContiguousPartition, p1: ContiguousPartition) -> Con
 
 def check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
     """Validate that ``perm`` is a permutation of ``[n]`` (1-based)."""
-    perm = tuple(int(p) for p in perm)
+    perm = _ints(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"{perm} is not a permutation of [{n}]")
     return perm

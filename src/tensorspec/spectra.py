@@ -63,8 +63,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .contract import _check_run_opts, _column_norms, _contract_all_but_batch, _contract_plan, _lstsq, _power_sweeps, _starts
-from .tensor import DenseTensor, _as_array, is_symmetric, outer
+from .contract import _column_norms, _contract_all_but_batch, _contract_plan, _lstsq, _power_sweeps, _starts
+from .shape import _check_mode
+from .tensor import DenseTensor, _as_array, _check_cubical, _check_order, _check_run_opts, is_symmetric, outer
 
 __all__ = [
     "EigenPair",
@@ -88,7 +89,7 @@ _VARIANTS = ("z", "h")
 _DEDUP_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPair:
     """A (lambda, x) record for one mode and variant, with its equation defect.
 
@@ -114,11 +115,12 @@ class EigenPair:
         object.__setattr__(self, "residual", float(self.residual))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularTuple:
     """A (sigma, x_1..x_O) record with the max per-mode equation defect.
 
-    ``p`` is 2 for the l2 variant or the tensor order for the lO variant.
+    ``p`` is 2 for the l2 variant or the tensor order, the number of vectors
+    (at least two), for the lO variant; anything else raises `ValueError`.
     """
 
     p: int
@@ -129,8 +131,14 @@ class SingularTuple:
 
     def __post_init__(self):
         vecs = tuple(np.asarray(v, dtype=float) for v in self.vectors)
+        if len(vecs) < 2:
+            raise ValueError("a singular tuple needs at least two vectors")
+        p = operator.index(self.p)
+        if p not in (2, len(vecs)):
+            raise ValueError(f"p must be 2 or the number of vectors {len(vecs)}, got {p!r}")
         for v in vecs:
             v.flags.writeable = False
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "residual", float(self.residual))
@@ -146,18 +154,11 @@ class SingularTuple:
         return singular_orbit(self, flip=(True,) + (False,) * (self.order - 1))
 
 
-def _check_cubical(arr: np.ndarray) -> int:
-    if len(set(arr.shape)) != 1:
-        raise ValueError(f"eigenpairs are defined for cubical tensors only, got shape {arr.shape}")
-    return arr.shape[0]
-
-
 def eig_residual(t: DenseTensor, pair: EigenPair) -> float:
     """Infinity-norm defect of the defining equation; zero iff exact."""
     arr = _as_array(t)
-    m = _check_cubical(arr)
-    if not 1 <= pair.mode <= arr.ndim:
-        raise IndexError(f"mode {pair.mode} out of range [1, {arr.ndim}]")
+    m = _check_cubical(arr, "eigenpairs")
+    _check_mode(pair.mode, arr.ndim)
     if pair.vector.shape != (m,):
         raise ValueError(f"vector length {pair.vector.size} does not match mode size {m}")
     residual, _ = _eig_system(arr, pair.mode, 1 if pair.variant == "z" else arr.ndim - 1)
@@ -512,21 +513,18 @@ def find_eigenpairs(
     flagged (``converged=False``).  On size-2 modes ``[]`` is returned when
     no root line is real.  Pairs are sorted by decreasing |value| to 12
     significant digits, then vector.  A tensor of order below 2, ``starts``
-    or ``max_iters`` below 1 and ``tol`` below 0 or NaN raise `ValueError`
-    on both paths, a ``mode``, ``starts`` or ``max_iters`` that is not an
-    integer `TypeError`.
+    or ``max_iters`` below 1, ``tol`` or ``seed`` below 0 and a NaN ``tol``
+    raise `ValueError` on both paths, a ``mode``, ``seed``, ``starts`` or
+    ``max_iters`` that is not an integer `TypeError`.
     """
     arr = _as_array(t)
-    if arr.ndim < 2:
-        raise ValueError(f"eigenpairs need a tensor of order >= 2, got order {arr.ndim}")
-    m = _check_cubical(arr)
-    mode = operator.index(mode)
-    if not 1 <= mode <= arr.ndim:
-        raise IndexError(f"mode {mode} out of range [1, {arr.ndim}]")
-    variant = variant.lower()
+    _check_order(arr, "eigenpairs")
+    m = _check_cubical(arr, "eigenpairs")
+    mode = _check_mode(mode, arr.ndim)
+    variant = variant.lower() if isinstance(variant, str) else variant
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be 'z' or 'h', got {variant!r}")
-    _check_run_opts(tol, max_iters=max_iters, starts=starts)
+    _check_run_opts(tol, seed, max_iters=max_iters, starts=starts)
     top = float(np.max(np.abs(arr)))
     solved = None
     if top > 0.0 and m == 2:
@@ -638,11 +636,11 @@ def find_singular_tuples(
     """Singular value tuples by multi-start alternating power iteration.
 
     ``p`` must be 2 or the tensor order, ``starts`` and ``max_iters``
-    integers at least 1 and ``tol`` at least 0 (not NaN).  The starts are
-    the per-mode leading left singular vectors of the unfoldings, then
-    coordinate vectors, then ``default_rng(seed)`` normal draws: the first
-    ``starts`` columns of `_starts` with count ``2 * starts``.  All of them
-    run at once through the cyclic update
+    integers at least 1, ``seed`` one at least 0 and ``tol`` at least 0
+    (not NaN).  The starts are the per-mode leading left singular vectors
+    of the unfoldings, then coordinate vectors, then ``default_rng(seed)``
+    normal draws: the first ``starts`` columns of `_starts` with count
+    ``2 * starts``.  All of them run at once through the cyclic update
     ``x_o <- normalize_p(sign(F_o) |F_o|^(1/(p-1)))`` until no factor moves by
     more than 1e-13 over a sweep.  A start whose iterate collapses to zero is
     replaced once by the next unused column of that stream (column
@@ -660,12 +658,11 @@ def find_singular_tuples(
     Completeness is not claimed (the problem is NP-hard in general).
     """
     arr = _as_array(t)
-    order = arr.ndim
-    if order < 2:
-        raise ValueError(f"singular tuples need a tensor of order >= 2, got order {order}")
+    order = _check_order(arr, "singular tuples")
+    p = operator.index(p)
     if p not in (2, order):
         raise ValueError(f"p must be 2 or the tensor order {order}, got {p}")
-    _check_run_opts(tol, max_iters=max_iters, starts=starts)
+    _check_run_opts(tol, seed, max_iters=max_iters, starts=starts)
     top = float(np.max(np.abs(arr)))
     if top == 0.0:
         warnings.warn("the solutions form a continuous family, not isolated; no records are returned", stacklevel=2)
@@ -744,7 +741,7 @@ def singular_orbit(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BestRankOne:
     """Best rank-one approximation found: sigma, unit factors, the tensor, and its error."""
 
@@ -773,7 +770,7 @@ def best_rank_one(t: DenseTensor, **opts) -> BestRankOne:
     return BestRankOne(top.sigma, top.vectors, rank_one, err)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BridgeResult:
     """Outcome of promoting a z-eigenpair to an O-copies singular tuple.
 
@@ -801,7 +798,7 @@ def eig_singular_bridge(t: DenseTensor, pair: EigenPair, tol: float = 1e-10) -> 
     raised; ``tol`` below 0 or NaN raises `ValueError`.
     """
     arr = _as_array(t)
-    _check_cubical(arr)
+    _check_cubical(arr, "eigenpairs")
     _check_run_opts(tol)
     if pair.variant != "z":
         raise ValueError("the bridge is defined for z-eigenpairs")

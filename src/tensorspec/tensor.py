@@ -8,16 +8,21 @@ indexing lives entirely inside this module.
 Tensors are immutable after construction (the backing array is marked
 read-only), so every operation here is a pure function and concurrent reads
 need no coordination.
+
+It also holds the library's one check of each array and option rule:
+`_check_order` (order >= 2), `_check_cubical` and `_check_run_opts`
+(``tol`` and ``seed`` >= 0, counts >= 1).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
 
-from .shape import ContiguousPartition, Shape, check_permutation
+from .shape import ContiguousPartition, Shape, _as_shape, _check_mode, _ints, _layout, check_permutation
 
 __all__ = [
     "DenseTensor",
@@ -59,7 +64,7 @@ class DenseTensor:
     def __init__(self, data, dims: Sequence[int] | None = None):
         arr = _as_array(data)
         if dims is not None:
-            dims = tuple(int(d) for d in dims)
+            dims = _ints(dims)
             if arr.size != math.prod(dims):
                 raise ValueError(
                     f"buffer of {arr.size} entries cannot fill shape {list(dims)}"
@@ -109,7 +114,7 @@ class DenseTensor:
         return self._array.flatten(order="F")
 
     def __getitem__(self, m: Sequence[int]) -> float:
-        if isinstance(m, int):
+        if np.isscalar(m):
             m = (m,)
         m = self.shape.check_index(m)
         return float(self._array[tuple(x - 1 for x in m)])
@@ -183,13 +188,38 @@ def _as_vector(t) -> np.ndarray:
     return arr
 
 
+def _check_order(arr: np.ndarray, what: str) -> int:
+    """The order of ``arr``; below 2 raises `ValueError`, naming ``what`` the call computes."""
+    if arr.ndim < 2:
+        raise ValueError(f"{what} need a tensor of order >= 2, got order {arr.ndim}")
+    return arr.ndim
+
+
+def _check_cubical(arr: np.ndarray, what: str) -> int:
+    """The common mode size of a cubical array; any other shape raises `ValueError`."""
+    if len(set(arr.shape)) != 1:
+        raise ValueError(f"{what} are defined for cubical tensors only, got shape {arr.shape}")
+    return arr.shape[0]
+
+
+def _check_run_opts(tol: float, seed: int = 0, **counts: int) -> None:
+    """Reject ``tol`` (also NaN), then ``seed``, below 0, then each count below 1; a non-integer seed or count raises `TypeError`."""
+    if not tol >= 0:  # also catches NaN
+        raise ValueError("tol must be >= 0")
+    if operator.index(seed) < 0:
+        raise ValueError("seed must be >= 0")
+    for name, n in counts.items():
+        if operator.index(n) < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 def unit_tensor(shape: Shape | Sequence[int], m: Sequence[int]) -> DenseTensor:
     """The indicator tensor of multi-index ``m``: entry 1 at ``m``, 0 elsewhere.
 
     Equals the outer product of the corresponding unit vectors,
     ``e_{m_1} o ... o e_{m_O}``.
     """
-    shape = shape if isinstance(shape, Shape) else Shape(shape)
+    shape = _as_shape(shape)
     m = shape.check_index(m)
     arr = np.zeros(shape.dims)
     arr[tuple(x - 1 for x in m)] = 1.0
@@ -222,24 +252,11 @@ def fiber(t: DenseTensor, mode: int, fixed: Sequence[int]) -> DenseTensor:
     by sweeping the free index.
     """
     arr = _as_array(t)
-    order = arr.ndim
-    if not 1 <= mode <= order:
-        raise IndexError(f"mode {mode} out of range [1, {order}]")
-    fixed = tuple(int(x) for x in fixed)
-    if len(fixed) != order - 1:
-        raise IndexError(
-            f"fixed index has {len(fixed)} components, expected {order - 1}"
-        )
-    key, pos = [], 0
-    for o in range(1, order + 1):
-        if o == mode:
-            key.append(slice(None))
-        else:
-            x = fixed[pos]
-            if not 1 <= x <= arr.shape[o - 1]:
-                raise IndexError(f"index {x} out of range for mode {o}")
-            key.append(x - 1)
-            pos += 1
+    mode = _check_mode(mode, arr.ndim)
+    m = list(fixed)
+    m.insert(mode - 1, 1)  # checked as one multi-index of ``t``, with index 1 in the free mode
+    key = [x - 1 for x in Shape(arr.shape).check_index(m)]
+    key[mode - 1] = slice(None)
     return DenseTensor(arr[tuple(key)])
 
 
@@ -279,10 +296,8 @@ def is_symmetric(t: DenseTensor, tol: float = 0.0) -> bool:
     enumeration for orders <= 4.
     """
     arr = _as_array(t)
-    if not tol >= 0:  # also catches NaN
-        raise ValueError("tol must be >= 0")
-    if len(set(arr.shape)) != 1:
-        raise ValueError(f"symmetry is defined for cubical tensors only, got shape {arr.shape}")
+    _check_run_opts(tol)
+    _check_cubical(arr, "symmetry tests")
     order = arr.ndim
     for o in range(order - 1):
         axes = list(range(order))
@@ -292,24 +307,16 @@ def is_symmetric(t: DenseTensor, tol: float = 0.0) -> bool:
     return True
 
 
-def _flat_order(ordering: str) -> str:
-    if ordering == "colex":
-        return "F"
-    if ordering == "lex":
-        return "C"
-    raise ValueError(f"ordering must be 'lex' or 'colex', got {ordering!r}")
-
-
 def vectorize(t: DenseTensor, ordering: str = "colex") -> np.ndarray:
     """Flatten to a vector; component k is the entry at ``unrank(k, ordering)``."""
-    return _as_array(t).flatten(order=_flat_order(ordering))
+    return _as_array(t).flatten(order=_layout(ordering))
 
 
 def tensorize(v, dims: Sequence[int], ordering: str = "colex") -> DenseTensor:
     """Inverse of `vectorize`: rebuild a tensor of shape ``dims`` from a flat vector."""
-    order = _flat_order(ordering)
+    order = _layout(ordering)
     v = np.asarray(v, dtype=float).reshape(-1)
-    dims = tuple(int(d) for d in dims)
+    dims = _ints(dims)
     if v.size != math.prod(dims):
         raise ValueError(f"vector of length {v.size} cannot fill shape {list(dims)}")
     return DenseTensor(v.reshape(dims, order=order))
@@ -324,12 +331,12 @@ def matricize(t: DenseTensor, row_modes: Sequence[int], ordering: str = "colex")
     """
     arr = _as_array(t)
     order = arr.ndim
-    row_modes = tuple(int(o) for o in row_modes)
+    row_modes = _ints(row_modes)
     if len(set(row_modes)) != len(row_modes) or any(not 1 <= o <= order for o in row_modes):
         raise ValueError(f"row modes {row_modes} invalid for order {order}")
     if len(row_modes) == 0 or len(row_modes) == order:
         raise ValueError("row modes must be a nonempty proper subset of the modes")
-    flat = _flat_order(ordering)
+    flat = _layout(ordering)
     row_modes = tuple(sorted(row_modes))
     col_modes = tuple(o for o in range(1, order + 1) if o not in row_modes)
     moved = np.transpose(arr, axes=[o - 1 for o in row_modes + col_modes])
