@@ -304,30 +304,27 @@ def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:
 
 
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The ``(C, n, K)`` minimum-norm least-squares solutions of ``a[c] @ x = b[c]``.
+    """The ``(C, n, K)`` minimum-norm least-squares solutions of the square systems ``a[c] @ x = b[c]``.
 
-    ``a`` is a ``(C, r, n)`` batch and ``b`` its ``(C, r, K)`` right-hand
-    sides.  Square systems are solved with one batched LU.  Systems that are
-    not square, and a batch in which some matrix is exactly singular so that
-    LU raises, take the truncated SVD, dropping singular values below
-    lstsq's cutoff ``eps * max(r, n) * sigma_max``; there the square
-    matrices that drop none are solved by LU again, which gives them the
-    bits they get alone.  Raises `np.linalg.LinAlgError` when the SVD does
-    not converge.
+    ``a`` is a ``(C, n, n)`` batch and ``b`` its ``(C, n, K)`` right-hand
+    sides, solved with one batched LU.  A batch in which some matrix is
+    exactly singular, so that LU raises, takes the SVD, dropping singular
+    values below lstsq's cutoff ``eps * n * sigma_max``; there the matrices
+    that drop none are solved by LU again, which gives them the bits they
+    get alone.  Raises `np.linalg.LinAlgError` when the SVD does not
+    converge.
     """
-    square = a.shape[1] == a.shape[2]
-    if square:
-        try:
-            return np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            pass
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        pass
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
-    kept = (sv > np.finfo(float).eps * max(a.shape[1:]) * sv[:, :1])[:, :, None]
+    kept = (sv > np.finfo(float).eps * a.shape[-1] * sv[:, :1])[:, :, None]
     coef = np.einsum("crk,crj->ckj", u, b)
     coef = np.where(kept, coef / np.where(kept, sv[:, :, None], 1.0), 0.0)
     x = np.einsum("ckn,ckj->cnj", vt, coef)
     full = kept.all(axis=(1, 2))
-    if square and full.any():
+    if full.any():
         try:
             x[full] = np.linalg.solve(a[full], b[full])
         except np.linalg.LinAlgError:

@@ -41,16 +41,22 @@ size-2 modes the root lines of the binary form are the starts), and
 converges (tuple starts, z starts on symmetric input, h starts on
 nonnegative input).  Polish: `_damped_newton` on the system's residual,
 each step one `contract._lstsq` solve, the least-squares kernel ALS also
-uses (one batched LU on the square eigen system, the truncated SVD on the
-tuple system and at exactly singular Jacobians), then `_gate` reads that
-residual once per column.  Finish: `_finish` reads the arrays of every
-column once and returns the columns to report in printed order: the
-converged ones, a column within ``_DEDUP_TOL`` (1e-8) of a lower-residual
-one dropped, or when none converged the best one.  Record objects are built
-for those columns only.  Each system, the eigen one (`_eig_system`) and the
-singular one (`_tuple_system`), has one residual, which the Newton polish,
-the gate and the public `eig_residual` and `singular_residual` all read;
-``F_o`` is always `contract._contract_all_but_batch` on plans built once.
+uses (one batched LU, as both systems are square; the SVD only where a
+Jacobian is exactly singular), then `_gate` reads that residual once per
+column.  The l2 tuple sweeps hand their starts to Newton once no factor
+moves by more than ``_HANDOFF`` (1e-4), as the sweeps' tail is linear and
+Newton's quadratic.  The lO sweeps run to 1e-13: the rows
+``sigma_o sign(x)|x|^(O-1)`` have zero derivative at a zero entry, so an
+lO solution with an exact zero entry is a singular root, from which Newton
+converges only linearly and stops on near copies that do not dedup.
+Finish: `_finish` reads the arrays of every column once and returns the
+columns to report in printed order: the converged ones, a column within
+``_DEDUP_TOL`` (1e-8) of a lower-residual one dropped, or when none
+converged the best one.  Record objects are built for those columns only.
+Each system, the eigen one (`_eig_system`) and the singular one
+(`_tuple_system`), has one residual, which the Newton polish, the gate and
+the public `eig_residual` and `singular_residual` all read; ``F_o`` is
+always `contract._contract_all_but_batch` on plans built once.
 """
 
 from __future__ import annotations
@@ -87,6 +93,8 @@ __all__ = [
 _VARIANTS = ("z", "h")
 # records closer than this in the scalar (relative) and every vector entry are one
 _DEDUP_TOL = 1e-8
+# the l2 tuple sweeps stop once no factor moves by more than this; Newton finishes
+_HANDOFF = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +183,7 @@ def singular_residual(t: DenseTensor, tup: SingularTuple) -> float:
         if v.shape != (arr.shape[o - 1],):
             raise ValueError(f"vector {o} length {v.size} does not match mode size {arr.shape[o - 1]}")
     residual, _ = _tuple_system(arr, tup.p)
-    v = np.append(np.concatenate(tup.vectors), tup.sigma)[:, None]
+    v = np.append(np.concatenate(tup.vectors), [tup.sigma] * order)[:, None]
     return float(np.max(np.abs(residual(v)[: sum(arr.shape)])))
 
 
@@ -354,9 +362,8 @@ def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
     every column in one residual call per iteration.
 
     The steps of an iteration are one `contract._lstsq` call: batched LU on
-    the square eigen system, the truncated SVD on the tuple system and for a
-    Jacobian that is exactly singular.  The iteration stops when the SVD
-    does not converge.
+    the square systems, the SVD for a Jacobian that is exactly singular.
+    The iteration stops when the SVD does not converge.
     """
     v = np.array(v, dtype=float)
     g = residual(v)
@@ -551,6 +558,11 @@ def find_eigenpairs_contract_leading(t: DenseTensor, variant: str, **opts) -> li
     return find_eigenpairs(t, _as_array(t).ndim, variant, **opts)
 
 
+def _check_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale != 0.0):
+        raise ValueError(f"orbit scale must be finite and nonzero, got {scale!r}")
+
+
 def eig_orbit(pair: EigenPair, t_scale: float, order: int, tensor: DenseTensor | None = None) -> EigenPair:
     """The equivalent eigenpair with the vector rescaled by ``t_scale``.
 
@@ -559,11 +571,17 @@ def eig_orbit(pair: EigenPair, t_scale: float, order: int, tensor: DenseTensor |
     equations rescale by exactly ``t^(O-1)``, so the output residual is the
     input residual times ``|t|^(O-1)`` (re-evaluated against ``tensor`` when
     one is supplied).  The output vector is generally not unit norm.
+    ``order`` is the tensor order O, an integer at least 2 (`TypeError`
+    otherwise for a non-integer, `ValueError` for a smaller one) that must
+    equal ``tensor``'s order when ``tensor`` is given; a zero or non-finite
+    ``t_scale`` raises `ValueError`.
     """
-    if t_scale == 0.0:
-        raise ValueError("orbit scale must be nonzero")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_scale(t_scale)
+    order = operator.index(order)
+    if order < 2:
+        raise ValueError(f"order must be >= 2, got {order}")
+    if tensor is not None and order != _as_array(tensor).ndim:
+        raise ValueError(f"order {order} does not match the tensor order {_as_array(tensor).ndim}")
     value = pair.value * t_scale ** (order - 2) if pair.variant == "z" else pair.value
     residual = pair.residual * abs(t_scale) ** (order - 1)
     out = EigenPair(pair.variant, pair.mode, value, t_scale * pair.vector, residual, pair.converged)
@@ -581,13 +599,18 @@ def _phi(v: np.ndarray, k: float) -> np.ndarray:
 
 
 def _tuple_system(arr, p, plans=None):
-    """Residual and exact Jacobian of the singular system at the columns ``[x_1; ..; x_O; sigma]``.
+    """Residual and exact square Jacobian of the singular system at the columns ``[x_1; ..; x_O; sigma_1; ..; sigma_O]``.
 
-    The rows are ``F_o - sigma * phi(x_o, p - 1)`` (`_phi`) for every mode
-    ``o`` (``plans`` those of `_eig_system`, one per ``o``), then
-    ``sum |x_o|^p - 1`` for every mode.  The block ``dF_o/dx_j``, planned on
-    the first call, is the tensor contracted with the vectors on every mode
-    except ``o`` and ``j``.
+    Each mode has its own scalar: the rows are ``F_o - sigma_o * phi(x_o,
+    p - 1)`` (`_phi`) for every mode ``o`` (``plans`` those of `_eig_system`,
+    one per ``o``), then ``sum |x_o|^p - 1`` for every mode, as many rows as
+    unknowns.  At a solution every ``sigma_o`` is ``T(x_1, .., x_O)`` (dot
+    row o with ``x_o``; Lim 2005), so the solutions are the singular tuples,
+    and with every ``sigma_o`` set to one sigma the rows are those of the
+    tuple ``(sigma, x_1, .., x_O)``.  The block ``dF_o/dx_j``, planned on the
+    first call, is the tensor contracted with the vectors on every mode
+    except ``o`` and ``j``; the ``sigma_o`` column is ``-phi(x_o, p - 1)`` in
+    the mode-o rows only.
     """
     order = arr.ndim
     power = p - 1
@@ -597,16 +620,16 @@ def _tuple_system(arr, p, plans=None):
     pairs = {}
 
     def residual(v):
-        xs, sig = np.split(v[:n], offsets[1:-1]), v[n]
-        eqs = [_contract_all_but_batch(plans[o], xs[:o] + xs[o + 1:]) - sig * _phi(xs[o], power) for o in range(order)]
+        xs, sig = np.split(v[:n], offsets[1:-1]), v[n:]
+        eqs = [_contract_all_but_batch(plans[o], xs[:o] + xs[o + 1:]) - sig[o] * _phi(xs[o], power) for o in range(order)]
         norms = np.array([np.sum(np.abs(x) ** p, axis=0) - 1.0 for x in xs])
         return np.vstack(eqs + [norms])
 
     def jacobian(v):
         if not pairs:
             pairs.update({(o, j): _contract_plan(arr, (o + 1, j + 1)) for o in range(order) for j in range(o + 1, order)})
-        xs, sig = np.split(v[:n], offsets[1:-1]), v[n]
-        jac = np.zeros((v.shape[1], n + order, n + 1))
+        xs, sig = np.split(v[:n], offsets[1:-1]), v[n:]
+        jac = np.zeros((v.shape[1], n + order, n + order))
         for o in range(order):
             rows = slice(offsets[o], offsets[o + 1])
             for j in range(o + 1, order):
@@ -616,8 +639,8 @@ def _tuple_system(arr, p, plans=None):
                 jac[:, rows, cols] = block
                 jac[:, cols, rows] = np.swapaxes(block, 1, 2)
             diag = np.arange(offsets[o], offsets[o + 1])
-            jac[:, diag, diag] = -(power * sig * np.abs(xs[o]) ** (power - 1)).T
-            jac[:, rows, n] = -_phi(xs[o], power).T
+            jac[:, diag, diag] = -(power * sig[o] * np.abs(xs[o]) ** (power - 1)).T
+            jac[:, rows, n + o] = -_phi(xs[o], power).T
             jac[:, n + o, rows] = (p * _phi(xs[o], p - 1)).T
         return jac
 
@@ -642,11 +665,15 @@ def find_singular_tuples(
     normal draws: the first ``starts`` columns of `_starts` with count
     ``2 * starts``.  All of them run at once through the cyclic update
     ``x_o <- normalize_p(sign(F_o) |F_o|^(1/(p-1)))`` until no factor moves by
-    more than 1e-13 over a sweep.  A start whose iterate collapses to zero is
-    replaced once by the next unused column of that stream (column
-    ``starts``, ``starts + 1``, ..), and the replacements run as one more
-    such batch; a replacement that collapses too is dropped.  Every start
-    is then tightened by a least-squares Newton pass on the coupled system.
+    more than ``_HANDOFF`` (1e-4) over a sweep for p = 2, or 1e-13 for
+    p = O > 2, where Newton is slow at zero entries (module docstring).  A
+    start whose iterate collapses to zero is replaced once by the next
+    unused column of that stream (column ``starts``, ``starts + 1``, ..),
+    and the replacements run as one more such batch; a replacement that
+    collapses too is dropped.  Every start is then finished by damped Newton
+    on the square coupled system (`_tuple_system`), one sigma per mode, each
+    started at its least-squares fit; the record's sigma is
+    ``T(x_1, .., x_O)``, at which every row is gated.
     The tensor is solved as ``T / max|T|`` (module docstring): a record is
     flagged converged when every row of the system is within the gate,
     ``singular_residual <= tol * max|T|`` and every ``sum |x_o|^p - 1``
@@ -674,21 +701,25 @@ def find_singular_tuples(
     def update(k, cur, cols):
         return _phi(_contract_all_but_batch(plans[k], cur[:k] + cur[k + 1:]), 1.0 / power)
 
+    # lO keeps its sweeps to the end: its rows are flat at a zero entry (module docstring)
+    handoff = _HANDOFF if p == 2 else 1e-13
     blocks = _starts(arr, range(1, order + 1), 2 * starts, seed)
-    xs, status = _power_sweeps(update, [b[:, :starts] for b in blocks], p, 1e-13, max_iters)
+    xs, status = _power_sweeps(update, [b[:, :starts] for b in blocks], p, handoff, max_iters)
     # a zero iterate killed these starts; each is replaced once by the next unused column
     dead = np.flatnonzero(status < 0)
     spare = [b[:, starts : starts + dead.size] for b in blocks]
-    spare, status[dead] = _power_sweeps(update, spare, p, 1e-13, max_iters)
+    spare, status[dead] = _power_sweeps(update, spare, p, handoff, max_iters)
     for x, y in zip(xs, spare):
         x[:, dead] = y
     xs = [x[:, status >= 0] for x in xs]
     n = sum(arr.shape)
-    sigma0 = _fit_scale(_contract_all_but_batch(plans[0], xs[1:]), _phi(xs[0], power))
+    sigma0 = [_fit_scale(_contract_all_but_batch(plans[o], xs[:o] + xs[o + 1:]), _phi(xs[o], power)) for o in range(order)]
     residual, jacobian = _tuple_system(arr, p, plans)
-    v = _damped_newton(residual, jacobian, np.vstack(xs + [sigma0]))
-    res, ok = _gate(residual, v, n, tol)
-    xs, sigma = np.split(v[:n], np.cumsum(arr.shape)[:-1]), v[n]
+    v = _damped_newton(residual, jacobian, np.vstack(xs + sigma0))
+    # the tuple's one sigma is T(x_1, .., x_O), and the gate reads the rows singular_residual reads
+    xs = np.split(v[:n], np.cumsum(arr.shape)[:-1])
+    sigma = np.sum(_contract_all_but_batch(plans[0], xs[1:]) * xs[0], axis=0)
+    res, ok = _gate(residual, np.vstack([v[:n], np.tile(sigma, (order, 1))]), n, tol)
     # sign gauge, so flip-equivalent records dedup together: in each mode the
     # first entry above 1e-12 in magnitude is made positive, each flip negating sigma
     for x in xs:
@@ -717,14 +748,14 @@ def singular_orbit(
     number of flips negates sigma, an even number leaves it unchanged.  Every
     mask is a symmetry of both variants at every order and preserves the
     residual exactly; scaling multiplies it by ``|t|^(O-1)`` (re-evaluated
-    when ``tensor`` is given).
+    when ``tensor`` is given).  A zero or non-finite ``t`` raises
+    `ValueError`.
     """
     if (scale is None) == (flip is None):
         raise ValueError("give exactly one of scale= or flip=")
     order = tup.order
     if scale is not None:
-        if scale == 0.0:
-            raise ValueError("orbit scale must be nonzero")
+        _check_scale(scale)
         vectors = tuple(scale * v for v in tup.vectors)
         sigma = tup.sigma * (scale if tup.p == 2 else np.sign(scale)) ** (order - 2)
         residual = tup.residual * abs(scale) ** (order - 1)

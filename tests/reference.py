@@ -86,13 +86,13 @@ def eig_jacobian_parent(arr, mode, power, v):
 
 
 def tuple_jacobian_parent(arr, p, v):
-    """The singular system's Jacobian with one kernel call per pair of modes."""
+    """The square singular system's Jacobian, one sigma per mode, with one kernel call per pair of modes."""
     order = arr.ndim
     power = p - 1
     offsets = np.cumsum([0] + list(arr.shape))
     n = int(offsets[-1])
-    xs, sig = np.split(v[:n], offsets[1:-1]), v[n]
-    jac = np.zeros((v.shape[1], n + order, n + 1))
+    xs, sig = np.split(v[:n], offsets[1:-1]), v[n:]
+    jac = np.zeros((v.shape[1], n + order, n + order))
     for o in range(order):
         rows = slice(offsets[o], offsets[o + 1])
         for j in range(o + 1, order):
@@ -102,8 +102,8 @@ def tuple_jacobian_parent(arr, p, v):
             jac[:, rows, cols] = block
             jac[:, cols, rows] = np.swapaxes(block, 1, 2)
         diag = np.arange(offsets[o], offsets[o + 1])
-        jac[:, diag, diag] = -(power * sig * np.abs(xs[o]) ** (power - 1)).T
-        jac[:, rows, n] = -_phi(xs[o], power).T
+        jac[:, diag, diag] = -(power * sig[o] * np.abs(xs[o]) ** (power - 1)).T
+        jac[:, rows, n + o] = -_phi(xs[o], power).T
         jac[:, n + o, rows] = (p * _phi(xs[o], p - 1)).T
     return jac
 

@@ -466,6 +466,31 @@ class TestEigOrbit:
         with pytest.raises(ValueError):
             eig_orbit(EigenPair("z", 1, 1.0, np.ones(2), 0.0), 0.0, 3)
 
+    def test_order_is_read_not_trusted(self):
+        t = DenseTensor(rng(3).normal(size=(3, 3, 3)))
+        pair = find_eigenpairs(t, 1, "z", starts=4)[0]
+        assert eig_orbit(pair, 2.0, np.int64(3)).value == eig_orbit(pair, 2.0, 3).value == 2.0 * pair.value
+        # a float is not an order, not even an integral one
+        with pytest.raises(TypeError):
+            eig_orbit(pair, 2.0, 3.5)
+        with pytest.raises(TypeError):
+            eig_orbit(pair, 2.0, 3.0)
+        with pytest.raises(ValueError, match="order must be >= 2"):
+            eig_orbit(pair, 2.0, 1)
+        # with the tensor given, the order must be its order
+        with pytest.raises(ValueError, match="does not match the tensor order 3"):
+            eig_orbit(pair, 2.0, 4, tensor=t)
+        assert eig_orbit(pair, 2.0, 3, tensor=t).residual <= 1e-9
+
+    def test_non_finite_scale_rejected(self):
+        pair = EigenPair("z", 1, 1.0, np.ones(2), 0.0)
+        tup = SingularTuple(2, 1.0, tuple(np.ones(2) for _ in range(3)), 0.0)
+        for scale in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="orbit scale must be finite and nonzero"):
+                eig_orbit(pair, scale, 3)
+            with pytest.raises(ValueError, match="orbit scale must be finite and nonzero"):
+                singular_orbit(tup, scale=scale)
+
     def test_orbit_closure_renormalized(self):
         t = golden_222()
         for pair in find_eigenpairs(t, 3, "z"):
@@ -1023,7 +1048,8 @@ class TestBatchedSolvers:
         g = rng(311)
         for shape, p in [((2, 3, 4), 2), ((3, 3, 3), 3), ((2, 3, 2, 3), 2), ((3, 2, 3, 2), 4), ((4, 5), 2)]:
             residual, jacobian = _tuple_system(g.normal(size=shape), p)
-            v = g.normal(size=(sum(shape) + 1, 3))
+            # the square layout: one sigma per mode
+            v = g.normal(size=(sum(shape) + len(shape), 3))
             assert_jacobian(residual, jacobian, v)
 
     def test_column_does_not_depend_on_its_batch(self):
@@ -1079,13 +1105,13 @@ class TestBatchedSolvers:
             v[0, 1] = np.nan
             v[0, 2] = 1e200
             systems.append((_eig_system(arr, 1, power), v, [0, 1, 2]))
-        for shape in [(3, 3, 3), (5, 6, 7)]:
+        for shape in [(3, 3, 3), (5, 6, 7), (3, 4, 2, 3)]:
             arr = g.normal(size=shape)
-            for p in (2, 3):
+            for p in (2, len(shape)):
                 xs = [g.normal(size=(d, 12)) for d in shape]
                 xs = [x / np.sum(np.abs(x) ** p, axis=0) ** (1 / p) for x in xs]
-                sigma = _fit_scale(np.einsum("ijk,js,ks->is", arr, xs[1], xs[2]), _phi(xs[0], p - 1))
-                systems.append((_tuple_system(arr, p), np.vstack(xs + [sigma]), []))
+                sigmas = [_fit_scale(f, _phi(x, p - 1)) for f, x in zip(tuple_maps_loop(arr, xs), xs)]
+                systems.append((_tuple_system(arr, p), np.vstack(xs + sigmas), []))
         solved = 0
         for (residual, jacobian), v, stuck in systems:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -1135,20 +1161,50 @@ class TestBatchedSolvers:
             assert all(dims[1:] == (9, 9) for dims in calls["solve"])
             assert np.max(np.abs(got - v)) > 0.0
 
-    def test_tuple_systems_step_by_svd(self, monkeypatch):
+    def test_tuple_systems_step_by_lu(self, monkeypatch):
         from tensorspec.spectra import _damped_newton, _fit_scale, _phi, _starts, _tuple_system
 
-        for shape in [(3, 3, 3), (5, 6, 7)]:
+        for shape in [(3, 3, 3), (5, 6, 7), (3, 4, 2, 3)]:
             arr = rng(371).normal(size=shape)
             arr /= np.max(np.abs(arr))
-            for p in (2, 3):
-                xs = _starts(arr, [1, 2, 3], 12, 2)
+            n = sum(shape) + len(shape)
+            for p in (2, len(shape)):
+                xs = _starts(arr, range(1, len(shape) + 1), 12, 2)
                 xs = [x / np.sum(np.abs(x) ** p, axis=0) ** (1 / p) for x in xs]
-                sigma = _fit_scale(np.einsum("ijk,js,ks->is", arr, xs[1], xs[2]), _phi(xs[0], p - 1))
+                sigmas = [_fit_scale(f, _phi(x, p - 1)) for f, x in zip(tuple_maps_loop(arr, xs), xs)]
                 with monkeypatch.context() as patch:
                     calls = count_linalg(patch)
-                    _damped_newton(*_tuple_system(arr, p), np.vstack(xs + [sigma]))
-                assert not calls["solve"] and calls["svd"]
+                    _damped_newton(*_tuple_system(arr, p), np.vstack(xs + sigmas))
+                assert not calls["svd"] and calls["solve"]
+                assert all(dims[1:] == (n, n) for dims in calls["solve"])
+
+    def test_every_lstsq_batch_is_square(self, monkeypatch):
+        from tensorspec import decomp, spectra
+        from tensorspec.contract import _lstsq
+        from tensorspec.decomp import cp_als
+
+        shapes = []
+
+        def lstsq(a, b):
+            shapes.append(a.shape)
+            return _lstsq(a, b)
+
+        monkeypatch.setattr(spectra, "_lstsq", lstsq)
+        monkeypatch.setattr(decomp, "_lstsq", lstsq)
+        g = rng(373)
+        calls = [
+            lambda: find_singular_tuples(DenseTensor(g.normal(size=(5, 6, 7))), 2),
+            lambda: find_singular_tuples(DenseTensor(g.normal(size=(5, 6, 7))), 3),
+            lambda: find_singular_tuples(random_symmetric(4, seed=374, order=4), 2),
+            lambda: find_singular_tuples(DenseTensor(g.normal(size=(3, 4, 2, 3))), 4),
+            lambda: find_eigenpairs(DenseTensor(g.normal(size=(4, 4, 4))), 1, "z"),
+            lambda: find_eigenpairs(DenseTensor(g.normal(size=(4, 4, 4))), 2, "h"),
+            lambda: cp_als(DenseTensor(g.normal(size=(3, 4, 5))), 2, max_iters=20),
+        ]
+        for call in calls:
+            shapes.clear()
+            call()
+            assert shapes and all(a[1] == a[2] for a in shapes)
 
     def test_exactly_singular_jacobian_takes_the_svd_step(self, monkeypatch):
         from tensorspec.spectra import _damped_newton, _eig_system, _fit_scale
@@ -1215,6 +1271,15 @@ def count_linalg(monkeypatch):
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, wrapped)
     return calls
+
+
+def tuple_maps_loop(arr, xs):
+    """``F_o`` of the columns of ``xs`` for every mode ``o``, one einsum each."""
+    letters = "abcdefg"[: arr.ndim]
+    return [
+        np.einsum(f"{letters},{','.join(c + 's' for c in letters if c != k)}->{k}s", arr, *(x for x, c in zip(xs, letters) if c != k))
+        for k in letters
+    ]
 
 
 def eig_map_loop(arr, x):
@@ -1324,6 +1389,56 @@ class TestStartStream:
             made.clear()
             call()
             assert made == [(4,)]
+
+
+def sparse_tensor(seed, shape):
+    g = rng(seed)
+    return g.normal(size=shape) * (g.random(shape) < 0.3)
+
+
+class TestNoConvergedRecordLost:
+    """The converged sigmas of seeded l2 and lO solves, pinned from sweeps run to 1e-13 and a one-sigma Newton.
+
+    Handing the l2 sweeps off at 1e-4 to Newton on one sigma per mode keeps
+    every record, each sigma within 1e-10 relative.
+    """
+
+    INPUTS = {
+        "gen5x6x7": lambda: rng(420).normal(size=(5, 6, 7)),
+        "sym3^3": lambda: random_symmetric(3, seed=421).to_array(),
+        "sym4^4": lambda: random_symmetric(4, seed=422, order=4).to_array(),
+        "sparse3x4x5": lambda: sparse_tensor(423, (3, 4, 5)),
+    }
+    SIGMAS = {
+        ("gen5x6x7", 2): [7.27595271674976],
+        ("gen5x6x7", 3): [11.757251560099295, 11.758545535168947, 11.852651545981963, 11.857695183315428],
+        ("sym3^3", 2): [-1.7533706881166946, 1.3353019109866362],
+        ("sym3^3", 3): [-2.9839934007836897, 1.8476097650238683],
+        ("sym4^4", 2): [
+            -2.4849429625511874, -1.9785607910894092, -1.9669320004386315, 2.1083904575721637,
+            2.3084896319363533, 2.4218614870232935, 2.7511293320340875,
+        ],
+        ("sym4^4", 4): [
+            -6.404579033214703, 4.904243868272412, 5.444665096789639, 5.444665096789696, 5.738394424650622,
+            5.7383944246506235, 5.738394424650624, 5.947928237224437, 5.967736342780907, 5.967736342780918,
+            5.967736342780961, 5.9691817395013915, 5.969181739501404, 5.969181739501405, 6.1561613186589685,
+            6.281881741503611, 6.281881741503684, 8.240202176477574,
+        ],
+        ("sparse3x4x5", 2): [-3.2868332542981347, 3.088048245285467],
+        ("sparse3x4x5", 3): [-5.395112504310123, 4.771343541028947, 5.317562289714045],
+    }
+
+    @pytest.mark.parametrize("name, p", list(SIGMAS))
+    def test_converged_sigmas(self, name, p):
+        arr = self.INPUTS[name]()
+        tuples = find_singular_tuples(DenseTensor(arr), p, seed=3)
+        got = sorted(t.sigma for t in tuples if t.converged)
+        want = self.SIGMAS[name, p]
+        assert len(got) == len(want)
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+        # the gate reads the rows singular_residual reads, at sigma = T(x_1, .., x_O)
+        for t in tuples:
+            assert abs(singular_residual(DenseTensor(arr), t) - t.residual) <= 1e-14 * np.max(np.abs(arr))
 
 
 class TestGate:
@@ -1466,7 +1581,7 @@ class TestParentJacobians:
             for p in (2, len(shape)):
                 _, jacobian = _tuple_system(arr, p)
                 for s in (1, 64):
-                    v = g.normal(size=(sum(shape) + 1, s))
+                    v = g.normal(size=(sum(shape) + len(shape), s))
                     assert same_bits(jacobian(v), tuple_jacobian_parent(arr, p, v))
 
 
@@ -1546,8 +1661,8 @@ class TestWorkCounts:
             (lambda: find_eigenpairs(DenseTensor(np.abs(rng(399).normal(size=(3, 3, 3)))), 1, "h"), 1),
             (lambda: find_singular_tuples(DenseTensor(rng(400).normal(size=(3, 4, 5))), 3), 3 + 3),
             (lambda: find_singular_tuples(DenseTensor(rng(401).normal(size=(3, 2, 3, 2))), 4), 4 + 6),
-            # every start converges in the sweeps: no Newton step, no pair plans
-            (lambda: find_singular_tuples(DenseTensor(rng(401).normal(size=(3, 2, 3, 2))), 2), 4),
+            # the l2 sweeps hand off at 1e-4, so Newton steps and plans the pairs too
+            (lambda: find_singular_tuples(DenseTensor(rng(401).normal(size=(3, 2, 3, 2))), 2), 4 + 6),
         ]
         for solve, builds in solves:
             plans.clear()
