@@ -28,6 +28,8 @@ import sys
 import warnings
 from typing import Any, Callable
 
+import numpy as np
+
 from . import serialize
 from .contract import contract
 from .decomp import cp_als, hosvd, multilinear_rank, odeco_decompose, tucker_eval
@@ -62,11 +64,36 @@ def _token(s: str) -> str:
     return _NONFINITE.get(s) or repr(float(s))
 
 
+def _floats_json(xs: list[float], sep: str) -> str:
+    """The `_token` strings of ``xs`` joined by ``sep``.
+
+    The list is formatted in one ``%`` pass.  A ``.12g`` string is its own
+    token unless the float is not finite, at least 1e11 in magnitude
+    (``.12g`` may write an exponent), below 1e-300 (zero, subnormal) or
+    within ``1e-11 |x|`` of an integer (no point); only those entries go
+    through `_token`, and enter the pass as ``%s``.
+    """
+    a = np.array(xs)
+    with np.errstate(invalid="ignore"):  # inf - inf, and signalling NaNs
+        mag = np.abs(a)
+        a -= np.rint(a)
+        np.abs(a, out=a)
+        flagged = ~(mag < 1e11) | (mag < 1e-300)
+        flagged |= a <= np.multiply(mag, 1e-11, out=mag)
+    idx = np.flatnonzero(flagged).tolist()
+    fmts = ["%.12g"] * len(xs)
+    args = list(xs) if idx else xs
+    for i in idx:
+        fmts[i] = "%s"
+        args[i] = _token("%.12g" % xs[i])
+    return sep.join(fmts) % tuple(args)
+
+
 def _to_json(obj: Any, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, every float in dicts and lists rounded to 12 digits.
 
     Dict keys are strings, as in every CLI result.  A list of plain floats is
-    written as one join of their tokens.
+    written by `_floats_json`.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -78,9 +105,8 @@ def _to_json(obj: Any, indent: str = "\n") -> str:
         if not obj:
             return "[]"
         if set(map(type, obj)) == {float}:
-            items = map(_token, map("{:.12g}".format, obj))
-        else:
-            items = (_to_json(v, inner) for v in obj)
+            return "[" + inner + _floats_json(obj, "," + inner) + indent + "]"
+        items = (_to_json(v, inner) for v in obj)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(obj, float):
         return _token(f"{obj:.12g}")

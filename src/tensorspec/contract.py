@@ -12,13 +12,13 @@ Sums are accumulated pairwise by numpy, which keeps the library's 1e-12
 property tolerances honest at desk scale.
 
 The private helpers at the end are the kernels the solvers share: the mode
-unfolding, the contraction evaluated at many vectors at once on a tensor
-laid out once per operator (the one kernel for ``F_o``, which
-`contract_all_but` also evaluates, with a single column), one multi-start
-power iteration that runs every start as a column of one matrix, the one
-start generator of the spectral solvers and odeco, and one batched
-minimum-norm least-squares solve (the Newton steps and the ALS normal
-equations).
+unfolding and the small R factor that every unfolding SVD is taken of, the
+contraction evaluated at many vectors at once on a tensor laid out once per
+operator (the one kernel for ``F_o``, which `contract_all_but` also
+evaluates, with a single column), one multi-start power iteration that runs
+every start as a column of one matrix, the one start generator of the
+spectral solvers and odeco, and one batched minimum-norm least-squares solve
+(the Newton steps and the ALS normal equations).
 """
 
 from __future__ import annotations
@@ -274,9 +274,26 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
     return blocks, status
 
 
+def _unfolding_r(arr: np.ndarray, o: int) -> np.ndarray:
+    """The R factor of ``qr(unfolding.T)`` for the mode-o unfolding, at most ``M_o`` rows.
+
+    The unfolding is ``R.T @ Q.T`` with orthonormal rows in ``Q.T``, so
+    ``R.T`` has its singular values and left singular vectors, and an SVD of
+    the small ``R`` skips the ``|T| / M_o`` columns of the unfolding's ``V``
+    (Chan's R-bidiagonalisation).
+    """
+    return np.linalg.qr(_mode_unfolding(arr, o).T, mode="r")
+
+
 def _leading_vectors(arr: np.ndarray, modes, ranks) -> list[np.ndarray]:
-    """For each mode ``o`` and rank ``r``, the leading ``r`` left singular vectors of the mode-o unfolding."""
-    return [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0][:, :r] for o, r in zip(modes, ranks)]
+    """For each mode ``o`` and rank ``r``, ``r`` leading orthonormal left singular vectors of the mode-o unfolding.
+
+    They come from the full SVD of the small ``_unfolding_r(arr, o).T``,
+    which has ``M_o`` left singular vectors even where the unfolding has
+    fewer than ``M_o`` columns: past the unfolding's rank they complete an
+    orthonormal basis.
+    """
+    return [np.linalg.svd(_unfolding_r(arr, o).T)[0][:, :r] for o, r in zip(modes, ranks)]
 
 
 def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:

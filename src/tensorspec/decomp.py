@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contract import _contract_all_but_batch, _contract_plan, _leading_vectors, _lstsq, _mode_unfolding, _power_sweeps, _starts, multi_mode_product
+from .contract import _contract_all_but_batch, _contract_plan, _leading_vectors, _lstsq, _mode_unfolding, _power_sweeps, _starts, _unfolding_r, multi_mode_product
 from .shape import _ints
 from .tensor import DenseTensor, _as_array, _check_cubical, _check_order, _check_run_opts, frobenius_norm, outer
 
@@ -194,10 +194,14 @@ def tucker_eval(tk: TuckerDecomposition) -> DenseTensor:
 def hosvd(t: DenseTensor, ranks: Sequence[int]) -> TuckerDecomposition:
     """Truncated higher-order SVD.
 
-    Factor ``o`` holds the leading ``ranks[o]`` left singular vectors of the
-    mode-o matricization; the core is ``t`` contracted with the factor
-    transposes.  Exact at full multilinear ranks; a heuristic (not optimal)
-    truncation below them.  A rank that is not an integer raises `TypeError`.
+    Factor ``o`` holds ``ranks[o]`` orthonormal columns, the leading left
+    singular vectors of the mode-o matricization, taken from the SVD of its
+    small R factor (`contract._leading_vectors`); where the matricization
+    has fewer than ``ranks[o]`` columns, the rest complete an orthonormal
+    basis, so the core always has shape ``ranks``.  The core is ``t``
+    contracted with the factor transposes.  Exact at full multilinear ranks;
+    a heuristic (not optimal) truncation below them.  A rank that is not an
+    integer raises `TypeError`.
     """
     arr = _as_array(t)
     order = arr.ndim
@@ -216,13 +220,15 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     """Numerical rank of every single-mode matricization.
 
     Singular values above ``tol`` times the largest one count; each component
-    lower-bounds the tensor rank.  ``tol`` below 0 or NaN raises `ValueError`.
+    lower-bounds the tensor rank.  They are those of the small R factor of
+    ``qr(unfolding.T)`` (`contract._unfolding_r`), at most ``M_o`` square.
+    ``tol`` below 0 or NaN raises `ValueError`.
     """
     _check_run_opts(tol)
     arr = _as_array(t)
     out = []
     for o in range(1, arr.ndim + 1):
-        s = np.linalg.svd(_mode_unfolding(arr, o), compute_uv=False)
+        s = np.linalg.svd(_unfolding_r(arr, o), compute_uv=False)
         smax = s[0] if s.size else 0.0
         out.append(0 if smax == 0.0 else int(np.sum(s > tol * smax)))
     return tuple(out)
@@ -258,8 +264,9 @@ def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol:
     Returns the final stacks, each start's error trace and convergence flags.
 
     Memory: the stacked Khatri-Rao product holds ``S * R * |T| / M_o``
-    entries, S times what one start needs; the residual is taken one start
-    at a time, so it adds one copy of the tensor.
+    entries, S times what one start needs; the residual is taken for all
+    running starts at once, one batched matmul and one batched dot, so it
+    holds S copies of the last unfolding.
     """
     order = arr.ndim
     starts = factors[0].shape[0]
@@ -286,12 +293,11 @@ def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol:
             # x @ gram = rhs, transposed to gram^T @ x^T = rhs^T
             cur[o] = np.swapaxes(_lstsq(np.swapaxes(gram, 1, 2), np.swapaxes(unfoldings[o] @ kr, 1, 2)), 1, 2)
             cur_grams[o] = np.swapaxes(cur[o], 1, 2) @ cur[o]
-        # one start at a time, so the residual holds one copy of the tensor
-        err = np.empty(cols.size)
-        for i in range(cols.size):
-            resid = cur[-1][i] @ kr[i].T
-            resid -= unfoldings[-1]
-            err[i] = np.linalg.norm(resid)
+        resid = cur[-1] @ np.swapaxes(kr, 1, 2)
+        resid -= unfoldings[-1]
+        flat = resid.reshape(cols.size, 1, -1)
+        # a batched dot, the one np.linalg.norm takes of each start's residual
+        err = np.sqrt(flat @ np.swapaxes(flat, 1, 2))[:, 0, 0]
         err = err / norm_t if norm_t > 0 else np.zeros_like(err)
         prev = last[cols]
         # an exact least-squares sweep cannot increase the objective, so a

@@ -31,6 +31,10 @@ records deduplicated one pair at a time, or the best record alone, then
 sorted as printed.  `spectra._finish` does the same on arrays and must
 return the same records in the same order.
 
+`count_linalg` is not a kernel but a probe the solver tests share: it records
+the shape of every `np.linalg.svd`, `np.linalg.solve` and `np.linalg.qr`
+argument, to check which matrices a solve factors.
+
 `cli_json` is the CLI's JSON byte contract written with the standard encoder:
 round every float to 12 significant digits, then ``json.dumps(indent=2)``.
 The CLI writes the same bytes in one pass with `cli._to_json`.
@@ -179,7 +183,7 @@ def starts_loop(arr, modes, count, seed):
     """`contract._starts` with one ``g.normal`` per mode per column and one `np.linalg.norm` per draw."""
     dims = [arr.shape[o - 1] for o in modes]
     r = min(dims)
-    lead = [np.linalg.svd(_mode_unfolding(arr, o), full_matrices=False)[0][:, :r] for o in modes]
+    lead = [np.linalg.svd(np.linalg.qr(_mode_unfolding(arr, o).T, mode="r").T)[0][:, :r] for o in modes]
     g = np.random.default_rng(seed)
     draws = [[g.normal(size=d) for d in dims] for _ in range(count - 2 * r)]
     return [
@@ -224,6 +228,17 @@ def finish_loop(records: list, key, top: float = 1.0) -> list:
         return [min(records, key=lambda r: r.residual)]
 
     return printed_order(converged_or_best(records))
+
+
+def count_linalg(monkeypatch):
+    """The shapes of the first arguments of every later `np.linalg.svd`, `np.linalg.solve` and `np.linalg.qr` call, by name."""
+    calls = {"svd": [], "solve": [], "qr": []}
+    for name, shapes in calls.items():
+        def wrapped(a, *args, _fn=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+            _shapes.append(a.shape)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    return calls
 
 
 def round12(obj):

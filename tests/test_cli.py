@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from tensorspec.serialize import (
     tucker_to_dict,
 )
 from tensorspec.decomp import TuckerDecomposition
-from tensorspec.tensor import DenseTensor
+from tensorspec.tensor import DenseTensor, frobenius_norm
 
 
 @pytest.fixture()
@@ -167,6 +168,20 @@ class TestDecompCommands:
         tk = tucker_from_dict(obj)
         assert tk.core.dims == (2, 2, 2)
         assert obj["reconstruction_error"] <= 1e-9
+
+    def test_hosvd_tall_input_keeps_full_ranks(self, capsys, tmp_path):
+        # mode 1 of 10x2x2 unfolds to 10x4; the default ranks are the dims
+        t = DenseTensor(np.random.default_rng(12).normal(size=(10, 2, 2)))
+        path = tmp_path / "tall.json"
+        save_tensor(t, path)
+        code, out = run(capsys, ["hosvd", str(path)])
+        assert code == 0
+        obj = json.loads(out)
+        tk = tucker_from_dict(obj)
+        assert list(tk.core.dims) == [10, 2, 2]
+        for f in tk.factors:
+            assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) <= 1e-10
+        assert obj["reconstruction_error"] <= 1e-12 * frobenius_norm(t)
 
     def test_tucker_evaluates(self, capsys, tmp_path, eight1_path):
         _, hosvd_out = run(capsys, ["hosvd", eight1_path, "--ranks", "2,2,2"])
@@ -378,6 +393,17 @@ class TestJsonBytes:
         for x in EDGE_FLOATS:
             for obj in (x, [x], [x, 2.0], {"v": x, "vs": [1.5, x], "mixed": [x, 1, None]}):
                 assert cli._to_json(obj) == cli_json(obj), x
+
+    def test_long_lists_with_edge_floats(self):
+        # a signalling NaN too, which numpy arithmetic on it reports as invalid
+        edge = EDGE_FLOATS + [struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0]]
+        g = np.random.default_rng(13)
+        for n in (99, 100, 10_000):
+            xs = (g.normal(size=n) * 10.0 ** g.integers(-6, 13, size=n)).tolist()
+            for x, i in zip(edge, g.choice(n, size=len(edge), replace=False)):
+                xs[i] = x
+            obj = {"data": xs}
+            assert cli._to_json(obj) == cli_json(obj), n
 
     def test_empty_and_nested(self):
         for obj in ({}, [], {"a": []}, {"a": {}}, [[[]]], [[1.0, 2.0], [3.0]], {"p": [{"x": [0.5]}]}, "s", 3, True, None):

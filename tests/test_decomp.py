@@ -5,6 +5,7 @@ import functools
 
 import numpy as np
 import pytest
+from reference import count_linalg
 
 from tensorspec.contract import _mode_unfolding, contract_all_but
 from tensorspec.decomp import (
@@ -56,6 +57,20 @@ def eight_tensor(n):
         ],
     )
     return cp_eval(cp)
+
+
+def planted_tucker(shape, ranks, seed):
+    """A seeded normal core of shape ``ranks`` pushed through orthonormal factors."""
+    g = rng(seed)
+    arr = g.normal(size=ranks)
+    for o, (m, r) in enumerate(zip(shape, ranks)):
+        q = np.linalg.qr(g.normal(size=(m, r)))[0]
+        arr = np.moveaxis(np.tensordot(q, arr, axes=(1, o)), 0, o)
+    return arr
+
+
+# shapes and multilinear ranks of planted Tucker inputs: wide and tall unfoldings
+PLANTED = [((10,) * 5, (3, 5, 4, 2, 6)), ((10,) * 4, (5, 3, 4, 2)), ((30,) * 3, (7, 4, 10)), ((8, 3, 9), (5, 3, 6)), ((10, 2, 2), (3, 2, 2))]
 
 
 def random_cp(r, dims, seed):
@@ -178,6 +193,26 @@ class TestHosvd:
             assert tk.core.dims == (2, 2, 2)
             assert frobenius_norm(tucker_eval(tk) - t) <= 1e-10
 
+    def test_tall_mode_gets_the_rank_asked_for(self):
+        # mode 1 of 10x2x2 unfolds to 10x4: six factor columns complete the basis
+        t = DenseTensor(rng(17).normal(size=(10, 2, 2)))
+        tk = hosvd(t, [10, 2, 2])
+        assert tk.core.dims == (10, 2, 2)
+        assert [f.shape for f in tk.factors] == [(10, 10), (2, 2), (2, 2)]
+        for f in tk.factors:
+            assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) <= 1e-12
+        assert frobenius_norm(tucker_eval(tk) - t) <= 1e-12 * frobenius_norm(t)
+        assert hosvd(t, [6, 2, 1]).core.dims == (6, 2, 1)
+
+    def test_unfolding_svds_are_square(self, monkeypatch):
+        t = DenseTensor(planted_tucker((10,) * 4, (5, 3, 4, 2), 18))
+        for call in (lambda: hosvd(t, [5] * 4), lambda: multilinear_rank(t)):
+            with monkeypatch.context() as patch:
+                calls = count_linalg(patch)
+                call()
+            assert calls["qr"] == [(1000, 10)] * 4
+            assert calls["svd"] == [(10, 10)] * 4
+
     def test_rank_out_of_range(self):
         t = DenseTensor(np.ones((2, 2)))
         with pytest.raises(ValueError):
@@ -210,6 +245,20 @@ class TestMultilinearRank:
     def test_vector(self):
         assert multilinear_rank(DenseTensor([1.0, 2.0])) == (1,)
         assert multilinear_rank(DenseTensor([0.0, 0.0])) == (0,)
+
+    @pytest.mark.parametrize("shape, ranks", PLANTED)
+    def test_planted_tucker_against_unfolding_svd(self, shape, ranks):
+        # noise near tol * max|T| puts singular values on either side of the cutoff
+        arr = planted_tucker(shape, ranks, 19)
+        noise = rng(20).normal(size=shape)
+        assert multilinear_rank(DenseTensor(arr)) == ranks
+        for level in (0.0, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8):
+            t = arr + level * np.max(np.abs(arr)) * noise
+            want = []
+            for o in range(1, len(shape) + 1):
+                s = np.linalg.svd(_mode_unfolding(t, o), compute_uv=False)
+                want.append(int(np.sum(s > 1e-8 * s[0])))
+            assert multilinear_rank(DenseTensor(t)) == tuple(want), level
 
 
 class TestCpAls:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import contract_all_but_loop, damped_newton_loop, finish_loop, starts_loop
+from reference import contract_all_but_loop, count_linalg, damped_newton_loop, finish_loop, starts_loop
 
 from tensorspec.decomp import cp_eval, CpDecomposition, odeco_decompose
 from tensorspec.spectra import (
@@ -1260,17 +1260,6 @@ def counted(fn, calls):
         calls.append(v.shape[1])
         return fn(v)
     return wrapped
-
-
-def count_linalg(monkeypatch):
-    """The shapes of the first arguments of every later `np.linalg.svd` and `np.linalg.solve` call, by name."""
-    calls = {"svd": [], "solve": []}
-    for name, shapes in calls.items():
-        def wrapped(a, *args, _fn=getattr(np.linalg, name), _shapes=shapes, **kwargs):
-            _shapes.append(a.shape)
-            return _fn(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, wrapped)
-    return calls
 
 
 def tuple_maps_loop(arr, xs):
