@@ -10,8 +10,9 @@ significant digits, plus a newline; `_to_json` writes them in one pass.
 
 Every subcommand takes ``--output`` and ``--format``.  Only the iterative
 solvers (eig, svd, cp, odeco) take ``--tol``, ``--max-iters``, ``--seed`` and
-``--starts``; mlrank takes ``--tol`` as its rank cutoff.  Any other flag is a
-usage error.
+``--starts`` (odeco checks ``--seed`` and ``--starts`` but, as its result
+depends on the tensor alone, does not use them); mlrank takes ``--tol`` as
+its rank cutoff.  Any other flag is a usage error.
 
 Exit codes: 0 success, 2 input parse error, 3 solver non-convergence (partial
 results are still emitted, flagged), 4 invalid flags or an unwritable
@@ -224,7 +225,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ranks", default=None, help="comma-separated target ranks, default full")
     _add_output(p)
 
-    p = sub.add_parser("odeco", help="orthogonal decomposition by power iteration and deflation")
+    p = sub.add_parser("odeco", help="orthogonal decomposition by GEVD and one power iteration")
     p.add_argument("input")
     p.add_argument("--rank", type=int, default=None, help="component cap (default: smallest mode)")
     _add_output(p)

@@ -16,9 +16,10 @@ unfolding and the small R factor that every unfolding SVD is taken of, the
 contraction evaluated at many vectors at once on a tensor laid out once per
 operator (the one kernel for ``F_o``, which `contract_all_but` also
 evaluates, with a single column), one multi-start power iteration that runs
-every start as a column of one matrix, the one start generator of the
-spectral solvers and odeco, and one batched minimum-norm least-squares solve
-(the Newton steps and the ALS normal equations).
+every start as a column of one matrix (the spectral starts, and the odeco
+components as one polish), the one start generator of the spectral solvers,
+and one batched minimum-norm least-squares solve (the Newton steps, the ALS
+normal equations and the odeco pencil).
 """
 
 from __future__ import annotations

@@ -5,20 +5,22 @@ NP-hard in general, best rank-r approximations for r >= 2 need not even
 exist, and no global-optimality claim is made anywhere in this module.  What
 is guaranteed is that the ALS objective never increases across sweeps (a
 start stops before a sweep that would raise it) and that on orthogonally
-decomposable input the power-iteration / deflation loop recovers the
-components.
+decomposable input the odeco fit recovers the components.
 
-Both multi-start solvers run all starts of a fit at once, one per slice of
-a batch, and draw their random starts from one ``default_rng(seed)`` per
-call: start ``k`` does not depend on ``starts``, and two seeds share no
-random start.  Results merge by ``(error, start_index)``.  Counts (``rank``,
-``starts``, ``max_iters``) below 1 and a ``seed`` below 0 raise `ValueError`,
-counts and seeds that are not integers `TypeError`.  ALS stacks its starts as ``(S, M_o, R)`` factor
-arrays, solves every mode update with `contract._lstsq` (the pseudoinverse
-update of standard CP-ALS) and takes each sweep's error as the exact
-residual of the last mode's unfolding against the Khatri-Rao product its
-update already built.  Each odeco round runs the `contract._starts` columns
-of its remainder as the columns of one power iteration.
+`cp_als` runs all its starts at once, one per slice of a batch, and draws
+its random starts from one ``default_rng(seed)`` per call: start ``k`` does
+not depend on ``starts``, and two seeds share no random start.  Results
+merge by ``(error, start_index)``.  Counts (``rank``, ``starts``,
+``max_iters``) below 1 and a ``seed`` below 0 raise `ValueError`, counts and
+seeds that are not integers `TypeError`.  ALS stacks its starts as
+``(S, M_o, R)`` factor arrays, solves every mode update with
+`contract._lstsq` (the pseudoinverse update of standard CP-ALS) and takes
+each sweep's error as the exact residual of the last mode's unfolding
+against the Khatri-Rao product its update already built.  `odeco_decompose`
+draws no starts: a generalized eigenproblem (GEVD) gives every component at
+once and one power iteration polishes them.  Both fit the input scaled by
+the power of two nearest its largest entry (`tensor._scale_exponent`), so
+tiny and huge entries neither underflow nor overflow.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .contract import _contract_all_but_batch, _contract_plan, _leading_vectors, _lstsq, _mode_unfolding, _power_sweeps, _starts, _unfolding_r, multi_mode_product
+from .contract import _contract_all_but_batch, _contract_plan, _leading_vectors, _lstsq, _mode_unfolding, _power_sweeps, _unfolding_r, multi_mode_product
 from .shape import _ints
-from .tensor import DenseTensor, _as_array, _check_cubical, _check_order, _check_run_opts, frobenius_norm, outer
+from .tensor import DenseTensor, _as_array, _check_cubical, _check_order, _check_run_opts, _scale_exponent, frobenius_norm
 
 __all__ = [
     "CpDecomposition",
@@ -345,6 +347,8 @@ def cp_als(
     _check_run_opts(tol, seed, rank=rank, starts=starts, max_iters=max_iters)
     arr = _as_array(t)
     order = _check_order(arr, "CP fits")
+    e = _scale_exponent(arr)
+    arr = np.ldexp(arr, -e)
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(starts, sum(arr.shape), rank))
     factors = np.split(draws, np.cumsum(arr.shape)[:-1], axis=1)
     if rank <= min(arr.shape):
@@ -353,6 +357,7 @@ def cp_als(
     factors, traces, converged = _als_sweeps(arr, factors, max_iters, tol)
     best = min(range(starts), key=lambda k: (traces[k][-1], k))
     cp = cp_normalize(CpDecomposition(np.ones(rank), [f[best] for f in factors]))
+    cp = CpDecomposition(np.ldexp(cp.weights, e), cp.factors)
     return CpAlsResult(cp=cp, errors=traces[best], start=best, converged=bool(converged[best]))
 
 
@@ -361,12 +366,14 @@ def cp_als(
 
 @dataclass(eq=False)
 class OdecoResult:
-    """Deflation-based recovery output plus its diagnostics.
+    """Odeco recovery output plus its diagnostics.
 
-    ``status`` is "ok" when every deflation step converged and the recovered
-    factor columns are mutually orthonormal; "not_orthogonal" flags input that
-    is not orthogonally decomposable; "not_converged" flags power-iteration
-    failure (the partial result is still returned).
+    ``status`` is "ok" when the power iteration converged on every component
+    and the recovered factor columns are mutually orthonormal;
+    "not_orthogonal" flags input that is not orthogonally decomposable;
+    "not_converged" flags a component whose power iteration did not converge
+    (the result is still returned) or input with no component above ``tol``
+    (zero weight, as for the zero tensor).
     """
 
     cp: CpDecomposition
@@ -379,34 +386,6 @@ class OdecoResult:
         return self.status == "ok"
 
 
-def _odeco_round(arr, symmetric, starts, seed, max_iters, tol):
-    """One deflation round: the power iteration of every start at once.
-
-    The starts are the `contract._starts` columns of ``arr``: its mode-1
-    block on symmetric input, one block per mode otherwise.  Returns
-    ``(value, vectors, converged)`` of the first start with the largest
-    ``|value|``.  Symmetric input runs the symmetric map
-    ``x <- F_1(x, .., x)``, anything else the alternating per-mode update
-    (HOPM); a start whose update hits zero reports value 0, not converged.
-    """
-    order = arr.ndim
-    blocks = _starts(arr, [1] if symmetric else range(1, order + 1), starts, seed)
-    plans = [_contract_plan(arr, (o,)) for o in range(1, len(blocks) + 1)]
-    if symmetric:
-        def update(k, cur, cols):
-            return _contract_all_but_batch(plans[0], cur[0])
-    else:
-        def update(k, cur, cols):
-            return _contract_all_but_batch(plans[k], cur[:k] + cur[k + 1:])
-
-    blocks, status = _power_sweeps(update, blocks, 2, tol, max_iters)
-    xs = blocks * order if symmetric else blocks
-    value = np.sum(_contract_all_but_batch(plans[0], xs[1:]) * xs[0], axis=0)
-    value[status < 0] = 0.0
-    k = int(np.argmax(np.abs(value)))
-    return value[k], [x[:, k] for x in xs], status[k] == 1
-
-
 def odeco_decompose(
     t: DenseTensor,
     *,
@@ -417,58 +396,75 @@ def odeco_decompose(
     seed: int = 0,
     starts: int = 8,
 ) -> OdecoResult:
-    """Recover an orthogonal CP decomposition by power iteration with deflation.
+    """Recover an orthogonal CP decomposition: GEVD factors polished by one power iteration.
 
-    Each round runs multi-start power iteration on the deflated remainder
-    (symmetric map when ``symmetric``, alternating per-mode otherwise) from
-    the ``starts`` columns of `contract._starts` of that remainder: its
-    leading left singular vectors, then coordinate vectors, then
-    ``default_rng(seed)`` normal draws.  It keeps the largest-magnitude
-    component found, subtracts it, and repeats until the remainder drops
-    below ``tol`` (at least 0) times the input norm or ``rank`` components
-    are extracted (default: the smallest mode size).  On input that is not
-    orthogonally decomposable the factor Gram check (entries within
-    ``_ORTH_TOL`` of the identity) or, without a ``rank`` cap, the
-    reconstruction check fails and the result carries the "not_orthogonal"
-    status.
+    The count ``R`` is the smallest whose tail of mode-1 singular values,
+    ``sqrt(sum_{i>R} s_i^2)``, is at most ``tol`` (at least 0) times the
+    input norm, capped by ``rank`` and the smallest mode size.  The mode-1
+    factor ``A`` is the eigenvectors of ``M_a M_b^-1`` (Jennrich's
+    algorithm), with ``M_a``, ``M_b`` combinations of the slices of ``t``
+    compressed to its leading ``R`` mode-1 and mode-2 singular vectors: of
+    three fixed generic pairs, the one whose eigenvalues lie furthest apart
+    (chordal distance, none complex), as noise mixes eigenvectors whose
+    eigenvalues nearly tie.  On order 2 ``A`` is the leading left singular
+    vectors.
+    Symmetric input takes ``A`` on every mode, other input splits each row of
+    ``pinv(A) T_(1)`` into its leading singular vector in each other mode.
+    One `contract._power_sweeps` call polishes the ``R`` columns on ``t``
+    (symmetric map when ``symmetric``, else alternating per mode); a column
+    not converged within ``max_iters`` sweeps makes the status
+    "not_converged".  The weights are ``t(x_1, .., x_O)``, by decreasing
+    magnitude.  ``starts`` and ``seed`` are checked but unused: the result
+    depends on the tensor alone.  On input that is not orthogonally
+    decomposable the factor Gram check (entries within ``_ORTH_TOL`` of the
+    identity) or, without a ``rank`` cap, the reconstruction check fails
+    and the status is "not_orthogonal".
     """
     _check_run_opts(tol, seed, rank=1 if rank is None else rank, starts=starts, max_iters=max_iters)
-    data = arr = _as_array(t)
+    arr = _as_array(t)
     order = _check_order(arr, "odeco fits")
     if symmetric:
         _check_cubical(arr, "symmetric odeco fits")
-    rank_capped = rank is not None
-    if rank is None:
-        rank = min(arr.shape)
+    e = _scale_exponent(arr)
+    arr = np.ldexp(arr, -e)
     norm0 = float(np.linalg.norm(arr))
-    weights: list[float] = []
-    vectors: list[list[np.ndarray]] = [[] for _ in range(order)]
-    status = "ok"
-    component = 0
-    while component < rank and np.linalg.norm(arr) > tol * max(norm0, 1e-300):
-        value, xs, conv = _odeco_round(arr, symmetric, starts, seed, max_iters, tol)
-        if not conv or value == 0.0:
-            status = "not_converged"
-            break
-        weights.append(value)
-        for o in range(order):
-            vectors[o].append(xs[o])
-        arr = arr - value * outer(*xs).to_array()
-        component += 1
+    u1, s, _ = np.linalg.svd(_unfolding_r(arr, 1).T)
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+    cap = min(arr.shape) if rank is None else min(rank, *arr.shape)
+    r = min(int(np.count_nonzero(tail > tol * norm0)), cap)
+    if r == 0:
+        return OdecoResult(CpDecomposition(np.zeros(1), [np.eye(d, 1) for d in arr.shape]), 1.0 if norm0 > 0 else 0.0, 0.0, "not_converged")
 
-    if not weights:
-        cp = CpDecomposition(np.zeros(1), [np.eye(d, 1) for d in data.shape])
-        return OdecoResult(cp, 1.0 if norm0 > 0 else 0.0, 0.0, "not_converged")
+    a = u1[:, :r]
+    if order > 2:
+        u2 = a if symmetric else _leading_vectors(arr, [2], [r])[0]
+        slices = np.moveaxis(arr.reshape(arr.shape[0], arr.shape[1], -1, order="F"), -1, 0)
+        # fixed, not drawn from ``seed``: the result depends on the tensor alone
+        ma, mb = np.moveaxis(np.tensordot(np.random.default_rng(0).normal(size=(3, 2, slices.shape[0])), a.T @ slices @ u2, axes=1), 1, 0)
+        lam, vec = np.linalg.eig(np.swapaxes(_lstsq(np.swapaxes(mb, 1, 2), np.swapaxes(ma, 1, 2)), 1, 2))
+        d = 1 + np.abs(lam) ** 2
+        dist = np.abs(lam[:, :, None] - lam[:, None, :]) / np.sqrt(d[:, :, None] * d[:, None, :]) + np.where(np.eye(r), np.inf, 0.0)
+        gap = np.where(np.any(lam.imag != 0, axis=1), 0.0, dist.min(axis=(1, 2)))
+        a = a @ vec[np.argmax(gap)].real
+    if symmetric:
+        blocks = [a]
+    else:
+        rows = (np.linalg.pinv(a) @ _mode_unfolding(arr, 1)).reshape((r,) + arr.shape[1:], order="F")
+        blocks = [a] + [np.linalg.svd(np.moveaxis(rows, o, 1).reshape(r, arr.shape[o], -1), full_matrices=False)[0][:, :, 0].T for o in range(1, order)]
+    plans = [_contract_plan(arr, (o,)) for o in range(1, len(blocks) + 1)]
 
-    factors = [np.column_stack(vectors[o]) for o in range(order)]
-    cp = CpDecomposition(np.array(weights), factors)
-    recon_err = frobenius_norm(cp_eval(cp).to_array() - data) / max(norm0, 1e-300)
-    defect = 0.0
-    for f in factors:
-        gram = f.T @ f
-        defect = max(defect, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
-    if status == "ok" and defect > _ORTH_TOL:
+    def update(k, cur, cols):
+        return _contract_all_but_batch(plans[k], cur[0] if symmetric else cur[:k] + cur[k + 1:])
+
+    blocks, conv = _power_sweeps(update, blocks, 2, tol, max_iters)
+    xs = blocks * order if symmetric else blocks
+    weights = np.sum(_contract_all_but_batch(plans[0], xs[1:]) * xs[0], axis=0)
+    keep = np.argsort(-np.abs(weights), kind="stable")
+    factors = [x[:, keep] for x in xs]
+    cp = CpDecomposition(weights[keep], factors)
+    recon_err = frobenius_norm(cp_eval(cp).to_array() - arr) / norm0
+    defect = max(float(np.max(np.abs(f.T @ f - np.eye(r)))) for f in factors)
+    status = "ok" if np.all(conv == 1) else "not_converged"
+    if status == "ok" and (defect > _ORTH_TOL or rank is None and recon_err > max(_ORTH_TOL, tol)):
         status = "not_orthogonal"
-    if status == "ok" and not rank_capped and recon_err > max(_ORTH_TOL, tol):
-        status = "not_orthogonal"
-    return OdecoResult(cp, recon_err, defect, status)
+    return OdecoResult(CpDecomposition(np.ldexp(cp.weights, e), factors), recon_err, defect, status)

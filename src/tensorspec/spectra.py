@@ -34,10 +34,9 @@ Both sign choices of an eigenvector solve the equations and are reported as
 distinct records, matching the convention of listing plus/minus pairs
 explicitly.
 
-Every spectral solve has three steps.  Starts: `contract._starts`, the
-start generator `decomp`'s odeco rounds share, builds every start (on
-size-2 modes the root lines of the binary form are the starts), and
-`contract._power_sweeps` runs them as the columns of one matrix where a map
+Every spectral solve has three steps.  Starts: `contract._starts` builds
+every start (on size-2 modes the root lines of the binary form are the
+starts), and `contract._power_sweeps` runs them as the columns of one matrix where a map
 converges (tuple starts, z starts on symmetric input, h starts on
 nonnegative input).  Polish: `_damped_newton` on the system's residual,
 each step one `contract._lstsq` solve, the least-squares kernel ALS also

@@ -268,8 +268,27 @@ def frobenius_inner(a: DenseTensor, b: DenseTensor) -> float:
     return float(np.sum(aa * bb))
 
 
+def _scale_exponent(arr: np.ndarray) -> int:
+    """The ``e`` whose power of two ``2**e`` is nearest ``max|arr|`` (0 for a zero array).
+
+    ``np.ldexp(arr, -e)`` scales by an exact power of two, so a computation on
+    the scaled array keeps every bit it has at ordinary scales, while squares
+    and products of its largest entries neither underflow nor overflow.
+    """
+    peak = float(np.max(np.abs(arr), initial=0.0))
+    return round(math.log2(peak)) if peak > 0.0 else 0
+
+
 def frobenius_norm(t: DenseTensor) -> float:
-    return math.sqrt(frobenius_inner(t, t))
+    """Square root of the entrywise dot, taken on ``t`` scaled by `_scale_exponent`.
+
+    The scaling keeps the norm of a tensor with tiny or huge entries (1e-170
+    or 1e170) from underflowing to 0 or overflowing to inf.
+    """
+    arr = _as_array(t)
+    e = _scale_exponent(arr)
+    arr = np.ldexp(arr, -e)
+    return float(np.ldexp(math.sqrt(float(np.sum(arr * arr))), e))
 
 
 def permute_modes(t: DenseTensor, perm: Sequence[int]) -> DenseTensor:

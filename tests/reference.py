@@ -23,8 +23,12 @@ systems by LU; its converged columns must match the loop's to rounding, since
 the two steps differ only at Jacobians singular to rounding.
 
 `starts_loop` is `contract._starts`, the start generator of the spectral
-solvers and of odeco, drawn and normalized one column and one mode at a time;
-the library draws one block and must match it bit for bit.
+solvers, drawn and normalized one column and one mode at a time; the library
+draws one block and must match it bit for bit.
+
+`odeco_deflation` is odeco recovery as it was before GEVD: one multi-start
+power iteration per component on the deflated remainder.  On noisy planted
+input `decomp.odeco_decompose` must fit no worse than it.
 
 `finish_loop` is the end of a spectral solve on record objects: converged
 records deduplicated one pair at a time, or the best record alone, then
@@ -40,11 +44,12 @@ round every float to 12 significant digits, then ``json.dumps(indent=2)``.
 The CLI writes the same bytes in one pass with `cli._to_json`.
 """
 
+import functools
 import json
 
 import numpy as np
 
-from tensorspec.contract import _column_norms, _mode_unfolding
+from tensorspec.contract import _column_norms, _contract_all_but_batch, _contract_plan, _mode_unfolding, _power_sweeps, _starts
 from tensorspec.spectra import _DEDUP_TOL, _phi
 
 
@@ -190,6 +195,43 @@ def starts_loop(arr, modes, count, seed):
         np.column_stack([u, np.eye(d, r)] + [w[k] / np.linalg.norm(w[k]) for w in draws])[:, :count]
         for k, (u, d) in enumerate(zip(lead, dims))
     ]
+
+
+def odeco_deflation(arr, symmetric=False, rank=None, max_iters=500, tol=1e-10, seed=0, starts=8):
+    """`decomp.odeco_decompose` as it was before GEVD: multi-start power iteration with deflation.
+
+    Each round runs the `contract._starts` columns of the remainder through
+    one `contract._power_sweeps` call, keeps the first start of largest
+    ``|value|`` and subtracts its rank-one term, until ``rank`` components
+    (default: the smallest mode size) or the remainder is at most ``tol``
+    times the input norm.  Returns the weights, the factor matrices and the
+    relative reconstruction error; no weights when a round fails.
+    """
+    data = arr = np.asarray(arr, dtype=float)
+    order = arr.ndim
+    rank = min(arr.shape) if rank is None else rank
+    norm0 = np.linalg.norm(arr)
+    weights, vectors = [], []
+    while len(weights) < rank and np.linalg.norm(arr) > tol * max(norm0, 1e-300):
+        blocks = _starts(arr, [1] if symmetric else range(1, order + 1), starts, seed)
+        plans = [_contract_plan(arr, (o,)) for o in range(1, len(blocks) + 1)]
+
+        def update(k, cur, cols):
+            return _contract_all_but_batch(plans[0], cur[0]) if symmetric else _contract_all_but_batch(plans[k], cur[:k] + cur[k + 1:])
+
+        blocks, status = _power_sweeps(update, blocks, 2, tol, max_iters)
+        xs = blocks * order if symmetric else blocks
+        value = np.sum(_contract_all_but_batch(plans[0], xs[1:]) * xs[0], axis=0)
+        value[status < 0] = 0.0
+        k = int(np.argmax(np.abs(value)))
+        if status[k] != 1 or value[k] == 0.0:
+            return [], [], 1.0
+        weights.append(value[k])
+        vectors.append([x[:, k] for x in xs])
+        arr = arr - value[k] * functools.reduce(np.multiply.outer, vectors[-1])
+    factors = [np.column_stack(v) for v in zip(*vectors)]
+    fit = np.einsum("r," + ",".join(f"{c}r" for c in "abcde"[:order]) + "->" + "abcde"[:order], np.array(weights), *factors)
+    return np.array(weights), factors, np.linalg.norm(fit - data) / max(norm0, 1e-300)
 
 
 def finish_loop(records: list, key, top: float = 1.0) -> list:

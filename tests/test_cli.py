@@ -292,6 +292,13 @@ class TestExitCodes:
         code, out = run(capsys, ["info", str(path)])
         assert code == 0 and json.loads(out)["frobenius_norm"] == 1e20
 
+    def test_info_norm_of_tiny_and_huge_entries(self, capsys, tmp_path):
+        for c in (1e-170, 1e170):
+            path = tmp_path / "scaled.json"
+            path.write_text(json.dumps({"shape": [2], "layout": "colex", "data": [3 * c, 4 * c]}))
+            code, out = run(capsys, ["info", str(path)])
+            assert code == 0 and json.loads(out)["frobenius_norm"] == pytest.approx(5 * c, rel=1e-11)
+
     def test_bad_mode_is_4(self, capsys, golden_path):
         assert main(["eig", "--mode", "7", golden_path]) == 4
 

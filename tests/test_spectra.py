@@ -1640,7 +1640,7 @@ class TestWorkCounts:
                 assert len(plans) == 2
 
     def test_plans_built_once_per_solve(self, monkeypatch):
-        from tensorspec import decomp, spectra
+        from tensorspec import spectra
 
         plans = self.count(monkeypatch, spectra, "_contract_plan")
         solves = [
@@ -1662,18 +1662,6 @@ class TestWorkCounts:
         eig_residual(DenseTensor(rng(402).normal(size=(3, 3, 3))), pair)
         # a one-shot residual plans F_o and not the Jacobian
         assert len(plans) == 1
-
-        rounds = self.count(monkeypatch, decomp, "_odeco_round")
-        plans = self.count(monkeypatch, decomp, "_contract_plan")
-        g = rng(403)
-        w = np.arange(3.0, 0.0, -1.0)
-        q = np.linalg.qr(g.normal(size=(4, 4)))[0][:, :3]
-        sym = DenseTensor(np.einsum("r,ar,br,cr->abc", w, q, q, q))
-        for symmetric, per_round in [(True, 1), (False, 3)]:
-            rounds.clear()
-            plans.clear()
-            odeco_decompose(sym, symmetric=symmetric)
-            assert len(rounds) >= 2 and len(plans) == per_round * len(rounds)
 
 
 class TestIntegerModes:

@@ -211,6 +211,20 @@ class TestFrobenius:
         assert frobenius_inner(t, t) == pytest.approx(20.0, abs=1e-12)
         assert frobenius_norm(t) == pytest.approx(np.sqrt(20.0), abs=1e-12)
 
+    def test_norm_over_the_whole_float_range(self):
+        arr = np.random.default_rng(7).normal(size=(3, 4, 5))
+        base = frobenius_norm(arr)
+        # in the normal range the scaled sum keeps the bits of the plain one
+        for a in (arr, 1e-100 * arr, 1e100 * arr, np.arange(24.0).reshape(2, 3, 4)):
+            assert frobenius_norm(a) == np.sqrt(np.sum(a * a))
+        for k in (-1000, -700, 700, 1000):
+            assert frobenius_norm(np.ldexp(arr, k)) == np.ldexp(base, k)
+        # these used to underflow to 0.0 and overflow to inf
+        for c in (1e-170, 1e170, 1e-300, 1e300):
+            assert frobenius_norm(c * arr) == pytest.approx(c * base, rel=1e-15)
+        assert frobenius_norm(np.full(4, 5e-324)) == 1e-323
+        assert frobenius_norm(np.zeros((2, 2))) == 0.0
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             frobenius_inner(DenseTensor([1.0]), DenseTensor([1.0, 2.0]))
