@@ -25,6 +25,7 @@ tiny and huge entries neither underflow nor overflow.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -263,58 +264,75 @@ def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol:
     built.  A start stops, frozen, when a sweep would raise its error (it
     keeps the previous sweep), when the error gains less than ``tol`` or
     reaches 1e-15 (converged), or after ``max_iters`` sweeps (not converged).
-    Returns the final stacks, each start's error trace and convergence flags.
+    The running starts' factor and Gram stacks are kept from sweep to sweep.
+    Only after a sweep in which some start stopped are the factors written
+    back, each start taking that sweep or, if it rose, the previous one, and
+    both stacks narrowed to the starts still running; the factors are written
+    back once more at the end.  Returns the final factor stacks, each start's
+    error trace and convergence flags.
 
     Memory: the stacked Khatri-Rao product holds ``S * R * |T| / M_o``
     entries, S times what one start needs; the residual is taken for all
     running starts at once, one batched matmul and one batched dot, so it
-    holds S copies of the last unfolding.
+    holds S copies of the last unfolding.  For the rise rule the previous
+    sweep's factor stacks of the running starts stay alive by reference;
+    Gram stacks are held for the running starts only, and the traces as one
+    error array per sweep run.
     """
     order = arr.ndim
     starts = factors[0].shape[0]
     norm_t = float(np.linalg.norm(arr))
     unfoldings = [_mode_unfolding(arr, o) for o in range(1, order + 1)]
     factors = [np.array(f, dtype=float) for f in factors]
-    grams = [np.swapaxes(f, 1, 2) @ f for f in factors]
-    traces: list[list[float]] = [[] for _ in range(starts)]
+    cur = list(factors)
+    cur_grams = [f.swapaxes(1, 2) @ f for f in factors]
     last = np.full(starts, np.inf)
     converged = np.zeros(starts, dtype=bool)
     cols = np.arange(starts)
+    # each run of sweeps on one set of starts: those starts, each sweep's
+    # errors and which starts kept the last of those sweeps
+    runs, errs = [], []
     for _ in range(max_iters):
         if not cols.size:
             break
-        cur = [f[cols] for f in factors]
-        cur_grams = [g[cols] for g in grams]
+        # every mode update builds new arrays, so these stay the previous sweep
+        prev = list(cur)
         for o in range(order):
             # colex unfolding pairs with the reversed-order Khatri-Rao chain
             kr = _khatri_rao([cur[j] for j in range(order - 1, -1, -1) if j != o])
-            gram = np.ones_like(cur_grams[0])
-            for j in range(order):
-                if j != o:
-                    gram = gram * cur_grams[j]
+            gram = functools.reduce(np.multiply, [cur_grams[j] for j in range(order) if j != o])
             # x @ gram = rhs, transposed to gram^T @ x^T = rhs^T
-            cur[o] = np.swapaxes(_lstsq(np.swapaxes(gram, 1, 2), np.swapaxes(unfoldings[o] @ kr, 1, 2)), 1, 2)
-            cur_grams[o] = np.swapaxes(cur[o], 1, 2) @ cur[o]
-        resid = cur[-1] @ np.swapaxes(kr, 1, 2)
+            cur[o] = _lstsq(gram.swapaxes(1, 2), (unfoldings[o] @ kr).swapaxes(1, 2)).swapaxes(1, 2)
+            cur_grams[o] = cur[o].swapaxes(1, 2) @ cur[o]
+        resid = cur[-1] @ kr.swapaxes(1, 2)
         resid -= unfoldings[-1]
         flat = resid.reshape(cols.size, 1, -1)
         # a batched dot, the one np.linalg.norm takes of each start's residual
-        err = np.sqrt(flat @ np.swapaxes(flat, 1, 2))[:, 0, 0]
+        err = np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
         err = err / norm_t if norm_t > 0 else np.zeros_like(err)
-        prev = last[cols]
+        errs.append(err)
         # an exact least-squares sweep cannot increase the objective, so a
         # rise is rounding at the fit's floor: the start keeps its previous sweep
-        keep = ~(err > prev)
-        kept = cols[keep]
-        for f, g, c, cg in zip(factors, grams, cur, cur_grams):
-            f[kept] = c[keep]
-            g[kept] = cg[keep]
-        last[kept] = err[keep]
-        for k, e in zip(kept.tolist(), err[keep].tolist()):
-            traces[k].append(e)
-        done = ~keep | (prev - err < tol) | (err <= 1e-15)
+        keep = ~(err > last)
+        done = ~keep | (last - err < tol) | (err <= 1e-15)
+        if not done.any():
+            last = err
+            continue
+        for f, c, p in zip(factors, cur, prev):
+            f[cols] = np.where(keep[:, None, None], c, p)
+        runs.append((cols, errs, keep))
         converged[cols[done]] = True
-        cols = cols[~done]
+        running = ~done
+        cols, last, errs = cols[running], err[running], []
+        cur = [c[running] for c in cur]
+        cur_grams = [g[running] for g in cur_grams]
+    for f, c in zip(factors, cur):
+        f[cols] = c
+    runs.append((cols, errs, np.ones(cols.size, dtype=bool)))
+    traces: list[list[float]] = [[] for _ in range(starts)]
+    for run_cols, run_errs, run_keep in runs:
+        for k, trace, kept in zip(run_cols.tolist(), np.array(run_errs).T.tolist(), run_keep.tolist()):
+            traces[k].extend(trace if kept else trace[:-1])
     return factors, traces, converged
 
 

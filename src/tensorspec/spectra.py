@@ -60,6 +60,7 @@ always `contract._contract_all_but_batch` on plans built once.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -70,7 +71,7 @@ import numpy as np
 
 from .contract import _column_norms, _contract_all_but_batch, _contract_plan, _lstsq, _power_sweeps, _starts
 from .shape import _check_mode
-from .tensor import DenseTensor, _as_array, _check_cubical, _check_order, _check_run_opts, is_symmetric, outer
+from .tensor import DenseTensor, _as_array, _check_cubical, _check_order, _check_run_opts, _scale_exponent, is_symmetric, outer
 
 __all__ = [
     "EigenPair",
@@ -246,11 +247,18 @@ def _binary_form(arr: np.ndarray, mode: int, power: int) -> np.ndarray:
     return g
 
 
+@functools.lru_cache(maxsize=None)
+def _binomials(size: int) -> np.ndarray:
+    """The read-only ``(size, size)`` float matrix of ``C(i, j)`` at row j, column i."""
+    out = np.array([[math.comb(i, j) for i in range(size)] for j in range(size)], dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def _taylor(p: np.ndarray, at: np.ndarray) -> np.ndarray:
     """``p^(j)(at) / j!`` for j = 0 .. deg p along a new last axis; ``p`` in `np.polyval` order."""
     d = np.arange(p.size)
-    binomials = np.array([[math.comb(i, j) for i in d] for j in d], dtype=float)
-    return np.einsum("ji,...ji->...j", binomials * p[::-1], at[..., None, None] ** np.maximum(d - d[:, None], 0))
+    return np.einsum("ji,...ji->...j", _binomials(p.size) * p[::-1], at[..., None, None] ** np.maximum(d - d[:, None], 0))
 
 
 def _split_roots(p: np.ndarray, groups: np.ndarray, noise: float) -> np.ndarray:
@@ -787,7 +795,9 @@ def best_rank_one(t: DenseTensor, **opts) -> BestRankOne:
     The largest l2 singular value equals the product of the factor norms of
     the best rank-one approximation, and the unit factors are its singular
     vectors.  On the zero tensor sigma is 0 and the vectors are (arbitrary)
-    coordinate unit vectors.
+    coordinate unit vectors.  The error is the residual's Frobenius norm,
+    taken on the residual scaled by `tensor._scale_exponent` of the input,
+    so it stays finite for tiny and huge entries.
     """
     arr = _as_array(t)
     if not np.any(arr):
@@ -796,7 +806,8 @@ def best_rank_one(t: DenseTensor, **opts) -> BestRankOne:
     tuples = find_singular_tuples(t, 2, **opts)
     top = max(tuples, key=lambda r: abs(r.sigma)).with_nonnegative_sigma()
     rank_one = top.sigma * outer(*top.vectors)
-    err = float(np.linalg.norm(arr - rank_one.to_array()))
+    e = _scale_exponent(arr)
+    err = float(np.ldexp(np.linalg.norm(np.ldexp(arr - rank_one.to_array(), -e)), e))
     return BestRankOne(top.sigma, top.vectors, rank_one, err)
 
 

@@ -22,6 +22,12 @@ residual call and takes its steps from `contract._lstsq`, which solves square
 systems by LU; its converged columns must match the loop's to rounding, since
 the two steps differ only at Jacobians singular to rounding.
 
+`als_sweeps_parent` is the batched ALS loop of `decomp._als_sweeps` as it
+was before it kept its running starts between sweeps: every sweep gathers the
+running starts out of the factor and Gram stacks, writes each of them back and
+appends each start's error in a Python loop.  The library must match it bit
+for bit: factors, traces and convergence flags.
+
 `starts_loop` is `contract._starts`, the start generator of the spectral
 solvers, drawn and normalized one column and one mode at a time; the library
 draws one block and must match it bit for bit.
@@ -49,7 +55,8 @@ import json
 
 import numpy as np
 
-from tensorspec.contract import _column_norms, _contract_all_but_batch, _contract_plan, _mode_unfolding, _power_sweeps, _starts
+from tensorspec.contract import _column_norms, _contract_all_but_batch, _contract_plan, _lstsq, _mode_unfolding, _power_sweeps, _starts
+from tensorspec.decomp import _khatri_rao
 from tensorspec.spectra import _DEDUP_TOL, _phi
 
 
@@ -182,6 +189,73 @@ def damped_newton_loop(residual, jacobian, v, iters=50, tol=1e-13):
             t /= 2.0
         cols = cols[~pending]
     return v
+
+
+def als_sweeps_parent(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol: float):
+    """`decomp._als_sweeps` as it was, gathering and writing back the running starts every sweep.
+
+    Run ALS from every start at once; start ``s`` is slice ``s`` of each stack.
+
+    ``factors[o]`` stacks the starts' mode-o factors, shape ``(S, M_o, R)``.
+    A sweep updates modes 1..O in turn for the running starts.  Its error is
+    the exact relative residual ``||X_(O) - A_O kr^T||_F / ||T||_F`` of the
+    last mode's unfolding against the Khatri-Rao product its update just
+    built.  A start stops, frozen, when a sweep would raise its error (it
+    keeps the previous sweep), when the error gains less than ``tol`` or
+    reaches 1e-15 (converged), or after ``max_iters`` sweeps (not converged).
+    Returns the final stacks, each start's error trace and convergence flags.
+
+    Memory: the stacked Khatri-Rao product holds ``S * R * |T| / M_o``
+    entries, S times what one start needs; the residual is taken for all
+    running starts at once, one batched matmul and one batched dot, so it
+    holds S copies of the last unfolding.
+    """
+    order = arr.ndim
+    starts = factors[0].shape[0]
+    norm_t = float(np.linalg.norm(arr))
+    unfoldings = [_mode_unfolding(arr, o) for o in range(1, order + 1)]
+    factors = [np.array(f, dtype=float) for f in factors]
+    grams = [np.swapaxes(f, 1, 2) @ f for f in factors]
+    traces: list[list[float]] = [[] for _ in range(starts)]
+    last = np.full(starts, np.inf)
+    converged = np.zeros(starts, dtype=bool)
+    cols = np.arange(starts)
+    for _ in range(max_iters):
+        if not cols.size:
+            break
+        cur = [f[cols] for f in factors]
+        cur_grams = [g[cols] for g in grams]
+        for o in range(order):
+            # colex unfolding pairs with the reversed-order Khatri-Rao chain
+            kr = _khatri_rao([cur[j] for j in range(order - 1, -1, -1) if j != o])
+            gram = np.ones_like(cur_grams[0])
+            for j in range(order):
+                if j != o:
+                    gram = gram * cur_grams[j]
+            # x @ gram = rhs, transposed to gram^T @ x^T = rhs^T
+            cur[o] = np.swapaxes(_lstsq(np.swapaxes(gram, 1, 2), np.swapaxes(unfoldings[o] @ kr, 1, 2)), 1, 2)
+            cur_grams[o] = np.swapaxes(cur[o], 1, 2) @ cur[o]
+        resid = cur[-1] @ np.swapaxes(kr, 1, 2)
+        resid -= unfoldings[-1]
+        flat = resid.reshape(cols.size, 1, -1)
+        # a batched dot, the one np.linalg.norm takes of each start's residual
+        err = np.sqrt(flat @ np.swapaxes(flat, 1, 2))[:, 0, 0]
+        err = err / norm_t if norm_t > 0 else np.zeros_like(err)
+        prev = last[cols]
+        # an exact least-squares sweep cannot increase the objective, so a
+        # rise is rounding at the fit's floor: the start keeps its previous sweep
+        keep = ~(err > prev)
+        kept = cols[keep]
+        for f, g, c, cg in zip(factors, grams, cur, cur_grams):
+            f[kept] = c[keep]
+            g[kept] = cg[keep]
+        last[kept] = err[keep]
+        for k, e in zip(kept.tolist(), err[keep].tolist()):
+            traces[k].append(e)
+        done = ~keep | (prev - err < tol) | (err <= 1e-15)
+        converged[cols[done]] = True
+        cols = cols[~done]
+    return factors, traces, converged
 
 
 def starts_loop(arr, modes, count, seed):

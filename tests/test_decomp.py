@@ -4,13 +4,14 @@ import dataclasses
 import functools
 import importlib
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from reference import count_linalg, odeco_deflation
+from reference import als_sweeps_parent, count_linalg, odeco_deflation
 
-from tensorspec.contract import _mode_unfolding, contract_all_but
+from tensorspec.contract import _lstsq, _mode_unfolding, contract_all_but
 from tensorspec.decomp import (
     CpDecomposition,
     _als_sweeps,
@@ -631,6 +632,22 @@ def assert_same_trace(got, want):
 ALS_CASES = [((3, 3, 3), 2), ((3, 2, 3), 2), ((6, 6, 6), 3), ((4, 4, 4, 4), 2)]
 
 
+def singular_start_batch():
+    """A 2x2x2 input and five rank-4 starts, of which start 2 has a zero factor column.
+
+    The zero column keeps that start's normal-equation Gram exactly singular
+    every sweep, so LU raises on the batch and that start takes the
+    minimum-norm SVD solve.
+    """
+    arr = rng(1).normal(size=(2, 2, 2))
+    inits = als_inits(arr, 4, 0, 4)
+    singular = [f.copy() for f in inits[1]]
+    for f in singular:
+        f[:, 1] = 0.0
+    inits.insert(2, singular)
+    return arr, inits
+
+
 class TestCpEval:
     def test_matches_rank_loop(self):
         for order in range(1, 6):
@@ -674,15 +691,8 @@ class TestBatchedAls:
         assert_same_trace(pair[1], traces[1])
 
     def test_singular_start_in_mixed_batch(self):
-        # a zero factor column keeps that start's normal-equation Gram exactly
-        # singular every sweep, so LU raises on the batch and that start takes the
-        # minimum-norm SVD solve
-        arr = rng(1).normal(size=(2, 2, 2))
-        inits = als_inits(arr, 4, 0, 4)
-        singular = [f.copy() for f in inits[1]]
-        for f in singular:
-            f[:, 1] = 0.0
-        inits.insert(2, singular)
+        arr, inits = singular_start_batch()
+        singular = inits[2]
         factors, traces, converged = _als_sweeps(arr, stacked(inits), 500, 1e-12)
         assert traces[2][-1] <= 1e-14
         for k, init in enumerate(inits):
@@ -693,6 +703,80 @@ class TestBatchedAls:
                 assert np.max(np.abs(a[0] - b[k])) <= 1e-12
         _, ref_errors, _ = reference_als_single(arr, singular, 500, 1e-12)
         assert_same_trace(traces[2], ref_errors)
+
+
+class TestAlsKeepsRunningStarts:
+    """`_als_sweeps` keeps its running starts between sweeps and matches the loop that gathered them every sweep."""
+
+    @staticmethod
+    def batches():
+        """Seeded (input, starts, max_iters, tol) batches, each with what it exercises."""
+        random6 = rng(110).normal(size=(6, 6, 6))
+        rising = rng(1).normal(size=(2, 2, 2))
+        cases = {
+            "no start stops": (random6, als_inits(random6, 3, 0, 8), 50, 0.0),
+            "max_iters 1": (random6, als_inits(random6, 3, 1, 8), 1, 1e-12),
+            "rising start": (rising, als_inits(rising, 4, 0, 8), 500, 1e-12),
+            "singular start": singular_start_batch() + (500, 1e-12),
+        }
+        for name, dims, rank in [("planted 10^3 r5", (10, 10, 10), 5), ("6^3 r3", (6, 6, 6), 3), ("4^4 r2", (4, 4, 4, 4), 2)]:
+            for seed in range(2):
+                arr = cp_eval(random_cp(rank, dims, 111 + seed)).to_array() + 1e-3 * rng(121 + seed).normal(size=dims)
+                cases[f"{name} #{seed}"] = (arr, als_inits(arr, rank, seed, 8), 500, 1e-12)
+        return cases
+
+    @staticmethod
+    def stopped_on_rise(trace, converged, tol):
+        """By the stopping rule: a converged start whose last error is above the 1e-15 floor and gained at least ``tol``."""
+        return bool(converged) and trace[-1] > 1e-15 and (len(trace) == 1 or trace[-2] - trace[-1] >= tol)
+
+    def test_bit_identical_to_parent_loop(self):
+        for name, (arr, inits, max_iters, tol) in self.batches().items():
+            factors, traces, converged = _als_sweeps(arr, stacked(inits), max_iters, tol)
+            want_factors, want_traces, want_converged = als_sweeps_parent(arr, stacked(inits), max_iters, tol)
+            assert [f.tobytes() for f in factors] == [f.tobytes() for f in want_factors], name
+            assert traces == want_traces, name
+            assert np.array_equal(converged, want_converged), name
+            lengths = {len(t) for t in traces}
+            if name == "no start stops":
+                assert lengths == {max_iters} and not converged.any()
+            elif name == "max_iters 1":
+                assert lengths == {1}
+            elif name == "rising start":
+                assert any(self.stopped_on_rise(t, c, tol) for t, c in zip(traces, converged))
+            elif name != "singular start":
+                assert len(lengths) > 1, f"{name}: every start stopped at the same sweep"
+
+    def test_one_lstsq_per_mode_per_sweep(self, monkeypatch):
+        import tensorspec.decomp as decomp
+
+        calls = []
+
+        def lstsq(a, b):
+            calls.append(a.shape[0])
+            return _lstsq(a, b)
+
+        monkeypatch.setattr(decomp, "_lstsq", lstsq)
+        for name, (arr, inits, max_iters, tol) in self.batches().items():
+            calls.clear()
+            _, traces, converged = _als_sweeps(arr, stacked(inits), max_iters, tol)
+            # a start that stopped on a rise ran one sweep past its trace
+            sweeps = max(len(t) + self.stopped_on_rise(t, c, tol) for t, c in zip(traces, converged))
+            assert len(calls) == arr.ndim * sweeps, name
+            # each call solves the running starts only
+            assert calls[0] == len(inits) and all(b <= a for a, b in zip(calls, calls[1:])), name
+
+    def test_memory_does_not_scale_with_max_iters(self):
+        arr = outer(rng(112).normal(size=4), rng(113).normal(size=4), rng(114).normal(size=4)).to_array()
+        inits = stacked(als_inits(arr, 1, 0, 8))
+        tracemalloc.start()
+        try:
+            _, traces, converged = _als_sweeps(arr, inits, 10**7, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert converged.all() and max(len(t) for t in traces) <= 3
+        assert peak < 200_000
 
 
 class TestStartRule:

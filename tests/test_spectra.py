@@ -721,6 +721,23 @@ class TestFindSingularTuples:
             val = float(np.einsum("abc,a,b,c->", arr, *xs))
             assert sigma_max >= abs(val) - 1e-9
 
+    def test_no_more_records_than_generic_tuple_count(self):
+        # Friedland & Ottaviani (2014): a generic tensor has 6 (2x2x2), 24 (2^4)
+        # and 37 (3^3) complex l2 singular tuples, counted projectively; each
+        # record is one sign-gauge class, so one of them
+        for dims, count in [((2, 2, 2), 6), ((2, 2, 2, 2), 24), ((3, 3, 3), 37)]:
+            for seed in range(5):
+                t = DenseTensor(rng(120 + seed).normal(size=dims))
+                found = set()
+                for run_seed in range(3):
+                    good = [tup for tup in find_singular_tuples(t, 2, seed=run_seed, starts=64) if tup.converged]
+                    assert len(good) <= count
+                    for tup in good:
+                        # the projective class: each vector signed so its largest entry is positive
+                        signed = [v * np.sign(v[np.argmax(np.abs(v))]) for v in tup.vectors]
+                        found.add(tuple(np.round(np.concatenate(signed), 6)))
+                assert 1 <= len(found) <= count
+
     def test_p_validation(self):
         with pytest.raises(ValueError):
             find_singular_tuples(golden_222(), 4)
@@ -846,6 +863,17 @@ class TestBestRankOne:
             pairs = find_eigenpairs(t, 1, "z", starts=32)
             lam_max = max(abs(p.value) for p in pairs)
             assert res.sigma == pytest.approx(lam_max, abs=1e-6)
+
+    def test_error_of_tiny_and_huge_entries(self):
+        # the error used to read inf, with an overflow warning, at 1e200
+        arr = rng(0).normal(size=(3, 3, 3))
+        base = best_rank_one(DenseTensor(arr))
+        for c in (1e-200, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = best_rank_one(DenseTensor(c * arr))
+            assert math.isfinite(res.error)
+            assert res.error == pytest.approx(c * base.error, rel=1e-12, abs=0.0)
 
 
 class TestBridge:
