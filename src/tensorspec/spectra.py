@@ -21,6 +21,15 @@ Both solvers solve ``T / max|T|`` and scale lambda, sigma and the residual
 back, so records do not depend on the tensor's scale and a record is
 converged when its residual is at most ``tol * max|T|``.
 
+Every solve runs in one canonical mode order (`_canonical_order`): the
+scaled tensor is copied once, C-ordered, with the eigen mode first and the
+other modes (for tuples, every mode) sorted by size, then by the sorted
+energies of their slices.  So every eigen solve is a mode-1 solve, the
+identity PAPER.md opens with, and tuple vectors are mapped back to the
+given modes.  Records depend on the tensor alone up to relabeling:
+relabeling the modes relabels the records bit for bit, unless two modes tie
+on the sort key (energies are compared in single precision).
+
 Solvers are heuristic for modes of size >= 3 (the general problems are
 NP-hard).  On 2-dimensional modes the eigen equation holds at a unit
 ``x = (x_0, x_1)`` exactly where the binary form
@@ -169,7 +178,7 @@ def eig_residual(t: DenseTensor, pair: EigenPair) -> float:
     _check_mode(pair.mode, arr.ndim)
     if pair.vector.shape != (m,):
         raise ValueError(f"vector length {pair.vector.size} does not match mode size {m}")
-    residual, _ = _eig_system(arr, pair.mode, 1 if pair.variant == "z" else arr.ndim - 1)
+    residual, _ = _eig_system(np.moveaxis(arr, pair.mode - 1, 0), 1 if pair.variant == "z" else arr.ndim - 1)
     return float(np.max(np.abs(residual(np.append(pair.vector, pair.value)[:, None])[:m])))
 
 
@@ -226,19 +235,48 @@ def _finish(s, v, res, ok, top: float) -> list:
     return sorted(kept, key=lambda c: (-float(f"{abs(scaled[c]):.12g}"), [round(e, 12) for e in v[:, c].tolist()]))
 
 
+def _canonical_order(arr: np.ndarray, first: int | None = None) -> list[int]:
+    """The axes of ``arr`` in the order every spectral solve runs in.
+
+    Mode ``first`` (1-based), when given, leads.  The other modes follow,
+    sorted by their size, then by the sorted energies of their slices; ties
+    keep the given order.  A slice's energy sums its squared entries in
+    ascending order (one sort of every square, then one `np.bincount` per
+    mode, which adds in input order), so its bits do not depend on how the
+    other modes are laid out.  Energies are compared in single precision:
+    modes whose energies differ only by rounding (a tensor symmetric up to
+    rounding, or its copy under a decimal scale) tie, so such a scale does
+    not reorder them.  The energies are computed only when two of the modes
+    to sort have one size.
+    """
+    lead = [] if first is None else [first - 1]
+    rest = [a for a in range(arr.ndim) if a not in lead]
+    sizes = [arr.shape[a] for a in rest]
+    if len(set(sizes)) == len(sizes):
+        return lead + sorted(rest, key=lambda a: arr.shape[a])
+    sq = (arr * arr).ravel()
+    at = np.argsort(sq)
+    sq, index = sq[at], np.unravel_index(at, arr.shape)
+    keys = {}
+    for a in rest:
+        energies = np.bincount(index[a], weights=sq, minlength=arr.shape[a])
+        keys[a] = (arr.shape[a], np.sort(energies).astype(np.float32).tolist())
+    return lead + sorted(rest, key=keys.__getitem__)
+
+
 # -- exact path for 2-dimensional modes -----------------------------------------
 
 
-def _binary_form(arr: np.ndarray, mode: int, power: int) -> np.ndarray:
-    """Coefficients of ``g(x) = f_0(x) x_1^power - f_1(x) x_0^power`` on a size-2 mode.
+def _binary_form(arr: np.ndarray, power: int) -> np.ndarray:
+    """Coefficients of ``g(x) = f_0(x) x_1^power - f_1(x) x_0^power`` on a size-2 mode 1.
 
-    ``f = F_mode(x, .., x)``; ``g[k]`` multiplies ``x_0^(D-k) x_1^k``.  A unit
+    ``f = F_1(x, .., x)``; ``g[k]`` multiplies ``x_0^(D-k) x_1^k``.  A unit
     ``x`` solves the eigen equation exactly where ``g`` vanishes.  Entry
     ``(i, rest)`` of the tensor adds to the coefficient of ``f_i`` counted by
     the number of 1-indices in ``rest``.
     """
     order = arr.ndim
-    cols = np.moveaxis(arr, mode - 1, 0).reshape(2, -1)
+    cols = arr.reshape(2, -1)
     ones = np.array([bin(c).count("1") for c in range(cols.shape[1])])
     f = np.stack([np.bincount(ones, weights=row, minlength=order) for row in cols])
     g = np.zeros(order + power)
@@ -327,20 +365,20 @@ def _root_lines(g: np.ndarray, noise: float) -> np.ndarray:
     return x / np.linalg.norm(x, axis=0)
 
 
-def _size2_solve(arr, mode, variant, tol):
-    """Every isolated solution on a size-2 mode of a tensor with max|T| = 1, from the real roots of the binary form.
+def _size2_solve(arr, variant, tol):
+    """Every isolated mode-1 solution on size-2 modes of a tensor with max|T| = 1, from the real roots of the binary form.
 
     Returns None when the form vanishes identically (the solutions are not isolated).
     """
     power = 1 if variant == "z" else arr.ndim - 1
-    g = _binary_form(arr, mode, power)
+    g = _binary_form(arr, power)
     # a coefficient sums 2^(O-1) entries of magnitude <= 1; below 2^O eps it is rounding
     noise = arr.size * np.finfo(float).eps
     g[np.abs(g) <= noise] = 0.0
     if not g.any():
         return None
     # np.roots adds rounding of its own to that of the coefficients
-    return _polish(arr, mode, variant, _root_lines(g, 4.0 * noise), tol)
+    return _polish(arr, variant, _root_lines(g, 4.0 * noise), tol)
 
 
 # -- iterative path for larger modes --------------------------------------------
@@ -404,17 +442,18 @@ def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
     return v
 
 
-def _eig_system(arr, mode, power, plan=None):
-    """Residual and exact Jacobian of the eigen system at the columns ``[x; lambda]``.
+def _eig_system(arr, power, plan=None):
+    """Residual and exact Jacobian of the mode-1 eigen system at the columns ``[x; lambda]``.
 
-    The system is ``F_mode(x, .., x) - lambda * x^power = 0`` with
-    ``x . x = 1``, ``plan`` the `_contract_plan` of ``F_mode`` (built when
-    None).  ``dF_mode/dx`` sums, over the other modes ``j``, the tensor
-    contracted with ``x`` on every mode except ``mode`` and ``j``: one
-    kernel pass over the stacked slabs, planned on the first call.
+    The system is ``F_1(x, .., x) - lambda * x^power = 0`` with
+    ``x . x = 1``, ``plan`` the `_contract_plan` of ``F_1`` (built when
+    None).  ``dF_1/dx`` sums, over the other modes ``j``, the tensor
+    contracted with ``x`` on every mode except 1 and ``j``: one kernel pass
+    over the stacked slabs, planned on the first call.  Another mode's
+    system is this one of the tensor with that mode moved to the front.
     """
     m = arr.shape[0]
-    plan = _contract_plan(arr, (mode,)) if plan is None else plan
+    plan = _contract_plan(arr, (1,)) if plan is None else plan
     slabs = []
 
     def residual(v):
@@ -423,7 +462,7 @@ def _eig_system(arr, mode, power, plan=None):
 
     def jacobian(v):
         if not slabs:
-            slabs.append(_contract_plan(arr, [(mode, j) for j in range(1, arr.ndim + 1) if j != mode]))
+            slabs.append(_contract_plan(arr, [(1, j) for j in range(2, arr.ndim + 1)]))
         x, lam = v[:m], v[m]
         jac = np.zeros((x.shape[1], m + 1, m + 1))
         jac[:, :m, :m] = np.add.reduce(_contract_all_but_batch(slabs[0], x), axis=0, initial=0.0).transpose(2, 0, 1)
@@ -436,10 +475,10 @@ def _eig_system(arr, mode, power, plan=None):
     return residual, jacobian
 
 
-def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts):
+def _eig_iterative(arr, variant, tol, max_iters, seed, starts):
     order = arr.ndim
-    [x] = _starts(arr, [mode], starts, seed)
-    plan = _contract_plan(arr, (mode,))
+    [x] = _starts(arr, [1], starts, seed)
+    plan = _contract_plan(arr, (1,))
 
     if variant == "z" and is_symmetric(arr, tol=1e-12):
         # each start runs both shifted maps (Kolda & Mayo 2011), which converge
@@ -461,11 +500,11 @@ def _eig_iterative(arr, mode, variant, tol, max_iters, seed, starts):
 
         (x,), _ = _power_sweeps(update, [np.abs(x)], 2, 1e-14, max_iters)
 
-    return _polish(arr, mode, variant, x, tol, plan)
+    return _polish(arr, variant, x, tol, plan)
 
 
-def _polish(arr, mode, variant, x, tol, plan=None):
-    """Damped-Newton polish of the start columns ``x``: ``(lam, x, res, ok)``, one entry per column.
+def _polish(arr, variant, x, tol, plan=None):
+    """Damped-Newton polish of the mode-1 start columns ``x``: ``(lam, x, res, ok)``, one entry per column.
 
     ``plan`` is `_eig_system`'s, ``res`` and ``ok`` are `_gate`'s.  The
     polished columns are followed by the sign partner (`eig_orbit` with
@@ -474,8 +513,8 @@ def _polish(arr, mode, variant, x, tol, plan=None):
     """
     order, m = arr.ndim, arr.shape[0]
     power = 1 if variant == "z" else order - 1
-    plan = _contract_plan(arr, (mode,)) if plan is None else plan
-    residual, jacobian = _eig_system(arr, mode, power, plan)
+    plan = _contract_plan(arr, (1,)) if plan is None else plan
+    residual, jacobian = _eig_system(arr, power, plan)
     v = _damped_newton(residual, jacobian, np.vstack([x, _fit_scale(_contract_all_but_batch(plan, x), x**power)]))
     x, lam = v[:m], v[m]
     if variant == "h":
@@ -501,9 +540,11 @@ def find_eigenpairs(
 ) -> list[EigenPair]:
     """Mode-``mode`` eigenpairs of a cubical tensor, deduplicated and sorted.
 
-    Every path solves ``T / max|T|`` (module docstring), so a record is
-    converged when ``eig_residual <= tol * max|T|`` and ``|x . x - 1| <= tol``
-    (`_gate`).  When the solutions are not isolated (every unit vector solves
+    Every path solves ``T / max|T|`` in the canonical mode order, with
+    ``mode`` first (module docstring), so the records depend on the tensor
+    alone up to relabeling its modes, and a record is converged when
+    ``eig_residual <= tol * max|T|`` and ``|x . x - 1| <= tol`` (`_gate`).
+    When the solutions are not isolated (every unit vector solves
     the zero tensor; on size-2 modes, whenever the binary form vanishes
     identically) a warning says so and ``[]`` is returned.
     For modes of size 2 the starts are one unit vector per real root line of
@@ -541,10 +582,14 @@ def find_eigenpairs(
     _check_run_opts(tol, seed, max_iters=max_iters, starts=starts)
     top = float(np.max(np.abs(arr)))
     solved = None
-    if top > 0.0 and m == 2:
-        solved = _size2_solve(arr / top, mode, variant, tol)
-    elif top > 0.0:
-        solved = _eig_iterative(arr / top, mode, variant, tol, max_iters, seed, starts)
+    if top > 0.0:
+        arr = arr / top
+        # a fresh C-ordered copy: BLAS sums a strided view in another order
+        arr = np.ascontiguousarray(arr.transpose(_canonical_order(arr, mode)))
+        if m == 2:
+            solved = _size2_solve(arr, variant, tol)
+        else:
+            solved = _eig_iterative(arr, variant, tol, max_iters, seed, starts)
     if solved is None:
         warnings.warn("the solutions form a continuous family, not isolated; no records are returned", stacklevel=2)
         return []
@@ -609,8 +654,8 @@ def _tuple_system(arr, p, plans=None):
     """Residual and exact square Jacobian of the singular system at the columns ``[x_1; ..; x_O; sigma_1; ..; sigma_O]``.
 
     Each mode has its own scalar: the rows are ``F_o - sigma_o * phi(x_o,
-    p - 1)`` (`_phi`) for every mode ``o`` (``plans`` those of `_eig_system`,
-    one per ``o``), then ``sum |x_o|^p - 1`` for every mode, as many rows as
+    p - 1)`` (`_phi`) for every mode ``o`` (``plans`` the `_contract_plan`
+    of each ``F_o``), then ``sum |x_o|^p - 1`` for every mode, as many rows as
     unknowns.  At a solution every ``sigma_o`` is ``T(x_1, .., x_O)`` (dot
     row o with ``x_o``; Lim 2005), so the solutions are the singular tuples,
     and with every ``sigma_o`` set to one sigma the rows are those of the
@@ -667,8 +712,11 @@ def find_singular_tuples(
 
     ``p`` must be 2 or the tensor order, ``starts`` and ``max_iters``
     integers at least 1, ``seed`` one at least 0 and ``tol`` at least 0
-    (not NaN).  The starts are the per-mode leading left singular vectors
-    of the unfoldings, then coordinate vectors, then ``default_rng(seed)``
+    (not NaN).  The tensor is solved in the canonical mode order (module
+    docstring), to which the modes below refer, and the vectors are mapped
+    back to the given modes, so relabeling the modes only relabels the
+    records.  The starts are the per-mode leading left singular vectors of
+    the unfoldings, then coordinate vectors, then ``default_rng(seed)``
     normal draws: the first ``starts`` columns of `_starts` with count
     ``2 * starts``.  All of them run at once through the cyclic update
     ``x_o <- normalize_p(sign(F_o) |F_o|^(1/(p-1)))`` until no factor moves by
@@ -702,6 +750,9 @@ def find_singular_tuples(
         warnings.warn("the solutions form a continuous family, not isolated; no records are returned", stacklevel=2)
         return []
     arr = arr / top
+    # the canonical order, a fresh C-ordered copy as in find_eigenpairs
+    axes = _canonical_order(arr)
+    arr = np.ascontiguousarray(arr.transpose(axes))
     power = p - 1
     plans = [_contract_plan(arr, (o,)) for o in range(1, order + 1)]
 
@@ -734,8 +785,10 @@ def find_singular_tuples(
         flip = big.any(axis=0) & (np.take_along_axis(x, big.argmax(axis=0)[None], 0)[0] < 0)
         x[:, flip] = -x[:, flip]
         sigma[flip] = -sigma[flip]
+    # the given mode a was solved as mode back[a]
+    back = np.argsort(axes)
     return [
-        SingularTuple(p, sigma[c] * top, tuple(x[:, c] for x in xs), res[c] * top, bool(ok[c]))
+        SingularTuple(p, sigma[c] * top, tuple(xs[k][:, c] for k in back), res[c] * top, bool(ok[c]))
         for c in _finish(sigma, v[:n], res, ok, top)
     ]
 
@@ -794,21 +847,26 @@ def best_rank_one(t: DenseTensor, **opts) -> BestRankOne:
 
     The largest l2 singular value equals the product of the factor norms of
     the best rank-one approximation, and the unit factors are its singular
-    vectors.  On the zero tensor sigma is 0 and the vectors are (arbitrary)
-    coordinate unit vectors.  The error is the residual's Frobenius norm,
-    taken on the residual scaled by `tensor._scale_exponent` of the input,
-    so it stays finite for tiny and huge entries.
+    vectors.  The input and ``opts`` are checked by `find_singular_tuples`;
+    on the zero tensor, whose tuples it reports as not isolated (silenced
+    here), sigma is 0 and the vectors are (arbitrary) coordinate unit
+    vectors.  The error is the residual's Frobenius norm, taken on the
+    residual scaled by `tensor._scale_exponent` of the input, so it stays
+    finite for tiny and huge entries.
     """
     arr = _as_array(t)
-    if not np.any(arr):
-        vectors = tuple(np.eye(d)[:, 0] for d in arr.shape)
-        return BestRankOne(0.0, vectors, DenseTensor(np.zeros(arr.shape)), 0.0)
-    tuples = find_singular_tuples(t, 2, **opts)
-    top = max(tuples, key=lambda r: abs(r.sigma)).with_nonnegative_sigma()
-    rank_one = top.sigma * outer(*top.vectors)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "the solutions form a continuous family")
+        tuples = find_singular_tuples(arr, 2, **opts)
+    if tuples:
+        top = max(tuples, key=lambda r: abs(r.sigma)).with_nonnegative_sigma()
+        sigma, vectors = top.sigma, top.vectors
+    else:
+        sigma, vectors = 0.0, tuple(np.eye(d)[:, 0] for d in arr.shape)
+    rank_one = sigma * outer(*vectors)
     e = _scale_exponent(arr)
     err = float(np.ldexp(np.linalg.norm(np.ldexp(arr - rank_one.to_array(), -e)), e))
-    return BestRankOne(top.sigma, top.vectors, rank_one, err)
+    return BestRankOne(sigma, vectors, rank_one, err)
 
 
 @dataclass(frozen=True, eq=False)
