@@ -9,10 +9,10 @@ are ``json.dumps(obj, indent=2)`` of the result with every float rounded to 12
 significant digits, plus a newline; `_to_json` writes them in one pass.
 
 Every subcommand takes ``--output`` and ``--format``.  Only the iterative
-solvers (eig, svd, cp, odeco) take ``--tol``, ``--max-iters``, ``--seed`` and
-``--starts`` (odeco checks ``--seed`` and ``--starts`` but, as its result
-depends on the tensor alone, does not use them); mlrank takes ``--tol`` as
-its rank cutoff.  Any other flag is a usage error.
+solvers (eig, svd, cp, odeco) take ``--tol`` and ``--max-iters``, and only
+the multi-start ones (eig, svd, cp) take ``--seed`` and ``--starts``: odeco
+draws no starts, as its result depends on the tensor alone.  mlrank takes
+``--tol`` as its rank cutoff.  Any other flag is a usage error.
 
 Exit codes: 0 success, 2 input parse error, 3 solver non-convergence (partial
 results are still emitted, flagged), 4 invalid flags or an unwritable
@@ -163,12 +163,13 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "table"], default="json")
 
 
-def _add_solver(p: argparse.ArgumentParser) -> None:
-    """The flags the iterative solvers read (eig, svd, cp, odeco)."""
+def _add_solver(p: argparse.ArgumentParser, seeded: bool = True) -> None:
+    """The flags the iterative solvers read (eig, svd, cp, odeco); ``--seed`` and ``--starts`` only where ``seeded``."""
     p.add_argument("--tol", type=float, default=None, help="solver tolerance")
     p.add_argument("--max-iters", type=int, default=None, help="iteration cap")
-    p.add_argument("--seed", type=int, default=0, help="base seed (runs are deterministic)")
-    p.add_argument("--starts", type=int, default=None, help="multi-start count")
+    if seeded:
+        p.add_argument("--seed", type=int, default=0, help="base seed (runs are deterministic)")
+        p.add_argument("--starts", type=int, default=None, help="multi-start count")
 
 
 def _solver_opts(args, **extra) -> dict[str, Any]:
@@ -177,9 +178,10 @@ def _solver_opts(args, **extra) -> dict[str, Any]:
         opts["tol"] = args.tol
     if args.max_iters is not None:
         opts["max_iters"] = args.max_iters
-    if args.starts is not None:
+    if getattr(args, "starts", None) is not None:
         opts["starts"] = args.starts
-    opts["seed"] = args.seed
+    if hasattr(args, "seed"):
+        opts["seed"] = args.seed
     return opts
 
 
@@ -229,7 +231,7 @@ def build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("--rank", type=int, default=None, help="component cap (default: smallest mode)")
     _add_output(p)
-    _add_solver(p)
+    _add_solver(p, seeded=False)
 
     p = sub.add_parser("mlrank", help="multilinear rank")
     p.add_argument("input")

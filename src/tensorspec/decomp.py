@@ -7,20 +7,26 @@ is guaranteed is that the ALS objective never increases across sweeps (a
 start stops before a sweep that would raise it) and that on orthogonally
 decomposable input the odeco fit recovers the components.
 
-`cp_als` runs all its starts at once, one per slice of a batch, and draws
-its random starts from one ``default_rng(seed)`` per call: start ``k`` does
-not depend on ``starts``, and two seeds share no random start.  Results
-merge by ``(error, start_index)``.  Counts (``rank``, ``starts``,
-``max_iters``) below 1 and a ``seed`` below 0 raise `ValueError`, counts and
-seeds that are not integers `TypeError`.  ALS stacks its starts as
-``(S, M_o, R)`` factor arrays, solves every mode update with
-`contract._lstsq` (the pseudoinverse update of standard CP-ALS) and takes
-each sweep's error as the exact residual of the last mode's unfolding
-against the Khatri-Rao product its update already built.  `odeco_decompose`
-draws no starts: a generalized eigenproblem (GEVD) gives every component at
-once and one power iteration polishes them.  Both fit the input scaled by
-the power of two nearest its largest entry (`tensor._scale_exponent`), so
-tiny and huge entries neither underflow nor overflow.
+`cp_als` runs all its starts at once, one per slice of a batch.  Where the
+rank allows, its first starts are algebraic and depend on the tensor alone:
+Jennrich's GEVD factors (Leurgans, Ross & Abel 1993, "A decomposition for
+three-way arrays"; `_gevd_factors`), exact on generic exact input, then the
+HOSVD factors.  The other starts are drawn from one ``default_rng(seed)`` per
+call: start ``k`` does not depend on ``starts``, and two seeds share no
+random start.  The batch stops as soon as one start reaches the rounding
+floor, as the others could only tie it.  Results merge by
+``(error, start_index)``.  Counts (``rank``, ``starts``, ``max_iters``)
+below 1 and a ``seed`` below 0 raise `ValueError`, counts and seeds that
+are not integers `TypeError`.  ALS stacks its starts as ``(S, M_o, R)``
+factor arrays, solves every mode update with `contract._lstsq` (the
+pseudoinverse update of standard CP-ALS) and takes each sweep's error as
+the exact residual of the last mode's unfolding against the Khatri-Rao
+product its update already built.  `odeco_decompose` draws no starts: the
+same GEVD gives every component at once and one power iteration polishes
+them, with columns that the polish takes to one component redone on the
+tensor without the others.  Both fit the input scaled by the power of two
+nearest its largest entry (`tensor._scale_exponent`), so tiny and huge
+entries neither underflow nor overflow.
 """
 
 from __future__ import annotations
@@ -237,6 +243,40 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _gevd_factors(arr: np.ndarray, a: np.ndarray, u2: np.ndarray | None = None, symmetric: bool = False) -> list[np.ndarray]:
+    """Jennrich's GEVD factors of ``arr`` at rank ``R``, the columns of ``a`` (Leurgans, Ross & Abel 1993).
+
+    ``a`` holds ``R`` leading orthonormal left singular vectors of the mode-1
+    unfolding and ``u2``, if given, those of the mode-2 unfolding (else
+    ``a`` on symmetric input, or they are computed).  On order 3 and up the
+    mode-1 factor is ``a`` times the eigenvectors of ``M_a M_b^-1``, with
+    ``M_a``, ``M_b`` combinations of the slices of ``arr`` compressed to
+    ``a`` and ``u2``: of three fixed generic pairs, the one whose eigenvalues
+    lie furthest apart (chordal distance, none complex), as noise mixes
+    eigenvectors whose eigenvalues nearly tie.  On order 2 it is ``a``.
+    Symmetric input takes the mode-1 factor on every mode and returns it
+    alone; other input splits each row of ``pinv(A) X_(1)`` into its leading
+    singular vector in each other mode.  A singular pencil or a rank-deficient
+    ``A`` gives finite, possibly repeated, columns.
+    """
+    order, r = arr.ndim, a.shape[1]
+    if order > 2:
+        if u2 is None:
+            u2 = a if symmetric else _leading_vectors(arr, [2], [r])[0]
+        slices = np.moveaxis(arr.reshape(arr.shape[0], arr.shape[1], -1, order="F"), -1, 0)
+        # fixed, not drawn from a seed: the factors depend on the tensor alone
+        ma, mb = np.moveaxis(np.tensordot(np.random.default_rng(0).normal(size=(3, 2, slices.shape[0])), a.T @ slices @ u2, axes=1), 1, 0)
+        lam, vec = np.linalg.eig(np.swapaxes(_lstsq(np.swapaxes(mb, 1, 2), np.swapaxes(ma, 1, 2)), 1, 2))
+        d = 1 + np.abs(lam) ** 2
+        dist = np.abs(lam[:, :, None] - lam[:, None, :]) / np.sqrt(d[:, :, None] * d[:, None, :]) + np.where(np.eye(r), np.inf, 0.0)
+        gap = np.where(np.any(lam.imag != 0, axis=1), 0.0, dist.min(axis=(1, 2)))
+        a = a @ vec[np.argmax(gap)].real
+    if symmetric:
+        return [a]
+    rows = (np.linalg.pinv(a) @ _mode_unfolding(arr, 1)).reshape((r,) + arr.shape[1:], order="F")
+    return [a] + [np.linalg.svd(np.moveaxis(rows, o, 1).reshape(r, arr.shape[o], -1), full_matrices=False)[0][:, :, 0].T for o in range(1, order)]
+
+
 # -- alternating least squares ------------------------------------------------
 
 
@@ -264,6 +304,11 @@ def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol:
     built.  A start stops, frozen, when a sweep would raise its error (it
     keeps the previous sweep), when the error gains less than ``tol`` or
     reaches 1e-15 (converged), or after ``max_iters`` sweeps (not converged).
+    After a sweep in which some start reached 1e-15 every start stops: each
+    keeps its own last kept sweep and its own flag, so a start that was
+    still improving is not converged.  A start's trace is therefore the one
+    it has alone only up to the sweep in which the first start of its batch
+    reaches the floor.
     The running starts' factor and Gram stacks are kept from sweep to sweep.
     Only after a sweep in which some start stopped are the factors written
     back, each start taking that sweep or, if it rose, the previous one, and
@@ -314,7 +359,8 @@ def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol:
         # an exact least-squares sweep cannot increase the objective, so a
         # rise is rounding at the fit's floor: the start keeps its previous sweep
         keep = ~(err > last)
-        done = ~keep | (last - err < tol) | (err <= 1e-15)
+        floor = err <= 1e-15
+        done = ~keep | (last - err < tol) | floor
         if not done.any():
             last = err
             continue
@@ -322,7 +368,8 @@ def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol:
             f[cols] = np.where(keep[:, None, None], c, p)
         runs.append((cols, errs, keep))
         converged[cols[done]] = True
-        running = ~done
+        # a start at the floor is an exact fit the others can only tie
+        running = ~done & ~floor.any()
         cols, last, errs = cols[running], err[running], []
         cur = [c[running] for c in cur]
         cur_grams = [g[running] for g in cur_grams]
@@ -350,14 +397,17 @@ def cp_als(
     Runs ``starts`` fits and keeps the best final error; ties break on the
     start index.  Start ``k`` is row ``k`` of one
     ``default_rng(seed).uniform(-1, 1, size=(starts, sum M_o, rank))`` draw,
-    split by mode, except that start 0 is the `hosvd` factors when ``rank``
-    is at most every mode size.  All starts run at once as slices of stacked
-    factor matrices, and a stopped start stays frozen while the others go
-    on.  A mode update is the minimum-norm least-squares solution of its
-    normal equations, also where the Gram is singular.
+    split by mode, except where ``rank`` is at most every mode size: there
+    start 0 is the GEVD factors (`_gevd_factors` at the leading ``rank``
+    mode-1 and mode-2 singular vectors) and start 1 the `hosvd` factors, or
+    on order 2 start 0 is the `hosvd` factors.  All starts run at once as
+    slices of stacked factor matrices, and a stopped start stays frozen
+    while the others go on.  A mode update is the minimum-norm least-squares
+    solution of its normal equations, also where the Gram is singular.
     ``tol`` (at least 0) is the per-sweep improvement below which a start
     stops; a start also stops, keeping its previous sweep, when a sweep
-    would raise the error (rounding at an exact fit).  The per-sweep error
+    would raise the error (rounding at an exact fit), and every start stops
+    after the sweep in which one reaches the 1e-15 floor.  The per-sweep error
     is the exact relative residual, computed from the last mode's unfolding
     and the Khatri-Rao product its update already built.  It is non-increasing
     across sweeps and the returned trace belongs to the winning start.
@@ -370,8 +420,11 @@ def cp_als(
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(starts, sum(arr.shape), rank))
     factors = np.split(draws, np.cumsum(arr.shape)[:-1], axis=1)
     if rank <= min(arr.shape):
-        for f, u in zip(factors, _leading_vectors(arr, range(1, order + 1), [rank] * order)):
-            f[0] = u
+        lead = _leading_vectors(arr, range(1, order + 1), [rank] * order)
+        algebraic = ([_gevd_factors(arr, lead[0], lead[1])] if order > 2 else []) + [lead]
+        for k, fs in enumerate(algebraic[:starts]):
+            for f, u in zip(factors, fs):
+                f[k] = u
     factors, traces, converged = _als_sweeps(arr, factors, max_iters, tol)
     best = min(range(starts), key=lambda k: (traces[k][-1], k))
     cp = cp_normalize(CpDecomposition(np.ones(rank), [f[best] for f in factors]))
@@ -411,34 +464,28 @@ def odeco_decompose(
     rank: int | None = None,
     max_iters: int = 500,
     tol: float = 1e-10,
-    seed: int = 0,
-    starts: int = 8,
 ) -> OdecoResult:
     """Recover an orthogonal CP decomposition: GEVD factors polished by one power iteration.
 
     The count ``R`` is the smallest whose tail of mode-1 singular values,
     ``sqrt(sum_{i>R} s_i^2)``, is at most ``tol`` (at least 0) times the
-    input norm, capped by ``rank`` and the smallest mode size.  The mode-1
-    factor ``A`` is the eigenvectors of ``M_a M_b^-1`` (Jennrich's
-    algorithm), with ``M_a``, ``M_b`` combinations of the slices of ``t``
-    compressed to its leading ``R`` mode-1 and mode-2 singular vectors: of
-    three fixed generic pairs, the one whose eigenvalues lie furthest apart
-    (chordal distance, none complex), as noise mixes eigenvectors whose
-    eigenvalues nearly tie.  On order 2 ``A`` is the leading left singular
-    vectors.
-    Symmetric input takes ``A`` on every mode, other input splits each row of
-    ``pinv(A) T_(1)`` into its leading singular vector in each other mode.
-    One `contract._power_sweeps` call polishes the ``R`` columns on ``t``
-    (symmetric map when ``symmetric``, else alternating per mode); a column
-    not converged within ``max_iters`` sweeps makes the status
-    "not_converged".  The weights are ``t(x_1, .., x_O)``, by decreasing
-    magnitude.  ``starts`` and ``seed`` are checked but unused: the result
-    depends on the tensor alone.  On input that is not orthogonally
-    decomposable the factor Gram check (entries within ``_ORTH_TOL`` of the
-    identity) or, without a ``rank`` cap, the reconstruction check fails
-    and the status is "not_orthogonal".
+    input norm, capped by ``rank`` and the smallest mode size.  The ``R``
+    columns start from the GEVD factors at rank ``R`` (`_gevd_factors`,
+    Jennrich's algorithm; the leading left singular vectors on order 2), and
+    one `contract._power_sweeps` call polishes them on ``t`` (symmetric map
+    when ``symmetric``, else alternating per mode).  Noise can polish two
+    columns to one component, which shows as factor columns with inner
+    products above 1/2 in magnitude in every mode: unless every column does,
+    all such columns are redone once, GEVD factors polished by one power
+    iteration, on ``t`` minus the other components.  A column not converged within
+    ``max_iters`` sweeps makes the status "not_converged".  The weights are
+    ``t(x_1, .., x_O)``, by decreasing magnitude; the result depends on the
+    tensor alone.  On input that is not orthogonally decomposable the factor
+    Gram check (entries within ``_ORTH_TOL`` of the identity) or, without a
+    ``rank`` cap, the reconstruction check fails and the status is
+    "not_orthogonal".
     """
-    _check_run_opts(tol, seed, rank=1 if rank is None else rank, starts=starts, max_iters=max_iters)
+    _check_run_opts(tol, rank=1 if rank is None else rank, max_iters=max_iters)
     arr = _as_array(t)
     order = _check_order(arr, "odeco fits")
     if symmetric:
@@ -453,30 +500,31 @@ def odeco_decompose(
     if r == 0:
         return OdecoResult(CpDecomposition(np.zeros(1), [np.eye(d, 1) for d in arr.shape]), 1.0 if norm0 > 0 else 0.0, 0.0, "not_converged")
 
-    a = u1[:, :r]
-    if order > 2:
-        u2 = a if symmetric else _leading_vectors(arr, [2], [r])[0]
-        slices = np.moveaxis(arr.reshape(arr.shape[0], arr.shape[1], -1, order="F"), -1, 0)
-        # fixed, not drawn from ``seed``: the result depends on the tensor alone
-        ma, mb = np.moveaxis(np.tensordot(np.random.default_rng(0).normal(size=(3, 2, slices.shape[0])), a.T @ slices @ u2, axes=1), 1, 0)
-        lam, vec = np.linalg.eig(np.swapaxes(_lstsq(np.swapaxes(mb, 1, 2), np.swapaxes(ma, 1, 2)), 1, 2))
-        d = 1 + np.abs(lam) ** 2
-        dist = np.abs(lam[:, :, None] - lam[:, None, :]) / np.sqrt(d[:, :, None] * d[:, None, :]) + np.where(np.eye(r), np.inf, 0.0)
-        gap = np.where(np.any(lam.imag != 0, axis=1), 0.0, dist.min(axis=(1, 2)))
-        a = a @ vec[np.argmax(gap)].real
-    if symmetric:
-        blocks = [a]
-    else:
-        rows = (np.linalg.pinv(a) @ _mode_unfolding(arr, 1)).reshape((r,) + arr.shape[1:], order="F")
-        blocks = [a] + [np.linalg.svd(np.moveaxis(rows, o, 1).reshape(r, arr.shape[o], -1), full_matrices=False)[0][:, :, 0].T for o in range(1, order)]
-    plans = [_contract_plan(arr, (o,)) for o in range(1, len(blocks) + 1)]
+    def polish(a, blocks):
+        """One `contract._power_sweeps` call on ``a`` from ``blocks``; also returns ``a``'s mode-1 plan."""
+        plans = [_contract_plan(a, (o,)) for o in range(1, len(blocks) + 1)]
 
-    def update(k, cur, cols):
-        return _contract_all_but_batch(plans[k], cur[0] if symmetric else cur[:k] + cur[k + 1:])
+        def update(k, cur, cols):
+            return _contract_all_but_batch(plans[k], cur[0] if symmetric else cur[:k] + cur[k + 1:])
 
-    blocks, conv = _power_sweeps(update, blocks, 2, tol, max_iters)
+        blocks, conv = _power_sweeps(update, blocks, 2, tol, max_iters)
+        return blocks, conv, plans[0]
+
+    blocks, conv, plan = polish(arr, _gevd_factors(arr, u1[:, :r], symmetric=symmetric))
     xs = blocks * order if symmetric else blocks
-    weights = np.sum(_contract_all_but_batch(plans[0], xs[1:]) * xs[0], axis=0)
+    weights = np.sum(_contract_all_but_batch(plan, xs[1:]) * xs[0], axis=0)
+    # noise can polish two GEVD columns to one component: redo those columns
+    # on the tensor with the other components subtracted (with no other
+    # component, that would repeat the fit)
+    redo = np.any(functools.reduce(np.logical_and, [np.abs(b.T @ b) > 0.5 for b in blocks]) & ~np.eye(r, dtype=bool), axis=0)
+    if redo.any() and not redo.all():
+        left = arr - cp_eval(CpDecomposition(weights[~redo], [x[:, ~redo] for x in xs])).to_array()
+        lead = _leading_vectors(left, [1], [int(np.count_nonzero(redo))])[0]
+        new, new_conv, _ = polish(left, _gevd_factors(left, lead, symmetric=symmetric))
+        for b, n in zip(blocks, new):
+            b[:, redo] = n
+        conv[redo] = new_conv
+        weights = np.sum(_contract_all_but_batch(plan, xs[1:]) * xs[0], axis=0)
     keep = np.argsort(-np.abs(weights), kind="stable")
     factors = [x[:, keep] for x in xs]
     cp = CpDecomposition(weights[keep], factors)

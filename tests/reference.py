@@ -25,8 +25,9 @@ the two steps differ only at Jacobians singular to rounding.
 `als_sweeps_parent` is the batched ALS loop of `decomp._als_sweeps` as it
 was before it kept its running starts between sweeps: every sweep gathers the
 running starts out of the factor and Gram stacks, writes each of them back and
-appends each start's error in a Python loop.  The library must match it bit
-for bit: factors, traces and convergence flags.
+appends each start's error in a Python loop.  It stops the batch at the
+rounding floor as the library does.  The library must match it bit for bit:
+factors, traces and convergence flags.
 
 `starts_loop` is `contract._starts`, the start generator of the spectral
 solvers, drawn and normalized one column and one mode at a time; the library
@@ -203,7 +204,9 @@ def als_sweeps_parent(arr: np.ndarray, factors: list[np.ndarray], max_iters: int
     built.  A start stops, frozen, when a sweep would raise its error (it
     keeps the previous sweep), when the error gains less than ``tol`` or
     reaches 1e-15 (converged), or after ``max_iters`` sweeps (not converged).
-    Returns the final stacks, each start's error trace and convergence flags.
+    Once some start reaches 1e-15 every start stops after that sweep, each
+    keeping its own last kept sweep and flag.  Returns the final stacks,
+    each start's error trace and convergence flags.
 
     Memory: the stacked Khatri-Rao product holds ``S * R * |T| / M_o``
     entries, S times what one start needs; the residual is taken for all
@@ -252,9 +255,11 @@ def als_sweeps_parent(arr: np.ndarray, factors: list[np.ndarray], max_iters: int
         last[kept] = err[keep]
         for k, e in zip(kept.tolist(), err[keep].tolist()):
             traces[k].append(e)
-        done = ~keep | (prev - err < tol) | (err <= 1e-15)
+        floor = err <= 1e-15
+        done = ~keep | (prev - err < tol) | floor
         converged[cols[done]] = True
-        cols = cols[~done]
+        # once a start reaches the floor every start stops, keeping its own flag
+        cols = cols[~done] if not floor.any() else cols[:0]
     return factors, traces, converged
 
 

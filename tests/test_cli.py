@@ -255,7 +255,6 @@ class TestExitCodes:
         for argv in (
             ["cp", golden_path, "--rank", "1", "--max-iters", "0"],
             ["cp", golden_path, "--rank", "1", "--starts", "0"],
-            ["odeco", golden_path, "--starts", "0"],
             ["odeco", golden_path, "--rank", "0"],
             ["odeco", golden_path, "--rank", "-1"],
             ["odeco", golden_path, "--max-iters", "0"],
@@ -342,11 +341,11 @@ class TestExitCodes:
         solver = {"--tol": "1e-6", "--max-iters": "5", "--seed": "3", "--starts": "2"}
         subcommands = {
             "info": [golden_path], "contract": [golden_path, golden_path], "tucker": [golden_path],
-            "hosvd": [golden_path], "mlrank": [golden_path],
+            "hosvd": [golden_path], "mlrank": [golden_path], "odeco": [golden_path],
         }
         for command, args in subcommands.items():
             for flag, value in solver.items():
-                if command == "mlrank" and flag == "--tol":
+                if (command, flag) in {("mlrank", "--tol"), ("odeco", "--tol"), ("odeco", "--max-iters")}:
                     continue
                 with pytest.raises(SystemExit) as exc:
                     main([command, *args, flag, value])
@@ -360,7 +359,8 @@ class TestExitCodes:
         capsys.readouterr()
         for command in ("eig", "svd", "cp", "odeco"):
             extra = ["--rank", "1"] if command == "cp" else []
-            assert main([command, golden_path, *extra, *[x for kv in solver.items() for x in kv]]) in (0, 3)
+            flags = {k: v for k, v in solver.items() if command != "odeco" or k in ("--tol", "--max-iters")}
+            assert main([command, golden_path, *extra, *[x for kv in flags.items() for x in kv]]) in (0, 3)
             capsys.readouterr()
 
     def test_mlrank_tol_default(self, capsys, eight1_path):

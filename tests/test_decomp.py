@@ -15,6 +15,7 @@ from tensorspec.contract import _lstsq, _mode_unfolding, contract_all_but
 from tensorspec.decomp import (
     CpDecomposition,
     _als_sweeps,
+    _gevd_factors,
     TuckerDecomposition,
     cp_als,
     cp_eval,
@@ -368,7 +369,7 @@ class TestTolChecks:
 class TestOdeco:
     def test_axis_aligned(self):
         t = 2.0 * outer(e(1), e(1), e(1)) + 1.0 * outer(e(2), e(2), e(2))
-        res = odeco_decompose(t, symmetric=True, seed=0)
+        res = odeco_decompose(t, symmetric=True)
         assert res.ok
         assert res.reconstruction_error <= 1e-8
         got = sorted(
@@ -381,7 +382,7 @@ class TestOdeco:
 
     def test_construct_then_recover(self):
         t, lam, vecs = random_odeco_symmetric(4, 3, seed=25)
-        res = odeco_decompose(t, symmetric=True, seed=0)
+        res = odeco_decompose(t, symmetric=True)
         assert res.ok and res.reconstruction_error <= 1e-8
         # match recovered components to the truth up to sign/permutation
         used = set()
@@ -401,7 +402,7 @@ class TestOdeco:
 
     def test_recovered_vectors_are_eigenpairs(self):
         t, _, _ = random_odeco_symmetric(5, 4, seed=26)
-        res = odeco_decompose(t, symmetric=True, seed=0)
+        res = odeco_decompose(t, symmetric=True)
         assert res.ok
         for i in range(res.cp.rank):
             v = res.cp.factors[0][:, i]
@@ -411,12 +412,12 @@ class TestOdeco:
 
     def test_factor_gram_identity(self):
         t, _, _ = random_odeco_symmetric(4, 4, seed=27)
-        res = odeco_decompose(t, symmetric=True, seed=0)
+        res = odeco_decompose(t, symmetric=True)
         assert res.orthogonality_defect <= 1e-8
 
     def test_deflation_residual_strictly_decreases(self):
         t, lam, vecs = random_odeco_symmetric(4, 3, seed=28)
-        res = odeco_decompose(t, symmetric=True, seed=0)
+        res = odeco_decompose(t, symmetric=True)
         # replay the deflation and check the remaining norm drops each step
         arr = t.to_array().copy()
         norms = [np.linalg.norm(arr)]
@@ -436,14 +437,14 @@ class TestOdeco:
         for i in range(r):
             acc += sig[i] * outer(*[q[:, i] for q in qs]).to_array()
         t = DenseTensor(acc)
-        res = odeco_decompose(t, symmetric=False, rank=2, seed=0)
+        res = odeco_decompose(t, symmetric=False, rank=2)
         assert res.reconstruction_error <= 1e-8
         assert res.orthogonality_defect <= 1e-8
 
     def test_non_odeco_flagged(self):
         # a random dense tensor is not orthogonally decomposable
         t = DenseTensor(rng(30).normal(size=(3, 3, 3)))
-        res = odeco_decompose(t, symmetric=False, seed=0)
+        res = odeco_decompose(t, symmetric=False)
         assert not res.ok
         assert res.status in ("not_orthogonal", "not_converged")
 
@@ -495,6 +496,19 @@ class TestOdeco:
                 arr = planted_odeco(dims, symmetric, seed=300 + seed, noise=1e-3)[0]
                 assert odeco_decompose(arr, symmetric=symmetric).reconstruction_error <= 1e-3
 
+    def test_collided_columns_are_redone(self):
+        """Inputs on which the one power iteration took two GEVD columns to one component (errors 0.41-0.55 without the repair)."""
+        for noise, slack, cases in [
+            (3e-3, 1e-4, [((10, 10, 10), True, seed) for seed in (11, 30, 53, 91, 195)]),
+            (1e-2, 1e-3, [((8, 8, 8), True, 1), ((8, 8, 8), True, 5), ((5, 5, 5), True, 50), ((8, 8, 8), False, 37), ((8, 8, 8), False, 54)]),
+        ]:
+            for dims, symmetric, seed in cases:
+                arr = planted_odeco(dims, symmetric, seed=seed, noise=noise)[0]
+                res = odeco_decompose(arr, symmetric=symmetric)
+                _, _, want = odeco_deflation(arr, symmetric)
+                assert res.cp.rank == min(dims) and res.orthogonality_defect <= 10 * noise
+                assert res.reconstruction_error <= want * (1 + slack)
+
     def test_order_two_is_the_svd(self):
         m = rng(32).normal(size=(4, 6))
         s = np.linalg.svd(m, compute_uv=False)
@@ -540,17 +554,17 @@ class TestOdeco:
         with pytest.raises(ValueError):
             odeco_decompose(DenseTensor(np.ones((2, 3))), symmetric=True)
 
-    def test_bad_starts(self):
-        for starts in (0, -2):
-            with pytest.raises(ValueError):
-                odeco_decompose(DenseTensor(np.ones((2, 2, 2))), starts=starts)
+    def test_starts_and_seed_are_not_options(self):
+        for kwargs in ({"starts": 8}, {"starts": 0}, {"seed": 0}):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                odeco_decompose(DenseTensor(np.ones((2, 2, 2))), **kwargs)
 
     def test_bad_rank_and_max_iters(self):
         t = DenseTensor(np.ones((2, 2, 2)))
         for kwargs in ({"rank": 0}, {"rank": -1}, {"max_iters": 0}, {"max_iters": -5}):
             with pytest.raises(ValueError, match="must be >= 1"):
                 odeco_decompose(t, **kwargs)
-        for kwargs in ({"rank": 2.5}, {"starts": 2.0}, {"max_iters": 10.5}):
+        for kwargs in ({"rank": 2.5}, {"max_iters": 10.5}):
             with pytest.raises(TypeError):
                 odeco_decompose(t, **kwargs)
         odeco_decompose(t, rank=1, max_iters=1)
@@ -607,17 +621,38 @@ def reference_als_single(arr, init, max_iters, tol):
 
 
 def als_inits(arr, rank, seed, starts):
-    """The documented cp_als starts: HOSVD vectors for start 0 when the rank allows, else uniform(-1, 1).
+    """The documented cp_als starts: GEVD factors, then HOSVD vectors, when the rank allows, else uniform(-1, 1).
 
     Start k is row k of one ``default_rng(seed)`` draw of shape
     ``(starts, sum M_o, rank)``, cut into its mode factors in mode order.
+    When ``rank`` is at most every mode size, start 0 is the GEVD factors and
+    start 1 the HOSVD factors on order 3 and up; on order 2 start 0 is the
+    HOSVD factors.
     """
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(starts, sum(arr.shape), rank))
     ends = np.cumsum(arr.shape)
     inits = [[draw[end - d:end] for d, end in zip(arr.shape, ends)] for draw in draws]
     if rank <= min(arr.shape):
-        inits[0] = list(hosvd(DenseTensor(arr), [rank] * arr.ndim).factors)
+        lead = list(hosvd(DenseTensor(arr), [rank] * arr.ndim).factors)
+        algebraic = ([_gevd_factors(arr, lead[0], lead[1])] if arr.ndim > 2 else []) + [lead]
+        for k, init in enumerate(algebraic[:starts]):
+            inits[k] = init
     return inits
+
+
+def floor_sweep(traces, max_iters):
+    """The first sweep in which some trace reaches the 1e-15 floor, else ``max_iters``."""
+    return min([i + 1 for t in traces for i, err in enumerate(t) if err <= 1e-15] + [max_iters])
+
+
+def reference_als_batch(arr, inits, max_iters, tol):
+    """`reference_als_single` for every start, all stopped after the first sweep in which one reaches the floor.
+
+    Each start keeps its own trace and convergence flag up to that sweep.
+    """
+    refs = [reference_als_single(arr, init, max_iters, tol) for init in inits]
+    stop = floor_sweep([errors for _, errors, _ in refs], max_iters)
+    return refs if stop == max_iters else [reference_als_single(arr, init, stop, tol) for init in inits]
 
 
 def stacked(inits):
@@ -666,7 +701,7 @@ class TestBatchedAls:
                 arr = rng(60 + seed).normal(size=dims)
                 inits = als_inits(arr, rank, seed, 8)
                 _, traces, converged = _als_sweeps(arr, stacked(inits), 60, 1e-12)
-                refs = [reference_als_single(arr, init, 60, 1e-12) for init in inits]
+                refs = reference_als_batch(arr, inits, 60, 1e-12)
                 for k, (_, ref_errors, ref_conv) in enumerate(refs):
                     assert_same_trace(traces[k], ref_errors)
                     assert converged[k] == ref_conv
@@ -695,13 +730,15 @@ class TestBatchedAls:
         singular = inits[2]
         factors, traces, converged = _als_sweeps(arr, stacked(inits), 500, 1e-12)
         assert traces[2][-1] <= 1e-14
+        # each start runs alone as in the batch up to the sweep in which the first start reaches the floor
+        stop = floor_sweep([_als_sweeps(arr, stacked([init]), 500, 1e-12)[1][0] for init in inits], 500)
         for k, init in enumerate(inits):
-            solo_factors, solo, solo_conv = _als_sweeps(arr, stacked([init]), 500, 1e-12)
+            solo_factors, solo, solo_conv = _als_sweeps(arr, stacked([init]), stop, 1e-12)
             assert_same_trace(solo[0], traces[k])
             assert solo_conv[0] == converged[k]
             for a, b in zip(solo_factors, factors):
                 assert np.max(np.abs(a[0] - b[k])) <= 1e-12
-        _, ref_errors, _ = reference_als_single(arr, singular, 500, 1e-12)
+        _, ref_errors, _ = reference_als_single(arr, singular, stop, 1e-12)
         assert_same_trace(traces[2], ref_errors)
 
 
@@ -713,10 +750,13 @@ class TestAlsKeepsRunningStarts:
         """Seeded (input, starts, max_iters, tol) batches, each with what it exercises."""
         random6 = rng(110).normal(size=(6, 6, 6))
         rising = rng(1).normal(size=(2, 2, 2))
+        inits = als_inits(rising, 4, 0, 8)
         cases = {
             "no start stops": (random6, als_inits(random6, 3, 0, 8), 50, 0.0),
             "max_iters 1": (random6, als_inits(random6, 3, 1, 8), 1, 1e-12),
-            "rising start": (rising, als_inits(rising, 4, 0, 8), 500, 1e-12),
+            "floor stop": (rising, inits, 500, 1e-12),
+            # without the starts that reach the floor in one sweep, which stop the batch there
+            "rising start": (rising, [i for i in inits if _als_sweeps(rising, stacked([i]), 1, 1e-12)[1][0][0] > 1e-15], 500, 1e-12),
             "singular start": singular_start_batch() + (500, 1e-12),
         }
         for name, dims, rank in [("planted 10^3 r5", (10, 10, 10), 5), ("6^3 r3", (6, 6, 6), 3), ("4^4 r2", (4, 4, 4, 4), 2)]:
@@ -742,6 +782,8 @@ class TestAlsKeepsRunningStarts:
                 assert lengths == {max_iters} and not converged.any()
             elif name == "max_iters 1":
                 assert lengths == {1}
+            elif name == "floor stop":
+                assert lengths == {floor_sweep(traces, max_iters)} and not converged.all()
             elif name == "rising start":
                 assert any(self.stopped_on_rise(t, c, tol) for t, c in zip(traces, converged))
             elif name != "singular start":
@@ -775,7 +817,9 @@ class TestAlsKeepsRunningStarts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert converged.all() and max(len(t) for t in traces) <= 3
+        # every start converged or was stopped by one that reached the floor
+        stop = floor_sweep(traces, 10**7)
+        assert stop <= 3 and all(c or len(t) == stop for t, c in zip(traces, converged))
         assert peak < 200_000
 
 
@@ -804,15 +848,19 @@ class TestStartRule:
         return [[f[k] for f in factors] for k in range(starts)]
 
     def test_cp_als_starts(self, monkeypatch):
-        for dims, rank in [((3, 4, 5), 2), ((2, 3, 2, 3), 3), ((3, 3, 3), 4)]:
+        for dims, rank in [((3, 4, 5), 2), ((4, 5), 3), ((2, 3, 2, 3), 3), ((3, 3, 3), 4)]:
             arr = rng(80).normal(size=dims)
-            first = 1 if rank <= min(dims) else 0
+            # the GEVD and HOSVD starts depend on the tensor alone
+            first = (2 if len(dims) > 2 else 1) if rank <= min(dims) else 0
             by_seed = [self.als_starts(monkeypatch, arr, rank, seed, 8) for seed in (0, 1)]
             for seed, got in enumerate(by_seed):
                 want = als_inits(arr, rank, seed, 8)
                 assert all(np.array_equal(a, b) for k in range(8) for a, b in zip(got[k], want[k]))
-                few = self.als_starts(monkeypatch, arr, rank, seed, 3)
-                assert all(np.array_equal(a, b) for k in range(3) for a, b in zip(few[k], got[k]))
+                for starts in (1, 3):
+                    few = self.als_starts(monkeypatch, arr, rank, seed, starts)
+                    assert all(np.array_equal(a, b) for k in range(starts) for a, b in zip(few[k], got[k]))
+            for a, b in zip(by_seed[0][:first], by_seed[1][:first]):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
             # no random start of one seed is a random start of the other
             for a in by_seed[0][first:]:
                 for b in by_seed[1][first:]:
@@ -826,22 +874,70 @@ class TestStartRule:
         assert not hasattr(decomp, "_starts")
         for dims, symmetric in [((4, 4, 4), True), ((4, 4, 4), False), ((3, 4, 5), False), ((3, 3, 3, 3), True), ((2, 3, 2, 3), False)]:
             t = planted_odeco(dims, symmetric, seed=81)[0]
-            records = []
-            for seed in (0, 1, 5):
-                for starts in (1, 8):
-                    with monkeypatch.context() as patch:
-                        sweeps = self.capture(patch, "_power_sweeps")
-                        plans = self.capture(patch, "_contract_plan")
-                        res = odeco_decompose(t, symmetric=symmetric, seed=seed, starts=starts)
-                    assert res.ok
-                    # one sweep call on the full tensor, its columns the components
-                    [(_, blocks, _, _, _)] = sweeps
-                    assert len(blocks) == (1 if symmetric else len(dims)) and blocks[0].shape[1] == min(dims)
-                    # the full tensor, scaled by a power of two near its largest entry
-                    assert len(plans) == len(blocks) and all(np.array_equal(p[0], np.ldexp(t, -_scale_exponent(t))) for p in plans)
-                    records.append((res.cp.weights.tobytes(), [f.tobytes() for f in res.cp.factors], res.reconstruction_error, res.orthogonality_defect))
-            # the result depends on the tensor alone
-            assert all(r == records[0] for r in records)
+            with monkeypatch.context() as patch:
+                sweeps = self.capture(patch, "_power_sweeps")
+                plans = self.capture(patch, "_contract_plan")
+                res = odeco_decompose(t, symmetric=symmetric)
+            assert res.ok
+            # one sweep call on the full tensor, its columns the components
+            [(_, blocks, _, _, _)] = sweeps
+            assert len(blocks) == (1 if symmetric else len(dims)) and blocks[0].shape[1] == min(dims)
+            # the full tensor, scaled by a power of two near its largest entry
+            assert len(plans) == len(blocks) and all(np.array_equal(p[0], np.ldexp(t, -_scale_exponent(t))) for p in plans)
+
+
+class TestGevdStart:
+    """`cp_als` starts from the GEVD factors, and its batch stops once a start reaches the 1e-15 floor."""
+
+    def test_exact_planted_gaussian_cp(self):
+        for dims, rank in [((6, 6, 6), 3), ((10, 10, 10), 5), ((4, 4, 4, 4), 2), ((5, 5, 5, 5), 4), ((8, 8, 8), 8)]:
+            for seed in range(8):
+                res = cp_als(cp_eval(random_cp(rank, dims, 500 + seed)), rank)
+                assert res.error <= 1e-11, (dims, rank, seed)
+
+    def test_gevd_factors_of_exact_input(self):
+        # the planted columns up to order, scale and sign
+        for dims, rank in [((6, 6, 6), 3), ((5, 4, 6), 4), ((4, 4, 4, 4), 2)]:
+            cp = random_cp(rank, dims, 530)
+            arr = cp_eval(cp).to_array()
+            lead = hosvd(DenseTensor(arr), [rank] * len(dims)).factors
+            for got, want in zip(_gevd_factors(arr, lead[0], lead[1]), cp.factors):
+                cos = np.abs((got / np.linalg.norm(got, axis=0)).T @ (want / np.linalg.norm(want, axis=0)))
+                assert np.allclose(np.sort(cos.max(axis=0)), 1.0, rtol=0, atol=1e-10)
+
+    def test_batch_stops_at_the_first_floor(self, monkeypatch):
+        import tensorspec.decomp as decomp
+
+        calls = []
+
+        def lstsq(a, b):
+            calls.append(a.shape[0])
+            return _lstsq(a, b)
+
+        arr = planted_odeco((6, 6, 6), False, seed=510, weights=[3.0, 2.0, 1.5])[0]
+        # the random starts only, which take several sweeps to the floor on orthonormal factors
+        inits = als_inits(arr, 3, 0, 8)[2:]
+        with monkeypatch.context() as patch:
+            patch.setattr(decomp, "_lstsq", lstsq)
+            _, traces, converged = _als_sweeps(arr, stacked(inits), 500, 1e-12)
+        stop = floor_sweep(traces, 500)
+        assert 1 < stop < 500 and len(calls) == arr.ndim * stop
+        assert all(len(t) == stop or c for t, c in zip(traces, converged))
+        # alone, some start runs past that sweep
+        assert max(len(_als_sweeps(arr, stacked([i]), 500, 1e-12)[1][0]) for i in inits) > stop
+
+    def test_degenerate_input(self, monkeypatch):
+        rank_one = outer(rng(520).normal(size=3), rng(521).normal(size=3), rng(522).normal(size=3)).to_array()
+        # the zero tensor, a singular pencil, and 2x2x2 inputs of real rank 2 and 3 (complex pencil eigenvalues)
+        for arr, rank in [(np.zeros((3, 3, 3)), 2), (rank_one, 3), (rng(524).normal(size=(2, 2, 2)), 2), (rng(523).normal(size=(2, 2, 2)), 2)]:
+            with monkeypatch.context() as patch:
+                seen = TestStartRule.capture(patch, "_als_sweeps")
+                res = cp_als(arr, rank)
+            [(_, factors, _, _)] = seen
+            assert all(np.all(np.isfinite(f)) for f in factors)
+            assert np.all(np.isfinite(res.cp.weights)) and all(np.all(np.isfinite(f)) for f in res.cp.factors)
+            assert np.all(np.diff(res.errors) <= 0.0)
+        assert res.error > 1e-3  # real rank 3 has no exact rank-2 fit
 
 
 class TestScaleRule:
