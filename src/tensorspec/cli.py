@@ -173,15 +173,15 @@ def _add_solver(p: argparse.ArgumentParser, seeded: bool = True) -> None:
 
 
 def _solver_opts(args, **extra) -> dict[str, Any]:
+    """The solver keywords of a seeded subcommand (eig, svd, cp), plus ``extra``."""
     opts: dict[str, Any] = dict(extra)
     if args.tol is not None:
         opts["tol"] = args.tol
     if args.max_iters is not None:
         opts["max_iters"] = args.max_iters
-    if getattr(args, "starts", None) is not None:
+    if args.starts is not None:
         opts["starts"] = args.starts
-    if hasattr(args, "seed"):
-        opts["seed"] = args.seed
+    opts["seed"] = args.seed
     return opts
 
 
@@ -348,10 +348,9 @@ def _cmd_hosvd(args) -> int:
 def _cmd_odeco(args) -> int:
     t = _load(args.input)
     symmetric = t.is_cubical and is_symmetric(t, tol=1e-12)
-    opts = _solver_opts(args, symmetric=symmetric)
-    if args.rank is not None:
-        opts["rank"] = args.rank
-    res = odeco_decompose(t, **opts)
+    # odeco takes no --seed or --starts, so not `_solver_opts`
+    opts = {k: v for k, v in (("tol", args.tol), ("max_iters", args.max_iters), ("rank", args.rank)) if v is not None}
+    res = odeco_decompose(t, symmetric=symmetric, **opts)
     obj = serialize.cp_to_dict(res.cp)
     obj["reconstruction_error"] = res.reconstruction_error
     obj["orthogonality_defect"] = res.orthogonality_defect

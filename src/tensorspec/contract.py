@@ -19,7 +19,7 @@ evaluates, with a single column), one multi-start power iteration that runs
 every start as a column of one matrix (the spectral starts, and the odeco
 components as one polish), the one start generator of the spectral solvers,
 and one batched minimum-norm least-squares solve (the Newton steps, the ALS
-normal equations and the GEVD pencil of the CP and odeco fits).
+normal equations and the odeco pencil).
 """
 
 from __future__ import annotations

@@ -8,25 +8,24 @@ start stops before a sweep that would raise it) and that on orthogonally
 decomposable input the odeco fit recovers the components.
 
 `cp_als` runs all its starts at once, one per slice of a batch.  Where the
-rank allows, its first starts are algebraic and depend on the tensor alone:
-Jennrich's GEVD factors (Leurgans, Ross & Abel 1993, "A decomposition for
-three-way arrays"; `_gevd_factors`), exact on generic exact input, then the
-HOSVD factors.  The other starts are drawn from one ``default_rng(seed)`` per
-call: start ``k`` does not depend on ``starts``, and two seeds share no
-random start.  The batch stops as soon as one start reaches the rounding
-floor, as the others could only tie it.  Results merge by
-``(error, start_index)``.  Counts (``rank``, ``starts``, ``max_iters``)
-below 1 and a ``seed`` below 0 raise `ValueError`, counts and seeds that
-are not integers `TypeError`.  ALS stacks its starts as ``(S, M_o, R)``
-factor arrays, solves every mode update with `contract._lstsq` (the
-pseudoinverse update of standard CP-ALS) and takes each sweep's error as
-the exact residual of the last mode's unfolding against the Khatri-Rao
-product its update already built.  `odeco_decompose` draws no starts: the
-same GEVD gives every component at once and one power iteration polishes
-them, with columns that the polish takes to one component redone on the
-tensor without the others.  Both fit the input scaled by the power of two
-nearest its largest entry (`tensor._scale_exponent`), so tiny and huge
-entries neither underflow nor overflow.
+rank allows, start 0 is the HOSVD factors and depends on the tensor alone;
+the other starts are drawn from one ``default_rng(seed)`` per call: start
+``k`` does not depend on ``starts``, and two seeds share no random start.
+The batch stops as soon as one start reaches the rounding floor, as the
+others could only tie it.  Results merge by ``(error, start_index)``.
+Counts (``rank``, ``starts``, ``max_iters``) below 1 and a ``seed`` below 0
+raise `ValueError`, counts and seeds that are not integers `TypeError`.  ALS
+stacks its starts as ``(S, M_o, R)`` factor arrays, solves every mode update
+with `contract._lstsq` (the pseudoinverse update of standard CP-ALS) and
+takes each sweep's error as the exact residual of the last mode's unfolding
+against the Khatri-Rao product its update already built.
+`odeco_decompose` draws no starts: Jennrich's GEVD (Leurgans, Ross & Abel
+1993, "A decomposition for three-way arrays"; `_gevd_factors`) gives every
+component at once and one power iteration polishes them, with columns that
+the polish takes to one component redone on the tensor without the others.
+Both fit the input scaled by the power of two nearest its largest entry
+(`tensor._scale_exponent`), so tiny and huge entries neither underflow nor
+overflow.
 """
 
 from __future__ import annotations
@@ -243,15 +242,14 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _gevd_factors(arr: np.ndarray, a: np.ndarray, u2: np.ndarray | None = None, symmetric: bool = False) -> list[np.ndarray]:
+def _gevd_factors(arr: np.ndarray, a: np.ndarray, symmetric: bool = False) -> list[np.ndarray]:
     """Jennrich's GEVD factors of ``arr`` at rank ``R``, the columns of ``a`` (Leurgans, Ross & Abel 1993).
 
     ``a`` holds ``R`` leading orthonormal left singular vectors of the mode-1
-    unfolding and ``u2``, if given, those of the mode-2 unfolding (else
-    ``a`` on symmetric input, or they are computed).  On order 3 and up the
-    mode-1 factor is ``a`` times the eigenvectors of ``M_a M_b^-1``, with
-    ``M_a``, ``M_b`` combinations of the slices of ``arr`` compressed to
-    ``a`` and ``u2``: of three fixed generic pairs, the one whose eigenvalues
+    unfolding.  On order 3 and up the mode-1 factor is ``a`` times the
+    eigenvectors of ``M_a M_b^-1``, with ``M_a``, ``M_b`` combinations of the
+    slices of ``arr`` compressed to ``a`` and to the leading mode-2 singular
+    vectors (``a`` again on symmetric input): of three fixed generic pairs, the one whose eigenvalues
     lie furthest apart (chordal distance, none complex), as noise mixes
     eigenvectors whose eigenvalues nearly tie.  On order 2 it is ``a``.
     Symmetric input takes the mode-1 factor on every mode and returns it
@@ -261,8 +259,7 @@ def _gevd_factors(arr: np.ndarray, a: np.ndarray, u2: np.ndarray | None = None, 
     """
     order, r = arr.ndim, a.shape[1]
     if order > 2:
-        if u2 is None:
-            u2 = a if symmetric else _leading_vectors(arr, [2], [r])[0]
+        u2 = a if symmetric else _leading_vectors(arr, [2], [r])[0]
         slices = np.moveaxis(arr.reshape(arr.shape[0], arr.shape[1], -1, order="F"), -1, 0)
         # fixed, not drawn from a seed: the factors depend on the tensor alone
         ma, mb = np.moveaxis(np.tensordot(np.random.default_rng(0).normal(size=(3, 2, slices.shape[0])), a.T @ slices @ u2, axes=1), 1, 0)
@@ -397,13 +394,11 @@ def cp_als(
     Runs ``starts`` fits and keeps the best final error; ties break on the
     start index.  Start ``k`` is row ``k`` of one
     ``default_rng(seed).uniform(-1, 1, size=(starts, sum M_o, rank))`` draw,
-    split by mode, except where ``rank`` is at most every mode size: there
-    start 0 is the GEVD factors (`_gevd_factors` at the leading ``rank``
-    mode-1 and mode-2 singular vectors) and start 1 the `hosvd` factors, or
-    on order 2 start 0 is the `hosvd` factors.  All starts run at once as
-    slices of stacked factor matrices, and a stopped start stays frozen
-    while the others go on.  A mode update is the minimum-norm least-squares
-    solution of its normal equations, also where the Gram is singular.
+    split by mode, except that start 0 is the `hosvd` factors when ``rank``
+    is at most every mode size.  All starts run at once as slices of stacked
+    factor matrices, and a stopped start stays frozen while the others go
+    on.  A mode update is the minimum-norm least-squares solution of its
+    normal equations, also where the Gram is singular.
     ``tol`` (at least 0) is the per-sweep improvement below which a start
     stops; a start also stops, keeping its previous sweep, when a sweep
     would raise the error (rounding at an exact fit), and every start stops
@@ -420,11 +415,8 @@ def cp_als(
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(starts, sum(arr.shape), rank))
     factors = np.split(draws, np.cumsum(arr.shape)[:-1], axis=1)
     if rank <= min(arr.shape):
-        lead = _leading_vectors(arr, range(1, order + 1), [rank] * order)
-        algebraic = ([_gevd_factors(arr, lead[0], lead[1])] if order > 2 else []) + [lead]
-        for k, fs in enumerate(algebraic[:starts]):
-            for f, u in zip(factors, fs):
-                f[k] = u
+        for f, u in zip(factors, _leading_vectors(arr, range(1, order + 1), [rank] * order)):
+            f[0] = u
     factors, traces, converged = _als_sweeps(arr, factors, max_iters, tol)
     best = min(range(starts), key=lambda k: (traces[k][-1], k))
     cp = cp_normalize(CpDecomposition(np.ones(rank), [f[best] for f in factors]))
@@ -477,13 +469,14 @@ def odeco_decompose(
     columns to one component, which shows as factor columns with inner
     products above 1/2 in magnitude in every mode: unless every column does,
     all such columns are redone once, GEVD factors polished by one power
-    iteration, on ``t`` minus the other components.  A column not converged within
-    ``max_iters`` sweeps makes the status "not_converged".  The weights are
-    ``t(x_1, .., x_O)``, by decreasing magnitude; the result depends on the
-    tensor alone.  On input that is not orthogonally decomposable the factor
-    Gram check (entries within ``_ORTH_TOL`` of the identity) or, without a
-    ``rank`` cap, the reconstruction check fails and the status is
-    "not_orthogonal".
+    iteration, on ``t`` minus the other components, and the redone columns
+    are kept if they lower the reconstruction error.  A column not converged
+    within ``max_iters`` sweeps makes the status "not_converged".  The
+    weights are ``t(x_1, .., x_O)``, by decreasing magnitude; the result
+    depends on the tensor alone.  On input that is not orthogonally
+    decomposable the factor Gram check (entries within ``_ORTH_TOL`` of the
+    identity) or, without a ``rank`` cap, the reconstruction check fails and
+    the status is "not_orthogonal".
     """
     _check_run_opts(tol, rank=1 if rank is None else rank, max_iters=max_iters)
     arr = _as_array(t)
@@ -510,25 +503,33 @@ def odeco_decompose(
         blocks, conv = _power_sweeps(update, blocks, 2, tol, max_iters)
         return blocks, conv, plans[0]
 
+    def fit(blocks, conv):
+        """The CP of ``blocks`` by decreasing weight magnitude, ``conv`` in that order, and its relative reconstruction error."""
+        xs = blocks * order if symmetric else blocks
+        weights = np.sum(_contract_all_but_batch(plan, xs[1:]) * xs[0], axis=0)
+        keep = np.argsort(-np.abs(weights), kind="stable")
+        cp = CpDecomposition(weights[keep], [x[:, keep] for x in xs])
+        return cp, conv[keep], frobenius_norm(cp_eval(cp).to_array() - arr) / norm0
+
     blocks, conv, plan = polish(arr, _gevd_factors(arr, u1[:, :r], symmetric=symmetric))
-    xs = blocks * order if symmetric else blocks
-    weights = np.sum(_contract_all_but_batch(plan, xs[1:]) * xs[0], axis=0)
+    cp, conv, recon_err = fit(blocks, conv)
     # noise can polish two GEVD columns to one component: redo those columns
     # on the tensor with the other components subtracted (with no other
-    # component, that would repeat the fit)
-    redo = np.any(functools.reduce(np.logical_and, [np.abs(b.T @ b) > 0.5 for b in blocks]) & ~np.eye(r, dtype=bool), axis=0)
+    # component, that would repeat the fit), and keep them if they fit better
+    redo = np.any(functools.reduce(np.logical_and, [np.abs(f.T @ f) > 0.5 for f in cp.factors]) & ~np.eye(r, dtype=bool), axis=0)
     if redo.any() and not redo.all():
-        left = arr - cp_eval(CpDecomposition(weights[~redo], [x[:, ~redo] for x in xs])).to_array()
+        left = arr - cp_eval(CpDecomposition(cp.weights[~redo], [f[:, ~redo] for f in cp.factors])).to_array()
         lead = _leading_vectors(left, [1], [int(np.count_nonzero(redo))])[0]
         new, new_conv, _ = polish(left, _gevd_factors(left, lead, symmetric=symmetric))
+        blocks = [f.copy() for f in cp.factors[:len(new)]]
         for b, n in zip(blocks, new):
             b[:, redo] = n
-        conv[redo] = new_conv
-        weights = np.sum(_contract_all_but_batch(plan, xs[1:]) * xs[0], axis=0)
-    keep = np.argsort(-np.abs(weights), kind="stable")
-    factors = [x[:, keep] for x in xs]
-    cp = CpDecomposition(weights[keep], factors)
-    recon_err = frobenius_norm(cp_eval(cp).to_array() - arr) / norm0
+        flags = conv.copy()
+        flags[redo] = new_conv
+        redone = fit(blocks, flags)
+        if redone[2] < recon_err:
+            cp, conv, recon_err = redone
+    factors = cp.factors
     defect = max(float(np.max(np.abs(f.T @ f - np.eye(r)))) for f in factors)
     status = "ok" if np.all(conv == 1) else "not_converged"
     if status == "ok" and (defect > _ORTH_TOL or rank is None and recon_err > max(_ORTH_TOL, tol)):
