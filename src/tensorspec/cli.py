@@ -14,6 +14,11 @@ the multi-start ones (eig, svd, cp) take ``--seed`` and ``--starts``: odeco
 draws no starts, as its result depends on the tensor alone.  mlrank takes
 ``--tol`` as its rank cutoff.  Any other flag is a usage error.
 
+info's ``symmetric``, which also picks odeco's symmetric map, is the
+library's one symmetry test of solver input (`tensor._symmetric_input`): the
+tensor is cubical and `is_symmetric` within 1e-12 times max|T|, so scaling
+the tensor does not change it.
+
 Exit codes: 0 success, 2 input parse error, 3 solver non-convergence (partial
 results are still emitted, flagged), 4 invalid flags or an unwritable
 ``--output``.  Errors and the library's warnings go to stderr as one
@@ -35,7 +40,7 @@ from . import serialize
 from .contract import contract
 from .decomp import cp_als, hosvd, multilinear_rank, odeco_decompose, tucker_eval
 from .spectra import find_eigenpairs, find_singular_tuples
-from .tensor import DenseTensor, frobenius_norm, is_symmetric
+from .tensor import DenseTensor, _symmetric_input, frobenius_norm
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -172,17 +177,9 @@ def _add_solver(p: argparse.ArgumentParser, seeded: bool = True) -> None:
         p.add_argument("--starts", type=int, default=None, help="multi-start count")
 
 
-def _solver_opts(args, **extra) -> dict[str, Any]:
-    """The solver keywords of a seeded subcommand (eig, svd, cp), plus ``extra``."""
-    opts: dict[str, Any] = dict(extra)
-    if args.tol is not None:
-        opts["tol"] = args.tol
-    if args.max_iters is not None:
-        opts["max_iters"] = args.max_iters
-    if args.starts is not None:
-        opts["starts"] = args.starts
-    opts["seed"] = args.seed
-    return opts
+def _solver_opts(args) -> dict[str, Any]:
+    """The solver keywords of the flags `_add_solver` declared for the subcommand, where set."""
+    return {k: getattr(args, k) for k in ("tol", "max_iters", "seed", "starts") if getattr(args, k, None) is not None}
 
 
 def build_parser() -> _Parser:
@@ -249,7 +246,7 @@ def _parser() -> _Parser:
 
 def _cmd_info(args) -> int:
     t = _load(args.input)
-    symmetric = t.is_cubical and is_symmetric(t, tol=1e-12)
+    symmetric = _symmetric_input(t.to_array())
     mlr = multilinear_rank(t)
     obj = {
         "order": t.order,
@@ -347,10 +344,7 @@ def _cmd_hosvd(args) -> int:
 
 def _cmd_odeco(args) -> int:
     t = _load(args.input)
-    symmetric = t.is_cubical and is_symmetric(t, tol=1e-12)
-    # odeco takes no --seed or --starts, so not `_solver_opts`
-    opts = {k: v for k, v in (("tol", args.tol), ("max_iters", args.max_iters), ("rank", args.rank)) if v is not None}
-    res = odeco_decompose(t, symmetric=symmetric, **opts)
+    res = odeco_decompose(t, symmetric=_symmetric_input(t.to_array()), rank=args.rank, **_solver_opts(args))
     obj = serialize.cp_to_dict(res.cp)
     obj["reconstruction_error"] = res.reconstruction_error
     obj["orthogonality_defect"] = res.orthogonality_defect

@@ -15,11 +15,13 @@ The private helpers at the end are the kernels the solvers share: the mode
 unfolding and the small R factor that every unfolding SVD is taken of, the
 contraction evaluated at many vectors at once on a tensor laid out once per
 operator (the one kernel for ``F_o``, which `contract_all_but` also
-evaluates, with a single column), one multi-start power iteration that runs
-every start as a column of one matrix (the spectral starts, and the odeco
-components as one polish), the one start generator of the spectral solvers,
-and one batched minimum-norm least-squares solve (the Newton steps, the ALS
-normal equations and the odeco pencil).
+evaluates, with a single column; a stacked plan is one concatenated matrix,
+and the solvers stack only the mode-1 slabs of their C-ordered copy), one
+multi-start power iteration that runs every start as a column of one matrix
+(the spectral starts, and the odeco components as one polish), the one start
+generator of the spectral solvers, and one batched minimum-norm
+least-squares solve (the Newton steps, the ALS normal equations and the
+odeco pencil).
 """
 
 from __future__ import annotations
@@ -172,9 +174,11 @@ def _contract_plan(arr: np.ndarray, keep) -> tuple:
     ``arr`` with the kept modes first as a matrix whose columns are the last
     contracted mode (the reshape copies ``arr`` once per keep, or is a
     view), the sizes of the other contracted modes, last first, and the kept
-    shape.  Stacked matrices are concatenated when all are C-ordered, else
-    kept apart, as BLAS sums one column differently in another order.  With
-    nothing to contract ``mat`` is the result and ``dims`` is None.
+    shape.  Stacked matrices are always concatenated.  The stack has the
+    bits of its keeps planned one by one where each keep's matrix is
+    C-ordered (BLAS sums a column of another layout in another order), as
+    for the mode-1 slabs of a C-ordered ``arr``, the only stacks the solvers
+    build.  With nothing to contract ``mat`` is the result and ``dims`` is None.
     """
     stacked = isinstance(keep, list)
     keeps = keep if stacked else [keep]
@@ -184,9 +188,7 @@ def _contract_plan(arr: np.ndarray, keep) -> tuple:
     if kept == arr.ndim:
         return (np.stack(leads) if stacked else leads[0])[..., None], None, shape
     mats = [lead.reshape(-1, lead.shape[-1]) for lead in leads]
-    if stacked and all(a.flags.c_contiguous for a in mats):
-        mats = [np.concatenate(mats)]
-    return mats[0] if len(mats) == 1 else tuple(mats), leads[0].shape[kept:-1][::-1], shape
+    return np.concatenate(mats) if stacked else mats[0], leads[0].shape[kept:-1][::-1], shape
 
 
 def _contract_all_but_batch(plan: tuple, xs) -> np.ndarray:
@@ -207,7 +209,7 @@ def _contract_all_but_batch(plan: tuple, xs) -> np.ndarray:
         return mat
     mats = [xs] * (len(dims) + 1) if isinstance(xs, np.ndarray) else xs
     s = mats[-1].shape[1]
-    out = mat @ mats[-1] if isinstance(mat, np.ndarray) else np.concatenate([a @ mats[-1] for a in mat])
+    out = mat @ mats[-1]
     for d, x in zip(dims, mats[-2::-1]):
         out = np.einsum("rjs,js->rs", out.reshape(out.shape[0] // d, d, s), x)
     return out.reshape(shape + (s,))

@@ -237,7 +237,7 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     out = []
     for o in range(1, arr.ndim + 1):
         s = np.linalg.svd(_unfolding_r(arr, o), compute_uv=False)
-        smax = s[0] if s.size else 0.0
+        smax = s[0]
         out.append(0 if smax == 0.0 else int(np.sum(s > tol * smax)))
     return tuple(out)
 

@@ -20,6 +20,7 @@ product order:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -190,12 +191,8 @@ class ContiguousPartition:
         n = operator.index(n)
         if not 1 <= n <= self.ground_size:
             raise IndexError(f"element {n} outside ground set [{self.ground_size}]")
-        upper = 0
-        for b, length in enumerate(self.block_lengths, start=1):
-            upper += length
-            if n <= upper:
-                return b
-        raise AssertionError("unreachable")
+        # the block's last element is the first cumulative length at least n
+        return bisect.bisect_left(list(itertools.accumulate(self.block_lengths)), n) + 1
 
     def blocks(self) -> list[tuple[int, ...]]:
         """The blocks as explicit tuples of consecutive elements."""

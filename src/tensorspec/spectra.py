@@ -19,7 +19,8 @@ except ``o``):
 
 Both solvers solve ``T / max|T|`` and scale lambda, sigma and the residual
 back, so records do not depend on the tensor's scale and a record is
-converged when its residual is at most ``tol * max|T|``.
+converged when its residual is at most ``tol * max|T|``, the gate
+`eig_singular_bridge` applies too.
 
 Every solve runs in one canonical mode order (`_canonical_order`): the
 scaled tensor is copied once, C-ordered, with the eigen mode first and the
@@ -80,7 +81,7 @@ import numpy as np
 
 from .contract import _column_norms, _contract_all_but_batch, _contract_plan, _lstsq, _power_sweeps, _starts
 from .shape import _check_mode
-from .tensor import DenseTensor, _as_array, _check_cubical, _check_order, _check_run_opts, _scale_exponent, is_symmetric, outer
+from .tensor import DenseTensor, _as_array, _check_cubical, _check_order, _check_run_opts, _symmetric_input, frobenius_norm, outer
 
 __all__ = [
     "EigenPair",
@@ -362,7 +363,7 @@ def _root_lines(g: np.ndarray, noise: float) -> np.ndarray:
             if abs(r.imag) <= 1e-9 and abs(r) <= 1.0 + 1e-9:
                 cols.append(line(r.real))
     x = np.array(cols, dtype=float).reshape(-1, 2).T
-    return x / np.linalg.norm(x, axis=0)
+    return x / _column_norms(x)
 
 
 def _size2_solve(arr, variant, tol):
@@ -480,7 +481,7 @@ def _eig_iterative(arr, variant, tol, max_iters, seed, starts):
     [x] = _starts(arr, [1], starts, seed)
     plan = _contract_plan(arr, (1,))
 
-    if variant == "z" and is_symmetric(arr, tol=1e-12):
+    if variant == "z" and _symmetric_input(arr):
         # each start runs both shifted maps (Kolda & Mayo 2011), which converge
         # monotonically to local maxima and minima: column 2s adds F, 2s+1 subtracts it
         x = np.repeat(x, 2, axis=1)
@@ -519,7 +520,7 @@ def _polish(arr, variant, x, tol, plan=None):
     x, lam = v[:m], v[m]
     if variant == "h":
         # the h equation is homogeneous; renormalize the records
-        nrm = np.linalg.norm(x, axis=0)
+        nrm = _column_norms(x)
         x = np.where(nrm > 0, x / np.where(nrm > 0, nrm, 1.0), x)
         lam = np.where(nrm > 0, _fit_scale(_contract_all_but_batch(plan, x), x**power), lam)
     res, ok = _gate(residual, np.vstack([x, lam]), m, tol)
@@ -558,8 +559,9 @@ def find_eigenpairs(
     For larger modes the ``starts`` are the leading left singular vectors of
     the mode's unfolding, then coordinate vectors, then ``default_rng(seed)``
     normal draws (`_starts`), all run at once, one per column.  On symmetric
-    input z starts first run both shifted power maps, on nonnegative input
-    h starts the entrywise-root map; ``max_iters`` caps those sweeps only.
+    input (`tensor._symmetric_input`) z starts first run both shifted power
+    maps, on nonnegative input h starts the entrywise-root map;
+    ``max_iters`` caps those sweeps only.
     Other starts go straight to Newton.  Completeness is not claimed there.
     Both paths polish every start by damped Newton with the exact Jacobian,
     add the sign partner (`eig_orbit` with ``t = -1``) of every converged
@@ -850,8 +852,7 @@ def best_rank_one(t: DenseTensor, **opts) -> BestRankOne:
     vectors.  The input and ``opts`` are checked by `find_singular_tuples`;
     on the zero tensor, whose tuples it reports as not isolated (silenced
     here), sigma is 0 and the vectors are (arbitrary) coordinate unit
-    vectors.  The error is the residual's Frobenius norm, taken on the
-    residual scaled by `tensor._scale_exponent` of the input, so it stays
+    vectors.  The error is the `frobenius_norm` of the residual, so it stays
     finite for tiny and huge entries.
     """
     arr = _as_array(t)
@@ -864,9 +865,7 @@ def best_rank_one(t: DenseTensor, **opts) -> BestRankOne:
     else:
         sigma, vectors = 0.0, tuple(np.eye(d)[:, 0] for d in arr.shape)
     rank_one = sigma * outer(*vectors)
-    e = _scale_exponent(arr)
-    err = float(np.ldexp(np.linalg.norm(np.ldexp(arr - rank_one.to_array(), -e)), e))
-    return BestRankOne(sigma, vectors, rank_one, err)
+    return BestRankOne(sigma, vectors, rank_one, frobenius_norm(arr - rank_one.to_array()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -891,10 +890,12 @@ def eig_singular_bridge(t: DenseTensor, pair: EigenPair, tol: float = 1e-10) -> 
     """O copies of an eigenvector form a singular tuple iff it is an
     eigenvector for every mode with the same eigenvalue.
 
-    Checks the z equation of ``pair`` against all modes; on success returns
-    the l2 tuple with ``sigma = |lambda|`` and signs arranged to keep sigma
-    nonnegative.  Precondition failure is reported in the result status, not
-    raised; ``tol`` below 0 or NaN raises `ValueError`.
+    Checks the z equation of ``pair`` against all modes, each accepted when
+    its `eig_residual` is at most ``tol * max|T|``, the solvers' gate; on
+    success returns the l2 tuple with ``sigma = |lambda|`` and signs arranged
+    to keep sigma nonnegative (`SingularTuple.with_nonnegative_sigma`).
+    Precondition failure is reported in the result status, not raised;
+    ``tol`` below 0 or NaN and a zero vector raise `ValueError`.
     """
     arr = _as_array(t)
     _check_cubical(arr, "eigenpairs")
@@ -909,14 +910,9 @@ def eig_singular_bridge(t: DenseTensor, pair: EigenPair, tol: float = 1e-10) -> 
     x = pair.vector / nrm
     lam = pair.value / nrm ** (order - 2)
     residuals = tuple(eig_residual(t, EigenPair("z", o, lam, x, 0.0)) for o in range(1, order + 1))
-    if any(r > tol for r in residuals):
+    gate = tol * float(np.max(np.abs(arr)))
+    if any(r > gate for r in residuals):
         return BridgeResult("mode_mismatch", None, residuals)
-    if lam >= 0:
-        vectors = tuple(x.copy() for _ in range(order))
-        sigma = lam
-    else:
-        vectors = (-x,) + tuple(x.copy() for _ in range(order - 1))
-        sigma = -lam
-    tup = SingularTuple(2, sigma, vectors, 0.0)
+    tup = SingularTuple(2, lam, (x,) * order, 0.0).with_nonnegative_sigma()
     tup = replace(tup, residual=singular_residual(t, tup))
     return BridgeResult("ok", tup, residuals)

@@ -10,8 +10,9 @@ read-only), so every operation here is a pure function and concurrent reads
 need no coordination.
 
 It also holds the library's one check of each array and option rule:
-`_check_order` (order >= 2), `_check_cubical` and `_check_run_opts`
-(``tol`` and ``seed`` >= 0, counts >= 1).
+`_check_order` (order >= 2), `_check_cubical`, `_check_run_opts`
+(``tol`` and ``seed`` >= 0, counts >= 1) and `_symmetric_input` (the one
+test, relative to max|T|, that picks the symmetric maps).
 """
 
 from __future__ import annotations
@@ -324,6 +325,11 @@ def is_symmetric(t: DenseTensor, tol: float = 0.0) -> bool:
         if np.max(np.abs(arr - np.transpose(arr, axes)), initial=0.0) > tol:
             return False
     return True
+
+
+def _symmetric_input(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is cubical and `is_symmetric` within ``1e-12 * max|arr|``, so its scale does not decide."""
+    return len(set(arr.shape)) == 1 and is_symmetric(arr, tol=1e-12 * float(np.max(np.abs(arr), initial=0.0)))
 
 
 def vectorize(t: DenseTensor, ordering: str = "colex") -> np.ndarray:

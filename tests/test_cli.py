@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, exit codes, determinism, round-trips."""
 
+import argparse
+import inspect
+import itertools
 import json
 import math
 import struct
@@ -21,7 +24,8 @@ from tensorspec.serialize import (
     tucker_from_dict,
     tucker_to_dict,
 )
-from tensorspec.decomp import TuckerDecomposition
+from tensorspec.decomp import TuckerDecomposition, cp_als, odeco_decompose
+from tensorspec.spectra import find_eigenpairs, find_singular_tuples
 from tensorspec.tensor import DenseTensor, frobenius_norm
 
 
@@ -270,6 +274,12 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "must be >= 1" in err and "Traceback" not in err
 
+    def test_non_integer_ranks_are_4(self, capsys, golden_path):
+        assert main(["hosvd", golden_path, "--ranks", "2,x"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --ranks must be comma-separated integers, got '2,x'\n"
+
     def test_malformed_tensor_is_2(self, capsys, tmp_path):
         for i, text in enumerate([
             '{"shape": [1.5], "layout": "colex", "data": [1.0]}',
@@ -498,3 +508,80 @@ class TestParserReuse:
         code, out = run(capsys, ["eig", golden_path])
         assert code == 0
         assert json.loads(out)["pairs"]
+
+
+GOLDEN_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "counterexample_222.json"
+
+
+class TestTensorTables:
+    """``--format table`` of the subcommands whose result is a tensor: the `_tensor_lines` bytes."""
+
+    def test_contract_table(self, capsys):
+        code, out = run(capsys, ["contract", str(GOLDEN_FIXTURE), str(GOLDEN_FIXTURE), "--mode", "1", "--format", "table"])
+        assert code == 0
+        assert out == (
+            "shape: [2, 2, 2, 2]\n"
+            "data: ['2', '2', '4', '4', '2', '2', '4', '4', '4', '4', '8', '8', '4', '4', '8', '8']\n"
+        )
+
+    def test_tucker_table(self, capsys, tmp_path):
+        core = json.loads(GOLDEN_FIXTURE.read_text())
+        path = tmp_path / "tk.json"
+        path.write_text(json.dumps({"core": core, "factors": [[[0.5, 0.0], [0.0, 3.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.0, 0.1]]]}))
+        code, out = run(capsys, ["tucker", str(path), "--format", "table"])
+        assert code == 0
+        # 6 * 0.1 is 0.6000000000000001, printed to 12 significant digits
+        assert out == "shape: [2, 2, 2]\ndata: ['1.5', '9', '1.5', '9', '0.1', '0.6', '0.1', '0.6']\n"
+
+
+def symmetrized(arr):
+    perms = list(itertools.permutations(range(arr.ndim)))
+    return sum(np.transpose(arr, p) for p in perms) / len(perms)
+
+
+class TestScaleFreeSymmetry:
+    """info's ``symmetric``, and with it odeco's map, does not depend on the tensor's scale."""
+
+    @staticmethod
+    def info_and_odeco(capsys, tmp_path, arr):
+        path = str(tmp_path / "t.json")
+        save_tensor(DenseTensor(arr), path)
+        symmetric = json.loads(run(capsys, ["info", path])[1])["symmetric"]
+        code, out = run(capsys, ["odeco", path])
+        return symmetric, code, json.loads(out)["status"]
+
+    def test_random_cube_at_tiny_scale(self, capsys, tmp_path):
+        arr = np.random.default_rng(5).normal(size=(3, 3, 3))
+        want = self.info_and_odeco(capsys, tmp_path, arr)
+        assert want == (False, 3, "not_orthogonal")
+        assert self.info_and_odeco(capsys, tmp_path, 1e-14 * arr) == want
+
+    def test_symmetrized_cube_at_every_scale(self, capsys, tmp_path):
+        arr = symmetrized(np.random.default_rng(5).normal(size=(4, 4, 4)))
+        for c in (1.0, 1e8, 1e-8):
+            path = str(tmp_path / "t.json")
+            save_tensor(DenseTensor(c * arr), path)
+            code, out = run(capsys, ["info", path])
+            assert code == 0 and json.loads(out)["symmetric"] is True, c
+
+
+class TestSolverFlagsOneHome:
+    """The flags `build_parser` declares for a solver subcommand are exactly the solver's keywords of those names."""
+
+    SOLVERS = {"eig": find_eigenpairs, "svd": find_singular_tuples, "cp": cp_als, "odeco": odeco_decompose}
+    VALUES = {"tol": "1e-6", "max_iters": "5", "seed": "3", "starts": "2"}
+
+    def test_solver_opts_match_signatures(self):
+        parser = cli.build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        # only `_add_solver` declares --max-iters
+        with_solver = {name for name, p in sub.choices.items() if any(a.dest == "max_iters" for a in p._actions)}
+        assert with_solver == set(self.SOLVERS)
+        for command, solver in self.SOLVERS.items():
+            declared = [a for a in sub.choices[command]._actions if a.dest in self.VALUES]
+            argv = [command, str(GOLDEN_FIXTURE)] + (["--rank", "1"] if command == "cp" else [])
+            argv += [x for a in declared for x in (a.option_strings[0], self.VALUES[a.dest])]
+            opts = cli._solver_opts(parser.parse_args(argv))
+            params = inspect.signature(solver).parameters
+            keywords = {n for n, prm in params.items() if prm.kind is prm.KEYWORD_ONLY and n in self.VALUES}
+            assert set(opts) == keywords == {a.dest for a in declared}, command

@@ -158,6 +158,10 @@ class TestCpBasics:
         with pytest.raises(ValueError):
             CpDecomposition([1.0], [])
 
+    def test_non_matrix_factor(self):
+        with pytest.raises(ValueError, match=r"^factors must be matrices$"):
+            CpDecomposition([1.0], [np.ones((2, 1)), np.ones(2)])
+
 
 class TestTucker:
     def test_identity_core(self):
@@ -194,6 +198,16 @@ class TestTucker:
             TuckerDecomposition(DenseTensor(np.ones((2, 2))), [np.eye(2)])
         with pytest.raises(ValueError):
             TuckerDecomposition(DenseTensor(np.ones((2, 2))), [np.eye(2), np.eye(3)])
+
+    def test_ndarray_core_is_converted(self):
+        core = rng(9).normal(size=(2, 3))
+        tk = TuckerDecomposition(core, [np.eye(2), np.eye(3)])
+        assert isinstance(tk.core, DenseTensor)
+        assert np.array_equal(tk.core.to_array(), core)
+
+    def test_non_matrix_factor(self):
+        with pytest.raises(ValueError, match=r"^factors must be matrices$"):
+            TuckerDecomposition(DenseTensor(np.ones((2, 2))), [np.eye(2), np.ones(2)])
 
 
 class TestHosvd:

@@ -188,6 +188,15 @@ class TestPartitions:
         with pytest.raises(ValueError):
             refinement_quotient(p1, p2)
 
+    def test_block_of_matches_blocks(self):
+        for p in partitions_of(5) + [ContiguousPartition([1]), ContiguousPartition([7, 1, 1, 4])]:
+            for b, blk in enumerate(p.blocks(), start=1):
+                for n in blk:
+                    assert p.block_of(n) == b
+            for n in (0, p.ground_size + 1):
+                with pytest.raises(IndexError, match=rf"^element {n} outside ground set \[{p.ground_size}\]$"):
+                    p.block_of(n)
+
     def test_blocks_and_repr(self):
         p = ContiguousPartition([3, 1, 2])
         assert p.blocks() == [(1, 2, 3), (4,), (5, 6)]

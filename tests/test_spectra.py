@@ -90,6 +90,10 @@ class TestEigResidual:
         with pytest.raises(ValueError):
             eig_residual(DenseTensor(np.ones((2, 3))), EigenPair("z", 1, 0.0, np.ones(2), 0.0))
 
+    def test_vector_length_mismatch(self):
+        with pytest.raises(ValueError, match=r"^vector length 3 does not match mode size 2$"):
+            eig_residual(golden_222(), EigenPair("z", 1, 0.0, np.ones(3), 0.0))
+
 
 class TestFindEigenpairsGolden:
     def test_mode1_z(self):
@@ -532,6 +536,10 @@ class TestSingularResidual:
         with pytest.raises(ValueError):
             singular_residual(t, SingularTuple(2, 0.0, (np.ones(3), np.ones(2), np.ones(2)), 0.0))
 
+    def test_vector_count_mismatch(self):
+        with pytest.raises(ValueError, match=r"^tuple has 2 vectors, tensor has order 3$"):
+            singular_residual(golden_222(), SingularTuple(2, 0.0, (np.ones(2), np.ones(2)), 0.0))
+
 
 def eig_residual_loop(arr, pair):
     """The eigen defect as computed before it read `_eig_system`'s residual."""
@@ -959,6 +967,26 @@ class TestBridge:
         for tol in (float("nan"), -1.0):
             with pytest.raises(ValueError, match="tol must be >= 0"):
                 eig_singular_bridge(t, pair, tol=tol)
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"^eigenvector must be nonzero$"):
+            eig_singular_bridge(golden_222(), EigenPair("z", 1, 0.0, np.zeros(2), 0.0))
+
+    # tol is relative to max|T|, like the solvers' gate, so a scale decides nothing
+    def test_huge_symmetric_pairs_bridge(self):
+        arr = random_symmetric(3, seed=200).to_array()
+        for c in (1.0, 1e8):
+            t = DenseTensor(c * arr)
+            pairs = [p for p in find_eigenpairs(t, 1, "z") if p.converged]
+            assert len(pairs) == 8
+            assert all(eig_singular_bridge(t, p).ok for p in pairs)
+
+    def test_tiny_non_eigenvector_rejected(self):
+        arr = rng(5).normal(size=(3, 3, 3))
+        e1 = EigenPair("z", 1, 0.0, np.eye(3)[0], 0.0)
+        for c in (1.0, 1e-12):
+            res = eig_singular_bridge(DenseTensor(c * arr), e1)
+            assert res.status == "mode_mismatch" and res.tuple is None
 
 
 def same_eigen_bits(got, want, mode):
@@ -1683,12 +1711,13 @@ class TestParentJacobians:
             arr = g.normal(size=shape)
             for mode in range(1, len(shape) + 1):
                 for power in sorted({1, len(shape) - 1}):
-                    # the mode-1 system of the tensor with the mode moved to the front
-                    _, jacobian = _eig_system(np.moveaxis(arr, mode - 1, 0), power)
+                    # the mode-1 system of a C-ordered copy with the mode moved to the front, as solvers lay it out
+                    moved = np.ascontiguousarray(np.moveaxis(arr, mode - 1, 0))
+                    _, jacobian = _eig_system(moved, power)
                     # at S = 1 BLAS takes its one-column path
                     for s in (1, 64):
                         v = g.normal(size=(shape[0] + 1, s))
-                        assert same_bits(jacobian(v), eig_jacobian_parent(arr, mode, power, v))
+                        assert same_bits(jacobian(v), eig_jacobian_parent(moved, 1, power, v))
 
     def test_tuple_jacobian(self):
         from reference import tuple_jacobian_parent
@@ -1829,3 +1858,29 @@ def same_record(a, b):
 
 def replace_mode(pair, mode):
     return EigenPair(pair.variant, mode, pair.value, pair.vector, pair.residual, pair.converged)
+
+
+class TestOneLayout:
+    """The stacked plans a solve builds are of the C-ordered canonical copy, whatever the input's layout."""
+
+    def test_stacked_plans_get_c_ordered_tensors(self, monkeypatch):
+        from tensorspec import spectra
+
+        inner = spectra._contract_plan
+        stacked = []
+
+        def recording(arr, keep):
+            if isinstance(keep, list):
+                stacked.append(arr.flags.c_contiguous)
+            return inner(arr, keep)
+
+        monkeypatch.setattr(spectra, "_contract_plan", recording)
+        g = rng(392)
+        for order in (2, 3, 4, 5):
+            t = DenseTensor(g.normal(size=(3,) * order))
+            assert t.to_array().flags.f_contiguous and not t.to_array().flags.c_contiguous
+            for mode in range(1, order + 1):
+                for variant in ("z", "h"):
+                    stacked.clear()
+                    find_eigenpairs(t, mode, variant, starts=4, max_iters=20)
+                    assert stacked and all(stacked), (order, mode, variant)
