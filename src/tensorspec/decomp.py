@@ -25,7 +25,9 @@ component at once and one power iteration polishes them, with columns that
 the polish takes to one component redone on the tensor without the others.
 Both fit the input scaled by the power of two nearest its largest entry
 (`tensor._scale_exponent`), so tiny and huge entries neither underflow nor
-overflow.
+overflow.  `multilinear_rank` projects out each mode's rounding-level
+directions before it factors the next mode, so later unfoldings shrink on
+rank-deficient input, while `hosvd` factors every whole unfolding.
 """
 
 from __future__ import annotations
@@ -231,14 +233,37 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     lower-bounds the tensor rank.  They are those of the small R factor of
     ``qr(unfolding.T)`` (`contract._unfolding_r`), at most ``M_o`` square.
     ``tol`` below 0 or NaN raises `ValueError`.
+
+    The modes are taken in order, and the tensor shrinks on the way, as in
+    sequential truncation (Vannieuwenhoven, Vandebril & Meerbergen 2012, "A
+    new truncation strategy for the higher-order singular value
+    decomposition").  Before the next mode, the mode-o directions with
+    ``sigma <= min(tol, max(M_o, N_o) * eps) * sigma_max`` (numpy's
+    `matrix_rank` cutoff, capped by ``tol``; ``N_o`` is the unfolding's column
+    count) are projected out: ``T <- T x_o U_keep^T``, with ``U_keep`` the
+    left singular vectors that stay, from an SVD of the same R that is taken
+    only then (so full-rank input costs what it did).  The dropped part
+    has Frobenius norm at most ``sqrt(M_o) * cutoff``, so by Weyl's inequality
+    each singular value of a later unfolding moves by at most that much, and
+    a rank can change only where a value is that close to its threshold.
     """
     _check_run_opts(tol)
     arr = _as_array(t)
+    order = arr.ndim
+    eps = np.finfo(float).eps
     out = []
-    for o in range(1, arr.ndim + 1):
-        s = np.linalg.svd(_unfolding_r(arr, o), compute_uv=False)
+    for o in range(1, order + 1):
+        r = _unfolding_r(arr, o)
+        s = np.linalg.svd(r, compute_uv=False)
         smax = s[0]
-        out.append(0 if smax == 0.0 else int(np.sum(s > tol * smax)))
+        if smax == 0.0:
+            return (0,) * order
+        out.append(int(np.sum(s > tol * smax)))
+        m = arr.shape[o - 1]
+        cutoff = min(tol, max(m, arr.size // m) * eps) * smax
+        if o < order and (s.size < m or s[-1] <= cutoff):
+            u = np.linalg.svd(r, full_matrices=False)[2][: np.sum(s > cutoff)].T
+            arr = np.moveaxis(np.tensordot(arr, u, axes=(o - 1, 0)), -1, o - 1)
     return tuple(out)
 
 

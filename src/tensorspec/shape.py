@@ -8,7 +8,8 @@ layer (`tensorspec.tensor`).
 
 This module reads every integer argument of the library: sizes, indices,
 ranks, block lengths and permutations go through `operator.index` (a float
-raises `TypeError`), modes through `_check_mode`, orderings through `_layout`.
+raises `TypeError`), mode sizes through `_check_sizes`, modes through
+`_check_mode`, orderings through `_layout`.
 
 Two total orders are supported, both linear extensions of the componentwise
 product order:
@@ -53,6 +54,13 @@ def _layout(ordering: str) -> str:
     return _ORDERINGS[ordering]
 
 
+def _check_sizes(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """``dims`` as given; a mode size below 1 raises `ValueError`."""
+    if any(d < 1 for d in dims):
+        raise ValueError(f"mode sizes must be >= 1, got {dims}")
+    return dims
+
+
 @dataclass(frozen=True)
 class Shape:
     """An ordered list of mode sizes defining a multi-index set."""
@@ -63,9 +71,7 @@ class Shape:
         dims = _ints(dims)
         if len(dims) == 0:
             raise ValueError("a shape needs at least one mode")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"mode sizes must be >= 1, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", _check_sizes(dims))
 
     @property
     def order(self) -> int:

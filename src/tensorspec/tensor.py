@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .shape import ContiguousPartition, Shape, _as_shape, _check_mode, _ints, _layout, check_permutation
+from .shape import ContiguousPartition, Shape, _as_shape, _check_mode, _check_sizes, _ints, _layout, check_permutation
 
 __all__ = [
     "DenseTensor",
@@ -166,10 +166,11 @@ class DenseTensor:
 
 
 def _as_array(t) -> np.ndarray:
-    """Accept DenseTensor, ndarray, or nested lists; return a float ndarray with finite entries."""
+    """Accept DenseTensor, ndarray, or nested lists; return a float ndarray with finite entries and no empty mode."""
     if isinstance(t, DenseTensor):
         return t.to_array()
     arr = np.asarray(t, dtype=float)
+    _check_sizes(arr.shape)
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor entries must be finite (no NaN/Inf)")
     return arr

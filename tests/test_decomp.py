@@ -74,6 +74,27 @@ def planted_tucker(shape, ranks, seed):
     return arr
 
 
+def unfolding_svd_ranks(arr, tol=1e-8):
+    """Singular values of each whole unfolding above ``tol`` times the largest one."""
+    out = []
+    for o in range(1, arr.ndim + 1):
+        s = np.linalg.svd(_mode_unfolding(arr, o), compute_uv=False)
+        out.append(int(np.sum(s > tol * s[0])))
+    return tuple(out)
+
+
+def count_tensordot(monkeypatch):
+    """The shapes of the first arguments of every later `np.tensordot` call."""
+    calls = []
+
+    def wrapped(a, *args, _fn=np.tensordot, **kwargs):
+        calls.append(a.shape)
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "tensordot", wrapped)
+    return calls
+
+
 # shapes and multilinear ranks of planted Tucker inputs: wide and tall unfoldings
 PLANTED = [((10,) * 5, (3, 5, 4, 2, 6)), ((10,) * 4, (5, 3, 4, 2)), ((30,) * 3, (7, 4, 10)), ((8, 3, 9), (5, 3, 6)), ((10, 2, 2), (3, 2, 2))]
 
@@ -249,12 +270,18 @@ class TestHosvd:
 
     def test_unfolding_svds_are_square(self, monkeypatch):
         t = DenseTensor(planted_tucker((10,) * 4, (5, 3, 4, 2), 18))
-        for call in (lambda: hosvd(t, [5] * 4), lambda: multilinear_rank(t)):
-            with monkeypatch.context() as patch:
-                calls = count_linalg(patch)
-                call()
-            assert calls["qr"] == [(1000, 10)] * 4
-            assert calls["svd"] == [(10, 10)] * 4
+        with monkeypatch.context() as patch:
+            calls = count_linalg(patch)
+            hosvd(t, [5] * 4)
+        assert calls["qr"] == [(1000, 10)] * 4
+        assert calls["svd"] == [(10, 10)] * 4
+        # multilinear_rank projects each mode to its rank before the next one;
+        # the three modes that drop directions take a second SVD for the vectors
+        with monkeypatch.context() as patch:
+            calls = count_linalg(patch)
+            multilinear_rank(t)
+        assert calls["qr"] == [(1000, 10), (500, 10), (150, 10), (60, 10)]
+        assert calls["svd"] == [(10, 10)] * 7
 
     def test_rank_out_of_range(self):
         t = DenseTensor(np.ones((2, 2)))
@@ -294,14 +321,67 @@ class TestMultilinearRank:
         # noise near tol * max|T| puts singular values on either side of the cutoff
         arr = planted_tucker(shape, ranks, 19)
         noise = rng(20).normal(size=shape)
-        assert multilinear_rank(DenseTensor(arr)) == ranks
+        for t in (DenseTensor(arr), arr * 1e150, arr * 1e-150, np.asfortranarray(arr)):
+            assert multilinear_rank(t) == ranks
         for level in (0.0, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8):
             t = arr + level * np.max(np.abs(arr)) * noise
-            want = []
-            for o in range(1, len(shape) + 1):
-                s = np.linalg.svd(_mode_unfolding(t, o), compute_uv=False)
-                want.append(int(np.sum(s > 1e-8 * s[0])))
-            assert multilinear_rank(DenseTensor(t)) == tuple(want), level
+            assert multilinear_rank(DenseTensor(t)) == unfolding_svd_ranks(t), level
+
+    @pytest.mark.parametrize("factor, count", [(1 + 1e-2, 4), (1 - 1e-2, 3)])
+    def test_value_near_the_cutoff_after_a_projection(self, monkeypatch, factor, count):
+        # mode 1 has rank 3 of 6, so it is projected to 3 before mode 2, whose
+        # smallest singular value sits 1% above or below 1e-8 times the largest
+        # (far above rounding, so it is kept either way)
+        g = rng(21)
+        sigma = np.array([1.0, 0.5, 0.3, 1e-8 * factor])
+        w = np.linalg.qr(g.normal(size=(15, 4)))[0]
+        u = np.linalg.qr(g.normal(size=(4, 4)))[0]
+        core = np.moveaxis(((u * sigma) @ w.T).reshape((4, 3, 5), order="F"), 0, 1)
+        arr = np.tensordot(np.linalg.qr(g.normal(size=(6, 3)))[0], core, axes=(1, 0))
+        assert unfolding_svd_ranks(arr) == (3, count, 5)
+        calls = count_tensordot(monkeypatch)
+        for scaled in (arr, arr * 1e150, arr * 1e-150, np.asfortranarray(arr)):
+            calls.clear()
+            assert multilinear_rank(scaled) == (3, count, 5)
+            assert calls == [(6, 4, 5)]
+
+    def test_tol_zero_drops_nothing(self, monkeypatch):
+        arr = planted_tucker((6, 5, 4), (2, 3, 4), 22)
+        calls = count_tensordot(monkeypatch)
+        assert multilinear_rank(arr) == (2, 3, 4)
+        assert len(calls) == 2
+        calls.clear()
+        assert multilinear_rank(arr, tol=0) == unfolding_svd_ranks(arr, tol=0) == (6, 5, 4)
+        assert calls == []
+
+    def test_full_rank_input_is_not_projected(self, monkeypatch):
+        calls = count_tensordot(monkeypatch)
+        for shape, ranks in (((2, 2, 2), (2, 2, 2)), ((4, 5, 6), (4, 5, 6)), ((3,) * 4, (3,) * 4), ((5, 6), (5, 5))):
+            arr = rng(23).normal(size=shape)
+            assert multilinear_rank(arr) == unfolding_svd_ranks(arr) == ranks
+        assert calls == []
+
+    def test_seeded_corpus_against_unfolding_svd(self, monkeypatch):
+        # planted Tucker inputs of orders 2-5 with noise around each tol, scaled
+        # and laid out both ways; the noiseless calls with tol > 0, about a
+        # quarter, project some mode
+        calls = count_tensordot(monkeypatch)
+        projected = 0
+        for seed in range(200):
+            g = rng(1000 + seed)
+            order = 2 + seed % 4
+            shape = tuple(int(m) for m in g.integers(2, (9, 9, 6, 5)[order - 2], size=order))
+            ranks = tuple(int(g.integers(1, m + 1)) for m in shape)
+            tol = (0.0, 1e-12, 1e-8, 1e-3)[seed // 4 % 4]
+            arr = planted_tucker(shape, ranks, seed)
+            level = g.choice([0.0, 0.3, 1.0, 3.0]) * max(tol, 1e-14)
+            arr = (arr + level * np.max(np.abs(arr)) * g.normal(size=shape)) * (1.0, 1e150, 1e-150)[seed % 3]
+            if seed % 2:
+                arr = np.asfortranarray(arr)
+            before = len(calls)
+            assert multilinear_rank(arr, tol=tol) == unfolding_svd_ranks(arr, tol=tol), seed
+            projected += len(calls) > before
+        assert projected >= 50
 
 
 class TestCpAls:

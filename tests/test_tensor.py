@@ -75,6 +75,18 @@ class TestDenseTensor:
             ):
                 with pytest.raises(ValueError, match="must be finite"):
                     call()
+        for shape in ((3, 0), (0, 3), (2, 0, 2)):
+            arr = np.zeros(shape)
+            for call in (
+                lambda: find_eigenpairs(arr, 1, "z"),
+                lambda: find_singular_tuples(arr, 2),
+                lambda: cp_als(arr, 2),
+                lambda: multilinear_rank(arr),
+                lambda: odeco_decompose(arr),
+                lambda: hosvd(arr, [1] * arr.ndim),
+            ):
+                with pytest.raises(ValueError, match="mode sizes must be >= 1"):
+                    call()
 
     def test_immutability(self):
         t = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
