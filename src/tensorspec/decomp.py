@@ -25,9 +25,10 @@ component at once and one power iteration polishes them, with columns that
 the polish takes to one component redone on the tensor without the others.
 Both fit the input scaled by the power of two nearest its largest entry
 (`tensor._scale_exponent`), so tiny and huge entries neither underflow nor
-overflow.  `multilinear_rank` projects out each mode's rounding-level
-directions before it factors the next mode, so later unfoldings shrink on
-rank-deficient input, while `hosvd` factors every whole unfolding.
+overflow, and `multilinear_rank` factors the input scaled the same way.  It
+projects out each mode's rounding-level directions before it factors the
+next mode, so later unfoldings shrink on rank-deficient input, while `hosvd`
+factors every whole unfolding.
 """
 
 from __future__ import annotations
@@ -232,7 +233,10 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     Singular values above ``tol`` times the largest one count; each component
     lower-bounds the tensor rank.  They are those of the small R factor of
     ``qr(unfolding.T)`` (`contract._unfolding_r`), at most ``M_o`` square.
-    ``tol`` below 0 or NaN raises `ValueError`.
+    ``tol`` below 0 or NaN raises `ValueError`.  The tensor is first scaled
+    by the power of two nearest its largest entry (`tensor._scale_exponent`),
+    as `cp_als` and `frobenius_norm` scale theirs, so its unfoldings near the
+    float maximum or minimum factor as they do at ordinary scales.
 
     The modes are taken in order, and the tensor shrinks on the way, as in
     sequential truncation (Vannieuwenhoven, Vandebril & Meerbergen 2012, "A
@@ -249,6 +253,7 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     """
     _check_run_opts(tol)
     arr = _as_array(t)
+    arr = np.ldexp(arr, -_scale_exponent(arr))
     order = arr.ndim
     eps = np.finfo(float).eps
     out = []

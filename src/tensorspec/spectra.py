@@ -36,9 +36,14 @@ NP-hard).  On 2-dimensional modes the eigen equation holds at a unit
 ``x = (x_0, x_1)`` exactly where the binary form
 ``f_0(x) x_1^p - f_1(x) x_0^p`` vanishes (``p`` = 1 for z, ``O - 1`` for h;
 degree ``O`` or ``2(O - 1)``).  Its coefficients are built from the tensor
-entries and its real root lines found with `np.roots`, a multiple root line
-once, so every isolated solution is reported unless two lie closer than the
-rounding spread of a double root.
+entries, and its roots in both charts are the eigenvalues of their two
+companion matrices, from one `np.linalg.eigvals` call (`_chart_roots`, the
+roots `np.roots` gives).  Rounding splits a k-fold root line into k roots
+about eps^(1/k) apart, which `_split_roots` merges, so a multiple root line
+is reported once and every isolated solution is reported unless two lie
+closer than the rounding spread of a double root.  That analysis runs only
+on a chart where a proven bound on ``|g|`` at the means of the root groups
+(`_cluster_bound`) admits a group; on most forms none is admitted.
 
 Both sign choices of an eigenvector solve the equations and are reported as
 distinct records, matching the convention of listing plus/minus pairs
@@ -103,6 +108,8 @@ __all__ = [
 _VARIANTS = ("z", "h")
 # records closer than this in the scalar (relative) and every vector entry are one
 _DEDUP_TOL = 1e-8
+# the unit roundoff u of float64, eps / 2
+_UNIT = np.finfo(float).eps / 2
 # the l2 tuple sweeps stop once no factor moves by more than this; Newton finishes
 _HANDOFF = 1e-4
 
@@ -277,13 +284,20 @@ def _binary_form(arr: np.ndarray, power: int) -> np.ndarray:
     the number of 1-indices in ``rest``.
     """
     order = arr.ndim
-    cols = arr.reshape(2, -1)
-    ones = np.array([bin(c).count("1") for c in range(cols.shape[1])])
-    f = np.stack([np.bincount(ones, weights=row, minlength=order) for row in cols])
+    ones = _popcounts(order)
+    f = np.stack([np.bincount(ones, weights=row, minlength=order) for row in arr.reshape(2, -1)])
     g = np.zeros(order + power)
     g[power:] += f[0]
     g[:order] -= f[1]
     return g
+
+
+@functools.lru_cache(maxsize=None)
+def _popcounts(order: int) -> np.ndarray:
+    """The read-only number of 1-bits of each of ``0 .. 2^(order - 1) - 1``: the 1-indices of a column of ``arr.reshape(2, -1)``."""
+    out = np.array([bin(c).count("1") for c in range(2 ** (order - 1))])
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,27 +341,91 @@ def _split_roots(p: np.ndarray, groups: np.ndarray, noise: float) -> np.ndarray:
     return split & np.all((a <= vieta) | (j >= k), axis=-1)
 
 
-def _root_clusters(p: np.ndarray, roots: np.ndarray, noise: float) -> list:
+def _cluster_bound(p: np.ndarray, groups: np.ndarray, noise: float) -> np.ndarray:
+    """``admit[..., k - 2]``: the first k >= 2 roots of ``groups[...]`` meet a bound that every group `_split_roots` passes meets.
+
+    `_split_roots` passes a group only if ``|a_k| r^k <= n_0`` (its split
+    row) and ``|a_0| <= n_0 + 4^k |a_k| r^k`` (its j = 0 Vieta row), so only
+    if ``|p(mu)| = |a_0| <= (1 + 4^k) n_0``, with ``n_0 = noise * sum_i
+    |mu|^i``; multiplying by 4^k is exact.  The bound tests that at the same
+    means ``mu``, from one table of their powers, with a margin for the
+    rounding of both computations (Higham 2002, "Accuracy and Stability of
+    Numerical Algorithms", section 3.1 and Lemma 3.5).  Let ``D = deg p``,
+    ``c_i`` the coefficient of ``mu^i`` and ``S = sum_i |c_i| |mu|^i``.  A
+    computed power is off by at most ``D - 1`` complex products, each of
+    relative error ``sqrt(2) gamma_2``, and a sum of ``D + 1`` terms adds
+    ``gamma_D``, so each of the two evaluations of ``p(mu)`` (`_taylor`'s and
+    this one) is off by at most ``gamma_(5D + 3) S``, and each sum of
+    positive terms here and in `_split_roots` by a factor of at most ``1 +
+    gamma_(4D + 4)``.  With ``g = gamma_(8(D + 1))`` the test ``|p(mu)| <=
+    sum_i |mu^i| ((1 + 4^k)(1 + 2g) noise + 2g |c_i|)`` covers both: a group
+    it does not admit, `_split_roots` does not pass.  ``|mu| <= 2`` rules out
+    overflow, and the ``i = 0`` term keeps the right side above underflow.
+    """
+    size = groups.shape[-1]
+    k = np.arange(2, size + 1)
+    mu = (np.cumsum(groups, axis=-1) / np.arange(1, size + 1))[..., 1:]
+    powers = mu[..., None] ** np.arange(p.size)
+    c = p[::-1]
+    g = 8 * p.size * _UNIT / (1 - 8 * p.size * _UNIT)
+    # the right side is sum_i |mu^i| ((1 + 4^k)(1 + 2g) noise + 2g |c_i|)
+    weights = (1.0 + 4.0**k)[:, None] * ((1 + 2 * g) * noise) + 2 * g * np.abs(c)
+    return np.abs(powers @ c) <= np.sum(np.abs(powers) * weights, axis=-1)
+
+
+def _root_clusters(p: np.ndarray, roots: np.ndarray, noise: float) -> np.ndarray:
     """The roots of the polynomial ``p``, a multiple root once, as the mean of its cluster.
 
     A root and its k - 1 nearest roots are one k-fold root when
     `_split_roots` allows it and none of them is taken yet.  Larger clusters
     are taken first, so a simple root next to a wide multiple one, which may
     pass with part of it, stays alone.  The roots left over stand alone.
+    When `_cluster_bound` admits no group, `_split_roots` would pass none,
+    and ``roots`` is returned as it is.
     """
     near = np.argsort(np.abs(roots[:, None] - roots[None, :]), axis=1, kind="stable")
-    fits = _split_roots(p, roots[near], noise)
+    groups = roots[near]
+    if not _cluster_bound(p, groups, noise).any():
+        return roots
+    fits = _split_roots(p, groups, noise)
     means, taken = [], np.zeros(roots.size, dtype=bool)
     for k in range(roots.size, 1, -1):
         for i in np.flatnonzero(fits[:, k - 1]):
             if not taken[near[i, :k]].any():
                 taken[near[i, :k]] = True
                 means.append(roots[near[i, :k]].mean())
-    return means + list(roots[~taken])
+    return np.array(means + list(roots[~taken]), dtype=roots.dtype)
+
+
+def _chart_roots(g: np.ndarray) -> list:
+    """``[np.roots(g[::-1]), np.roots(g)]`` for a nonzero ``g``, bit for bit, from one `np.linalg.eigvals` call.
+
+    `np.roots`' rules: the end zeros are stripped, the rest's companion has
+    first row ``-c[1:] / c[0]``, each trailing zero adds a zero root, and
+    the roots are real when every imaginary part is 0.  The two charts strip
+    to one polynomial and its reverse, so their companions have one size,
+    and LAPACK factors each matrix of a stack on its own.
+    """
+    nz = np.flatnonzero(g)
+    q = g[nz[0] : nz[-1] + 1]
+    qs = np.array([q[::-1], q])
+    n = q.size - 1
+    w = np.empty((2, 0))
+    if n:
+        a = np.repeat(np.eye(n, k=-1)[None], 2, axis=0)
+        a[:, 0, :] = -qs[:, 1:] / qs[:, :1]
+        w = np.linalg.eigvals(a)
+    out = []
+    # a trailing zero of g[::-1] is a leading zero of g
+    for roots, trailing in zip(w, (nz[0], g.size - 1 - nz[-1])):
+        if np.iscomplexobj(roots) and not roots.imag.any():
+            roots = roots.real
+        out.append(np.hstack((roots, np.zeros(trailing, roots.dtype))))
+    return out
 
 
 def _root_lines(g: np.ndarray, noise: float) -> np.ndarray:
-    """One unit column per real root line of the binary form ``g``.
+    """One unit column per real root line of the nonzero binary form ``g``.
 
     Roots come from both charts, ``t = x_1/x_0`` and ``s = x_0/x_1``, each
     keeping those of modulus <= 1 so the line ``x_0 = 0`` is covered.  A
@@ -355,14 +433,13 @@ def _root_lines(g: np.ndarray, noise: float) -> np.ndarray:
     `_root_clusters` merges them, taking ``noise`` as the rounding level of
     the coefficients.
     """
-    cols = []
-    for coeffs, line in ((g[::-1], lambda r: (1.0, r)), (g, lambda r: (r, 1.0))):
-        roots = np.roots(coeffs)
-        # a cluster with its mean in the unit disc lies well inside modulus 2
-        for r in _root_clusters(coeffs, roots[np.abs(roots) <= 2.0], noise):
-            if abs(r.imag) <= 1e-9 and abs(r) <= 1.0 + 1e-9:
-                cols.append(line(r.real))
-    x = np.array(cols, dtype=float).reshape(-1, 2).T
+    # a cluster with its mean in the unit disc lies well inside modulus 2
+    t, s = (_root_clusters(c, r[np.abs(r) <= 2.0], noise) for c, r in zip((g[::-1], g), _chart_roots(g)))
+    x = np.ones((t.size + s.size, 2))
+    x[: t.size, 1] = t.real
+    x[t.size :, 0] = s.real
+    r = np.concatenate([t, s])
+    x = x[(np.abs(r.imag) <= 1e-9) & (np.abs(r) <= 1.0 + 1e-9)].T
     return x / _column_norms(x)
 
 

@@ -18,6 +18,7 @@ test, relative to max|T|, that picks the symmetric maps).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from typing import Sequence
 
@@ -57,7 +58,8 @@ class DenseTensor:
         is not 1-D.
 
     Construction rejects NaN/Inf entries so that solver residuals stay
-    meaningful downstream.
+    meaningful downstream, and complex or string entries, as the file
+    reader does.
     """
 
     __slots__ = ("_array", "shape")
@@ -165,11 +167,23 @@ class DenseTensor:
         )
 
 
+def _not_real(v) -> bool:
+    """Whether ``v`` is a string or a complex number with no real type."""
+    return isinstance(v, (str, bytes)) or isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real)
+
+
 def _as_array(t) -> np.ndarray:
-    """Accept DenseTensor, ndarray, or nested lists; return a float ndarray with finite entries and no empty mode."""
+    """Accept DenseTensor, ndarray, or nested lists; return a float ndarray with finite entries and no empty mode.
+
+    Complex and string entries raise `ValueError`, as the file reader does;
+    an int beyond int64, which numpy holds as an object, reads as a float.
+    """
     if isinstance(t, DenseTensor):
         return t.to_array()
-    arr = np.asarray(t, dtype=float)
+    arr = np.asarray(t)
+    if arr.dtype.kind in "cSU" or arr.dtype.kind == "O" and any(map(_not_real, arr.flat)):
+        raise ValueError(f"tensor entries must be real numbers, got {arr.dtype} entries")
+    arr = np.asarray(arr, dtype=float)
     _check_sizes(arr.shape)
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor entries must be finite (no NaN/Inf)")

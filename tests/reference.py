@@ -42,6 +42,13 @@ records deduplicated one pair at a time, or the best record alone, then
 sorted as printed.  `spectra._finish` does the same on arrays and must
 return the same records in the same order.
 
+`root_lines_parent` and `root_clusters_parent` are the size-2 root finder
+as it was before it tested for a possible multiple root: `np.roots` once per
+chart, `spectra._split_roots` on every root group, and the clusters kept one
+at a time.  `spectra._root_lines` makes one `np.linalg.eigvals` call for both
+charts and skips `_split_roots` where a bound proves it passes no group; it
+must match them bit for bit.
+
 `count_linalg` is not a kernel but a probe the solver tests share: it records
 the shape of every `np.linalg.svd`, `np.linalg.solve` and `np.linalg.qr`
 argument, to check which matrices a solve factors.
@@ -58,7 +65,7 @@ import numpy as np
 
 from tensorspec.contract import _column_norms, _contract_all_but_batch, _contract_plan, _lstsq, _mode_unfolding, _power_sweeps, _starts
 from tensorspec.decomp import _khatri_rao
-from tensorspec.spectra import _DEDUP_TOL, _phi
+from tensorspec.spectra import _DEDUP_TOL, _phi, _split_roots
 
 
 def contract_all_but_loop(arr, o, xs):
@@ -311,6 +318,30 @@ def odeco_deflation(arr, symmetric=False, rank=None, max_iters=500, tol=1e-10, s
     factors = [np.column_stack(v) for v in zip(*vectors)]
     fit = np.einsum("r," + ",".join(f"{c}r" for c in "abcde"[:order]) + "->" + "abcde"[:order], np.array(weights), *factors)
     return np.array(weights), factors, np.linalg.norm(fit - data) / max(norm0, 1e-300)
+
+
+def root_clusters_parent(p: np.ndarray, roots: np.ndarray, noise: float) -> list:
+    near = np.argsort(np.abs(roots[:, None] - roots[None, :]), axis=1, kind="stable")
+    fits = _split_roots(p, roots[near], noise)
+    means, taken = [], np.zeros(roots.size, dtype=bool)
+    for k in range(roots.size, 1, -1):
+        for i in np.flatnonzero(fits[:, k - 1]):
+            if not taken[near[i, :k]].any():
+                taken[near[i, :k]] = True
+                means.append(roots[near[i, :k]].mean())
+    return means + list(roots[~taken])
+
+
+def root_lines_parent(g: np.ndarray, noise: float) -> np.ndarray:
+    cols = []
+    for coeffs, line in ((g[::-1], lambda r: (1.0, r)), (g, lambda r: (r, 1.0))):
+        roots = np.roots(coeffs)
+        # a cluster with its mean in the unit disc lies well inside modulus 2
+        for r in root_clusters_parent(coeffs, roots[np.abs(roots) <= 2.0], noise):
+            if abs(r.imag) <= 1e-9 and abs(r) <= 1.0 + 1e-9:
+                cols.append(line(r.real))
+    x = np.array(cols, dtype=float).reshape(-1, 2).T
+    return x / _column_norms(x)
 
 
 def finish_loop(records: list, key, top: float = 1.0) -> list:

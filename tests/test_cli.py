@@ -157,6 +157,14 @@ class TestDecompCommands:
         assert code == 0
         assert json.loads(out)["multilinear_rank"] == [2, 2, 2]
 
+    def test_mlrank_near_the_float_maximum(self, capsys, tmp_path):
+        # the unfolding SVD used not to converge, and a valid file exited 4
+        path = tmp_path / "big.json"
+        save_tensor(DenseTensor(np.full((2, 2, 2), 1e308)), path)
+        code, out = run(capsys, ["mlrank", str(path)])
+        assert code == 0
+        assert json.loads(out)["multilinear_rank"] == [1, 1, 1]
+
     def test_cp_roundtrips(self, capsys, eight1_path):
         code, out = run(capsys, ["cp", eight1_path, "--rank", "3"])
         assert code == 0

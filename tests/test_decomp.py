@@ -381,6 +381,9 @@ class TestMultilinearRank:
             before = len(calls)
             assert multilinear_rank(arr, tol=tol) == unfolding_svd_ranks(arr, tol=tol), seed
             projected += len(calls) > before
+            # a copy whose largest entry is 1.7e308 has the ranks of its exact copy at unit scale
+            big = arr / np.max(np.abs(arr)) * 1.7e308
+            assert multilinear_rank(big, tol=tol) == unfolding_svd_ranks(np.ldexp(big, -1024), tol=tol), seed
         assert projected >= 50
 
 

@@ -343,6 +343,159 @@ class TestSize2BinaryForm:
                         find_singular_tuples(t, p, **kw)
 
 
+def planted_form(order, power, factors):
+    """A 2^order tensor whose mode-1 binary form is the product of the linear forms ``(a, b)`` -> ``a x_0 + b x_1`` in ``factors``.
+
+    ``g = f_0 x_1^power - f_1 x_0^power`` (`spectra._binary_form`) takes any
+    form of degree ``order - 1 + power``: ``f_0`` gets its coefficients from
+    ``x_1^power`` on, ``f_1`` the rest, each on the entry whose last modes
+    have that many leading 1-indices.
+    """
+    g = np.array([1.0])
+    for a, b in factors:
+        g = np.convolve(g, [a, b])
+    assert g.size == order + power
+    cols = np.zeros((2, 2 ** (order - 1)))
+    cols[0, 2 ** np.arange(order) - 1] = g[power:]
+    cols[1, 2 ** np.arange(power) - 1] = -g[:power]
+    return cols.reshape((2,) * order)
+
+
+def size2_corpus(seeds=range(2)):
+    """Seeded 2^O inputs, O = 2..5: Gaussian, integer, sparse, rank one, and planted double and triple root lines."""
+    for seed in seeds:
+        for order in range(2, 6):
+            g = rng(3000 + 10 * order + seed)
+            shape = (2,) * order
+            yield g.normal(size=shape)
+            yield g.integers(-3, 4, size=shape).astype(float)
+            yield g.normal(size=shape) * (g.random(shape) < 0.4)
+            yield outer(*[g.normal(size=2) for _ in range(order)]).to_array()
+            for power in (1, order - 1):
+                degree = order - 1 + power
+                if degree < 3:
+                    continue
+                # x_1 = 0 or x_0 = 0 among the lines leaves a zero end coefficient
+                lines = [(1.0, 0.0), (0.0, 1.0)] + [tuple(v) for v in g.normal(size=(degree, 2))]
+                for mult in (2, 3):
+                    if mult <= degree:
+                        picks = [lines[(seed + mult) % 3]] * mult + lines[3 : 3 + degree - mult]
+                        yield planted_form(order, power, picks)
+
+
+def root_line_inputs(monkeypatch, arrays, scales=(1.0, 1e150, 1e-150)):
+    """Every ``(g, noise)`` that `find_eigenpairs` hands `spectra._root_lines` on ``arrays``, every mode, z and h."""
+    from tensorspec import spectra
+
+    seen, real = [], spectra._root_lines
+    monkeypatch.setattr(spectra, "_root_lines", lambda g, noise: (seen.append((g.copy(), noise)), real(g, noise))[1])
+    for arr in arrays:
+        for scale in scales:
+            t = DenseTensor(arr * scale)
+            for mode in range(1, arr.ndim + 1):
+                for variant in "zh":
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        find_eigenpairs(t, mode, variant)
+    return seen
+
+
+def close_line_forms():
+    """`TestSize2BinaryForm.test_close_simple_lines_stay_apart`'s tensors, with d down to 1e-9."""
+    c = 0.5
+    for d in (1e-3, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+        arr = np.zeros((2, 2, 2))
+        arr[0] = [[c * (c + d), -(2 * c + d) / 2], [-(2 * c + d) / 2, 1.0]]
+        yield arr
+
+
+@pytest.fixture(scope="module")
+def root_line_corpus():
+    with pytest.MonkeyPatch.context() as mp:
+        seen = root_line_inputs(mp, list(size2_corpus()) + list(close_line_forms()))
+    return list({g.tobytes() + np.float64(noise).tobytes(): (g, noise) for g, noise in seen}.values())
+
+
+class TestRootLines:
+    """`spectra._root_lines` against the parent's root finder, and the bound that lets it skip `_split_roots`."""
+
+    def test_matches_parent_bit_for_bit(self, root_line_corpus):
+        from reference import root_lines_parent
+        from tensorspec.spectra import _chart_roots, _root_lines
+
+        assert len(root_line_corpus) >= 800
+        assert sum(g[0] == 0.0 or g[-1] == 0.0 for g, _ in root_line_corpus) >= 200
+        for g, noise in root_line_corpus:
+            for got, want in zip(_chart_roots(g), (np.roots(g[::-1]), np.roots(g))):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), g
+            got, want = _root_lines(g, noise), root_lines_parent(g, noise)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), g
+            assert got.strides == want.strides
+
+    def test_bound_admits_every_group_split_roots_passes(self, root_line_corpus):
+        from tensorspec.spectra import _cluster_bound, _split_roots
+
+        passed = 0
+        for g, noise in root_line_corpus:
+            for c in (g[::-1], g):
+                roots = np.roots(c)
+                roots = roots[np.abs(roots) <= 2.0]
+                near = np.argsort(np.abs(roots[:, None] - roots[None, :]), axis=1, kind="stable")
+                fits = _split_roots(c, roots[near], noise)[:, 1:]
+                assert not np.any(fits & ~_cluster_bound(c, roots[near], noise)), c
+                passed += int(fits.sum())
+        assert passed >= 500
+
+    def test_bound_admits_arbitrary_passing_groups(self):
+        # groups that are not roots of p, at noise levels from 1e-16 to 1, reach
+        # the Vieta row's 4^k slack: some pass with |p(mu)| above n_0
+        from tensorspec.spectra import _cluster_bound, _split_roots, _taylor
+
+        g = rng(77)
+        passed = beyond = 0
+        for trial in range(3000):
+            p = g.normal(size=int(g.integers(3, 10)))
+            n = int(g.integers(2, p.size))
+            pts = g.normal() + 10.0 ** g.uniform(-8, -1) * g.normal(size=n)
+            if trial % 2:
+                pts = pts + 1j * (g.normal() + 10.0 ** g.uniform(-8, -1) * g.normal(size=n))
+            pts = pts[np.abs(pts) <= 2.0]
+            near = np.argsort(np.abs(pts[:, None] - pts[None, :]), axis=1, kind="stable")
+            noise = 10.0 ** g.uniform(-16, 0)
+            fits = _split_roots(p, pts[near], noise)[:, 1:]
+            assert not np.any(fits & ~_cluster_bound(p, pts[near], noise)), trial
+            mu = (np.cumsum(pts[near], axis=-1) / np.arange(1, pts.size + 1))[:, 1:]
+            a_0, n_0 = np.abs(_taylor(p, mu)[..., 0]), noise * _taylor(np.ones(p.size), np.abs(mu))[..., 0]
+            passed += int(fits.sum())
+            beyond += int(np.sum(fits & (a_0 > 1.01 * n_0)))
+        assert passed >= 300 and beyond >= 5
+
+    def test_separated_random_forms_skip_split_roots(self, monkeypatch):
+        from tensorspec import spectra
+
+        calls, real = [], spectra._split_roots
+        monkeypatch.setattr(spectra, "_split_roots", lambda *args: (calls.append(1), real(*args))[1])
+        # the counter is live: all-ones 2^4 has a triple root line for h
+        find_eigenpairs(DenseTensor(np.ones((2,) * 4)), 1, "h")
+        assert calls
+        calls.clear()
+        used = 0
+        for seed in range(30):
+            order = 3 + seed % 3
+            arr = rng(4000 + seed).normal(size=(2,) * order)
+            a = arr / np.max(np.abs(arr))
+            forms = [spectra._binary_form(np.moveaxis(a, m, 0), p) for m in range(order) for p in (1, order - 1)]
+            gaps = [np.min(np.abs(np.subtract.outer(r, r)) + np.eye(r.size)) for f in forms for r in (np.roots(f), np.roots(f[::-1]))]
+            if min(gaps) < 1e-2:
+                continue
+            used += 1
+            for mode in range(1, order + 1):
+                for variant in "zh":
+                    find_eigenpairs(DenseTensor(arr), mode, variant)
+        assert used >= 20
+        assert calls == []
+
+
 class TestFindEigenpairsIterative:
     def test_symmetric_3x3x3_matches_odeco_truth(self):
         g = rng(42)

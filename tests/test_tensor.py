@@ -58,6 +58,32 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             DenseTensor(5.0)
 
+    def test_rejects_complex_and_string_entries(self):
+        # a complex array used to keep its real part with only a ComplexWarning,
+        # and strings were parsed, which the file reader rejects
+        for bad in (
+            np.array([[1 + 5j, 2], [3, 4]]),
+            [1.0, 2j],
+            [np.complex64(1), 2.0],
+            ["1.5", "2"],
+            np.array([b"1", b"2"]),
+            np.array([1.0, "2"], dtype=object),
+            np.array([1.0, 2j], dtype=object),
+        ):
+            with pytest.raises(ValueError, match="tensor entries must be real numbers"):
+                DenseTensor(bad)
+        from tensorspec.spectra import find_eigenpairs
+
+        with pytest.raises(ValueError, match="tensor entries must be real numbers"):
+            find_eigenpairs(np.full((2, 2, 2), 1 + 1j), 1, "z")
+
+    def test_real_entries_of_every_kind_read_as_floats(self):
+        # Python ints beyond int64 reach numpy as objects
+        assert DenseTensor([2**70, 1]).to_array().tolist() == [2.0**70, 1.0]
+        assert DenseTensor([True, False, np.float32(0.5), np.int8(-3)]).to_array().tolist() == [1.0, 0.0, 0.5, -3.0]
+        with pytest.raises(ValueError, match="must be finite"):
+            DenseTensor([None, 1.0])
+
     def test_raw_arrays_are_checked_like_dense_tensors(self):
         from tensorspec.decomp import cp_als, hosvd, multilinear_rank, odeco_decompose
         from tensorspec.spectra import find_eigenpairs, find_singular_tuples
