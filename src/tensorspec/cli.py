@@ -14,6 +14,10 @@ the multi-start ones (eig, svd, cp) take ``--seed`` and ``--starts``: odeco
 draws no starts, as its result depends on the tensor alone.  mlrank takes
 ``--tol`` as its rank cutoff.  Any other flag is a usage error.
 
+info's ``frobenius_norm`` is ``null``, with one warning, when the norm of
+finite entries exceeds the float maximum (`tensor.frobenius_norm` returns
+inf there), as JSON has no infinity.
+
 info's ``symmetric``, which also picks odeco's symmetric map, is the
 library's one symmetry test of solver input (`tensor._symmetric_input`): the
 tensor is cubical and `is_symmetric` within 1e-12 times max|T|, so scaling
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import warnings
 from typing import Any, Callable
@@ -248,18 +253,23 @@ def _cmd_info(args) -> int:
     t = _load(args.input)
     symmetric = _symmetric_input(t.to_array())
     mlr = multilinear_rank(t)
+    norm = frobenius_norm(t)
+    if math.isinf(norm):
+        # finite entries whose norm is past the float maximum; JSON has no infinity
+        warnings.warn("the Frobenius norm exceeds the float maximum; it is written as null")
+        norm = None
     obj = {
         "order": t.order,
         "shape": list(t.dims),
         "symmetric": symmetric,
-        "frobenius_norm": frobenius_norm(t),
+        "frobenius_norm": norm,
         "multilinear_rank": list(mlr),
     }
     _emit(obj, lambda: [
         f"order: {t.order}",
         f"shape: {list(t.dims)}",
         f"symmetric: {str(symmetric).lower()}",
-        f"frobenius_norm: {_fmt(obj['frobenius_norm'])}",
+        f"frobenius_norm: {'null' if norm is None else _fmt(norm)}",
         f"multilinear_rank: {list(mlr)}",
     ], args)
     return EXIT_OK

@@ -25,10 +25,10 @@ component at once and one power iteration polishes them, with columns that
 the polish takes to one component redone on the tensor without the others.
 Both fit the input scaled by the power of two nearest its largest entry
 (`tensor._scale_exponent`), so tiny and huge entries neither underflow nor
-overflow, and `multilinear_rank` factors the input scaled the same way.  It
-projects out each mode's rounding-level directions before it factors the
-next mode, so later unfoldings shrink on rank-deficient input, while `hosvd`
-factors every whole unfolding.
+overflow, and `multilinear_rank` and `hosvd` factor the input scaled the
+same way.  `multilinear_rank` projects out each mode's rounding-level
+directions before it factors the next mode, so later unfoldings shrink on
+rank-deficient input, while `hosvd` factors every whole unfolding.
 """
 
 from __future__ import annotations
@@ -213,6 +213,14 @@ def hosvd(t: DenseTensor, ranks: Sequence[int]) -> TuckerDecomposition:
     contracted with the factor transposes.  Exact at full multilinear ranks;
     a heuristic (not optimal) truncation below them.  A rank that is not an
     integer raises `TypeError`.
+
+    Both steps run on ``t`` scaled by the power of two nearest its largest
+    entry (`tensor._scale_exponent`), as `multilinear_rank` scales its input,
+    and the core is scaled back exactly, so entries near the float maximum
+    or minimum factor as they do at ordinary scales.  A core entry can
+    exceed the largest entry of ``t`` by up to ``sqrt(t.size)``; when one
+    exceeds the float maximum (a 2x2x2 tensor of 1e308 has core entry
+    2.8e308), `ValueError` is raised.
     """
     arr = _as_array(t)
     order = arr.ndim
@@ -222,9 +230,15 @@ def hosvd(t: DenseTensor, ranks: Sequence[int]) -> TuckerDecomposition:
     for o, r in enumerate(ranks, start=1):
         if not 1 <= r <= arr.shape[o - 1]:
             raise ValueError(f"rank {r} out of range [1, {arr.shape[o - 1]}] for mode {o}")
+    e = _scale_exponent(arr)
+    arr = np.ldexp(arr, -e)
     factors = _leading_vectors(arr, range(1, order + 1), ranks)
-    core = multi_mode_product(DenseTensor(arr), [f.T for f in factors])
-    return TuckerDecomposition(core, factors)
+    core = multi_mode_product(DenseTensor(arr), [f.T for f in factors]).to_array()
+    with np.errstate(over="ignore"):
+        core = np.ldexp(core, e)
+    if not np.isfinite(core).all():
+        raise ValueError("the HOSVD core overflows: an entry exceeds the float maximum")
+    return TuckerDecomposition(DenseTensor(core), factors)
 
 
 def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:

@@ -57,16 +57,20 @@ nonnegative input).  Polish: `_damped_newton` on the system's residual,
 each step one `contract._lstsq` solve, the least-squares kernel ALS also
 uses (one batched LU, as both systems are square; the SVD only where a
 Jacobian is exactly singular), then `_gate` reads that residual once per
-column.  The l2 tuple sweeps hand their starts to Newton once no factor
-moves by more than ``_HANDOFF`` (1e-4), as the sweeps' tail is linear and
-Newton's quadratic.  The lO sweeps run to 1e-13: the rows
+column.  An eigen polish evaluates ``F_1`` once per set of points: the
+starts' one evaluation gives their fitted lambda, Newton's first residual
+and, when Newton moves no column (on size-2 roots it takes no step), the
+gate's residual; h records are renormalized and evaluated once more.  The
+l2 tuple sweeps hand their starts to Newton once no factor moves by more
+than ``_HANDOFF`` (1e-4), as the sweeps' tail is linear and Newton's
+quadratic.  The lO sweeps run to 1e-13: the rows
 ``sigma_o sign(x)|x|^(O-1)`` have zero derivative at a zero entry, so an
 lO solution with an exact zero entry is a singular root, from which Newton
 converges only linearly and stops on near copies that do not dedup.
-Finish: `_finish` reads the arrays of every column once and returns the
-columns to report in printed order: the converged ones, a column within
-``_DEDUP_TOL`` (1e-8) of a lower-residual one dropped, or when none
-converged the best one.  Record objects are built for those columns only.
+Finish: `_finish` reads the scalars of every column once, as Python floats,
+and returns the columns to report in printed order: the converged ones, a
+column within ``_DEDUP_TOL`` (1e-8) of a lower-residual one dropped, or
+when none converged the best one.  Record objects are built for those columns only.
 Each system, the eigen one (`_eig_system`) and the singular one
 (`_tuple_system`), has one residual, which the Newton polish, the gate and
 the public `eig_residual` and `singular_residual` all read; ``F_o`` is
@@ -76,6 +80,7 @@ always `contract._contract_all_but_batch` on plans built once.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import warnings
@@ -204,14 +209,14 @@ def singular_residual(t: DenseTensor, tup: SingularTuple) -> float:
     return float(np.max(np.abs(residual(v)[: sum(arr.shape)])))
 
 
-def _gate(residual, v, n: int, tol: float):
-    """Per column of ``v``, the record's residual and whether it converged.
+def _gate(g: np.ndarray, n: int, tol: float):
+    """Per column of the residual block ``g``, the record's residual and whether it converged.
 
     The residual is the largest defect of the ``n`` equation rows; converged
     means every row, the norm rows included, is within ``tol``.
     """
-    g = np.abs(residual(v))
-    return np.max(g[:n], axis=0), np.all(g <= tol, axis=0)
+    g = np.abs(g)
+    return np.maximum.reduce(g[:n], axis=0), np.logical_and.reduce(g <= tol, axis=0)
 
 
 def _finish(s, v, res, ok, top: float) -> list:
@@ -223,24 +228,34 @@ def _finish(s, v, res, ok, top: float) -> list:
     converged, the first lowest-residual column is returned alone.  The
     result is sorted by decreasing ``|s * top|`` to 12 significant digits, as
     printed, then by the entries rounded to 12 decimals; Python's ``.12g`` and
-    `round` are used because `np.round` rounds ties differently.
+    `round` are used because `np.round` rounds ties differently.  The scalars
+    are compared as Python floats (the same IEEE operations), and the entries
+    of a kept column with one array operation against the columns whose
+    scalars are near, so the work stays linear in the column count per kept
+    column.
     """
     if not ok.any():
         return [int(np.argmin(res))] if res.size else []
     good = np.flatnonzero(ok)
-    rest = good[np.argsort(res[good], kind="stable")]
+    rest = good[np.argsort(res[good], kind="stable")].tolist()
+    scalars = s.tolist()
     kept = []
     # the first column left is kept, and the columns after it within the tolerance
     # of it are dropped; entries are compared only where the scalars are near
-    while rest.size:
+    while rest:
         c, rest = rest[0], rest[1:]
         kept.append(c)
-        near = np.abs(s[rest] - s[c]) <= _DEDUP_TOL * max(1.0, abs(s[c]))
-        if near.any():
-            near[near] = np.max(np.abs(v[:, rest[near]] - v[:, c, None]), axis=0) <= _DEDUP_TOL
-            rest = rest[~near]
-    scaled = (s * top).tolist()
-    return sorted(kept, key=lambda c: (-float(f"{abs(scaled[c]):.12g}"), [round(e, 12) for e in v[:, c].tolist()]))
+        bound = _DEDUP_TOL * max(1.0, abs(scalars[c]))
+        near = [r for r in rest if abs(scalars[r] - scalars[c]) <= bound]
+        if near:
+            same = np.maximum.reduce(np.abs(v[:, near] - v[:, c, None]), axis=0) <= _DEDUP_TOL
+            drop = set(itertools.compress(near, same.tolist()))
+            rest = [r for r in rest if r not in drop]
+    keys = [
+        (-float(f"{abs(scalars[c] * top):.12g}"), [round(e, 12) for e in col])
+        for c, col in zip(kept, v[:, kept].T.tolist())
+    ]
+    return [kept[i] for i in sorted(range(len(kept)), key=keys.__getitem__)]
 
 
 def _canonical_order(arr: np.ndarray, first: int | None = None) -> list[int]:
@@ -308,6 +323,14 @@ def _binomials(size: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _tri(size: int) -> np.ndarray:
+    """The read-only ``np.tri(size)``: ones on and below the diagonal."""
+    out = np.tri(size)
+    out.flags.writeable = False
+    return out
+
+
 def _taylor(p: np.ndarray, at: np.ndarray) -> np.ndarray:
     """``p^(j)(at) / j!`` for j = 0 .. deg p along a new last axis; ``p`` in `np.polyval` order."""
     d = np.arange(p.size)
@@ -331,14 +354,14 @@ def _split_roots(p: np.ndarray, groups: np.ndarray, noise: float) -> np.ndarray:
     k = np.arange(1, size + 1)
     j = np.arange(p.size)
     mu = np.cumsum(groups, axis=-1) / k
-    r = np.max(np.abs(groups[..., None, :] - mu[..., None]) * np.tri(size), axis=-1, initial=0.0)
+    r = np.maximum.reduce(np.abs(groups[..., None, :] - mu[..., None]) * _tri(size), axis=-1, initial=0.0)
     a = np.abs(_taylor(p, mu))
     n = noise * _taylor(np.ones(p.size), np.abs(mu))
     a_k = a[..., k - 1, k]
     split = a_k * r**k <= n[..., 0]
     k, a_k, r = k[:, None], a_k[..., None], r[..., None]
     vieta = n + 4.0**k * a_k * r ** np.maximum(k - j, 0)
-    return split & np.all((a <= vieta) | (j >= k), axis=-1)
+    return split & np.logical_and.reduce((a <= vieta) | (j >= k), axis=-1)
 
 
 def _cluster_bound(p: np.ndarray, groups: np.ndarray, noise: float) -> np.ndarray:
@@ -370,7 +393,7 @@ def _cluster_bound(p: np.ndarray, groups: np.ndarray, noise: float) -> np.ndarra
     g = 8 * p.size * _UNIT / (1 - 8 * p.size * _UNIT)
     # the right side is sum_i |mu^i| ((1 + 4^k)(1 + 2g) noise + 2g |c_i|)
     weights = (1.0 + 4.0**k)[:, None] * ((1 + 2 * g) * noise) + 2 * g * np.abs(c)
-    return np.abs(powers @ c) <= np.sum(np.abs(powers) * weights, axis=-1)
+    return np.abs(powers @ c) <= np.add.reduce(np.abs(powers) * weights, axis=-1)
 
 
 def _root_clusters(p: np.ndarray, roots: np.ndarray, noise: float) -> np.ndarray:
@@ -380,9 +403,12 @@ def _root_clusters(p: np.ndarray, roots: np.ndarray, noise: float) -> np.ndarray
     `_split_roots` allows it and none of them is taken yet.  Larger clusters
     are taken first, so a simple root next to a wide multiple one, which may
     pass with part of it, stays alone.  The roots left over stand alone.
-    When `_cluster_bound` admits no group, `_split_roots` would pass none,
-    and ``roots`` is returned as it is.
+    Fewer than two roots form no cluster, and when `_cluster_bound` admits
+    no group `_split_roots` would pass none; either way ``roots`` is returned
+    as it is, before any group is formed.
     """
+    if roots.size < 2:
+        return roots
     near = np.argsort(np.abs(roots[:, None] - roots[None, :]), axis=1, kind="stable")
     groups = roots[near]
     if not _cluster_bound(p, groups, noise).any():
@@ -404,7 +430,9 @@ def _chart_roots(g: np.ndarray) -> list:
     first row ``-c[1:] / c[0]``, each trailing zero adds a zero root, and
     the roots are real when every imaginary part is 0.  The two charts strip
     to one polynomial and its reverse, so their companions have one size,
-    and LAPACK factors each matrix of a stack on its own.
+    and LAPACK factors each matrix of a stack on its own.  The companions
+    are written into one zero block: the first rows, and the ones below the
+    diagonal at every ``n + 1``-th flat index from ``n``.
     """
     nz = np.flatnonzero(g)
     q = g[nz[0] : nz[-1] + 1]
@@ -412,7 +440,8 @@ def _chart_roots(g: np.ndarray) -> list:
     n = q.size - 1
     w = np.empty((2, 0))
     if n:
-        a = np.repeat(np.eye(n, k=-1)[None], 2, axis=0)
+        a = np.zeros((2, n, n))
+        a.reshape(2, -1)[:, n :: n + 1] = 1.0
         a[:, 0, :] = -qs[:, 1:] / qs[:, :1]
         w = np.linalg.eigvals(a)
     out = []
@@ -420,7 +449,7 @@ def _chart_roots(g: np.ndarray) -> list:
     for roots, trailing in zip(w, (nz[0], g.size - 1 - nz[-1])):
         if np.iscomplexobj(roots) and not roots.imag.any():
             roots = roots.real
-        out.append(np.hstack((roots, np.zeros(trailing, roots.dtype))))
+        out.append(np.hstack((roots, np.zeros(trailing, roots.dtype))) if trailing else roots)
     return out
 
 
@@ -468,12 +497,12 @@ _LADDER = 0.5 ** np.arange(20)
 
 def _fit_scale(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per column, the least-squares c in ``f = c * w``; 0 where ``w`` is zero."""
-    denom = np.sum(w * w, axis=0)
+    denom = np.add.reduce(w * w, axis=0)
     nonzero = denom > 0
-    return np.where(nonzero, np.sum(f * w, axis=0) / np.where(nonzero, denom, 1.0), 0.0)
+    return np.where(nonzero, np.add.reduce(f * w, axis=0) / np.where(nonzero, denom, 1.0), 0.0)
 
 
-def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
+def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13, g=None):
     """Damped Gauss-Newton on every column of ``v`` at once.
 
     ``residual`` maps an ``(n, C)`` block of points to their ``(r, C)``
@@ -482,17 +511,19 @@ def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13):
     minimum-norm least-squares step scaled by the first of ``1, 1/2, ..,
     2^-19`` at which the residual's 2-norm drops; a column whose residual
     drops at none of them stops there.  The whole ladder is evaluated for
-    every column in one residual call per iteration.
+    every column in one residual call per iteration.  ``g``, when given, is
+    ``residual(v)``, which the caller has already computed; it is not
+    evaluated again.
 
     The steps of an iteration are one `contract._lstsq` call: batched LU on
     the square systems, the SVD for a Jacobian that is exactly singular.
     The iteration stops when the SVD does not converge.
     """
     v = np.array(v, dtype=float)
-    g = residual(v)
+    g = residual(v) if g is None else g
     cols = np.arange(v.shape[1])
     for _ in range(iters):
-        live = np.max(np.abs(g), axis=0) > tol  # g holds the residuals of cols
+        live = np.maximum.reduce(np.abs(g), axis=0) > tol  # g holds the residuals of cols
         cols, g = cols[live], g[:, live]
         if not cols.size:
             break
@@ -525,7 +556,8 @@ def _eig_system(arr, power, plan=None):
 
     The system is ``F_1(x, .., x) - lambda * x^power = 0`` with
     ``x . x = 1``, ``plan`` the `_contract_plan` of ``F_1`` (built when
-    None).  ``dF_1/dx`` sums, over the other modes ``j``, the tensor
+    None); ``residual(v, f)`` takes ``f = F_1(x, .., x)`` at ``v`` as given.
+    ``dF_1/dx`` sums, over the other modes ``j``, the tensor
     contracted with ``x`` on every mode except 1 and ``j``: one kernel pass
     over the stacked slabs, planned on the first call.  Another mode's
     system is this one of the tensor with that mode moved to the front.
@@ -534,9 +566,10 @@ def _eig_system(arr, power, plan=None):
     plan = _contract_plan(arr, (1,)) if plan is None else plan
     slabs = []
 
-    def residual(v):
+    def residual(v, f=None):
         x, lam = v[:m], v[m]
-        return np.vstack([_contract_all_but_batch(plan, x) - lam * x**power, np.sum(x * x, axis=0) - 1.0])
+        f = _contract_all_but_batch(plan, x) if f is None else f
+        return np.vstack([f - lam * x**power, np.add.reduce(x * x, axis=0) - 1.0])
 
     def jacobian(v):
         if not slabs:
@@ -588,19 +621,36 @@ def _polish(arr, variant, x, tol, plan=None):
     polished columns are followed by the sign partner (`eig_orbit` with
     ``t = -1``) of every converged one: ``-x``, with ``(-1)^(O-2) lam`` for
     z and ``lam`` for h, the same residual, converged.
+
+    ``F_1`` is evaluated once per set of points: at the starts it gives the
+    fitted ``lam`` and Newton's first residual, which is also the gate's when
+    Newton returns its input bit for bit (on size-2 roots it takes no step);
+    otherwise the gate evaluates the residual afresh.  On h the renormalized
+    columns get one more evaluation, which the refit and the gate share.
     """
     order, m = arr.ndim, arr.shape[0]
     power = 1 if variant == "z" else order - 1
     plan = _contract_plan(arr, (1,)) if plan is None else plan
     residual, jacobian = _eig_system(arr, power, plan)
-    v = _damped_newton(residual, jacobian, np.vstack([x, _fit_scale(_contract_all_but_batch(plan, x), x**power)]))
-    x, lam = v[:m], v[m]
+    v = np.empty((m + 1, x.shape[1]))
+    v[:m] = x
+    f = _contract_all_but_batch(plan, v[:m])
+    v[m] = _fit_scale(f, v[:m] ** power)
+    g = residual(v, f)
+    out = _damped_newton(residual, jacobian, v, g=g)
     if variant == "h":
-        # the h equation is homogeneous; renormalize the records
+        # the h equation is homogeneous; renormalize the records, and refit lam where x is nonzero
+        x, lam = out[:m], out[m]
         nrm = _column_norms(x)
-        x = np.where(nrm > 0, x / np.where(nrm > 0, nrm, 1.0), x)
-        lam = np.where(nrm > 0, _fit_scale(_contract_all_but_batch(plan, x), x**power), lam)
-    res, ok = _gate(residual, np.vstack([x, lam]), m, tol)
+        v = np.empty_like(out)
+        v[:m] = np.where(nrm > 0, x / np.where(nrm > 0, nrm, 1.0), x)
+        f = _contract_all_but_batch(plan, v[:m])
+        v[m] = np.where(nrm > 0, _fit_scale(f, v[:m] ** power), lam)
+        g = residual(v, f)
+    elif out.tobytes() != v.tobytes():
+        v, g = out, residual(out)
+    x, lam = v[:m], v[m]
+    res, ok = _gate(g, m, tol)
     # the t = -1 orbit of a solution is a solution with the same residual
     sign = (-1.0) ** (order - 2) if variant == "z" else 1.0
     return np.append(lam, sign * lam[ok]), np.hstack([x, -x[:, ok]]), np.append(res, res[ok]), np.append(ok, ok[ok])
@@ -856,7 +906,7 @@ def find_singular_tuples(
     # the tuple's one sigma is T(x_1, .., x_O), and the gate reads the rows singular_residual reads
     xs = np.split(v[:n], np.cumsum(arr.shape)[:-1])
     sigma = np.sum(_contract_all_but_batch(plans[0], xs[1:]) * xs[0], axis=0)
-    res, ok = _gate(residual, np.vstack([v[:n], np.tile(sigma, (order, 1))]), n, tol)
+    res, ok = _gate(residual(np.vstack([v[:n], np.tile(sigma, (order, 1))])), n, tol)
     # sign gauge, so flip-equivalent records dedup together: in each mode the
     # first entry above 1e-12 in magnitude is made positive, each flip negating sigma
     for x in xs:

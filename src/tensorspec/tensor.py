@@ -299,12 +299,15 @@ def frobenius_norm(t: DenseTensor) -> float:
     """Square root of the entrywise dot, taken on ``t`` scaled by `_scale_exponent`.
 
     The scaling keeps the norm of a tensor with tiny or huge entries (1e-170
-    or 1e170) from underflowing to 0 or overflowing to inf.
+    or 1e170) from underflowing to 0 or overflowing to inf.  A norm beyond
+    the float maximum, which finite entries can reach (a 2x2x2 tensor of
+    1e308 has norm 2.8e308), is returned as ``inf``, without a warning.
     """
     arr = _as_array(t)
     e = _scale_exponent(arr)
     arr = np.ldexp(arr, -e)
-    return float(np.ldexp(math.sqrt(float(np.sum(arr * arr))), e))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(float(np.sum(arr * arr))), e))
 
 
 def permute_modes(t: DenseTensor, perm: Sequence[int]) -> DenseTensor:

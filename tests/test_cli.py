@@ -165,6 +165,34 @@ class TestDecompCommands:
         assert code == 0
         assert json.loads(out)["multilinear_rank"] == [1, 1, 1]
 
+    def test_info_norm_past_the_float_maximum_is_null(self, capsys, tmp_path):
+        # the norm 2.8e308 of finite entries used to print as Infinity, not JSON,
+        # after a numpy overflow warning
+        path = tmp_path / "big.json"
+        save_tensor(DenseTensor(np.full((2, 2, 2), 1e308)), path)
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        assert main(["info", str(path)]) == 0
+        captured = capsys.readouterr()
+        obj = json.loads(captured.out, parse_constant=reject)
+        assert obj["frobenius_norm"] is None and obj["multilinear_rank"] == [1, 1, 1]
+        assert captured.err == "warning: the Frobenius norm exceeds the float maximum; it is written as null\n"
+        assert main(["info", str(path), "--format", "table"]) == 0
+        assert "frobenius_norm: null\n" in capsys.readouterr().out
+
+    def test_hosvd_near_the_float_maximum(self, capsys, tmp_path):
+        # 6e307 entries used to exit 4 on an overflow; at 1e308 the core itself is past the float maximum
+        path = tmp_path / "big.json"
+        save_tensor(DenseTensor(np.full((2, 2, 2), 6e307)), path)
+        code, out = run(capsys, ["hosvd", str(path), "--ranks", "1,1,1"])
+        assert code == 0
+        assert abs(tucker_from_dict(json.loads(out)).core[1, 1, 1]) == pytest.approx(math.sqrt(8.0) * 6e307, rel=1e-11)
+        save_tensor(DenseTensor(np.full((2, 2, 2), 1e308)), path)
+        assert main(["hosvd", str(path)]) == 4
+        assert capsys.readouterr().err == "error: the HOSVD core overflows: an entry exceeds the float maximum\n"
+
     def test_cp_roundtrips(self, capsys, eight1_path):
         code, out = run(capsys, ["cp", eight1_path, "--rank", "3"])
         assert code == 0

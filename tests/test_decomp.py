@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import importlib
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -282,6 +283,36 @@ class TestHosvd:
             multilinear_rank(t)
         assert calls["qr"] == [(1000, 10), (500, 10), (150, 10), (60, 10)]
         assert calls["svd"] == [(10, 10)] * 7
+
+    def test_scaled_input_keeps_the_unscaled_bits(self):
+        # factoring T / 2^e is exact: at ordinary scales the factors and core are
+        # those of the unscaled factorization, bit for bit, and scaling T by 2^k
+        # scales the core by 2^k and leaves the factors as they are
+        from tensorspec.contract import _leading_vectors, multi_mode_product
+
+        g = rng(40)
+        inputs = [g.normal(size=(4, 5, 6)), planted_tucker((10,) * 4, (5,) * 4, 41), g.normal(size=(3, 3, 3, 3))]
+        for arr in inputs:
+            for ranks in (arr.shape, [max(1, d - 2) for d in arr.shape]):
+                tk = hosvd(arr, ranks)
+                factors = _leading_vectors(arr, range(1, arr.ndim + 1), ranks)
+                core = multi_mode_product(DenseTensor(arr), [f.T for f in factors]).to_array()
+                assert tk.core.to_array().tobytes() == core.tobytes()
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(tk.factors, factors))
+                for k in (-1000, -40, 40, 900):
+                    big = hosvd(np.ldexp(arr, k), ranks)
+                    assert big.core.to_array().tobytes() == np.ldexp(core, k).tobytes()
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(big.factors, factors))
+
+    def test_near_the_float_maximum(self):
+        # the unfolding of 6e307 entries used to overflow, and 1e308 not to converge
+        arr = np.full((2, 2, 2), 6e307)
+        tk = hosvd(arr, [1, 1, 1])
+        assert abs(tk.core[1, 1, 1]) == pytest.approx(math.sqrt(8.0) * 6e307, rel=1e-15)
+        assert frobenius_norm(tucker_eval(tk) - DenseTensor(arr)) <= 1e-14 * 6e307
+        # the core entry of 1e308 entries, 2.8e308, is not a float
+        with pytest.raises(ValueError, match=r"^the HOSVD core overflows"):
+            hosvd(np.full((2, 2, 2), 1e308), [1, 1, 1])
 
     def test_rank_out_of_range(self):
         t = DenseTensor(np.ones((2, 2)))

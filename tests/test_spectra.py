@@ -383,6 +383,12 @@ def size2_corpus(seeds=range(2)):
                         yield planted_form(order, power, picks)
 
 
+def gaussian_size2(count):
+    """Seeded Gaussian 2^3 to 2^5 inputs, from whose root lines Newton takes no step."""
+    for seed in range(count):
+        yield rng(4000 + seed).normal(size=(2,) * (3 + seed % 3))
+
+
 def root_line_inputs(monkeypatch, arrays, scales=(1.0, 1e150, 1e-150)):
     """Every ``(g, noise)`` that `find_eigenpairs` hands `spectra._root_lines` on ``arrays``, every mode, z and h."""
     from tensorspec import spectra
@@ -469,6 +475,18 @@ class TestRootLines:
             passed += int(fits.sum())
             beyond += int(np.sum(fits & (a_0 > 1.01 * n_0)))
         assert passed >= 300 and beyond >= 5
+
+    def test_charts_with_fewer_than_two_roots_skip_the_bound(self, monkeypatch):
+        from tensorspec import spectra
+
+        sizes, small = [], []
+        bound, clusters = spectra._cluster_bound, spectra._root_clusters
+        monkeypatch.setattr(spectra, "_cluster_bound", lambda p, groups, noise: (sizes.append(groups.shape[-1]), bound(p, groups, noise))[1])
+        monkeypatch.setattr(spectra, "_root_clusters", lambda p, roots, noise: (small.append(roots.size < 2), clusters(p, roots, noise))[1])
+        root_line_inputs(monkeypatch, size2_corpus(), scales=(1.0,))
+        # the counters are live: some charts keep fewer than two roots, most more
+        assert sum(small) >= 20 and len(sizes) >= 200
+        assert min(sizes) >= 2
 
     def test_separated_random_forms_skip_split_roots(self, monkeypatch):
         from tensorspec import spectra
@@ -1747,13 +1765,59 @@ class TestGate:
 
         arr = diagonal_with_zero_slice() / 3.0
         # Newton returns the start as it is, so the start's defects are the record's
-        monkeypatch.setattr(spectra, "_damped_newton", lambda residual, jacobian, v: v)
+        monkeypatch.setattr(spectra, "_damped_newton", lambda residual, jacobian, v, g=None: v)
         e1 = np.eye(3)[:, :1]
         for scale, converged in [(1.0, True), (1.0 + 1e-12, True), (1.0 + 1e-6, False)]:
             lam, x, res, ok = spectra._polish(arr, "z", scale * e1, 1e-10)
             # (1 + eps) e_1 with lambda = 1 + eps solves the equation rows exactly
             assert res[0] <= 1e-15 and lam[0] == pytest.approx(scale, abs=1e-15)
             assert ok[0] == converged and lam.size == x.shape[1] == res.size == ok.size == 1 + int(converged)
+
+
+class TestPolish:
+    """`spectra._polish` evaluates ``F_1`` once per set of points, and gates on the residual of what it returns."""
+
+    def test_one_contraction_per_set_of_points(self, monkeypatch):
+        from tensorspec import spectra
+
+        calls, steps = [], []
+        contract, lstsq = spectra._contract_all_but_batch, spectra._lstsq
+        monkeypatch.setattr(spectra, "_contract_all_but_batch", lambda *args: (calls.append(1), contract(*args))[1])
+        monkeypatch.setattr(spectra, "_lstsq", lambda *args: (steps.append(1), lstsq(*args))[1])
+        for arr in gaussian_size2(30):
+            for mode in range(1, arr.ndim + 1):
+                # z: the start's fit, Newton's residual and the gate share one
+                # evaluation; h adds one at the renormalized columns
+                for variant, count in (("z", 1), ("h", 2)):
+                    calls.clear()
+                    find_eigenpairs(DenseTensor(arr), mode, variant)
+                    assert len(calls) == count, (arr.shape, mode, variant)
+        assert steps == []
+
+    @pytest.mark.parametrize("variant", ["z", "h"])
+    def test_gate_reads_the_residual_of_the_returned_columns(self, monkeypatch, variant):
+        from tensorspec import spectra
+
+        gated, gate = [], spectra._gate
+        monkeypatch.setattr(spectra, "_gate", lambda g, n, tol: (gated.append(g), gate(g, n, tol))[1])
+        g = rng(92)
+        for shape in ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3)):
+            arr = g.normal(size=shape)
+            arr /= np.max(np.abs(arr))
+            power = 1 if variant == "z" else arr.ndim - 1
+            residual, _ = spectra._eig_system(arr, power)
+            starts = g.normal(size=(shape[0], 6))
+            starts /= np.linalg.norm(starts, axis=0)
+            lam, x, res, ok = spectra._polish(arr, variant, starts, 1e-10)
+            solved = x[:, :6][:, ok[:6]]
+            assert solved.size
+            # converged columns stay where they are; the others move, or none do
+            for cols in (np.hstack([solved, starts]), starts, solved):
+                lam, x, res, ok = spectra._polish(arr, variant, cols, 1e-10)
+                c = cols.shape[1]
+                fresh = residual(np.vstack([x[:, :c], lam[:c]]))
+                assert gated[-1].tobytes() == fresh.tobytes()
+                assert res[:c].tobytes() == np.max(np.abs(fresh[: shape[0]]), axis=0).tobytes()
 
 
 class TestFinish:

@@ -1,6 +1,8 @@
 """Dense tensor value type and tensor-product operations."""
 
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +264,13 @@ class TestFrobenius:
             assert frobenius_norm(c * arr) == pytest.approx(c * base, rel=1e-15)
         assert frobenius_norm(np.full(4, 5e-324)) == 1e-323
         assert frobenius_norm(np.zeros((2, 2))) == 0.0
+
+    def test_norm_past_the_float_maximum_is_inf(self):
+        # finite entries whose norm, 2.8e308, is not a float: inf, and no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frobenius_norm(np.full((2, 2, 2), 1e308)) == math.inf
+            assert frobenius_norm(np.full((2, 2, 2), 6e307)) == pytest.approx(math.sqrt(8.0) * 6e307, rel=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
