@@ -6,7 +6,9 @@ Input tensors come from the JSON tensor file format; results go to stdout or
 as a plain table.  All numbers are printed to 12 significant digits and runs
 with the same seed and inputs produce byte-identical output.  The JSON bytes
 are ``json.dumps(obj, indent=2)`` of the result with every float rounded to 12
-significant digits, plus a newline; `_to_json` writes them in one pass.
+significant digits, plus a newline; `_to_json` writes them in one pass.  A
+non-finite float, a result past the float maximum, is written as ``null``
+with one warning line per run.  numpy's overflow warnings are not shown.
 
 Every subcommand takes ``--output`` and ``--format``.  Only the iterative
 solvers (eig, svd, cp, odeco) take ``--tol`` and ``--max-iters``, and only
@@ -14,19 +16,16 @@ the multi-start ones (eig, svd, cp) take ``--seed`` and ``--starts``: odeco
 draws no starts, as its result depends on the tensor alone.  mlrank takes
 ``--tol`` as its rank cutoff.  Any other flag is a usage error.
 
-info's ``frobenius_norm`` is ``null``, with one warning, when the norm of
-finite entries exceeds the float maximum (`tensor.frobenius_norm` returns
-inf there), as JSON has no infinity.
-
 info's ``symmetric``, which also picks odeco's symmetric map, is the
 library's one symmetry test of solver input (`tensor._symmetric_input`): the
 tensor is cubical and `is_symmetric` within 1e-12 times max|T|, so scaling
 the tensor does not change it.
 
 Exit codes: 0 success, 2 input parse error, 3 solver non-convergence (partial
-results are still emitted, flagged), 4 invalid flags or an unwritable
-``--output``.  Errors and the library's warnings go to stderr as one
-``error: <message>`` or ``warning: <message>`` line each.
+results are still emitted, flagged), 4 invalid flags, an unwritable
+``--output`` or a tensor result past the float maximum.  Errors and the
+library's warnings go to stderr as one ``error: <message>`` or
+``warning: <message>`` line each.
 """
 
 from __future__ import annotations
@@ -60,19 +59,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# how json.dumps spells the non-finite floats
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _token(s: str) -> str:
     """JSON token of the float that the ``.12g`` string ``s`` rounds to.
 
     A token with a point and no exponent is already that float's repr; the
-    rest (integral values, exponents, zeros, subnormals) take ``repr(float(s))``.
+    rest (integral values, exponents, zeros, subnormals) take ``repr(float(s))``;
+    a non-finite float, which JSON cannot spell, is ``null`` with a warning.
     """
     if "." in s and "e" not in s:
         return s
-    return _NONFINITE.get(s) or repr(float(s))
+    x = float(s)
+    if math.isfinite(x):
+        return repr(x)
+    warnings.warn("a result exceeds the float maximum; it is written as null")
+    return "null"
 
 
 def _floats_json(xs: list[float], sep: str) -> str:
@@ -104,7 +104,7 @@ def _to_json(obj: Any, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, every float in dicts and lists rounded to 12 digits.
 
     Dict keys are strings, as in every CLI result.  A list of plain floats is
-    written by `_floats_json`.
+    written by `_floats_json`; every float goes through `_token`.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -131,13 +131,13 @@ def _fmt(x: float) -> str:
 def _load(path: str, from_dict: Callable[[Any], Any] | None = None, what: str = "tensor") -> Any:
     """The JSON file ``path`` read through ``from_dict`` (default `serialize.tensor_from_dict`).
 
-    A file that cannot be opened, parsed or validated exits 2 with one
-    ``error: cannot read`` line.
+    A file that cannot be opened, parsed (nesting too deep for the parser
+    included) or validated exits 2 with one ``error: cannot read`` line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return (from_dict or serialize.tensor_from_dict)(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"error: cannot read {what} from {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
@@ -254,10 +254,6 @@ def _cmd_info(args) -> int:
     symmetric = _symmetric_input(t.to_array())
     mlr = multilinear_rank(t)
     norm = frobenius_norm(t)
-    if math.isinf(norm):
-        # finite entries whose norm is past the float maximum; JSON has no infinity
-        warnings.warn("the Frobenius norm exceeds the float maximum; it is written as null")
-        norm = None
     obj = {
         "order": t.order,
         "shape": list(t.dims),
@@ -269,7 +265,7 @@ def _cmd_info(args) -> int:
         f"order: {t.order}",
         f"shape: {list(t.dims)}",
         f"symmetric: {str(symmetric).lower()}",
-        f"frobenius_norm: {'null' if norm is None else _fmt(norm)}",
+        f"frobenius_norm: {_fmt(norm)}",
         f"multilinear_rank: {list(mlr)}",
     ], args)
     return EXIT_OK
@@ -394,8 +390,9 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    with warnings.catch_warnings():
-        # the warning filters still decide which warnings show
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        # the warning filters still decide which warnings show; an overflow
+        # reaches the output as a non-finite float, which `_token` reports
         warnings.showwarning = _show_warning
         try:
             return _COMMANDS[args.command](args)

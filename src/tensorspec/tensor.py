@@ -177,6 +177,7 @@ def _as_array(t) -> np.ndarray:
 
     Complex and string entries raise `ValueError`, as the file reader does;
     an int beyond int64, which numpy holds as an object, reads as a float.
+    The one finite check of every tensor, read or computed (an overflow).
     """
     if isinstance(t, DenseTensor):
         return t.to_array()
@@ -186,7 +187,7 @@ def _as_array(t) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     _check_sizes(arr.shape)
     if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor entries must be finite (no NaN/Inf)")
+        raise ValueError("tensor entries must be finite (no NaN/Inf, and no computed entry past the float maximum)")
     return arr
 
 

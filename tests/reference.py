@@ -54,12 +54,14 @@ the shape of every `np.linalg.svd`, `np.linalg.solve` and `np.linalg.qr`
 argument, to check which matrices a solve factors.
 
 `cli_json` is the CLI's JSON byte contract written with the standard encoder:
-round every float to 12 significant digits, then ``json.dumps(indent=2)``.
-The CLI writes the same bytes in one pass with `cli._to_json`.
+round every float to 12 significant digits (a non-finite one, which JSON
+cannot spell, becomes ``None``), then ``json.dumps(indent=2)``.  The CLI
+writes the same bytes in one pass with `cli._to_json`.
 """
 
 import functools
 import json
+import math
 
 import numpy as np
 
@@ -394,9 +396,9 @@ def count_linalg(monkeypatch):
 
 
 def round12(obj):
-    """Every float in nested dicts and lists rounded to 12 significant digits."""
+    """Every float in nested dicts and lists rounded to 12 significant digits; a non-finite float is None."""
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return float(f"{obj:.12g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: round12(v) for k, v in obj.items()}
     if isinstance(obj, list):

@@ -65,6 +65,8 @@ class TestInfo:
         assert "symmetric: false" in out
 
 
+OVERFLOW_WARNING = "warning: a result exceeds the float maximum; it is written as null\n"
+NOT_FINITE_ERROR = "error: tensor entries must be finite (no NaN/Inf, and no computed entry past the float maximum)\n"
 NOT_ISOLATED = "warning: the solutions form a continuous family, not isolated; no records are returned\n"
 
 
@@ -178,9 +180,9 @@ class TestDecompCommands:
         captured = capsys.readouterr()
         obj = json.loads(captured.out, parse_constant=reject)
         assert obj["frobenius_norm"] is None and obj["multilinear_rank"] == [1, 1, 1]
-        assert captured.err == "warning: the Frobenius norm exceeds the float maximum; it is written as null\n"
+        assert captured.err == OVERFLOW_WARNING
         assert main(["info", str(path), "--format", "table"]) == 0
-        assert "frobenius_norm: null\n" in capsys.readouterr().out
+        assert "frobenius_norm: inf\n" in capsys.readouterr().out
 
     def test_hosvd_near_the_float_maximum(self, capsys, tmp_path):
         # 6e307 entries used to exit 4 on an overflow; at 1e308 the core itself is past the float maximum
@@ -191,7 +193,7 @@ class TestDecompCommands:
         assert abs(tucker_from_dict(json.loads(out)).core[1, 1, 1]) == pytest.approx(math.sqrt(8.0) * 6e307, rel=1e-11)
         save_tensor(DenseTensor(np.full((2, 2, 2), 1e308)), path)
         assert main(["hosvd", str(path)]) == 4
-        assert capsys.readouterr().err == "error: the HOSVD core overflows: an entry exceeds the float maximum\n"
+        assert capsys.readouterr().err == NOT_FINITE_ERROR
 
     def test_cp_roundtrips(self, capsys, eight1_path):
         code, out = run(capsys, ["cp", eight1_path, "--rank", "3"])
@@ -337,6 +339,20 @@ class TestExitCodes:
         code, out = run(capsys, ["info", str(path)])
         assert code == 0 and json.loads(out)["frobenius_norm"] == 1e20
 
+    def test_deeply_nested_file_is_2(self, capsys, tmp_path):
+        # the JSON parser's RecursionError used to escape as a traceback, exit 1
+        depth = 100_000
+        bare = tmp_path / "bare.json"
+        bare.write_text("[" * depth)
+        nested = tmp_path / "nested.json"
+        nested.write_text('{"shape": [1], "layout": "colex", "data": ' + "[" * depth + "1" + "]" * depth + "}")
+        for path in (bare, nested):
+            with pytest.raises(SystemExit) as exc:
+                main(["info", str(path)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read tensor from {path}: ") and err.count("\n") == 1
+
     def test_info_norm_of_tiny_and_huge_entries(self, capsys, tmp_path):
         for c in (1e-170, 1e170):
             path = tmp_path / "scaled.json"
@@ -421,6 +437,76 @@ class TestExitCodes:
             assert exc.value.code == 4
             err = capsys.readouterr().err
             assert f"error: cannot write {target}" in err and "Traceback" not in err
+
+
+def reject(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+# colex entries on which svd --p O and cp --rank 2 overflow
+MIXED_222 = [1e308, -3e307, 2e307, 5e307, 1e308, 0.0, -1e308, 4e307]
+SCALAR_COMMANDS = (
+    "info", "eig --mode 1", "eig --mode 3", "eig --variant h --mode 1", "eig --variant h --mode 3",
+    "svd", "svd --p O", "cp --rank 1", "cp --rank 2", "odeco",
+)
+# exit 3 at the parent too
+NOT_CONVERGED = {("mixed", "cp --rank 2"), ("mixed", "odeco")}
+
+
+class TestPastTheFloatMaximum:
+    """A result past the float maximum: ``null`` with one warning line, or one error line for a tensor."""
+
+    @pytest.fixture()
+    def big_paths(self, tmp_path):
+        tensors = {
+            "full222": DenseTensor(np.full((2, 2, 2), 1e308)),
+            "full333": DenseTensor(np.full((3, 3, 3), 1e308)),
+            "mixed": tensor_from_dict({"shape": [2, 2, 2], "layout": "colex", "data": MIXED_222}),
+            "counterexample": counterexample_222() * 5e307,
+        }
+        paths = {}
+        for name, t in tensors.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            save_tensor(t, paths[name])
+        return paths
+
+    def test_scalar_results_are_null(self, capsys, big_paths):
+        overflowing = 0
+        for name, path in big_paths.items():
+            for command in SCALAR_COMMANDS:
+                subcommand, *flags = command.split()
+                assert main([subcommand, path, *flags]) == (3 if (name, command) in NOT_CONVERGED else 0), (name, command)
+                captured = capsys.readouterr()
+                json.loads(captured.out, parse_constant=reject)
+                assert captured.err == (OVERFLOW_WARNING if "null" in captured.out else ""), (name, command)
+                overflowing += "null" in captured.out
+        # every run on the two full files; all but cp --rank 2 on the counterexample;
+        # info, eig --variant h --mode 3, svd --p O and cp --rank 2 on the mixed file
+        assert overflowing == 33
+
+    def test_warning_is_shown_on_every_run(self, capsys, big_paths):
+        for _ in range(3):
+            assert main(["eig", big_paths["full333"]]) == 0
+            assert capsys.readouterr().err == OVERFLOW_WARNING
+
+    def test_table_prints_inf(self, capsys, big_paths):
+        assert main(["eig", big_paths["full222"], "--format", "table"]) == 0
+        captured = capsys.readouterr()
+        assert "inf" in captured.out and captured.err == ""
+
+    def test_tensor_results_are_an_error(self, capsys, big_paths, tmp_path):
+        # evaluates to entries of 4e308
+        tk = TuckerDecomposition(DenseTensor(np.full((2, 2), 1e308)), [np.ones((2, 2))] * 2)
+        tk_path = str(tmp_path / "tk.json")
+        Path(tk_path).write_text(json.dumps(tucker_to_dict(tk)))
+        full222, full333 = big_paths["full222"], big_paths["full333"]
+        for argv in (
+            ["hosvd", full222], ["hosvd", full333], ["contract", full222, full222],
+            ["contract", full333, full333], ["tucker", tk_path],
+        ):
+            assert main(argv) == 4, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == NOT_FINITE_ERROR, argv
 
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))

@@ -311,7 +311,7 @@ class TestHosvd:
         assert abs(tk.core[1, 1, 1]) == pytest.approx(math.sqrt(8.0) * 6e307, rel=1e-15)
         assert frobenius_norm(tucker_eval(tk) - DenseTensor(arr)) <= 1e-14 * 6e307
         # the core entry of 1e308 entries, 2.8e308, is not a float
-        with pytest.raises(ValueError, match=r"^the HOSVD core overflows"):
+        with pytest.raises(ValueError, match=r"must be finite .*past the float maximum"):
             hosvd(np.full((2, 2, 2), 1e308), [1, 1, 1])
 
     def test_rank_out_of_range(self):
