@@ -2,8 +2,9 @@
 
 Subcommands: info, contract, eig, svd, cp, tucker, hosvd, odeco, mlrank.
 Input tensors come from the JSON tensor file format; results go to stdout or
-``--output`` as JSON (round-trippable through the library's deserializers) or
-as a plain table.  All numbers are printed to 12 significant digits and runs
+``--output`` as JSON (round-trippable through the library's deserializers,
+except where a result past the float maximum was written as ``null``: such a
+record does not read back) or as a plain table.  All numbers are printed to 12 significant digits and runs
 with the same seed and inputs produce byte-identical output.  The JSON bytes
 are ``json.dumps(obj, indent=2)`` of the result with every float rounded to 12
 significant digits, plus a newline; `_to_json` writes them in one pass.  A

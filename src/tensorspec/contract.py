@@ -26,6 +26,7 @@ odeco pencil).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -221,6 +222,32 @@ def _column_norms(y: np.ndarray, p: int = 2) -> np.ndarray:
     return np.add.reduce(np.abs(y) ** p, axis=0) ** (1.0 / p)
 
 
+def _chunk_length(before, last, floor: float, run: int) -> int:
+    """How many sweeps `_power_sweeps` runs next, after ``run`` sweeps.
+
+    ``before`` and ``last`` are the running columns' squared moves in the
+    last two sweeps; after one sweep ``before`` is None and taken as 2, the
+    largest squared move up to sign between unit vectors, which overstates
+    the first rate.  Each column's move is extrapolated at its last rate to
+    the sweep at which it reaches ``floor``, the log of ``tol^2``, where it
+    would stop.  The chunk ends at the sweep after which at most one column
+    is predicted to be left, and is at least 1 and at most ``run + 1``
+    sweeps long: a rate is read from one sweep, and a column can converge
+    faster than its last rate says (the odeco components converge faster
+    than linearly), so a chunk runs at most one sweep more than all the
+    sweeps before it.
+    """
+    cap = run + 1
+    # a column whose move did not shrink is predicted never to stop
+    last = np.log(last)
+    left = (floor - last) / np.minimum(last - (math.log(2.0) if before is None else np.log(before)), -1e-12)
+    left.partition(left.size - 2)
+    ahead = float(left[-2] if left.size > 1 else left[0])
+    if not ahead < cap:
+        return cap
+    return math.ceil(ahead) if ahead > 1.0 else 1
+
+
 def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_iters: int):
     """Multi-start power iteration with every start as one column.
 
@@ -231,50 +258,91 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
     when an update of it has zero norm (that block keeps its value; status
     -1), when no block moved by more than ``tol`` in 2-norm up to sign
     during a sweep (status 1), or after ``max_iters`` sweeps (status 0).
-    ``current`` is kept from sweep to sweep; it is written back into the
-    blocks and narrowed to the running columns only after a sweep in which
-    some column stopped, and once at the end; a sweep with no zero norm in
-    which some block moved every column by more than ``tol`` does neither.
     Returns the final blocks and the per-column status.
+
+    The sweeps run in chunks of `_chunk_length` sweeps.  A sweep only
+    updates each block, normalizes it and writes it into the chunk's
+    history, one ``(n + 1, sum M_k, S)`` array; the stop tests run once per
+    chunk on the whole history, with the expressions of a per-sweep test,
+    and a column that stopped inside the chunk takes its blocks from the
+    sweep it stopped at.  Columns that stopped early keep being updated
+    until the chunk ends, which changes no bit of the others: a BLAS
+    product rounds each column the same whatever the column count, as long
+    as it is at least two.  A one-column product rounds differently, so
+    when the running set drops to exactly one column inside a chunk, the
+    chunk ends at that sweep and the survivor goes on alone, as it would in
+    a loop that narrows after every sweep.
     """
-    blocks = [np.array(b, dtype=float) for b in blocks]
-    status = np.zeros(blocks[0].shape[1], dtype=int)
+    sizes = [b.shape[0] for b in blocks]
+    spans = [slice(a, a + m) for a, m in zip(itertools.accumulate(sizes, initial=0), sizes)]
+    final = np.concatenate(blocks, dtype=float)  # every block's rows, one after the other
+    status = np.zeros(final.shape[1], dtype=int)
     cols = np.arange(status.size)
-    current = list(blocks)
-    for _ in range(max_iters):
-        if not cols.size:
-            break
-        alive, may_stop, moved = None, True, []  # alive is None until a norm is zero
-        for k, x in enumerate(current):
-            y = update(k, current, cols)
-            nrm = _column_norms(y, p)
-            if alive is None and np.count_nonzero(nrm) == nrm.size:
-                y = y / nrm
-            else:
-                alive = nrm != 0.0 if alive is None else alive & (nrm != 0.0)
-                y = np.where(alive, y / np.where(alive, nrm, 1.0), x)
-            d, s = y - x, y + x
-            moved.append(np.minimum(np.add.reduce(d * d, axis=0), np.add.reduce(s * s, axis=0)))
-            # none stops once a block moved every column by more than tol; sqrt is
-            # monotone, so the sqrt of the smallest move decides it to the bit
-            may_stop = may_stop and not math.sqrt(np.minimum.reduce(moved[-1])) > tol
-            current[k] = y
-        if alive is None and not may_stop:
-            continue
-        alive = np.ones(cols.size, dtype=bool) if alive is None else alive
-        done = alive & (np.sqrt(np.max(moved, axis=0)) <= tol)
-        running = alive & ~done
-        if running.all():
-            continue
-        for b, c in zip(blocks, current):
-            b[:, cols] = c
-        status[cols[~alive]] = -1
-        status[cols[done]] = 1
-        cols = cols[running]
-        current = [c[:, running] for c in current]
-    for b, c in zip(blocks, current):
-        b[:, cols] = c
-    return blocks, status
+    start = final
+    floor = math.log(tol * tol) if tol * tol > 0.0 else -math.inf
+    run, length, last = 0, 1, None  # last: the running columns' moves in the sweep before
+    while cols.size and run < max_iters:
+        length = min(length, max_iters - run)
+        hist = np.empty((length + 1,) + start.shape)
+        hist[0] = start
+        current = [hist[0, span] for span in spans]
+        dead = None
+        for t in range(1, length + 1):
+            alive = None  # None until a norm is zero in this sweep
+            for k, span in enumerate(spans):
+                y = update(k, current, cols)
+                nrm = _column_norms(y, p)
+                out = hist[t, span]
+                if alive is None and np.count_nonzero(nrm) == nrm.size:
+                    np.divide(y, nrm, out=out)
+                else:
+                    alive = nrm != 0.0 if alive is None else alive & (nrm != 0.0)
+                    out[...] = np.where(alive, y / np.where(alive, nrm, 1.0), current[k])
+                current[k] = out
+            if alive is not None:
+                dead = np.zeros((length, cols.size), dtype=bool) if dead is None else dead
+                dead[t - 1] = ~alive
+        # per sweep and column, the largest squared move of any block up to sign
+        steps = np.empty((2,) + hist[1:].shape)
+        np.subtract(hist[1:], hist[:-1], out=steps[0])
+        np.add(hist[1:], hist[:-1], out=steps[1])
+        steps *= steps
+        moves = None
+        for span in spans:
+            sums = np.add.reduce(steps[:, :, span], axis=2)
+            moves = np.minimum(sums[0], sums[1]) if moves is None else np.maximum(moves, np.minimum(sums[0], sums[1]))
+        # the sweep each column stops at, length for none
+        stop = np.empty((length + 1, cols.size), dtype=bool)
+        np.less_equal(np.sqrt(moves), tol, out=stop[:length])
+        if dead is not None:
+            stop[:length] |= dead
+        stop[length] = True
+        ends = stop.argmax(axis=0)
+        keep = ends == length
+        running = np.count_nonzero(keep)
+        if running < cols.size:
+            if running < 2 and cols.size > 1 and length > 1:
+                top = ends.copy()
+                top.partition(cols.size - 2)
+                if top[-2] < min(top[-1], length - 1):
+                    length = int(top[-2]) + 1  # one column is left: it goes on alone
+                    keep = ends >= length
+            idx = np.flatnonzero(~keep)
+            final[:, cols[idx]] = hist[1][:, idx] if length == 1 else hist[ends[idx] + 1, :, idx].T
+            status[cols[idx]] = 1 if dead is None else np.where(dead[ends[idx], idx], -1, 1)
+            cols = cols[keep]
+        else:
+            keep = slice(None)
+        run += length
+        if cols.size:
+            start = hist[length][:, keep]
+            if run < max_iters:
+                before = moves[length - 2][keep] if length > 1 else None if last is None else last[keep]
+                last = moves[length - 1][keep]
+                length = _chunk_length(before, last, floor, run)
+    if cols.size:
+        final[:, cols] = start
+    return [final[span] for span in spans], status
 
 
 def _unfolding_r(arr: np.ndarray, o: int) -> np.ndarray:

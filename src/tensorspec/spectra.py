@@ -53,11 +53,13 @@ Every spectral solve has three steps.  Starts: `contract._starts` builds
 every start (on size-2 modes the root lines of the binary form are the
 starts), and `contract._power_sweeps` runs them as the columns of one matrix where a map
 converges (tuple starts, z starts on symmetric input, h starts on
-nonnegative input).  Polish: `_damped_newton` on the system's residual,
-each step one `contract._lstsq` solve, the least-squares kernel ALS also
-uses (one batched LU, as both systems are square; the SVD only where a
-Jacobian is exactly singular), then `_gate` reads that residual once per
-column.  An eigen polish evaluates ``F_1`` once per set of points: the
+nonnegative input); it tests the stops once per chunk of sweeps, on the
+chunk's history, with the bits of a test after every sweep.  Polish:
+`_damped_newton` on the system's residual, each step one `contract._lstsq`
+solve, the least-squares kernel ALS also uses (one batched LU, as both
+systems are square; the SVD only where a Jacobian is exactly singular),
+then `_gate` reads that residual once per column.  Each system writes its
+residual rows and its Jacobian in place, into one block per call.  An eigen polish evaluates ``F_1`` once per set of points: the
 starts' one evaluation gives their fitted lambda, Newton's first residual
 and, when Newton moves no column (on size-2 roots it takes no step), the
 gate's residual; h records are renormalized and evaluated once more.  The
@@ -517,33 +519,38 @@ def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13, g=None):
 
     The steps of an iteration are one `contract._lstsq` call: batched LU on
     the square systems, the SVD for a Jacobian that is exactly singular.
-    The iteration stops when the SVD does not converge.
+    The iteration stops when the SVD does not converge, and once no column
+    is left, with no further `jacobian` call.  The columns are narrowed only
+    in an iteration in which one stops, and the finite test runs per column
+    only when some entry of the Jacobians or residuals is not finite.
     """
     v = np.array(v, dtype=float)
     g = residual(v) if g is None else g
     cols = np.arange(v.shape[1])
     for _ in range(iters):
         live = np.maximum.reduce(np.abs(g), axis=0) > tol  # g holds the residuals of cols
-        cols, g = cols[live], g[:, live]
+        if np.count_nonzero(live) < cols.size:
+            cols, g = cols[live], g[:, live]
         if not cols.size:
             break
-        jac = jacobian(v[:, cols])
+        at = v if cols.size == v.shape[1] else v[:, cols]
+        jac = jacobian(at)
         # lstsq rejects non-finite systems; such a column stops where it is
-        finite = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(g).all(axis=0)
-        if not finite.all():
-            cols, jac, g = cols[finite], jac[finite], g[:, finite]
+        if np.count_nonzero(np.isfinite(jac)) < jac.size or np.count_nonzero(np.isfinite(g)) < g.size:
+            finite = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(g).all(axis=0)
+            cols, at, jac, g = cols[finite], at[:, finite], jac[finite], g[:, finite]
             if not cols.size:
                 break
         try:
-            step = -_lstsq(jac, g.T[:, :, None])[:, :, 0].T
+            step = _lstsq(jac, g.T[:, :, None])[:, :, 0].T
         except np.linalg.LinAlgError:
             break
         base = _column_norms(g)
-        cand = v[:, cols, None] + step[:, :, None] * _LADDER
+        cand = at[:, :, None] - step[:, :, None] * _LADDER
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected: inf < base is False
             gc = residual(cand.reshape(v.shape[0], -1)).reshape(g.shape[0], cols.size, _LADDER.size)
             better = _column_norms(gc) < base[:, None]
-        hit = np.flatnonzero(better.any(axis=1))
+        hit = np.flatnonzero(np.logical_or.reduce(better, axis=1))
         level = better[hit].argmax(axis=1)
         cols = cols[hit]
         v[:, cols] = cand[:, hit, level]
@@ -561,6 +568,9 @@ def _eig_system(arr, power, plan=None):
     contracted with ``x`` on every mode except 1 and ``j``: one kernel pass
     over the stacked slabs, planned on the first call.  Another mode's
     system is this one of the tensor with that mode moved to the front.
+    Both are written in place into one preallocated block per call: the
+    residual rows as ``(m + 1, C)``, the Jacobian as ``(m + 1, m + 1, C)``,
+    returned as its ``(C, m + 1, m + 1)`` transposed view.
     """
     m = arr.shape[0]
     plan = _contract_plan(arr, (1,)) if plan is None else plan
@@ -569,19 +579,30 @@ def _eig_system(arr, power, plan=None):
     def residual(v, f=None):
         x, lam = v[:m], v[m]
         f = _contract_all_but_batch(plan, x) if f is None else f
-        return np.vstack([f - lam * x**power, np.add.reduce(x * x, axis=0) - 1.0])
+        out = np.empty(v.shape)
+        eqs = out[:m]
+        np.multiply(lam, x if power == 1 else x**power, out=eqs)
+        np.subtract(f, eqs, out=eqs)
+        np.add.reduce(x * x, axis=0, out=out[m])
+        out[m] -= 1.0
+        return out
 
     def jacobian(v):
         if not slabs:
             slabs.append(_contract_plan(arr, [(1, j) for j in range(2, arr.ndim + 1)]))
         x, lam = v[:m], v[m]
-        jac = np.zeros((x.shape[1], m + 1, m + 1))
-        jac[:, :m, :m] = np.add.reduce(_contract_all_but_batch(slabs[0], x), axis=0, initial=0.0).transpose(2, 0, 1)
-        diag = np.arange(m)
-        jac[:, diag, diag] -= (power * lam * x ** (power - 1)).T
-        jac[:, :m, m] = -(x**power).T
-        jac[:, m, :m] = 2.0 * x.T
-        return jac
+        jac = np.empty((m + 1, m + 1, x.shape[1]))
+        dfdx = _contract_all_but_batch(slabs[0], x)
+        if dfdx.shape[-1] == x.shape[1]:
+            np.add.reduce(dfdx, axis=0, initial=0.0, out=jac[:m, :m])
+        else:  # order 2: the matrix itself, one slab for every column
+            jac[:m, :m] = np.add.reduce(dfdx, axis=0, initial=0.0)
+        diag = jac.reshape(-1, x.shape[1])[:: m + 2][:m]  # the rows (i, i, :)
+        diag -= lam if power == 1 else power * lam * x ** (power - 1)
+        np.negative(x if power == 1 else x**power, out=jac[:m, m])
+        np.multiply(2.0, x, out=jac[m, :m])
+        jac[m, m] = 0.0
+        return jac.transpose(2, 0, 1)
 
     return residual, jacobian
 
@@ -791,39 +812,45 @@ def _tuple_system(arr, p, plans=None):
     tuple ``(sigma, x_1, .., x_O)``.  The block ``dF_o/dx_j``, planned on the
     first call, is the tensor contracted with the vectors on every mode
     except ``o`` and ``j``; the ``sigma_o`` column is ``-phi(x_o, p - 1)`` in
-    the mode-o rows only.
+    the mode-o rows only.  Both are written in place into one preallocated
+    block per call: the residual rows as ``(r, C)``, the Jacobian as
+    ``(r, r, C)``, returned as its ``(C, r, r)`` transposed view.
     """
     order = arr.ndim
     power = p - 1
-    offsets = np.cumsum([0] + list(arr.shape))
-    n = int(offsets[-1])
+    offsets = list(itertools.accumulate(arr.shape, initial=0))
+    n = offsets[-1]
+    spans = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
     plans = [_contract_plan(arr, (o,)) for o in range(1, order + 1)] if plans is None else plans
     pairs = {}
 
     def residual(v):
-        xs, sig = np.split(v[:n], offsets[1:-1]), v[n:]
-        eqs = [_contract_all_but_batch(plans[o], xs[:o] + xs[o + 1:]) - sig[o] * _phi(xs[o], power) for o in range(order)]
-        norms = np.array([np.sum(np.abs(x) ** p, axis=0) - 1.0 for x in xs])
-        return np.vstack(eqs + [norms])
+        xs, sig = [v[span] for span in spans], v[n:]
+        out = np.empty(v.shape)
+        for o, span in enumerate(spans):
+            eqs = out[span]
+            np.multiply(sig[o], _phi(xs[o], power), out=eqs)
+            np.subtract(_contract_all_but_batch(plans[o], xs[:o] + xs[o + 1:]), eqs, out=eqs)
+            np.add.reduce(xs[o] * xs[o] if p == 2 else np.abs(xs[o]) ** p, axis=0, out=out[n + o])
+        out[n:] -= 1.0
+        return out
 
     def jacobian(v):
         if not pairs:
             pairs.update({(o, j): _contract_plan(arr, (o + 1, j + 1)) for o in range(order) for j in range(o + 1, order)})
-        xs, sig = np.split(v[:n], offsets[1:-1]), v[n:]
-        jac = np.zeros((v.shape[1], n + order, n + order))
-        for o in range(order):
-            rows = slice(offsets[o], offsets[o + 1])
+        xs, sig = [v[span] for span in spans], v[n:]
+        jac = np.zeros((n + order, n + order, v.shape[1]))
+        diag = jac.reshape(-1, v.shape[1])[:: n + order + 1]  # the rows (i, i, :)
+        for o, rows in enumerate(spans):
             for j in range(o + 1, order):
-                cols = slice(offsets[j], offsets[j + 1])
-                rest = [xs[k] for k in range(order) if k not in (o, j)]
-                block = _contract_all_but_batch(pairs[o, j], rest).transpose(2, 0, 1)
-                jac[:, rows, cols] = block
-                jac[:, cols, rows] = np.swapaxes(block, 1, 2)
-            diag = np.arange(offsets[o], offsets[o + 1])
-            jac[:, diag, diag] = -(power * sig[o] * np.abs(xs[o]) ** (power - 1)).T
-            jac[:, rows, n + o] = -_phi(xs[o], power).T
-            jac[:, n + o, rows] = (p * _phi(xs[o], p - 1)).T
-        return jac
+                block = _contract_all_but_batch(pairs[o, j], [xs[k] for k in range(order) if k not in (o, j)])
+                jac[rows, spans[j]] = block
+                jac[spans[j], rows] = block.transpose(1, 0, 2)
+            diag[rows] = -sig[o] if p == 2 else -(power * sig[o] * np.abs(xs[o]) ** (power - 1))
+            phi = _phi(xs[o], power)
+            np.negative(phi, out=jac[rows, n + o])
+            np.multiply(p, phi, out=jac[n + o, rows])
+        return jac.transpose(2, 0, 1)
 
     return residual, jacobian
 
@@ -894,11 +921,12 @@ def find_singular_tuples(
     xs, status = _power_sweeps(update, [b[:, :starts] for b in blocks], p, handoff, max_iters)
     # a zero iterate killed these starts; each is replaced once by the next unused column
     dead = np.flatnonzero(status < 0)
-    spare = [b[:, starts : starts + dead.size] for b in blocks]
-    spare, status[dead] = _power_sweeps(update, spare, p, handoff, max_iters)
-    for x, y in zip(xs, spare):
-        x[:, dead] = y
-    xs = [x[:, status >= 0] for x in xs]
+    if dead.size:
+        spare = [b[:, starts : starts + dead.size] for b in blocks]
+        spare, status[dead] = _power_sweeps(update, spare, p, handoff, max_iters)
+        for x, y in zip(xs, spare):
+            x[:, dead] = y
+        xs = [x[:, status >= 0] for x in xs]
     n = sum(arr.shape)
     sigma0 = [_fit_scale(_contract_all_but_batch(plans[o], xs[:o] + xs[o + 1:]), _phi(xs[o], power)) for o in range(order)]
     residual, jacobian = _tuple_system(arr, p, plans)

@@ -527,6 +527,120 @@ class TestPowerSweeps:
         assert np.array_equal(self.check(update, [x0], 2, 1e-14, 0), np.zeros(4, dtype=int))
         assert self.check(update, [x0[:, :0]], 2, 1e-14, 5).size == 0
 
+    @staticmethod
+    def sweep_sizes(sweeps, update, blocks, *args):
+        """The running column count of every sweep, and the result, of one call."""
+        sizes = []
+
+        def counted(k, cur, cols):
+            if k == 0:
+                sizes.append(cols.size)
+            return update(k, cur, cols)
+
+        return sizes, sweeps(counted, blocks, *args)
+
+    def test_one_column_left_inside_a_chunk_goes_on_alone(self):
+        from tensorspec.contract import _power_sweeps
+
+        g = rng(46)
+        q = np.linalg.qr(g.normal(size=(10, 10)))[0]
+        a = q @ np.diag(np.r_[1.0, np.linspace(0.9, 0.5, 8), 0.0]) @ q.T
+        # column 0 loses its null-space part in sweep 1 and stops in sweep 2,
+        # inside the library's second chunk (sweeps 2 and 3); column 1 runs on
+        x0 = self.unit(np.column_stack([q[:, 0] + 0.5 * q[:, 9], g.normal(size=10)]))
+
+        def update(k, cur, cols):
+            return a @ cur[0]
+
+        sizes, (got, status) = self.sweep_sizes(_power_sweeps, update, [x0], 2, 1e-12, 500)
+        want_sizes, (want, want_status) = self.sweep_sizes(power_sweeps_loop, update, [x0], 2, 1e-12, 500)
+        assert status.tolist() == want_status.tolist() == [1, 1]
+        assert np.array_equal(got[0], want[0])
+        # the loop runs two sweeps on both columns; the library ran a third, then
+        # dropped it and ran that sweep again on the survivor alone
+        assert want_sizes[:3] == [2, 2, 1] and sizes[:4] == [2, 2, 2, 1]
+        assert sizes.count(1) == want_sizes.count(1) > 100
+
+    def test_zero_update_in_a_later_block_inside_a_chunk(self):
+        from tensorspec.contract import _power_sweeps
+
+        g = rng(47)
+        blocks = [self.unit(g.normal(size=(d, 6))) for d in (3, 4)]
+        a, b = g.normal(size=(3, 4)), g.normal(size=(4, 3))
+
+        def run(sweeps):
+            calls, seen = [], []
+
+            def update(k, cur, cols):
+                calls.append(k)
+                y = a @ cur[1] if k == 0 else b @ cur[0]
+                if len(calls) == 10:
+                    # sweep 5, block 1: column 2 gets a zero update
+                    y[:, int(np.flatnonzero(cols == 2)[0])] = 0.0
+                if len(calls) == 12:
+                    seen.append(2 in cols)
+                return y
+
+            # at tol 0 no column converges: the library's chunks are sweeps 1, 2-3, 4-7 and 8-12
+            return sweeps(update, blocks, 2, 0.0, 12), seen
+
+        (got, status), seen = run(_power_sweeps)
+        (want, want_status), want_seen = run(power_sweeps_loop)
+        assert status.tolist() == want_status.tolist() == [0, 0, -1, 0, 0, 0]
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        # the library still updated the dead column in sweep 6, in the same chunk
+        assert seen == [True] and want_seen == [False]
+
+    def test_short_runs_and_no_columns(self):
+        from tensorspec.contract import _contract_all_but_batch, _contract_plan
+
+        g = rng(48)
+        arr = g.normal(size=(3, 4, 5))
+
+        def update(k, cur, cols):
+            return _contract_all_but_batch(_contract_plan(arr, (k + 1,)), cur[:k] + cur[k + 1:])
+
+        blocks = [self.unit(g.normal(size=(d, 10))) for d in arr.shape]
+        for max_iters in (1, 2, 3, 17):
+            for tol in (1e-13, 1e-2):
+                self.check(update, blocks, 2, tol, max_iters)
+        assert self.check(update, [b[:, :0] for b in blocks], 2, 1e-13, 17).size == 0
+
+    def test_work_is_the_loops_and_one_chunk(self, monkeypatch):
+        import importlib
+
+        from tensorspec.contract import _contract_all_but_batch, _contract_plan, _power_sweeps
+
+        contract_module = importlib.import_module("tensorspec.contract")
+        chunk_length = contract_module._chunk_length
+        chunks = []
+
+        def spy(*args):
+            chunks.append(chunk_length(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(contract_module, "_chunk_length", spy)
+        g = rng(49)
+        a = g.normal(size=(4, 4, 4))
+        sym = sum(a.transpose(q) for q in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]) / 6
+        sign = np.tile([1.0, -1.0], 8)
+        shift = float(np.sum(np.abs(sym)))
+        tensor = g.normal(size=(5, 6, 7))
+        cases = [
+            (lambda k, cur, cols: sign[cols] * _contract_all_but_batch(_contract_plan(sym, (1,)), cur[0]) + shift * cur[0],
+             [self.unit(g.normal(size=(4, 16)))], 1e-8),
+            (lambda k, cur, cols: _contract_all_but_batch(_contract_plan(np.abs(a), (1,)), cur[0]) ** 0.5,
+             [self.unit(np.abs(g.normal(size=(4, 16))))], 1e-14),
+            (lambda k, cur, cols: _contract_all_but_batch(_contract_plan(tensor, (k + 1,)), cur[:k] + cur[k + 1:]),
+             [self.unit(g.normal(size=(d, 16))) for d in tensor.shape], 1e-4),
+        ]
+        for update, blocks, tol in cases:
+            chunks[:] = [1]
+            sizes, _ = self.sweep_sizes(_power_sweeps, update, blocks, 2, tol, 500)
+            want_sizes, _ = self.sweep_sizes(power_sweeps_loop, update, blocks, 2, tol, 500)
+            # the sweeps past the loop's are those of at most one chunk
+            assert len(want_sizes) <= len(sizes) <= len(want_sizes) + max(chunks)
+
 
 class TestLstsq:
     """`_lstsq` against `np.linalg.lstsq` with its default cutoff, one matrix at a time."""

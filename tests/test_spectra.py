@@ -1474,6 +1474,25 @@ class TestBatchedSolvers:
         calls, iters = counts[_damped_newton]
         assert iters > 5 and calls <= iters + 1
 
+    def test_no_jacobian_call_once_no_column_is_left(self):
+        from tensorspec.spectra import _damped_newton, _eig_system, _fit_scale, _starts
+
+        arr = rng(361).normal(size=(4, 4, 4))
+        arr /= np.max(np.abs(arr))
+        [x] = _starts(arr, [1], 16, 2)
+        residual, jacobian = _eig_system(arr, 1)
+        v = np.vstack([x, _fit_scale(eig_map_loop(arr, x), x)])
+        jac_calls = []
+        out = _damped_newton(residual, counted(jacobian, jac_calls), v)
+        # every column stops within the 50 iterations, and the last call still had one
+        assert 0 < len(jac_calls) < 50 and min(jac_calls) > 0
+        solved = np.max(np.abs(residual(out)), axis=0) <= 1e-13
+        assert solved.sum() >= 8
+        for done in (out[:, solved], v[:, :0]):
+            jac_calls.clear()
+            assert np.array_equal(_damped_newton(residual, counted(jacobian, jac_calls), done), done)
+            assert jac_calls == []
+
     def test_square_systems_step_by_lu(self, monkeypatch):
         from tensorspec.spectra import _damped_newton, _eig_system, _fit_scale, _starts
 
