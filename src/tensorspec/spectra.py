@@ -495,6 +495,10 @@ def _size2_solve(arr, variant, tol):
 
 # the step lengths `_damped_newton` tries, longest first
 _LADDER = 0.5 ** np.arange(20)
+# `_damped_newton` stops a column once its max|residual| is at most _NEWTON_TOL,
+# and runs at most _NEWTON_ITERS iterations
+_NEWTON_ITERS = 50
+_NEWTON_TOL = 1e-13
 
 
 def _fit_scale(f: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -504,12 +508,12 @@ def _fit_scale(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(nonzero, np.add.reduce(f * w, axis=0) / np.where(nonzero, denom, 1.0), 0.0)
 
 
-def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13, g=None):
+def _damped_newton(residual, jacobian, v, g=None):
     """Damped Gauss-Newton on every column of ``v`` at once.
 
     ``residual`` maps an ``(n, C)`` block of points to their ``(r, C)``
     residuals and ``jacobian`` to their exact ``(C, r, n)`` Jacobians.  Per
-    column: stop once ``max|residual| <= tol``; otherwise take the
+    column: stop once ``max|residual| <= _NEWTON_TOL``; otherwise take the
     minimum-norm least-squares step scaled by the first of ``1, 1/2, ..,
     2^-19`` at which the residual's 2-norm drops; a column whose residual
     drops at none of them stops there.  The whole ladder is evaluated for
@@ -527,8 +531,8 @@ def _damped_newton(residual, jacobian, v, iters=50, tol=1e-13, g=None):
     v = np.array(v, dtype=float)
     g = residual(v) if g is None else g
     cols = np.arange(v.shape[1])
-    for _ in range(iters):
-        live = np.maximum.reduce(np.abs(g), axis=0) > tol  # g holds the residuals of cols
+    for _ in range(_NEWTON_ITERS):
+        live = np.maximum.reduce(np.abs(g), axis=0) > _NEWTON_TOL  # g holds the residuals of cols
         if np.count_nonzero(live) < cols.size:
             cols, g = cols[live], g[:, live]
         if not cols.size:
@@ -624,9 +628,10 @@ def _eig_iterative(arr, variant, tol, max_iters, seed, starts):
 
         (x,), _ = _power_sweeps(update, [x], 2, 1e-14, max_iters)
 
-    elif variant == "h" and np.all(arr >= 0.0):
+    elif variant == "h" and order >= 3 and np.all(arr >= 0.0):
         # the entrywise-root map converges on nonnegative input (Ng, Qi & Zhou
-        # 2009); from the starts |x| every F(x) stays nonnegative
+        # 2009); from the starts |x| every F(x) stays nonnegative.  At order 2
+        # it is the plain power method, which takes every start to one vector
         def update(k, cur, cols):
             return _contract_all_but_batch(plan, cur[0]) ** (1.0 / (order - 1))
 
@@ -708,8 +713,8 @@ def find_eigenpairs(
     the mode's unfolding, then coordinate vectors, then ``default_rng(seed)``
     normal draws (`_starts`), all run at once, one per column.  On symmetric
     input (`tensor._symmetric_input`) z starts first run both shifted power
-    maps, on nonnegative input h starts the entrywise-root map;
-    ``max_iters`` caps those sweeps only.
+    maps, on nonnegative input of order 3 or more h starts the entrywise-root
+    map; ``max_iters`` caps those sweeps only.
     Other starts go straight to Newton.  Completeness is not claimed there.
     Both paths polish every start by damped Newton with the exact Jacobian,
     add the sign partner (`eig_orbit` with ``t = -1``) of every converged

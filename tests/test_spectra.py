@@ -555,6 +555,30 @@ class TestFindEigenpairsIterative:
         pos = [p for p in pairs if p.value > 0 and np.all(p.vector > 0)]
         assert pos and all(p.residual <= 1e-10 for p in pos)
 
+    def test_nonneg_matrix_h_finds_every_z_eigenvalue(self):
+        # at order 2 the h and z equations are one equation, so on modes 1 and 2
+        # (left and right eigenvectors) h finds every real eigenvalue z finds
+        def values(arr, mode, variant):
+            return [p.value for p in find_eigenpairs(DenseTensor(arr), mode, variant) if p.converged]
+
+        def covers(got, want):
+            return all(any(abs(mu - lam) <= 1e-6 * max(1.0, abs(lam)) for mu in got) for lam in want)
+
+        several = 0
+        for seed in range(20):
+            g = rng(500 + seed)
+            m = 3 + seed % 4
+            arr = np.abs(g.normal(size=(m, m)))
+            if seed % 2:
+                arr = arr + arr.T
+            h = [values(arr, mode, "h") for mode in (1, 2)]
+            for mode in (1, 2):
+                z = values(arr, mode, "z")
+                several += len(set(np.round(z, 6))) >= 2
+                assert covers(h[mode - 1], z) and covers(z, h[mode - 1])
+            assert covers(h[0], h[1]) and covers(h[1], h[0])
+        assert several >= 30
+
 
 def converged_records(arr, variant):
     t = DenseTensor(arr)
