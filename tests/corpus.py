@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/corpus.py
 
 prints one line per solver class, ``<class>: <calls> calls, <records>
-records, sha256 <hex>``, in a fixed order.  A call that returns a list counts
+records, sha256 <hex>``, in the order of their first call.  A call that returns a list counts
 its items as records; any other call is one record.  Run it with another
 tree's ``src`` on the path and diff the outputs: a line that differs names
 the class whose records moved.  The digests depend on the BLAS build, so
@@ -59,8 +59,6 @@ from tensorspec.serialize import save_tensor
 from tensorspec.spectra import find_eigenpairs, find_singular_tuples
 from tensorspec.tensor import DenseTensor, outer
 
-CLASSES = ["size2.z", "size2.h", "eig.z", "eig.h", "svd.2", "svd.O",
-           "odeco.sym", "odeco.gen", "cp_als", "hosvd", "mlrank", *(f"cli.{c}" for c in cli._COMMANDS)]
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 SHAPES = {"cube": (3, 3, 3), "box": (2, 3, 4), "mat": (4, 3), "vec": (4,)}
 
@@ -266,9 +264,9 @@ def library_calls():
 
 
 def main():
-    digests = {c: [0, 0, hashlib.sha256()] for c in CLASSES}
+    digests = {}  # classes print in the order of their first call
     for cls, result in itertools.chain(library_calls(), cli_calls()):
-        entry = digests[cls]
+        entry = digests.setdefault(cls, [0, 0, hashlib.sha256()])
         entry[0] += 1
         entry[1] += len(result) if isinstance(result, list) else 1
         entry[2].update(encode(result))
