@@ -12,7 +12,7 @@ Sums are accumulated pairwise by numpy, which keeps the library's 1e-12
 property tolerances honest at desk scale.
 
 The private helpers at the end are the kernels the solvers share: the mode
-unfolding and the small R factor that every unfolding SVD is taken of, the
+unfolding and its one SVD (`_mode_svd`, taken of a small R factor), the
 contraction evaluated at many vectors at once on a tensor laid out once per
 operator (the one kernel for ``F_o``, which `contract_all_but` also
 evaluates, with a single column; a stacked plan is one concatenated matrix,
@@ -345,26 +345,23 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
     return [final[span] for span in spans], status
 
 
-def _unfolding_r(arr: np.ndarray, o: int) -> np.ndarray:
-    """The R factor of ``qr(unfolding.T)`` for the mode-o unfolding, at most ``M_o`` rows.
+def _mode_svd(arr: np.ndarray, o: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, s)``: the left singular vectors and singular values of the mode-o unfolding.
 
-    The unfolding is ``R.T @ Q.T`` with orthonormal rows in ``Q.T``, so
-    ``R.T`` has its singular values and left singular vectors, and an SVD of
-    the small ``R`` skips the ``|T| / M_o`` columns of the unfolding's ``V``
-    (Chan's R-bidiagonalisation).
+    Both come from the full SVD of the small ``R.T``, ``R`` the R factor of
+    ``qr(unfolding.T)``: the unfolding is ``R.T @ Q.T`` with orthonormal rows
+    in ``Q.T``, so the SVD skips the ``|T| / M_o`` columns of the unfolding's
+    ``V`` (Chan's R-bidiagonalisation).  ``U`` is ``M_o`` square even where
+    the unfolding has fewer columns (and ``s`` fewer values): past its rank,
+    ``U``'s columns complete an orthonormal basis.
     """
-    return np.linalg.qr(_mode_unfolding(arr, o).T, mode="r")
+    u, s, _ = np.linalg.svd(np.linalg.qr(_mode_unfolding(arr, o).T, mode="r").T)
+    return u, s
 
 
 def _leading_vectors(arr: np.ndarray, modes, ranks) -> list[np.ndarray]:
-    """For each mode ``o`` and rank ``r``, ``r`` leading orthonormal left singular vectors of the mode-o unfolding.
-
-    They come from the full SVD of the small ``_unfolding_r(arr, o).T``,
-    which has ``M_o`` left singular vectors even where the unfolding has
-    fewer than ``M_o`` columns: past the unfolding's rank they complete an
-    orthonormal basis.
-    """
-    return [np.linalg.svd(_unfolding_r(arr, o).T)[0][:, :r] for o, r in zip(modes, ranks)]
+    """For each mode ``o`` and rank ``r``, the first ``r`` columns of `_mode_svd`'s ``U``."""
+    return [_mode_svd(arr, o)[0][:, :r] for o, r in zip(modes, ranks)]
 
 
 def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:

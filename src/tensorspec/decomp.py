@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contract import _contract_all_but_batch, _contract_plan, _leading_vectors, _lstsq, _mode_unfolding, _power_sweeps, _unfolding_r, multi_mode_product
+from .contract import _contract_all_but_batch, _contract_plan, _leading_vectors, _lstsq, _mode_svd, _mode_unfolding, _power_sweeps, multi_mode_product
 from .shape import _ints
 from .tensor import DenseTensor, _as_array, _check_cubical, _check_order, _check_run_opts, _scale_exponent, frobenius_norm
 
@@ -206,13 +206,12 @@ def hosvd(t: DenseTensor, ranks: Sequence[int]) -> TuckerDecomposition:
     """Truncated higher-order SVD.
 
     Factor ``o`` holds ``ranks[o]`` orthonormal columns, the leading left
-    singular vectors of the mode-o matricization, taken from the SVD of its
-    small R factor (`contract._leading_vectors`); where the matricization
-    has fewer than ``ranks[o]`` columns, the rest complete an orthonormal
-    basis, so the core always has shape ``ranks``.  The core is ``t``
-    contracted with the factor transposes.  Exact at full multilinear ranks;
-    a heuristic (not optimal) truncation below them.  A rank that is not an
-    integer raises `TypeError`.
+    singular vectors of the mode-o matricization (`contract._mode_svd`);
+    where the matricization has fewer than ``ranks[o]`` columns, the rest
+    complete an orthonormal basis, so the core always has shape ``ranks``.
+    The core is ``t`` contracted with the factor transposes.  Exact at full
+    multilinear ranks; a heuristic (not optimal) truncation below them.  A
+    rank that is not an integer raises `TypeError`.
 
     Both steps run on ``t`` scaled by the power of two nearest its largest
     entry (`tensor._scale_exponent`), as `multilinear_rank` scales its input,
@@ -243,25 +242,24 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     """Numerical rank of every single-mode matricization.
 
     Singular values above ``tol`` times the largest one count; each component
-    lower-bounds the tensor rank.  They are those of the small R factor of
-    ``qr(unfolding.T)`` (`contract._unfolding_r`), at most ``M_o`` square.
-    ``tol`` below 0 or NaN raises `ValueError`.  The tensor is first scaled
-    by the power of two nearest its largest entry (`tensor._scale_exponent`),
-    as `cp_als` and `frobenius_norm` scale theirs, so its unfoldings near the
-    float maximum or minimum factor as they do at ordinary scales.
+    lower-bounds the tensor rank.  ``tol`` below 0 or NaN raises
+    `ValueError`.  The tensor is first scaled by the power of two nearest its
+    largest entry (`tensor._scale_exponent`), as `cp_als` and
+    `frobenius_norm` scale theirs, so its unfoldings near the float maximum
+    or minimum factor as they do at ordinary scales.
 
-    The modes are taken in order, and the tensor shrinks on the way, as in
-    sequential truncation (Vannieuwenhoven, Vandebril & Meerbergen 2012, "A
-    new truncation strategy for the higher-order singular value
-    decomposition").  Before the next mode, the mode-o directions with
+    The modes are taken in order, each factored once (`contract._mode_svd`),
+    and the tensor shrinks on the way, as in sequential truncation
+    (Vannieuwenhoven, Vandebril & Meerbergen 2012, "A new truncation strategy
+    for the higher-order singular value decomposition").  Before the next
+    mode, the mode-o directions with
     ``sigma <= min(tol, max(M_o, N_o) * eps) * sigma_max`` (numpy's
     `matrix_rank` cutoff, capped by ``tol``; ``N_o`` is the unfolding's column
     count) are projected out: ``T <- T x_o U_keep^T``, with ``U_keep`` the
-    left singular vectors that stay, from an SVD of the same R that is taken
-    only then (so full-rank input costs what it did).  The dropped part
-    has Frobenius norm at most ``sqrt(M_o) * cutoff``, so by Weyl's inequality
-    each singular value of a later unfolding moves by at most that much, and
-    a rank can change only where a value is that close to its threshold.
+    leading left singular vectors that stay, from the same SVD as the mode's
+    rank.  The dropped part has Frobenius norm at most ``sqrt(M_o) * cutoff``,
+    so by Weyl's inequality each singular value of a later unfolding moves by
+    at most that much: only a value that close to its threshold can change a rank.
     """
     _check_run_opts(tol)
     arr = _as_array(t)
@@ -270,8 +268,7 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     eps = np.finfo(float).eps
     out = []
     for o in range(1, order + 1):
-        r = _unfolding_r(arr, o)
-        s = np.linalg.svd(r, compute_uv=False)
+        u, s = _mode_svd(arr, o)
         smax = s[0]
         if smax == 0.0:
             return (0,) * order
@@ -279,8 +276,7 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
         m = arr.shape[o - 1]
         cutoff = min(tol, max(m, arr.size // m) * eps) * smax
         if o < order and (s.size < m or s[-1] <= cutoff):
-            u = np.linalg.svd(r, full_matrices=False)[2][: np.sum(s > cutoff)].T
-            arr = np.moveaxis(np.tensordot(arr, u, axes=(o - 1, 0)), -1, o - 1)
+            arr = np.moveaxis(np.tensordot(arr, u[:, : np.sum(s > cutoff)], axes=(o - 1, 0)), -1, o - 1)
     return tuple(out)
 
 
@@ -528,7 +524,7 @@ def odeco_decompose(
     e = _scale_exponent(arr)
     arr = np.ldexp(arr, -e)
     norm0 = float(np.linalg.norm(arr))
-    u1, s, _ = np.linalg.svd(_unfolding_r(arr, 1).T)
+    u1, s = _mode_svd(arr, 1)
     tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
     cap = min(arr.shape) if rank is None else min(rank, *arr.shape)
     r = min(int(np.count_nonzero(tail > tol * norm0)), cap)

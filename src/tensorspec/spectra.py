@@ -113,6 +113,8 @@ __all__ = [
 ]
 
 _VARIANTS = ("z", "h")
+# the warning of a solve whose solutions are not isolated; `best_rank_one` filters on it as a regex, so it holds no metacharacters
+_NOT_ISOLATED = "the solutions form a continuous family, not isolated; no records are returned"
 # records closer than this in the scalar (relative) and every vector entry are one
 _DEDUP_TOL = 1e-8
 # the unit roundoff u of float64, eps / 2
@@ -746,7 +748,7 @@ def find_eigenpairs(
         else:
             solved = _eig_iterative(arr, variant, tol, max_iters, seed, starts)
     if solved is None:
-        warnings.warn("the solutions form a continuous family, not isolated; no records are returned", stacklevel=2)
+        warnings.warn(_NOT_ISOLATED, stacklevel=2)
         return []
     lam, x, res, ok = solved
     return [
@@ -908,7 +910,7 @@ def find_singular_tuples(
     _check_run_opts(tol, seed, max_iters=max_iters, starts=starts)
     top = float(np.max(np.abs(arr)))
     if top == 0.0:
-        warnings.warn("the solutions form a continuous family, not isolated; no records are returned", stacklevel=2)
+        warnings.warn(_NOT_ISOLATED, stacklevel=2)
         return []
     arr = arr / top
     # the canonical order, a fresh C-ordered copy as in find_eigenpairs
@@ -1017,7 +1019,7 @@ def best_rank_one(t: DenseTensor, **opts) -> BestRankOne:
     """
     arr = _as_array(t)
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "the solutions form a continuous family")
+        warnings.filterwarnings("ignore", _NOT_ISOLATED)
         tuples = find_singular_tuples(arr, 2, **opts)
     if tuples:
         top = max(tuples, key=lambda r: abs(r.sigma)).with_nonnegative_sigma()

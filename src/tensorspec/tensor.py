@@ -176,7 +176,7 @@ def _as_array(t) -> np.ndarray:
     """Accept DenseTensor, ndarray, or nested lists; return a float ndarray with finite entries and no empty mode.
 
     Complex and string entries raise `ValueError`, as the file reader does;
-    an int beyond int64, which numpy holds as an object, reads as a float.
+    a Python int reads as a float (``inf`` past the float maximum).
     The one finite check of every tensor, read or computed (an overflow).
     """
     if isinstance(t, DenseTensor):
@@ -184,7 +184,10 @@ def _as_array(t) -> np.ndarray:
     arr = np.asarray(t)
     if arr.dtype.kind in "cSU" or arr.dtype.kind == "O" and any(map(_not_real, arr.flat)):
         raise ValueError(f"tensor entries must be real numbers, got {arr.dtype} entries")
-    arr = np.asarray(arr, dtype=float)
+    try:
+        arr = np.asarray(arr, dtype=float)
+    except OverflowError:  # a Python int past the float maximum reads as inf
+        arr = np.full(arr.shape, np.inf)
     _check_sizes(arr.shape)
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor entries must be finite (no NaN/Inf, and no computed entry past the float maximum)")

@@ -656,6 +656,56 @@ class TestTensorTables:
         assert out == "shape: [2, 2, 2]\ndata: ['1.5', '9', '1.5', '9', '0.1', '0.6', '0.1', '0.6']\n"
 
 
+def g12(x):
+    """A number as the table prints it, to 12 significant digits."""
+    return f"{x:.12g}"
+
+
+class TestRecordTables:
+    """``--format table`` of svd, cp, hosvd and odeco on the golden fixture: a header and one line per record, or one line per field, with the JSON output's values."""
+
+    @staticmethod
+    def table_and_json(capsys, argv):
+        code, table = run(capsys, argv + ["--format", "table"])
+        json_code, out = run(capsys, argv)
+        assert code == json_code == 0
+        return table.splitlines(), json.loads(out)
+
+    @pytest.mark.parametrize("p", ["2", "O"])
+    def test_svd(self, capsys, p):
+        lines, obj = self.table_and_json(capsys, ["svd", str(GOLDEN_FIXTURE), "--p", p])
+        assert lines[0] == "p   sigma                 residual      vectors"
+        assert len(lines) == 1 + len(obj["tuples"]) > 1
+        for line, t in zip(lines[1:], obj["tuples"]):
+            vectors = " ".join("(" + ", ".join(map(g12, v)) + ")" for v in t["vectors"])
+            assert line == f"{t['p']:<4}{g12(t['sigma']):<22}{g12(t['residual']):<14}{vectors}"
+
+    def test_cp(self, capsys):
+        lines, obj = self.table_and_json(capsys, ["cp", str(GOLDEN_FIXTURE), "--rank", "1"])
+        assert lines == [
+            "rank: 1",
+            f"relative_error: {g12(obj['relative_error'])}",
+            f"weights: {[g12(w) for w in obj['weights']]}",
+        ]
+
+    @pytest.mark.parametrize("ranks", [[], ["--ranks", "1,1,1"]])
+    def test_hosvd(self, capsys, ranks):
+        lines, obj = self.table_and_json(capsys, ["hosvd", str(GOLDEN_FIXTURE)] + ranks)
+        assert lines == [
+            f"core_shape: {[1, 1, 1] if ranks else [2, 2, 2]}",
+            f"reconstruction_error: {g12(obj['reconstruction_error'])}",
+        ]
+
+    def test_odeco(self, capsys):
+        lines, obj = self.table_and_json(capsys, ["odeco", str(GOLDEN_FIXTURE)])
+        assert lines == [
+            "status: ok",
+            f"reconstruction_error: {g12(obj['reconstruction_error'])}",
+            f"orthogonality_defect: {g12(obj['orthogonality_defect'])}",
+            f"weights: {[g12(w) for w in obj['weights']]}",
+        ]
+
+
 def symmetrized(arr):
     perms = list(itertools.permutations(range(arr.ndim)))
     return sum(np.transpose(arr, p) for p in perms) / len(perms)

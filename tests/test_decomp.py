@@ -277,12 +277,12 @@ class TestHosvd:
         assert calls["qr"] == [(1000, 10)] * 4
         assert calls["svd"] == [(10, 10)] * 4
         # multilinear_rank projects each mode to its rank before the next one;
-        # the three modes that drop directions take a second SVD for the vectors
+        # one SVD per mode gives both the rank and the projection basis
         with monkeypatch.context() as patch:
             calls = count_linalg(patch)
             multilinear_rank(t)
         assert calls["qr"] == [(1000, 10), (500, 10), (150, 10), (60, 10)]
-        assert calls["svd"] == [(10, 10)] * 7
+        assert calls["svd"] == [(10, 10)] * 4
 
     def test_scaled_input_keeps_the_unscaled_bits(self):
         # factoring T / 2^e is exact: at ordinary scales the factors and core are

@@ -2,6 +2,8 @@
 
 import io
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -294,3 +296,16 @@ class TestFixtures:
         assert sorted(Path(p).name for p in written) == sorted(p.name for p in checked_in.glob("*.json"))
         for p in written:
             assert Path(p).read_bytes() == (checked_in / Path(p).name).read_bytes()
+
+    def test_module_run_regenerates_the_checked_in_bytes(self, tmp_path, monkeypatch, capsys):
+        # `python -m tensorspec.golden <dir>`, run in process; a fresh module,
+        # as runpy warns when it runs one that is already imported
+        checked_in = Path(__file__).resolve().parent.parent / "fixtures"
+        monkeypatch.delitem(sys.modules, "tensorspec.golden")
+        monkeypatch.setattr(sys, "argv", ["golden", str(tmp_path)])
+        runpy.run_module("tensorspec.golden", run_name="__main__")
+        names = sorted(p.name for p in checked_in.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert sorted(Path(p).name for p in capsys.readouterr().out.splitlines()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (checked_in / name).read_bytes()

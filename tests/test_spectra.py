@@ -1517,6 +1517,30 @@ class TestBatchedSolvers:
             assert np.array_equal(_damped_newton(residual, counted(jacobian, jac_calls), done), done)
             assert jac_calls == []
 
+    def test_no_step_once_no_column_has_a_finite_system(self, monkeypatch):
+        from tensorspec import spectra
+        from tensorspec.spectra import _damped_newton, _eig_system, _fit_scale, _starts
+
+        arr = rng(362).normal(size=(4, 4, 4))
+        arr /= np.max(np.abs(arr))
+        [x] = _starts(arr, [1], 6, 2)
+        residual, jacobian = _eig_system(arr, 1)
+        v = np.vstack([x, _fit_scale(eig_map_loop(arr, x), x)])
+
+        def broken(at):
+            jac = jacobian(at).copy()
+            jac[0::2, 0, 0] = np.nan
+            jac[1::2, -1, 0] = np.inf
+            return jac
+
+        def no_step(a, b):
+            raise AssertionError("a step was solved")
+
+        monkeypatch.setattr(spectra, "_lstsq", no_step)
+        assert np.all(np.max(np.abs(residual(v)), axis=0) > 1e-13)
+        # every column's system is not finite, so each stops where it is
+        assert _damped_newton(residual, broken, v).tobytes() == v.tobytes()
+
     def test_square_systems_step_by_lu(self, monkeypatch):
         from tensorspec.spectra import _damped_newton, _eig_system, _fit_scale, _starts
 

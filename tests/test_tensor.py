@@ -85,6 +85,10 @@ class TestDenseTensor:
         assert DenseTensor([True, False, np.float32(0.5), np.int8(-3)]).to_array().tolist() == [1.0, 0.0, 0.5, -3.0]
         with pytest.raises(ValueError, match="must be finite"):
             DenseTensor([None, 1.0])
+        # an int past the float maximum, as the file reader rejects it
+        for call in (lambda: DenseTensor([10**400, 1.0]), lambda: frobenius_norm([10**400])):
+            with pytest.raises(ValueError, match="tensor entries must be finite"):
+                call()
 
     def test_raw_arrays_are_checked_like_dense_tensors(self):
         from tensorspec.decomp import cp_als, hosvd, multilinear_rank, odeco_decompose
