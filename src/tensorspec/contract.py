@@ -345,18 +345,18 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
     return [final[span] for span in spans], status
 
 
-def _mode_svd(arr: np.ndarray, o: int) -> tuple[np.ndarray, np.ndarray]:
+def _mode_svd(arr: np.ndarray, o: int, full_matrices: bool = True, compute_uv: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """``(U, s)``: the left singular vectors and singular values of the mode-o unfolding.
 
-    Both come from the full SVD of the small ``R.T``, ``R`` the R factor of
+    Both come from the SVD of the small ``R.T``, ``R`` the R factor of
     ``qr(unfolding.T)``: the unfolding is ``R.T @ Q.T`` with orthonormal rows
     in ``Q.T``, so the SVD skips the ``|T| / M_o`` columns of the unfolding's
-    ``V`` (Chan's R-bidiagonalisation).  ``U`` is ``M_o`` square even where
-    the unfolding has fewer columns (and ``s`` fewer values): past its rank,
-    ``U``'s columns complete an orthonormal basis.
+    ``V`` (Chan's R-bidiagonalisation).  The flags are `np.linalg.svd`'s; by
+    default ``U`` is ``M_o`` square (columns past the rank complete a basis).
     """
-    u, s, _ = np.linalg.svd(np.linalg.qr(_mode_unfolding(arr, o).T, mode="r").T)
-    return u, s
+    r_t = np.linalg.qr(_mode_unfolding(arr, o).T, mode="r").T
+    out = np.linalg.svd(r_t, full_matrices=full_matrices, compute_uv=compute_uv)
+    return out[:2] if compute_uv else (None, out)
 
 
 def _leading_vectors(arr: np.ndarray, modes, ranks) -> list[np.ndarray]:

@@ -248,11 +248,12 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     `frobenius_norm` scale theirs, so its unfoldings near the float maximum
     or minimum factor as they do at ordinary scales.
 
-    The modes are taken in order, each factored once (`contract._mode_svd`),
-    and the tensor shrinks on the way, as in sequential truncation
+    The modes are taken in order, each factored once (`contract._mode_svd`,
+    the last for its values only, the others for at most ``min(M_o, N_o)``
+    vectors), and the tensor shrinks on the way, as in sequential truncation
     (Vannieuwenhoven, Vandebril & Meerbergen 2012, "A new truncation strategy
-    for the higher-order singular value decomposition").  Before the next
-    mode, the mode-o directions with
+    for the higher-order singular value decomposition").  Before the next mode,
+    the mode-o directions with
     ``sigma <= min(tol, max(M_o, N_o) * eps) * sigma_max`` (numpy's
     `matrix_rank` cutoff, capped by ``tol``; ``N_o`` is the unfolding's column
     count) are projected out: ``T <- T x_o U_keep^T``, with ``U_keep`` the
@@ -268,7 +269,7 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     eps = np.finfo(float).eps
     out = []
     for o in range(1, order + 1):
-        u, s = _mode_svd(arr, o)
+        u, s = _mode_svd(arr, o, full_matrices=False, compute_uv=o < order)
         smax = s[0]
         if smax == 0.0:
             return (0,) * order

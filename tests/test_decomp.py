@@ -392,6 +392,21 @@ class TestMultilinearRank:
             assert multilinear_rank(arr) == unfolding_svd_ranks(arr) == ranks
         assert calls == []
 
+    @pytest.mark.parametrize("shape", [(4096, 2, 2), (4096, 2), (4096,)])
+    def test_tall_modes_form_no_square_factor(self, monkeypatch, shape):
+        # a tall mode keeps at most N_o < M_o directions and the last mode's
+        # vectors go unused: no SVD returns a 4096 x 4096 factor, one per mode
+        arr = rng(24).normal(size=shape)
+        ranks = unfolding_svd_ranks(arr)
+        with monkeypatch.context() as patch:
+            calls = count_linalg(patch)
+            results, svd = [], np.linalg.svd
+            patch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: results.append(svd(a, *args, **kwargs)) or results[-1])
+            assert multilinear_rank(arr) == ranks
+        assert calls["svd"][0] == (4096, min(arr.size // 4096, 4096))
+        assert len(calls["svd"]) == arr.ndim
+        assert max(x.size for r in results for x in (r if isinstance(r, tuple) else [r])) <= arr.size
+
     def test_seeded_corpus_against_unfolding_svd(self, monkeypatch):
         # planted Tucker inputs of orders 2-5 with noise around each tol, scaled
         # and laid out both ways; the noiseless calls with tol > 0, about a
