@@ -23,10 +23,10 @@ tensor is cubical and `is_symmetric` within 1e-12 times max|T|, so scaling
 the tensor does not change it.
 
 Exit codes: 0 success, 2 input parse error, 3 solver non-convergence (partial
-results are still emitted, flagged), 4 invalid flags, an unwritable
-``--output`` or a tensor result past the float maximum.  Errors and the
-library's warnings go to stderr as one ``error: <message>`` or
-``warning: <message>`` line each.
+results are still emitted, flagged), 4 invalid flags (a count too large for
+memory included), an unwritable ``--output`` or a tensor result past the
+float maximum.  Errors and the library's warnings go to stderr as one
+``error: <message>`` or ``warning: <message>`` line each.
 """
 
 from __future__ import annotations
@@ -400,6 +400,10 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, IndexError) as exc:
             # the library rejects bad flag values (counts, modes, ranks) this way
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except MemoryError as exc:
+            # a count flag such as --starts can ask for more memory than there is
+            print(f"error: out of memory: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
 

@@ -12,16 +12,16 @@ Sums are accumulated pairwise by numpy, which keeps the library's 1e-12
 property tolerances honest at desk scale.
 
 The private helpers at the end are the kernels the solvers share: the mode
-unfolding and its one SVD (`_mode_svd`, taken of a small R factor), the
-contraction evaluated at many vectors at once on a tensor laid out once per
-operator (the one kernel for ``F_o``, which `contract_all_but` also
-evaluates, with a single column; a stacked plan is one concatenated matrix,
-and the solvers stack only the mode-1 slabs of their C-ordered copy), one
-multi-start power iteration that runs every start as a column of one matrix
-(the spectral starts, and the odeco components as one polish), the one start
-generator of the spectral solvers, and one batched minimum-norm
-least-squares solve (the Newton steps, the ALS normal equations and the
-odeco pencil).
+unfolding and its one SVD (`_mode_svd`, taken of a small R factor, forming
+only the vectors its caller reads), the contraction evaluated at many vectors
+at once on a tensor laid out once per operator (the one kernel for ``F_o``,
+which `contract_all_but` also evaluates, with a single column; a stacked plan
+is one concatenated matrix, and the solvers stack only the mode-1 slabs of
+their C-ordered copy), one multi-start power iteration that runs every
+start as a column of one matrix (the spectral starts, and the odeco
+components as one polish), the one start generator of the spectral solvers,
+and one batched minimum-norm least-squares solve (the Newton steps, the ALS
+normal equations and the odeco pencil).
 """
 
 from __future__ import annotations
@@ -345,30 +345,29 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
     return [final[span] for span in spans], status
 
 
-def _mode_svd(arr: np.ndarray, o: int, full_matrices: bool = True, compute_uv: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-    """``(U, s)``: the left singular vectors and singular values of the mode-o unfolding.
+def _mode_svd(arr: np.ndarray, o: int, cols: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(U, s)``: the first ``cols`` left singular vectors and every singular value of the mode-o unfolding.
 
     Both come from the SVD of the small ``R.T``, ``R`` the R factor of
     ``qr(unfolding.T)``: the unfolding is ``R.T @ Q.T`` with orthonormal rows
     in ``Q.T``, so the SVD skips the ``|T| / M_o`` columns of the unfolding's
-    ``V`` (Chan's R-bidiagonalisation).  The flags are `np.linalg.svd`'s; by
-    default ``U`` is ``M_o`` square (columns past the rank complete a basis).
+    ``V`` (Chan's R-bidiagonalisation).  With ``cols`` 0, ``U`` is ``None``;
+    otherwise the SVD forms ``min(M_o, N_o)`` vectors, ``N_o`` the column
+    count, or all ``M_o`` for a larger ``cols`` (the rest complete a basis).
     """
     r_t = np.linalg.qr(_mode_unfolding(arr, o).T, mode="r").T
-    out = np.linalg.svd(r_t, full_matrices=full_matrices, compute_uv=compute_uv)
-    return out[:2] if compute_uv else (None, out)
-
-
-def _leading_vectors(arr: np.ndarray, modes, ranks) -> list[np.ndarray]:
-    """For each mode ``o`` and rank ``r``, the first ``r`` columns of `_mode_svd`'s ``U``."""
-    return [_mode_svd(arr, o)[0][:, :r] for o, r in zip(modes, ranks)]
+    if not cols:
+        return None, np.linalg.svd(r_t, compute_uv=False)
+    u, s, _ = np.linalg.svd(r_t, full_matrices=cols > r_t.shape[1])
+    return u[:, :cols], s
 
 
 def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:
     """One ``(M_o, count)`` block of unit start columns for each mode ``o`` in ``modes``.
 
     With ``R`` the smallest listed mode size, columns ``0 .. R-1`` are the
-    leading left singular vectors of each mode's unfolding, columns
+    leading left singular vectors of each mode's unfolding (`_mode_svd`
+    forms ``min(M_o, N_o)`` of them, no square basis on a tall mode), columns
     ``R .. 2R-1`` the first ``R`` coordinate vectors, and every later column
     takes one ``default_rng(seed).normal`` draw per mode, mode by mode.  The
     blocks keep their first ``count`` columns.  The draws are one
@@ -379,12 +378,11 @@ def _starts(arr: np.ndarray, modes, count: int, seed: int) -> list[np.ndarray]:
     """
     dims = [arr.shape[o - 1] for o in modes]
     r = min(dims)
-    lead = _leading_vectors(arr, modes, [r] * len(dims))
     draws = np.random.default_rng(seed).normal(size=(max(count - 2 * r, 0), sum(dims)))
     blocks = []
-    for u, d, w in zip(lead, dims, np.split(draws, np.cumsum(dims)[:-1], axis=1)):
+    for o, d, w in zip(modes, dims, np.split(draws, np.cumsum(dims)[:-1], axis=1)):
         nrm = np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0]
-        blocks.append(np.hstack([u, np.eye(d, r), (w / nrm).T])[:, :count])
+        blocks.append(np.hstack([_mode_svd(arr, o, r)[0], np.eye(d, r), (w / nrm).T])[:, :count])
     return blocks
 
 

@@ -13,8 +13,10 @@ the other starts are drawn from one ``default_rng(seed)`` per call: start
 ``k`` does not depend on ``starts``, and two seeds share no random start.
 The batch stops as soon as one start reaches the rounding floor, as the
 others could only tie it.  Results merge by ``(error, start_index)``.
-Counts (``rank``, ``starts``, ``max_iters``) below 1 and a ``seed`` below 0
-raise `ValueError`, counts and seeds that are not integers `TypeError`.  ALS
+Counts (``rank``, ``starts``, ``max_iters``) below 1, a ``seed`` below 0 and
+a ``rank`` above ``|T| / max M_o`` (every tensor is a sum of that many
+rank-one terms, one per fiber of its longest mode, so no larger rank fits
+better) raise `ValueError`, counts and seeds that are not integers `TypeError`.  ALS
 stacks its starts as ``(S, M_o, R)`` factor arrays, solves every mode update
 with `contract._lstsq` (the pseudoinverse update of standard CP-ALS) and
 takes each sweep's error as the exact residual of the last mode's unfolding
@@ -39,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contract import _contract_all_but_batch, _contract_plan, _leading_vectors, _lstsq, _mode_svd, _mode_unfolding, _power_sweeps, multi_mode_product
+from .contract import _contract_all_but_batch, _contract_plan, _lstsq, _mode_svd, _mode_unfolding, _power_sweeps, multi_mode_product
 from .shape import _ints
 from .tensor import DenseTensor, _as_array, _check_cubical, _check_order, _check_run_opts, _scale_exponent, frobenius_norm
 
@@ -206,8 +208,8 @@ def hosvd(t: DenseTensor, ranks: Sequence[int]) -> TuckerDecomposition:
     """Truncated higher-order SVD.
 
     Factor ``o`` holds ``ranks[o]`` orthonormal columns, the leading left
-    singular vectors of the mode-o matricization (`contract._mode_svd`);
-    where the matricization has fewer than ``ranks[o]`` columns, the rest
+    singular vectors of the mode-o matricization (`contract._mode_svd` at
+    ``ranks[o]`` columns); where the matricization has fewer columns, the rest
     complete an orthonormal basis, so the core always has shape ``ranks``.
     The core is ``t`` contracted with the factor transposes.  Exact at full
     multilinear ranks; a heuristic (not optimal) truncation below them.  A
@@ -231,7 +233,7 @@ def hosvd(t: DenseTensor, ranks: Sequence[int]) -> TuckerDecomposition:
             raise ValueError(f"rank {r} out of range [1, {arr.shape[o - 1]}] for mode {o}")
     e = _scale_exponent(arr)
     arr = np.ldexp(arr, -e)
-    factors = _leading_vectors(arr, range(1, order + 1), ranks)
+    factors = [_mode_svd(arr, o, r)[0] for o, r in enumerate(ranks, start=1)]
     core = multi_mode_product(DenseTensor(arr), [f.T for f in factors]).to_array()
     with np.errstate(over="ignore"):
         core = np.ldexp(core, e)
@@ -249,7 +251,7 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     or minimum factor as they do at ordinary scales.
 
     The modes are taken in order, each factored once (`contract._mode_svd`,
-    the last for its values only, the others for at most ``min(M_o, N_o)``
+    the last for its values only, the others for their ``min(M_o, N_o)``
     vectors), and the tensor shrinks on the way, as in sequential truncation
     (Vannieuwenhoven, Vandebril & Meerbergen 2012, "A new truncation strategy
     for the higher-order singular value decomposition").  Before the next mode,
@@ -269,13 +271,13 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
     eps = np.finfo(float).eps
     out = []
     for o in range(1, order + 1):
-        u, s = _mode_svd(arr, o, full_matrices=False, compute_uv=o < order)
+        m, n = arr.shape[o - 1], arr.size // arr.shape[o - 1]
+        u, s = _mode_svd(arr, o, min(m, n) if o < order else 0)
         smax = s[0]
         if smax == 0.0:
             return (0,) * order
         out.append(int(np.sum(s > tol * smax)))
-        m = arr.shape[o - 1]
-        cutoff = min(tol, max(m, arr.size // m) * eps) * smax
+        cutoff = min(tol, max(m, n) * eps) * smax
         if o < order and (s.size < m or s[-1] <= cutoff):
             arr = np.moveaxis(np.tensordot(arr, u[:, : np.sum(s > cutoff)], axes=(o - 1, 0)), -1, o - 1)
     return tuple(out)
@@ -298,7 +300,7 @@ def _gevd_factors(arr: np.ndarray, a: np.ndarray, symmetric: bool = False) -> li
     """
     order, r = arr.ndim, a.shape[1]
     if order > 2:
-        u2 = a if symmetric else _leading_vectors(arr, [2], [r])[0]
+        u2 = a if symmetric else _mode_svd(arr, 2, r)[0]
         slices = np.moveaxis(arr.reshape(arr.shape[0], arr.shape[1], -1, order="F"), -1, 0)
         # fixed, not drawn from a seed: the factors depend on the tensor alone
         ma, mb = np.moveaxis(np.tensordot(np.random.default_rng(0).normal(size=(3, 2, slices.shape[0])), a.T @ slices @ u2, axes=1), 1, 0)
@@ -448,14 +450,17 @@ def cp_als(
     """
     _check_run_opts(tol, seed, rank=rank, starts=starts, max_iters=max_iters)
     arr = _as_array(t)
-    order = _check_order(arr, "CP fits")
+    _check_order(arr, "CP fits")
+    fibers = arr.size // max(arr.shape)
+    if rank > fibers:
+        raise ValueError(f"rank {rank} is above {fibers}: every tensor of shape {arr.shape} is a sum of {fibers} rank-one terms")
     e = _scale_exponent(arr)
     arr = np.ldexp(arr, -e)
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(starts, sum(arr.shape), rank))
     factors = np.split(draws, np.cumsum(arr.shape)[:-1], axis=1)
     if rank <= min(arr.shape):
-        for f, u in zip(factors, _leading_vectors(arr, range(1, order + 1), [rank] * order)):
-            f[0] = u
+        for o, f in enumerate(factors, start=1):
+            f[0] = _mode_svd(arr, o, rank)[0]
     factors, traces, converged = _als_sweeps(arr, factors, max_iters, tol)
     best = min(range(starts), key=lambda k: (traces[k][-1], k))
     cp = cp_normalize(CpDecomposition(np.ones(rank), [f[best] for f in factors]))
@@ -525,9 +530,9 @@ def odeco_decompose(
     e = _scale_exponent(arr)
     arr = np.ldexp(arr, -e)
     norm0 = float(np.linalg.norm(arr))
-    u1, s = _mode_svd(arr, 1)
-    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
     cap = min(arr.shape) if rank is None else min(rank, *arr.shape)
+    u1, s = _mode_svd(arr, 1, cap)
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
     r = min(int(np.count_nonzero(tail > tol * norm0)), cap)
     if r == 0:
         return OdecoResult(CpDecomposition(np.zeros(1), [np.eye(d, 1) for d in arr.shape]), 1.0 if norm0 > 0 else 0.0, 0.0, "not_converged")
@@ -558,7 +563,7 @@ def odeco_decompose(
     redo = np.any(functools.reduce(np.logical_and, [np.abs(f.T @ f) > 0.5 for f in cp.factors]) & ~np.eye(r, dtype=bool), axis=0)
     if redo.any() and not redo.all():
         left = arr - cp_eval(CpDecomposition(cp.weights[~redo], [f[:, ~redo] for f in cp.factors])).to_array()
-        lead = _leading_vectors(left, [1], [int(np.count_nonzero(redo))])[0]
+        lead = _mode_svd(left, 1, int(np.count_nonzero(redo)))[0]
         new, new_conv, _ = polish(left, _gevd_factors(left, lead, symmetric=symmetric))
         blocks = [f.copy() for f in cp.factors[:len(new)]]
         for b, n in zip(blocks, new):

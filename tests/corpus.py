@@ -25,6 +25,10 @@ compare two trees on one machine only.  The classes are:
   on Gaussian random input; `hosvd` at full ranks and at ranks one less, and
   `multilinear_rank`, on every `cp_als` input and on planted Tucker 6^3 of
   multilinear rank (2, 3, 4).
+* ``tall``: 144 calls on tall modes (``M_o > N_o``) of seeded Gaussian
+  8x2x2, 10x2x2 and 10x3x2 tensors over 4 seeds, each at x1 and x1e8:
+  `cp_als` at rank 2, `odeco_decompose`, `hosvd` at full ranks and at
+  ranks of ones, and l2 and lO `find_singular_tuples`.
 * ``cli.<subcommand>``: 554 in-process `tensorspec.cli.main` runs on the 9
   golden fixtures and on seeded Gaussian 3^3, 2x3x4, 4x3 and 4-vector files
   at x1e-8 and x1e8: every subcommand (hosvd at full and unit ranks, svd
@@ -182,6 +186,10 @@ def eigen(pairs):
     return [(p.value, p.vector, p.residual, p.converged) for p in pairs]
 
 
+def tuples(ts):
+    return [(s.sigma, s.vectors, s.residual, s.converged) for s in ts]
+
+
 def size2_calls():
     for seed, order in itertools.product(range(20), range(2, 6)):
         for arr in size2_inputs(order, seed):
@@ -200,7 +208,7 @@ def solver_calls():
                     for mode, variant in itertools.product((1, t.order), "zh"):
                         yield f"eig.{variant}", eigen(find_eigenpairs(t, mode, variant))
                 for p, name in ((2, "svd.2"), (t.order, "svd.O")):
-                    yield name, [(s.sigma, s.vectors, s.residual, s.converged) for s in find_singular_tuples(t, p)]
+                    yield name, tuples(find_singular_tuples(t, p))
 
 
 def ranks_calls(t):
@@ -227,6 +235,20 @@ def decomp_calls():
                 yield "cp_als", (res.cp.weights, res.cp.factors, res.errors, res.start, res.converged)
                 yield from ranks_calls(t)
         yield from ranks_calls(DenseTensor(tucker_input(seed) * scale))
+
+
+def tall_calls():
+    for seed, shape, scale in itertools.product(range(4), ((8, 2, 2), (10, 2, 2), (10, 3, 2)), (1.0, 1e8)):
+        t = DenseTensor(np.random.default_rng([seed, *shape]).normal(size=shape) * scale)
+        res = cp_als(t, 2)
+        yield "tall", ("cp_als", res.cp.weights, res.cp.factors, res.errors, res.start, res.converged)
+        res = odeco_decompose(t)
+        yield "tall", ("odeco", res.cp.weights, res.cp.factors, res.reconstruction_error, res.orthogonality_defect, res.status)
+        for ranks in (shape, (1,) * len(shape)):
+            tk = hosvd(t, ranks)
+            yield "tall", ("hosvd", tk.core.to_array(), tk.factors)
+        for p in (2, len(shape)):
+            yield "tall", tuples(find_singular_tuples(t, p))
 
 
 def run(argv):
@@ -261,6 +283,7 @@ def library_calls():
         yield from size2_calls()
         yield from solver_calls()
         yield from decomp_calls()
+        yield from tall_calls()
 
 
 def main():

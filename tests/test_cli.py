@@ -312,6 +312,23 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "must be >= 1" in err and "Traceback" not in err
 
+    def test_cp_rank_above_the_fiber_count_is_4(self, capsys, golden_path):
+        assert main(["cp", golden_path, "--rank", "5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: rank 5 is above 4") and captured.err.count("\n") == 1
+
+    def test_out_of_memory_is_4(self, capsys, monkeypatch, golden_path):
+        # a count flag can ask for more memory than there is: one error line, no traceback
+        def solver(*args, **kwargs):
+            raise MemoryError("Unable to allocate 6.71 GiB")
+
+        monkeypatch.setattr(cli, "find_eigenpairs", solver)
+        assert main(["eig", golden_path, "--starts", "100000000"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 6.71 GiB\n"
+
     def test_non_integer_ranks_are_4(self, capsys, golden_path):
         assert main(["hosvd", golden_path, "--ranks", "2,x"]) == 4
         captured = capsys.readouterr()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from reference import als_sweeps_parent, count_linalg, odeco_deflation
 
-from tensorspec.contract import _lstsq, _mode_unfolding, contract_all_but
+from tensorspec.contract import _lstsq, _mode_unfolding, _starts, contract_all_but
 from tensorspec.decomp import (
     CpDecomposition,
     _als_sweeps,
@@ -288,14 +288,14 @@ class TestHosvd:
         # factoring T / 2^e is exact: at ordinary scales the factors and core are
         # those of the unscaled factorization, bit for bit, and scaling T by 2^k
         # scales the core by 2^k and leaves the factors as they are
-        from tensorspec.contract import _leading_vectors, multi_mode_product
+        from tensorspec.contract import _mode_svd, multi_mode_product
 
         g = rng(40)
         inputs = [g.normal(size=(4, 5, 6)), planted_tucker((10,) * 4, (5,) * 4, 41), g.normal(size=(3, 3, 3, 3))]
         for arr in inputs:
             for ranks in (arr.shape, [max(1, d - 2) for d in arr.shape]):
                 tk = hosvd(arr, ranks)
-                factors = _leading_vectors(arr, range(1, arr.ndim + 1), ranks)
+                factors = [_mode_svd(arr, o, r)[0] for o, r in enumerate(ranks, start=1)]
                 core = multi_mode_product(DenseTensor(arr), [f.T for f in factors]).to_array()
                 assert tk.core.to_array().tobytes() == core.tobytes()
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(tk.factors, factors))
@@ -407,6 +407,22 @@ class TestMultilinearRank:
         assert len(calls["svd"]) == arr.ndim
         assert max(x.size for r in results for x in (r if isinstance(r, tuple) else [r])) <= arr.size
 
+    @pytest.mark.parametrize("call", [
+        *(pytest.param(functools.partial(hosvd, ranks=ranks), id=f"hosvd{ranks}") for ranks in ([1, 1, 1], [2, 2, 2], [3, 2, 1], [4, 2, 2])),
+        pytest.param(functools.partial(cp_als, rank=2, max_iters=2), id="cp_als"),
+        pytest.param(odeco_decompose, id="odeco"),
+        pytest.param(lambda arr: _starts(arr, (1, 2, 3), 8, 0), id="starts"),
+    ])
+    def test_callers_form_no_square_basis_on_a_tall_mode(self, monkeypatch, call):
+        # mode 1 of a 256 x 2 x 2 tensor has N_1 = 4 columns: no caller reads
+        # more than 4 of its singular vectors (hosvd's ranks reach N_o)
+        arr = rng(27).normal(size=(256, 2, 2))
+        results, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: results.append(svd(a, *args, **kwargs)) or results[-1])
+        call(arr)
+        assert any(isinstance(r, tuple) and r[0].shape[:2] == (256, 4) for r in results)
+        assert all(r[0].shape[-1] < 256 for r in results if isinstance(r, tuple))
+
     def test_seeded_corpus_against_unfolding_svd(self, monkeypatch):
         # planted Tucker inputs of orders 2-5 with noise around each tol, scaled
         # and laid out both ways; the noiseless calls with tol > 0, about a
@@ -486,6 +502,17 @@ class TestCpAls:
     def test_order1_is_rejected(self):
         with pytest.raises(ValueError, match="order >= 2"):
             cp_als(DenseTensor([1.0, 2.0]), 1)
+
+    def test_rank_above_the_fiber_count(self):
+        # every tensor is a sum of |T| / max M_o rank-one terms, one per fiber
+        # of its longest mode; a higher rank is refused before any start is drawn
+        t = DenseTensor(rng(25).normal(size=(2, 2, 2)))
+        assert cp_als(t, 4, max_iters=3).cp.rank == 4
+        for rank in (5, 10**8, 10**400):
+            with pytest.raises(ValueError, match=f"rank {rank} is above 4"):
+                cp_als(t, rank)
+        with pytest.raises(ValueError, match="rank 7 is above 6"):
+            cp_als(rng(26).normal(size=(2, 3, 4)), 7)
 
 
 class TestTolChecks:

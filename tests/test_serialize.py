@@ -290,13 +290,6 @@ class TestResultFormats:
 
 
 class TestFixtures:
-    def test_checked_in_fixtures_match_golden(self, tmp_path):
-        checked_in = Path(__file__).resolve().parent.parent / "fixtures"
-        written = golden.write_fixtures(str(tmp_path))
-        assert sorted(Path(p).name for p in written) == sorted(p.name for p in checked_in.glob("*.json"))
-        for p in written:
-            assert Path(p).read_bytes() == (checked_in / Path(p).name).read_bytes()
-
     def test_module_run_regenerates_the_checked_in_bytes(self, tmp_path, monkeypatch, capsys):
         # `python -m tensorspec.golden <dir>`, run in process; a fresh module,
         # as runpy warns when it runs one that is already imported
