@@ -113,7 +113,7 @@ def mode_product(t: DenseTensor, o: int, L) -> DenseTensor:
             f"matrix width {mat.shape[1]} does not match mode-{o} size {arr.shape[o - 1]}"
         )
     moved = np.tensordot(mat, arr, axes=(1, o - 1))  # new mode lands in front
-    return DenseTensor(np.moveaxis(moved, 0, o - 1))
+    return DenseTensor(moved.transpose([*range(1, o), 0, *range(o, arr.ndim)]))
 
 
 def multi_mode_product(g: DenseTensor, factors: Sequence) -> DenseTensor:
@@ -162,8 +162,17 @@ def contract_all_but(t: DenseTensor, o: int, xs: Sequence) -> DenseTensor:
 
 
 def _mode_unfolding(arr: np.ndarray, o: int) -> np.ndarray:
-    """Mode-o matricization on raw arrays: rows = mode o, columns colex over the rest."""
-    return np.moveaxis(arr, o - 1, 0).reshape(arr.shape[o - 1], -1, order="F")
+    """Mode-o matricization on raw arrays: rows = mode o, columns colex over the rest.
+
+    One transpose puts mode o first (the view `np.moveaxis` builds, at a
+    fraction of its call cost), and the F-order reshape is a view where the
+    strides allow one and an F-contiguous copy otherwise.  So the layout is
+    that of the `np.moveaxis` form, which matters: BLAS sums the ALS MTTKRP
+    in an order that depends on it.  On a C- or F-contiguous array a view is
+    C- or F-contiguous too: the last mode's unfolding of an F-ordered array,
+    as `DenseTensor` stores it, is a C-contiguous view.
+    """
+    return arr.transpose([o - 1, *range(o - 1), *range(o, arr.ndim)]).reshape(arr.shape[o - 1], -1, order="F")
 
 
 def _contract_plan(arr: np.ndarray, keep) -> tuple:
@@ -263,7 +272,8 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
     The sweeps run in chunks of `_chunk_length` sweeps.  A sweep only
     updates each block, normalizes it and writes it into the chunk's
     history, one ``(n + 1, sum M_k, S)`` array; the stop tests run once per
-    chunk on the whole history, with the expressions of a per-sweep test,
+    chunk on the whole history, with the expressions of a per-sweep test
+    (the moves block by block, in one scratch array of the block's size),
     and a column that stopped inside the chunk takes its blocks from the
     sweep it stopped at.  Columns that stopped early keep being updated
     until the chunk ends, which changes no bit of the others: a BLAS
@@ -303,14 +313,16 @@ def _power_sweeps(update, blocks: Sequence[np.ndarray], p: int, tol: float, max_
                 dead = np.zeros((length, cols.size), dtype=bool) if dead is None else dead
                 dead[t - 1] = ~alive
         # per sweep and column, the largest squared move of any block up to sign
-        steps = np.empty((2,) + hist[1:].shape)
-        np.subtract(hist[1:], hist[:-1], out=steps[0])
-        np.add(hist[1:], hist[:-1], out=steps[1])
-        steps *= steps
         moves = None
         for span in spans:
-            sums = np.add.reduce(steps[:, :, span], axis=2)
-            moves = np.minimum(sums[0], sums[1]) if moves is None else np.maximum(moves, np.minimum(sums[0], sums[1]))
+            new, old = hist[1:, span], hist[:-1, span]
+            step = np.subtract(new, old)
+            step *= step
+            minus = np.add.reduce(step, axis=1)
+            np.add(new, old, out=step)
+            step *= step
+            move = np.minimum(minus, np.add.reduce(step, axis=1))
+            moves = move if moves is None else np.maximum(moves, move)
         # the sweep each column stops at, length for none
         stop = np.empty((length + 1, cols.size), dtype=bool)
         np.less_equal(np.sqrt(moves), tol, out=stop[:length])

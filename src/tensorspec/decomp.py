@@ -36,6 +36,8 @@ rank-deficient input, while `hosvd` factors every whole unfolding.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -175,19 +177,24 @@ def cp_normalize(cp: CpDecomposition) -> CpDecomposition:
 
     A zero column cannot be normalized: its weight becomes 0 and the column is
     replaced by the first unit vector (the term contributes nothing either way).
+    A weight takes its columns' norms in mode order.  A factor's column norms
+    are one batched dot on its transposed columns made contiguous, the dot
+    `np.linalg.norm` takes of one column, so each norm has its bits.
     """
-    weights = cp.weights.copy()
-    factors = [f.copy() for f in cp.factors]
-    for r in range(cp.rank):
-        for f in factors:
-            nrm = np.linalg.norm(f[:, r])
-            if nrm == 0.0:
-                weights[r] = 0.0
-                f[:, r] = 0.0
-                f[0, r] = 1.0
-            else:
-                f[:, r] /= nrm
-                weights[r] *= nrm
+    weights = cp.weights
+    factors = []
+    for f in cp.factors:
+        cols = np.ascontiguousarray(f.T)
+        nrm = np.sqrt(cols[:, None, :] @ cols[:, :, None])[:, 0, 0]
+        zero = nrm == 0.0
+        nrm[zero] = 1.0
+        weights = weights * nrm
+        f = f / nrm
+        if zero.any():
+            weights[zero] = 0.0
+            f[:, zero] = 0.0
+            f[0, zero] = 1.0
+        factors.append(f)
     return CpDecomposition(weights, factors)
 
 
@@ -279,8 +286,20 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
         out.append(int(np.sum(s > tol * smax)))
         cutoff = min(tol, max(m, n) * eps) * smax
         if o < order and (s.size < m or s[-1] <= cutoff):
-            arr = np.moveaxis(np.tensordot(arr, u[:, : np.sum(s > cutoff)], axes=(o - 1, 0)), -1, o - 1)
+            arr = np.tensordot(arr, u[:, : np.sum(s > cutoff)], axes=(o - 1, 0)).transpose([*range(o - 1), order - 1, *range(o - 1, order - 1)])
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _pencil_weights(count: int) -> np.ndarray:
+    """The read-only ``(3, 2, count)`` slice weights of `_gevd_factors`' three pencils.
+
+    One ``default_rng(0).normal`` draw, fixed and not drawn from a seed, so
+    the factors depend on the tensor alone.
+    """
+    out = np.random.default_rng(0).normal(size=(3, 2, count))
+    out.flags.writeable = False
+    return out
 
 
 def _gevd_factors(arr: np.ndarray, a: np.ndarray, symmetric: bool = False) -> list[np.ndarray]:
@@ -301,9 +320,8 @@ def _gevd_factors(arr: np.ndarray, a: np.ndarray, symmetric: bool = False) -> li
     order, r = arr.ndim, a.shape[1]
     if order > 2:
         u2 = a if symmetric else _mode_svd(arr, 2, r)[0]
-        slices = np.moveaxis(arr.reshape(arr.shape[0], arr.shape[1], -1, order="F"), -1, 0)
-        # fixed, not drawn from a seed: the factors depend on the tensor alone
-        ma, mb = np.moveaxis(np.tensordot(np.random.default_rng(0).normal(size=(3, 2, slices.shape[0])), a.T @ slices @ u2, axes=1), 1, 0)
+        slices = arr.reshape(arr.shape[0], arr.shape[1], -1, order="F").transpose(2, 0, 1)
+        ma, mb = np.tensordot(_pencil_weights(slices.shape[0]), a.T @ slices @ u2, axes=1).transpose(1, 0, 2, 3)
         lam, vec = np.linalg.eig(np.swapaxes(_lstsq(np.swapaxes(mb, 1, 2), np.swapaxes(ma, 1, 2)), 1, 2))
         d = 1 + np.abs(lam) ** 2
         dist = np.abs(lam[:, :, None] - lam[:, None, :]) / np.sqrt(d[:, :, None] * d[:, None, :]) + np.where(np.eye(r), np.inf, 0.0)
@@ -312,7 +330,7 @@ def _gevd_factors(arr: np.ndarray, a: np.ndarray, symmetric: bool = False) -> li
     if symmetric:
         return [a]
     rows = (np.linalg.pinv(a) @ _mode_unfolding(arr, 1)).reshape((r,) + arr.shape[1:], order="F")
-    return [a] + [np.linalg.svd(np.moveaxis(rows, o, 1).reshape(r, arr.shape[o], -1), full_matrices=False)[0][:, :, 0].T for o in range(1, order)]
+    return [a] + [np.linalg.svd(rows.transpose([0, o, *range(1, o), *range(o + 1, order)]).reshape(r, arr.shape[o], -1), full_matrices=False)[0][:, :, 0].T for o in range(1, order)]
 
 
 # -- alternating least squares ------------------------------------------------
@@ -354,6 +372,15 @@ def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol:
     back once more at the end.  Returns the final factor stacks, each start's
     error trace and convergence flags.
 
+    Which stacks each mode update reads is fixed before the first sweep: its
+    unfolding, the other modes' factors for the Khatri-Rao product (in
+    reverse mode order, to pair with the colex unfolding) and their Grams
+    for the normal equations (the Hadamard product of the other modes'
+    Grams, in mode order; Kolda & Bader 2009).  So a sweep runs only the
+    numpy calls of its arithmetic: per mode the Khatri-Rao product, the
+    Gram product, the MTTKRP, one `contract._lstsq` solve and the new
+    Gram, then the residual.
+
     Memory: the stacked Khatri-Rao product holds ``S * R * |T| / M_o``
     entries, S times what one start needs; the residual is taken for all
     running starts at once, one batched matmul and one batched dot, so it
@@ -365,7 +392,11 @@ def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol:
     order = arr.ndim
     starts = factors[0].shape[0]
     norm_t = float(np.linalg.norm(arr))
-    unfoldings = [_mode_unfolding(arr, o) for o in range(1, order + 1)]
+    # per mode: its unfolding, a getter of the Khatri-Rao chain (the other
+    # factors in reverse mode order; one factor at order 2, where ``rest`` is
+    # empty), and the other modes in order, first and rest, for the Grams
+    others = [[j for j in range(order) if j != o] for o in range(order)]
+    operands = [(o, _mode_unfolding(arr, o + 1), operator.itemgetter(*js[::-1]), js[0], js[1:]) for o, js in enumerate(others)]
     factors = [np.array(f, dtype=float) for f in factors]
     cur = list(factors)
     cur_grams = [f.swapaxes(1, 2) @ f for f in factors]
@@ -380,15 +411,17 @@ def _als_sweeps(arr: np.ndarray, factors: list[np.ndarray], max_iters: int, tol:
             break
         # every mode update builds new arrays, so these stay the previous sweep
         prev = list(cur)
-        for o in range(order):
-            # colex unfolding pairs with the reversed-order Khatri-Rao chain
-            kr = _khatri_rao([cur[j] for j in range(order - 1, -1, -1) if j != o])
-            gram = functools.reduce(np.multiply, [cur_grams[j] for j in range(order) if j != o])
+        for o, unfolding, chain, first, rest in operands:
+            kr = _khatri_rao(chain(cur)) if rest else cur[first]
+            gram = cur_grams[first]
+            for j in rest:
+                gram = gram * cur_grams[j]
             # x @ gram = rhs, transposed to gram^T @ x^T = rhs^T
-            cur[o] = _lstsq(gram.swapaxes(1, 2), (unfoldings[o] @ kr).swapaxes(1, 2)).swapaxes(1, 2)
+            cur[o] = _lstsq(gram.swapaxes(1, 2), (unfolding @ kr).swapaxes(1, 2)).swapaxes(1, 2)
             cur_grams[o] = cur[o].swapaxes(1, 2) @ cur[o]
+        # kr and unfolding are the last mode's
         resid = cur[-1] @ kr.swapaxes(1, 2)
-        resid -= unfoldings[-1]
+        resid -= unfolding
         flat = resid.reshape(cols.size, 1, -1)
         # a batched dot, the one np.linalg.norm takes of each start's residual
         err = np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
@@ -457,7 +490,7 @@ def cp_als(
     e = _scale_exponent(arr)
     arr = np.ldexp(arr, -e)
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(starts, sum(arr.shape), rank))
-    factors = np.split(draws, np.cumsum(arr.shape)[:-1], axis=1)
+    factors = [draws[:, a:a + m] for a, m in zip(itertools.accumulate(arr.shape, initial=0), arr.shape)]
     if rank <= min(arr.shape):
         for o, f in enumerate(factors, start=1):
             f[0] = _mode_svd(arr, o, rank)[0]

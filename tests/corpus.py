@@ -29,6 +29,11 @@ compare two trees on one machine only.  The classes are:
   8x2x2, 10x2x2 and 10x3x2 tensors over 4 seeds, each at x1 and x1e8:
   `cp_als` at rank 2, `odeco_decompose`, `hosvd` at full ranks and at
   ranks of ones, and l2 and lO `find_singular_tuples`.
+* ``cp_als.rand6^3`` and ``cp_als.orth4^4``: 8 calls each, the two
+  `cp_als` configurations of the decomp benchmark that the ``cp_als`` class
+  does not hold, over 4 seeds at x1 and x1e8: Gaussian random 6^3 at rank 3
+  with ``max_iters=50, tol=0`` (every start runs all 50 sweeps), and 4^4 at
+  rank 2 planted with orthonormal factors.
 * ``cli.<subcommand>``: 554 in-process `tensorspec.cli.main` runs on the 9
   golden fixtures and on seeded Gaussian 3^3, 2x3x4, 4x3 and 4-vector files
   at x1e-8 and x1e8: every subcommand (hosvd at full and unit ranks, svd
@@ -190,6 +195,10 @@ def tuples(ts):
     return [(s.sigma, s.vectors, s.residual, s.converged) for s in ts]
 
 
+def als(res):
+    return (res.cp.weights, res.cp.factors, res.errors, res.start, res.converged)
+
+
 def size2_calls():
     for seed, order in itertools.product(range(20), range(2, 6)):
         for arr in size2_inputs(order, seed):
@@ -231,8 +240,7 @@ def decomp_calls():
         for shape, rank in [((4, 4, 4), 2), ((5, 6, 7), 3), ((3, 3, 3, 3), 2)]:
             for arr in cp_inputs(shape, rank, seed):
                 t = DenseTensor(arr * scale)
-                res = cp_als(t, rank)
-                yield "cp_als", (res.cp.weights, res.cp.factors, res.errors, res.start, res.converged)
+                yield "cp_als", als(cp_als(t, rank))
                 yield from ranks_calls(t)
         yield from ranks_calls(DenseTensor(tucker_input(seed) * scale))
 
@@ -240,8 +248,7 @@ def decomp_calls():
 def tall_calls():
     for seed, shape, scale in itertools.product(range(4), ((8, 2, 2), (10, 2, 2), (10, 3, 2)), (1.0, 1e8)):
         t = DenseTensor(np.random.default_rng([seed, *shape]).normal(size=shape) * scale)
-        res = cp_als(t, 2)
-        yield "tall", ("cp_als", res.cp.weights, res.cp.factors, res.errors, res.start, res.converged)
+        yield "tall", ("cp_als",) + als(cp_als(t, 2))
         res = odeco_decompose(t)
         yield "tall", ("odeco", res.cp.weights, res.cp.factors, res.reconstruction_error, res.orthogonality_defect, res.status)
         for ranks in (shape, (1,) * len(shape)):
@@ -249,6 +256,16 @@ def tall_calls():
             yield "tall", ("hosvd", tk.core.to_array(), tk.factors)
         for p in (2, len(shape)):
             yield "tall", tuples(find_singular_tuples(t, p))
+
+
+def bench_als_calls():
+    """`cp_als` as the decomp benchmark calls it, on random 6^3 at rank 3 and orthonormal planted 4^4 at rank 2."""
+    for seed, scale in itertools.product(range(4), (1.0, 1e8)):
+        arr = np.random.default_rng([seed, 6, 6, 6]).normal(size=(6, 6, 6))
+        # every start runs every sweep
+        yield "cp_als.rand6^3", als(cp_als(DenseTensor(arr * scale), 3, max_iters=50, tol=0.0))
+        arr = next(cp_inputs((4, 4, 4, 4), 2, seed))
+        yield "cp_als.orth4^4", als(cp_als(DenseTensor(arr * scale), 2))
 
 
 def run(argv):
@@ -284,6 +301,7 @@ def library_calls():
         yield from solver_calls()
         yield from decomp_calls()
         yield from tall_calls()
+        yield from bench_als_calls()
 
 
 def main():

@@ -347,6 +347,47 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+class TestModeUnfolding:
+    """`_mode_unfolding` against the `np.moveaxis` form it replaced and `matricize`, in bits and layout."""
+
+    @staticmethod
+    def shapes(order):
+        yield (3,) * order
+        yield (7,) + (2,) * (order - 1)  # a tall first mode
+        yield (2,) * (order - 1) + (9,)  # a tall last mode
+        yield (1,) + (3,) * (order - 1)
+        yield (3,) * (order - 1) + (1,)
+        yield (2, 1, 4, 1, 3)[:order]
+
+    def test_moveaxis_form_and_matricize(self):
+        from tensorspec.contract import _mode_unfolding
+        from tensorspec.tensor import matricize
+
+        g = rng(40)
+        copies = 0
+        for order in range(1, 6):
+            for shape in self.shapes(order):
+                for layout in "CF":
+                    arr = np.asarray(g.normal(size=shape), order=layout)
+                    for o in range(1, order + 1):
+                        got = _mode_unfolding(arr, o)
+                        want = np.moveaxis(arr, o - 1, 0).reshape(arr.shape[o - 1], -1, order="F")
+                        case = (shape, layout, o)
+                        assert same_bits(got, want) and got.strides == want.strides, case
+                        # a view keeps the input's contiguity; a copy is F-contiguous
+                        view = np.shares_memory(got, arr)
+                        assert got.flags.c_contiguous or got.flags.f_contiguous if view else got.flags.f_contiguous, case
+                        copies += not view
+                        if order > 1:
+                            m = matricize(DenseTensor(arr), [o]).to_array()
+                            assert same_bits(got, m) and (view or got.strides == m.strides), case
+        assert copies
+        # the last mode of an F-ordered array, as DenseTensor stores it, is a C-contiguous view
+        arr = DenseTensor(g.normal(size=(3, 4, 5))).to_array()
+        last = _mode_unfolding(arr, 3)
+        assert np.shares_memory(last, arr) and last.flags.c_contiguous and not last.flags.f_contiguous
+
+
 class TestPlannedKernel:
     """The planned kernel against the parent's kernel, which set up the unfolding on every call: the same bits."""
 
