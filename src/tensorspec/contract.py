@@ -113,7 +113,7 @@ def mode_product(t: DenseTensor, o: int, L) -> DenseTensor:
             f"matrix width {mat.shape[1]} does not match mode-{o} size {arr.shape[o - 1]}"
         )
     moved = np.tensordot(mat, arr, axes=(1, o - 1))  # new mode lands in front
-    return DenseTensor(moved.transpose([*range(1, o), 0, *range(o, arr.ndim)]))
+    return DenseTensor(np.moveaxis(moved, 0, o - 1))
 
 
 def multi_mode_product(g: DenseTensor, factors: Sequence) -> DenseTensor:

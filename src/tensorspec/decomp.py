@@ -36,7 +36,6 @@ rank-deficient input, while `hosvd` factors every whole unfolding.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -177,24 +176,19 @@ def cp_normalize(cp: CpDecomposition) -> CpDecomposition:
 
     A zero column cannot be normalized: its weight becomes 0 and the column is
     replaced by the first unit vector (the term contributes nothing either way).
-    A weight takes its columns' norms in mode order.  A factor's column norms
-    are one batched dot on its transposed columns made contiguous, the dot
-    `np.linalg.norm` takes of one column, so each norm has its bits.
     """
-    weights = cp.weights
-    factors = []
-    for f in cp.factors:
-        cols = np.ascontiguousarray(f.T)
-        nrm = np.sqrt(cols[:, None, :] @ cols[:, :, None])[:, 0, 0]
-        zero = nrm == 0.0
-        nrm[zero] = 1.0
-        weights = weights * nrm
-        f = f / nrm
-        if zero.any():
-            weights[zero] = 0.0
-            f[:, zero] = 0.0
-            f[0, zero] = 1.0
-        factors.append(f)
+    weights = cp.weights.copy()
+    factors = [f.copy() for f in cp.factors]
+    for r in range(cp.rank):
+        for f in factors:
+            nrm = np.linalg.norm(f[:, r])
+            if nrm == 0.0:
+                weights[r] = 0.0
+                f[:, r] = 0.0
+                f[0, r] = 1.0
+            else:
+                f[:, r] /= nrm
+                weights[r] *= nrm
     return CpDecomposition(weights, factors)
 
 
@@ -286,20 +280,8 @@ def multilinear_rank(t: DenseTensor, tol: float = 1e-8) -> tuple[int, ...]:
         out.append(int(np.sum(s > tol * smax)))
         cutoff = min(tol, max(m, n) * eps) * smax
         if o < order and (s.size < m or s[-1] <= cutoff):
-            arr = np.tensordot(arr, u[:, : np.sum(s > cutoff)], axes=(o - 1, 0)).transpose([*range(o - 1), order - 1, *range(o - 1, order - 1)])
+            arr = np.moveaxis(np.tensordot(arr, u[:, : np.sum(s > cutoff)], axes=(o - 1, 0)), -1, o - 1)
     return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _pencil_weights(count: int) -> np.ndarray:
-    """The read-only ``(3, 2, count)`` slice weights of `_gevd_factors`' three pencils.
-
-    One ``default_rng(0).normal`` draw, fixed and not drawn from a seed, so
-    the factors depend on the tensor alone.
-    """
-    out = np.random.default_rng(0).normal(size=(3, 2, count))
-    out.flags.writeable = False
-    return out
 
 
 def _gevd_factors(arr: np.ndarray, a: np.ndarray, symmetric: bool = False) -> list[np.ndarray]:
@@ -320,8 +302,9 @@ def _gevd_factors(arr: np.ndarray, a: np.ndarray, symmetric: bool = False) -> li
     order, r = arr.ndim, a.shape[1]
     if order > 2:
         u2 = a if symmetric else _mode_svd(arr, 2, r)[0]
-        slices = arr.reshape(arr.shape[0], arr.shape[1], -1, order="F").transpose(2, 0, 1)
-        ma, mb = np.tensordot(_pencil_weights(slices.shape[0]), a.T @ slices @ u2, axes=1).transpose(1, 0, 2, 3)
+        slices = np.moveaxis(arr.reshape(arr.shape[0], arr.shape[1], -1, order="F"), -1, 0)
+        # fixed, not drawn from a seed: the factors depend on the tensor alone
+        ma, mb = np.moveaxis(np.tensordot(np.random.default_rng(0).normal(size=(3, 2, slices.shape[0])), a.T @ slices @ u2, axes=1), 1, 0)
         lam, vec = np.linalg.eig(np.swapaxes(_lstsq(np.swapaxes(mb, 1, 2), np.swapaxes(ma, 1, 2)), 1, 2))
         d = 1 + np.abs(lam) ** 2
         dist = np.abs(lam[:, :, None] - lam[:, None, :]) / np.sqrt(d[:, :, None] * d[:, None, :]) + np.where(np.eye(r), np.inf, 0.0)
@@ -330,7 +313,7 @@ def _gevd_factors(arr: np.ndarray, a: np.ndarray, symmetric: bool = False) -> li
     if symmetric:
         return [a]
     rows = (np.linalg.pinv(a) @ _mode_unfolding(arr, 1)).reshape((r,) + arr.shape[1:], order="F")
-    return [a] + [np.linalg.svd(rows.transpose([0, o, *range(1, o), *range(o + 1, order)]).reshape(r, arr.shape[o], -1), full_matrices=False)[0][:, :, 0].T for o in range(1, order)]
+    return [a] + [np.linalg.svd(np.moveaxis(rows, o, 1).reshape(r, arr.shape[o], -1), full_matrices=False)[0][:, :, 0].T for o in range(1, order)]
 
 
 # -- alternating least squares ------------------------------------------------
@@ -490,7 +473,7 @@ def cp_als(
     e = _scale_exponent(arr)
     arr = np.ldexp(arr, -e)
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(starts, sum(arr.shape), rank))
-    factors = [draws[:, a:a + m] for a, m in zip(itertools.accumulate(arr.shape, initial=0), arr.shape)]
+    factors = np.split(draws, np.cumsum(arr.shape)[:-1], axis=1)
     if rank <= min(arr.shape):
         for o, f in enumerate(factors, start=1):
             f[0] = _mode_svd(arr, o, rank)[0]

@@ -29,10 +29,6 @@ appends each start's error in a Python loop.  It stops the batch at the
 rounding floor as the library does.  The library must match it bit for bit:
 factors, traces and convergence flags.
 
-`cp_normalize_loop` is `decomp.cp_normalize` one column and one factor at a
-time, each norm one `np.linalg.norm` call; the library takes each factor's
-norms as one batched dot and must match it bit for bit.
-
 `starts_loop` is `contract._starts`, the start generator of the spectral
 solvers, drawn and normalized one column and one mode at a time; the library
 draws one block and must match it bit for bit.
@@ -274,23 +270,6 @@ def als_sweeps_parent(arr: np.ndarray, factors: list[np.ndarray], max_iters: int
         # once a start reaches the floor every start stops, keeping its own flag
         cols = cols[~done] if not floor.any() else cols[:0]
     return factors, traces, converged
-
-
-def cp_normalize_loop(cp):
-    """`decomp.cp_normalize` with one `np.linalg.norm` per column of each factor, columns outermost."""
-    weights = cp.weights.copy()
-    factors = [f.copy() for f in cp.factors]
-    for r in range(cp.rank):
-        for f in factors:
-            nrm = np.linalg.norm(f[:, r])
-            if nrm == 0.0:
-                weights[r] = 0.0
-                f[:, r] = 0.0
-                f[0, r] = 1.0
-            else:
-                f[:, r] /= nrm
-                weights[r] *= nrm
-    return weights, factors
 
 
 def starts_loop(arr, modes, count, seed):
